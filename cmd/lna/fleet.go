@@ -167,8 +167,8 @@ func runTop(opt options) int {
 		}
 		fmt.Printf("daemon %s: workers=%d queue=%d requests=%d batches=%d rejected=%d failures=%d\n",
 			opt.remote, st.Workers, st.QueueDepth, st.Requests, st.BatchRequests, st.Rejected, st.Failures)
-		fmt.Printf("  cache: %d hits / %d misses, %d entries, %d evictions\n",
-			st.Cache.Hits, st.Cache.Misses, st.Cache.Entries, st.Cache.Evictions)
+		fmt.Printf("  cache: %d hits (%d coalesced) / %d misses, %d entries, %d evictions\n",
+			st.Cache.Hits, st.Cache.Coalesced, st.Cache.Misses, st.Cache.Entries, st.Cache.Evictions)
 		return service.ExitClean
 	}
 

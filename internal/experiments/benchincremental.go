@@ -107,19 +107,24 @@ func BenchIncrementalWarm(b *testing.B, reqs []service.AnalyzeRequest, editIdx i
 			if j == editIdx && revision >= 0 {
 				r.Source = editFunction(r.Source, revision)
 			}
-			key := service.CacheKey(&r)
-			if _, ok := cache.Get(key); ok {
+			_, claim, err := cache.Lookup(ctx, service.CacheKey(&r), "")
+			if err != nil {
+				return err
+			}
+			if claim == nil {
 				continue
 			}
 			resp, _ := inc.Analyze(ctx, &r, 0)
 			if resp.Failure != nil {
+				claim.Abandon()
 				return fmt.Errorf("%s: %s", r.Module, resp.Failure.Message)
 			}
 			data, err := resp.MarshalCanonical()
 			if err != nil {
+				claim.Abandon()
 				return err
 			}
-			cache.Put(key, data)
+			claim.Finish(data, false)
 		}
 		return nil
 	}

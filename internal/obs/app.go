@@ -24,6 +24,18 @@ var failureKinds = []string{"panic", "timeout", "error"}
 // replayed).
 var incrementalDispositions = []string{"cold", "partial", "full"}
 
+// Span vocabulary of a coalesced cache hit: a request that waited for
+// a concurrent cold run of its key records one SpanCacheWait span
+// covering the wait, with args AttrCache=CacheCoalesced and
+// AttrLeaderTrace=<the trace ID of the run it waited for>, so a cheap
+// request is explained by its own trace.
+const (
+	SpanCacheWait   = "cache.wait"
+	AttrCache       = "cache"
+	CacheCoalesced  = "coalesced"
+	AttrLeaderTrace = "leader_trace"
+)
+
 // AppMetrics is the toolkit's process-wide metric set, registered
 // once in the Default registry. Hot paths hold the typed handles
 // directly, so recording is an atomic add — no map lookup, no lock.
@@ -68,6 +80,9 @@ type AppMetrics struct {
 	CacheHits      *Counter
 	CacheMisses    *Counter
 	CacheEvictions *Counter
+	// CacheCoalesced counts the hits answered by joining a concurrent
+	// cold run of the same key (a subset of CacheHits).
+	CacheCoalesced *Counter
 
 	// Incremental-engine accounting: analysis requests by how much
 	// prior work they reused (see service's X-Lna-Incremental header
@@ -106,6 +121,7 @@ func App() *AppMetrics {
 			CacheHits:                 r.Counter("lna_cache_hits_total", "Result-cache hits."),
 			CacheMisses:               r.Counter("lna_cache_misses_total", "Result-cache misses."),
 			CacheEvictions:            r.Counter("lna_cache_evictions_total", "Result-cache LRU evictions."),
+			CacheCoalesced:            r.Counter("lna_cache_coalesced_total", "Result-cache hits answered by joining a concurrent cold run of the same key (a subset of lna_cache_hits_total)."),
 		}
 		for _, m := range modeNames {
 			a.requestsByMode[m] = r.Counter("lna_requests_total", "Analysis requests by mode.", "mode", m)

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -56,7 +58,10 @@ func CacheKey(req *AnalyzeRequest) string {
 
 // CacheStats is a snapshot of the cache's accounting.
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
+	Hits uint64 `json:"hits"`
+	// Coalesced counts the hits answered by joining a concurrent cold
+	// run of the same key rather than a stored entry (a subset of Hits).
+	Coalesced uint64 `json:"coalesced"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
@@ -64,14 +69,20 @@ type CacheStats struct {
 }
 
 // Cache is a bounded LRU mapping cache keys to canonical response
-// bytes. It is safe for concurrent use. The values are the exact
-// bytes the cold run produced, so a hit replays them byte-identically.
+// bytes, with in-flight coalescing: while one caller runs a key cold,
+// concurrent callers for the same key wait for its bytes instead of
+// running the engine again. It is safe for concurrent use. The values
+// are the exact bytes the cold run produced, so a hit replays them
+// byte-identically.
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
 	ll        *list.List // front = most recently used
 	entries   map[string]*list.Element
+	flights   map[string]*flight // keys being run cold right now
+	waiting   int                // followers parked on a flight
 	hits      uint64
+	coalesced uint64
 	misses    uint64
 	evictions uint64
 }
@@ -79,6 +90,16 @@ type Cache struct {
 type cacheEntry struct {
 	key string
 	val []byte
+}
+
+// flight is one cold run in progress. val and failed are written once,
+// under the cache mutex, before done closes; a nil val means the
+// leader abandoned the run without an answer.
+type flight struct {
+	done   chan struct{}
+	leader string // the leader's trace ID
+	val    []byte
+	failed bool
 }
 
 // NewCache builds a cache holding at most capacity entries (minimum 1).
@@ -90,46 +111,124 @@ func NewCache(capacity int) *Cache {
 		capacity: capacity,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element, capacity),
+		flights:  make(map[string]*flight),
 	}
 }
 
-// Get returns the cached bytes for key, marking the entry most
-// recently used. The second result reports whether it was present.
-// The returned slice is the caller's to keep: it is a copy, so
-// mutating it cannot corrupt the canonical bytes later hits replay.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		obs.App().CacheMisses.Inc()
-		return nil, false
-	}
-	c.hits++
-	obs.App().CacheHits.Inc()
-	c.ll.MoveToFront(el)
-	val := el.Value.(*cacheEntry).val
-	out := make([]byte, len(val))
-	copy(out, val)
-	return out, true
+// Hit is a lookup answered without running the engine. Data is the
+// caller's to keep: it is a copy, so mutating it cannot corrupt the
+// canonical bytes later hits replay.
+type Hit struct {
+	Data []byte
+	// Coalesced reports that Data came from a concurrent cold run of
+	// the same key, led by the request whose trace ID is Leader.
+	Coalesced bool
+	Leader    string
+	// Failed reports that Data is the leader's failure response:
+	// shared with the callers that waited for it, never stored.
+	Failed bool
 }
 
-// Put stores val under key, evicting the least recently used entry if
-// the cache is full. Re-putting an existing key refreshes its value
-// and recency. The stored bytes are a copy, for the same isolation
-// reason Get copies on the way out.
-func (c *Cache) Put(key string, val []byte) {
-	stored := make([]byte, len(val))
-	copy(stored, val)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).val = stored
-		c.ll.MoveToFront(el)
+// Claim is the right to run one key cold, held by exactly one caller,
+// the flight's leader. Finish or Abandon settles it; once settled both
+// are no-ops, so a deferred Abandon guards every early exit.
+type Claim struct {
+	c   *Cache
+	key string
+	f   *flight
+}
+
+// Lookup is the cache's one lookup path. Under the cache mutex it
+// resolves key to one of three outcomes. A stored entry is a hit. A
+// key another caller is running cold is joined: Lookup waits for that
+// flight's bytes, which count as a (coalesced) hit. Otherwise the
+// caller gets the Claim, counts as the miss, and must run the key and
+// settle the claim. trace names the caller's request to the followers
+// it may lead. A wait ends at once with ctx's error, without touching
+// the flight; when a leader abandons its flight, its followers look
+// the key up again and one of them claims it.
+func (c *Cache) Lookup(ctx context.Context, key, trace string) (Hit, *Claim, error) {
+	for {
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.hits++
+			c.ll.MoveToFront(el)
+			data := bytes.Clone(el.Value.(*cacheEntry).val)
+			c.mu.Unlock()
+			obs.App().CacheHits.Inc()
+			return Hit{Data: data}, nil, nil
+		}
+		f, ok := c.flights[key]
+		if !ok {
+			f = &flight{done: make(chan struct{}), leader: trace}
+			c.flights[key] = f
+			c.misses++
+			c.mu.Unlock()
+			obs.App().CacheMisses.Inc()
+			return Hit{}, &Claim{c: c, key: key, f: f}, nil
+		}
+		c.waiting++
+		c.mu.Unlock()
+		var err error
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		c.mu.Lock()
+		c.waiting--
+		answered := err == nil && f.val != nil
+		if answered {
+			c.hits++
+			c.coalesced++
+		}
+		c.mu.Unlock()
+		if err != nil {
+			return Hit{}, nil, err
+		}
+		if answered {
+			obs.App().CacheHits.Inc()
+			obs.App().CacheCoalesced.Inc()
+			return Hit{Data: bytes.Clone(f.val), Coalesced: true, Leader: f.leader, Failed: f.failed}, nil, nil
+		}
+	}
+}
+
+// Finish hands val to the flight's followers. A healthy val (failed
+// false) is also stored, in the same critical section that retires the
+// flight, so no lookup can find neither; a failure is shared with the
+// followers already waiting and never stored, so the next submission
+// runs fresh. The stored bytes are a copy of val.
+func (cl *Claim) Finish(val []byte, failed bool) {
+	cl.settle(bytes.Clone(val), failed)
+}
+
+// Abandon retires the flight without an answer: its followers look the
+// key up again, and one of them runs it instead.
+func (cl *Claim) Abandon() { cl.settle(nil, false) }
+
+func (cl *Claim) settle(val []byte, failed bool) {
+	f := cl.f
+	if f == nil {
 		return
 	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, val: stored})
+	cl.f = nil
+	c := cl.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.flights, cl.key)
+	if val != nil && !failed {
+		c.putLocked(cl.key, val)
+	}
+	f.val, f.failed = val, failed
+	close(f.done)
+}
+
+// putLocked stores val under key, evicting the least recently used
+// entry if the cache is full. The key is never already present: only
+// its flight's leader stores it. Caller holds c.mu.
+func (c *Cache) putLocked(key string, val []byte) {
+	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -145,6 +244,7 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Hits:      c.hits,
+		Coalesced: c.coalesced,
 		Misses:    c.misses,
 		Evictions: c.evictions,
 		Entries:   c.ll.Len(),

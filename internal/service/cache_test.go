@@ -59,17 +59,36 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestCacheHitMissAccounting: gets and puts keep exact counters.
+// probe looks key up without running it: a miss abandons its claim at
+// once. It reports the hit's bytes.
+func probe(c *Cache, key string) ([]byte, bool) {
+	hit, claim, _ := c.Lookup(context.Background(), key, "")
+	if claim != nil {
+		claim.Abandon()
+		return nil, false
+	}
+	return hit.Data, true
+}
+
+// fill stores val under key the way the server stores a cold run: a
+// lookup that claims the key, then a healthy Finish.
+func fill(t *testing.T, c *Cache, key string, val []byte) {
+	t.Helper()
+	_, claim, _ := c.Lookup(context.Background(), key, "")
+	if claim == nil {
+		t.Fatalf("fill(%s): key already cached", key)
+	}
+	claim.Finish(val, false)
+}
+
+// TestCacheHitMissAccounting: lookups and fills keep exact counters.
 func TestCacheHitMissAccounting(t *testing.T) {
 	c := NewCache(4)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("Get on an empty cache reported a hit")
+	fill(t, c, "a", []byte("1"))
+	if v, ok := probe(c, "a"); !ok || string(v) != "1" {
+		t.Fatalf("probe(a) = %q, %v; want 1, true", v, ok)
 	}
-	c.Put("a", []byte("1"))
-	if v, ok := c.Get("a"); !ok || string(v) != "1" {
-		t.Fatalf("Get(a) = %q, %v; want 1, true", v, ok)
-	}
-	c.Get("missing")
+	probe(c, "missing")
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 2 || st.Evictions != 0 || st.Entries != 1 || st.Capacity != 4 {
 		t.Errorf("stats = %+v; want hits=1 misses=2 evictions=0 entries=1 capacity=4", st)
@@ -77,33 +96,29 @@ func TestCacheHitMissAccounting(t *testing.T) {
 }
 
 // TestCacheEviction: a capacity-2 cache drops the least recently used
-// entry, and recency is refreshed by both Get and re-Put.
+// entry, and recency is refreshed by a hit.
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("2"))
-	c.Get("a")              // a is now most recently used
-	c.Put("c", []byte("3")) // must evict b
-	if _, ok := c.Get("b"); ok {
-		t.Error("b survived eviction; LRU order ignores Get recency")
+	fill(t, c, "a", []byte("1"))
+	fill(t, c, "b", []byte("2"))
+	probe(c, "a")                // a is now most recently used
+	fill(t, c, "c", []byte("3")) // must evict b
+	if _, ok := probe(c, "b"); ok {
+		t.Error("b survived eviction; LRU order ignores hit recency")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := probe(c, "a"); !ok {
 		t.Error("a was evicted despite being most recently used")
 	}
-	c.Put("a", []byte("1*")) // refresh, no eviction
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
 		t.Errorf("stats = %+v; want evictions=1 entries=2", st)
-	}
-	if v, _ := c.Get("a"); string(v) != "1*" {
-		t.Errorf("re-Put did not refresh the value: got %q", v)
 	}
 }
 
 // TestCacheMinimumCapacity: capacity below 1 is clamped, not rejected.
 func TestCacheMinimumCapacity(t *testing.T) {
 	c := NewCache(0)
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("2"))
+	fill(t, c, "a", []byte("1"))
+	fill(t, c, "b", []byte("2"))
 	if st := c.Stats(); st.Entries != 1 || st.Capacity != 1 {
 		t.Errorf("stats = %+v; want entries=1 capacity=1", st)
 	}
@@ -140,17 +155,17 @@ func TestResponseDeterminism(t *testing.T) {
 func TestCacheGetReturnsDefensiveCopy(t *testing.T) {
 	c := NewCache(4)
 	orig := []byte(`{"ok":true}`)
-	c.Put("k", orig)
+	fill(t, c, "k", orig)
 
-	first, ok := c.Get("k")
+	first, ok := probe(c, "k")
 	if !ok {
-		t.Fatal("put entry missing")
+		t.Fatal("filled entry missing")
 	}
 	for i := range first {
 		first[i] = 'X' // a hostile (or merely careless) caller
 	}
 
-	second, ok := c.Get("k")
+	second, ok := probe(c, "k")
 	if !ok {
 		t.Fatal("entry vanished after a mutated hit")
 	}
@@ -158,11 +173,11 @@ func TestCacheGetReturnsDefensiveCopy(t *testing.T) {
 		t.Fatalf("cached bytes corrupted by mutating a previous hit: %q", second)
 	}
 
-	// The value handed to Put must be isolated too.
+	// The value handed to Finish must be isolated too.
 	orig[0] = 'Y'
-	third, _ := c.Get("k")
+	third, _ := probe(c, "k")
 	if !bytes.Equal(third, []byte(`{"ok":true}`)) {
-		t.Fatalf("cached bytes corrupted by mutating the Put argument: %q", third)
+		t.Fatalf("cached bytes corrupted by mutating the Finish argument: %q", third)
 	}
 }
 

@@ -18,3 +18,12 @@ func SetTestAnalyzeHook(f func(ctx context.Context, module string)) {
 // tests use, shared so the external suites assert against the same
 // source text.
 const CleanCheckSrc = cleanCheckSrc
+
+// CacheWaiting reports how many requests are parked on a concurrent
+// cold run in s's result cache, so the coalescing suites can release a
+// held leader once its followers have joined.
+func CacheWaiting(s *Server) int {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	return s.cache.waiting
+}

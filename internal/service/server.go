@@ -324,32 +324,70 @@ func ValidateRequest(req *AnalyzeRequest) *WireError {
 	return nil
 }
 
-// runCached serves req from the cache or runs it on the calling
-// goroutine (which must already hold a worker slot). Only healthy
-// responses are cached: a panic or timeout record may be environment-
-// dependent, so those re-run on resubmission.
-func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (data []byte, key string, hit bool, resp *AnalyzeResponse, inc *IncrementalInfo, err error) {
-	key = CacheKey(req)
-	if data, ok := s.cache.Get(key); ok {
-		return data, key, true, nil, nil, nil
+// cachedRun is one request's outcome through the result cache.
+type cachedRun struct {
+	data []byte
+	key  string
+	// hit reports that the bytes came from the cache or from a
+	// concurrent cold run of the same key (see Cache.Lookup); resp and
+	// inc are set only when this request ran the engine itself.
+	hit    bool
+	failed bool // the bytes carry a Failure record
+	resp   *AnalyzeResponse
+	inc    *IncrementalInfo
+}
+
+// runCached answers req through the result cache. The lookup comes
+// first and needs no worker slot: a hit, or a follower of a concurrent
+// identical run, is answered without one. Only the leader that claims
+// the key takes a slot and runs the engine. Healthy responses are
+// cached; a panic or timeout record may be environment-dependent, so
+// it is handed to the followers already waiting and never stored. A
+// leader failure caused by its own client going away (ctx done) is not
+// shared at all: the flight is abandoned and a live follower runs the
+// key instead. The error is ctx's when the caller's own context ended
+// first, or a canonical-encoding failure.
+func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (cachedRun, error) {
+	run := cachedRun{key: CacheKey(req)}
+	start := time.Now()
+	hit, claim, err := s.cache.Lookup(ctx, run.key, req.Obs.ID())
+	if err != nil {
+		return run, err
 	}
+	if claim == nil {
+		if hit.Coalesced {
+			req.Obs.Add(obs.SpanCacheWait, "cache", start, time.Since(start),
+				obs.AttrCache, obs.CacheCoalesced, obs.AttrLeaderTrace, hit.Leader)
+		}
+		if hit.Failed {
+			s.failures.Add(1)
+		}
+		run.data, run.hit, run.failed = hit.Data, true, hit.Failed
+		return run, nil
+	}
+	defer claim.Abandon()
+	if !s.acquireSlot(ctx) {
+		return run, ctx.Err()
+	}
+	defer s.releaseSlot()
 	req.SolverWorkers = s.opts.SolverWorkers
 	if s.inc != nil {
-		resp, inc = s.inc.Analyze(ctx, req, s.opts.RequestTimeout)
+		run.resp, run.inc = s.inc.Analyze(ctx, req, s.opts.RequestTimeout)
 	} else {
-		resp = AnalyzeBounded(ctx, req, s.opts.RequestTimeout)
+		run.resp = AnalyzeBounded(ctx, req, s.opts.RequestTimeout)
 	}
-	if resp.Failure != nil {
+	run.failed = run.resp.Failure != nil
+	if run.failed {
 		s.failures.Add(1)
 	}
-	data, err = resp.MarshalCanonical()
+	run.data, err = run.resp.MarshalCanonical()
 	if err != nil {
-		return nil, key, false, resp, inc, err
+		return run, err
 	}
-	if resp.Failure == nil {
-		s.cache.Put(key, data)
+	if !run.failed || ctx.Err() == nil {
+		claim.Finish(run.data, run.failed)
 	}
-	return data, key, false, resp, inc, nil
+	return run, nil
 }
 
 // acquireSlot takes a worker token, honouring request cancellation.
@@ -415,19 +453,19 @@ func (s *Server) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 	req.Obs = ot
 	entry.Trace = ot.ID()
 	defer s.traces.Put(ot)
-	if !s.acquireSlot(r.Context()) {
-		return // client went away while queued
-	}
-	defer s.releaseSlot()
-	data, key, hit, resp, inc, err := s.runCached(r.Context(), &req)
+	run, err := s.runCached(r.Context(), &req)
 	if err != nil {
+		if r.Context().Err() != nil {
+			return // client went away while waiting
+		}
 		WriteWireError(w, CodeInternal, "encoding response: %v", err)
 		return
 	}
+	resp, inc := run.resp, run.inc
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Lna-Cache-Key", key)
+	w.Header().Set("X-Lna-Cache-Key", run.key)
 	w.Header().Set("X-Lna-Trace", ot.ID())
-	if hit {
+	if run.hit {
 		w.Header().Set("X-Lna-Cache", "hit")
 		entry.Cache = "hit"
 	} else {
@@ -454,7 +492,7 @@ func (s *Server) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 		entry.Phases = resp.PhaseTimings
 		w.Header().Set("X-Lna-Phases", formatPhases(resp.PhaseTimings))
 	}
-	_, _ = w.Write(data)
+	_, _ = w.Write(run.data)
 }
 
 // BatchRequest is a corpus-style multi-module submission.
@@ -565,33 +603,32 @@ func (s *Server) handleBatch(rw http.ResponseWriter, r *http.Request) {
 			req.Obs = ot
 			out.Results[i].TraceID = ot.ID()
 			defer s.traces.Put(ot)
-			if !s.acquireSlot(r.Context()) {
-				return
-			}
-			defer s.releaseSlot()
-			data, key, hit, resp, inc, err := s.runCached(r.Context(), req)
+			run, err := s.runCached(r.Context(), req)
 			if err != nil {
+				if r.Context().Err() != nil {
+					return // client went away mid-batch
+				}
 				out.Results[i].Error = &WireError{Code: CodeInternal, Message: err.Error()}
-				data = nil
+				run.data = nil
 			}
-			out.Results[i].Cached = hit
-			out.Results[i].CacheKey = key
-			out.Results[i].Response = data
-			if inc != nil {
-				out.Results[i].Incremental = inc.Disposition
+			out.Results[i].Cached = run.hit
+			out.Results[i].CacheKey = run.key
+			out.Results[i].Response = run.data
+			if run.inc != nil {
+				out.Results[i].Incremental = run.inc.Disposition
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			if hit {
+			if run.hit {
 				out.Summary.CacheHits++
 			} else {
 				out.Summary.CacheMisses++
 			}
-			if resp != nil {
-				if resp.Failure != nil {
-					out.Summary.Failures++
-				}
-				out.Summary.Findings += resp.Findings
+			if run.failed {
+				out.Summary.Failures++
+			}
+			if run.resp != nil {
+				out.Summary.Findings += run.resp.Findings
 			}
 		}(i)
 	}
