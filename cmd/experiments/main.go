@@ -72,7 +72,6 @@ func main() {
 		benchJSON     = flag.String("bench-json", "", "run the solver benchmarks, write ns/op as JSON to this file (- for stdout), and exit")
 		benchObsJSON  = flag.String("bench-obs-json", "", "run the observability-overhead benchmarks (tracing disabled vs enabled), write ns/op as JSON to this file (- for stdout), and exit")
 		benchParJSON  = flag.String("bench-parallel-json", "", "run the parallel-solver benchmarks (sequential unpooled vs pooled partitioned, interleaved, at GOMAXPROCS 1/2/4), write the report as JSON to this file (- for stdout), and exit")
-		benchIncJSON  = flag.String("bench-incremental-json", "", "run the incremental re-analysis benchmarks (from-scratch vs resident cache+memo after a one-function edit, interleaved), write the report as JSON to this file (- for stdout), and exit")
 		benchGwJSON   = flag.String("bench-gateway-json", "", "run the gateway open-loop load benchmarks (1-replica vs 2-replica stacks, interleaved), write the report as JSON to this file (- for stdout), and exit")
 		benchTrJSON   = flag.String("bench-trace-json", "", "run the tracing-overhead benchmarks (gateway relay with tracing off vs on, interleaved), write the report as JSON to this file (- for stdout), and exit")
 		benchXmodJSON = flag.String("bench-xmodule-json", "", "run the cross-module DAG benchmarks (sequential vs parallel scheduler, cold vs warm summary cache, interleaved), write the report as JSON to this file (- for stdout), and exit")
@@ -153,29 +152,6 @@ func main() {
 			os.Exit(exitError)
 		} else if !*quiet {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchParJSON)
-		}
-		return
-	}
-
-	if *benchIncJSON != "" {
-		var progress io.Writer
-		if !*quiet {
-			progress = os.Stderr
-			fmt.Fprintln(progress, "running incremental re-analysis benchmarks (interleaved cold/incremental pairs; this takes a few minutes)...")
-		}
-		data, err := experiments.RunIncrementalBenchJSON(progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchIncJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchIncJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchIncJSON)
 		}
 		return
 	}

@@ -176,7 +176,6 @@ type options struct {
 	workers        int
 	solverWorkers  int
 	cacheEntries   int
-	memoEntries    int
 	queueDepth     int
 	requestTimeout time.Duration
 	logFormat      string
@@ -228,7 +227,6 @@ func main() {
 	fs.IntVar(&opt.workers, "workers", 0, "serve: analysis pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&opt.solverWorkers, "solver-workers", 1, "serve: constraint-solver goroutines per module (<=1 = sequential; results identical)")
 	fs.IntVar(&opt.cacheEntries, "cache-entries", service.DefaultCacheEntries, "serve: LRU result-cache capacity")
-	fs.IntVar(&opt.memoEntries, "memo-entries", 0, "serve: solve-component summary memo capacity for incremental re-analysis (0 = default; negative disables)")
 	fs.IntVar(&opt.queueDepth, "queue-depth", 0, "serve: max in-flight single requests before 429 (0 = 4×workers)")
 	fs.DurationVar(&opt.requestTimeout, "request-timeout", service.DefaultRequestTimeout, "serve: per-module analysis deadline")
 	fs.StringVar(&opt.logFormat, "log-format", "text", "serve: access-log rendering (text|json|off)")
@@ -462,7 +460,6 @@ func runServe(opt options) int {
 		Workers:        opt.workers,
 		SolverWorkers:  opt.solverWorkers,
 		CacheEntries:   opt.cacheEntries,
-		MemoEntries:    opt.memoEntries,
 		QueueDepth:     opt.queueDepth,
 		RequestTimeout: opt.requestTimeout,
 		TraceEntries:   opt.traceEntries,

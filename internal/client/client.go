@@ -110,9 +110,6 @@ type Meta struct {
 	CacheKey string
 	// TraceID joins the response to the server's access log and spans.
 	TraceID string
-	// Incremental is the reuse disposition of a cold run
-	// (cold|partial|full), "" on cache hits or when disabled.
-	Incremental string
 	// Phases is the per-phase timing list ("parse=0.1ms,...").
 	Phases string
 	// Xmodule is the whole-program pass summary of a multi_module
@@ -127,13 +124,12 @@ type Meta struct {
 // decodeMeta reads the X-Lna-* headers into a Meta.
 func decodeMeta(h http.Header) Meta {
 	m := Meta{
-		Cache:       h.Get("X-Lna-Cache"),
-		CacheKey:    h.Get("X-Lna-Cache-Key"),
-		TraceID:     h.Get("X-Lna-Trace"),
-		Incremental: h.Get("X-Lna-Incremental"),
-		Phases:      h.Get("X-Lna-Phases"),
-		Xmodule:     h.Get("X-Lna-Xmodule"),
-		Backend:     h.Get("X-Lna-Backend"),
+		Cache:    h.Get("X-Lna-Cache"),
+		CacheKey: h.Get("X-Lna-Cache-Key"),
+		TraceID:  h.Get("X-Lna-Trace"),
+		Phases:   h.Get("X-Lna-Phases"),
+		Xmodule:  h.Get("X-Lna-Xmodule"),
+		Backend:  h.Get("X-Lna-Backend"),
 	}
 	if v := h.Get("X-Lna-Attempts"); v != "" {
 		m.Attempts, _ = strconv.Atoi(v)

@@ -65,13 +65,6 @@ type Options struct {
 	// concurrency; <= 1 solves sequentially. Results are identical
 	// either way.
 	SolverWorkers int
-	// Memo, when non-nil, lets the solve replay content-addressed
-	// component summaries recorded by earlier solves (and record new
-	// ones). Replay is byte-identical to solving fresh.
-	Memo *solve.Memo
-	// MemoCounters, when non-nil, receives the solve's component
-	// reuse accounting (replayed vs freshly solved).
-	MemoCounters *solve.MemoCounters
 	// Imports supplies resolved import signatures for the
 	// re-typecheck of the planted program; it must match what the
 	// module was originally loaded with.
@@ -136,9 +129,7 @@ func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (
 		return res, fmt.Errorf("confine: inference failed on the planted program: %w", diags.Err())
 	}
 	opts.Trace.Enter(faults.PhaseSolve)
-	res.Solution = solve.SolveOpts(opts.Ctx, res.Infer.Sys, solve.Options{
-		Workers: opts.SolverWorkers, Memo: opts.Memo, Counters: opts.MemoCounters,
-	})
+	res.Solution = solve.SolveOpts(opts.Ctx, res.Infer.Sys, solve.Options{Workers: opts.SolverWorkers})
 	if effects.ReportMalformed(diags, prog.File, res.Solution.Malformed()) {
 		return res, fmt.Errorf("confine: %w", diags.Err())
 	}

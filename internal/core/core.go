@@ -120,14 +120,6 @@ type LockingOptions struct {
 	// concurrency for both solves; <= 1 solves sequentially. Results
 	// are identical either way.
 	SolverWorkers int
-	// Memo, when non-nil, lets both solves replay content-addressed
-	// component summaries recorded by earlier solves (and record new
-	// ones). Replay is byte-identical to solving fresh.
-	Memo *solve.Memo
-	// MemoCounters, when non-nil, receives the component reuse
-	// accounting (replayed vs freshly solved) aggregated over both
-	// solves.
-	MemoCounters *solve.MemoCounters
 	// ImportEffects supplies per-formal effect masks for imported
 	// functions ("pkg.fn"), applied at the solver level; nil havocs
 	// every imported call's arguments.
@@ -231,9 +223,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 		return nil, fmt.Errorf("%s: %w", m.Name, m.Diags.Err())
 	}
 	tr.Enter(faults.PhaseSolve)
-	baseSol := solve.SolveOpts(ctx, baseInfer.Sys, solve.Options{
-		Workers: opts.SolverWorkers, Memo: opts.Memo, Counters: opts.MemoCounters,
-	})
+	baseSol := solve.SolveOpts(ctx, baseInfer.Sys, solve.Options{Workers: opts.SolverWorkers})
 	if err := m.reportMalformed(baseSol.Malformed()); err != nil {
 		return nil, err
 	}
@@ -250,8 +240,6 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 		Params:        !opts.NoParams,
 		Lets:          !opts.NoLets,
 		SolverWorkers: opts.SolverWorkers,
-		Memo:          opts.Memo,
-		MemoCounters:  opts.MemoCounters,
 		Ctx:           ctx,
 		Trace:         tr,
 		Imports:       m.ImportSigs,

@@ -14,6 +14,7 @@ import (
 	"localalias/internal/infer"
 	"localalias/internal/obs"
 	"localalias/internal/qual"
+	"localalias/internal/service"
 	"localalias/internal/solve"
 )
 
@@ -181,19 +182,16 @@ type BenchMeasurement struct {
 	AllocsPerOp int64  `json:"allocs_per_op"`
 }
 
-// RunBenchJSON runs the solver benchmarks via testing.Benchmark and
-// returns the measurements as indented JSON (the same shape the
-// committed BENCH_solver.json uses for its before/after snapshots).
-func RunBenchJSON() ([]byte, error) {
-	benches := []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"BenchmarkSolverPropagation", BenchSolverPropagation},
-		{"BenchmarkCorpusSummary", BenchCorpusSummary},
-		{"BenchmarkConfineOverhead/without-confine", func(b *testing.B) { BenchConfineOverhead(b, false) }},
-		{"BenchmarkConfineOverhead/with-confine", func(b *testing.B) { BenchConfineOverhead(b, true) }},
-	}
+// namedBench is one benchmark body a JSON runner measures.
+type namedBench struct {
+	name string
+	fn   func(*testing.B)
+}
+
+// runBenchJSON runs each benchmark via testing.Benchmark and returns
+// the measurements as indented JSON. scope qualifies the zero-iteration
+// error (for example " over the 589-module corpus"; empty for none).
+func runBenchJSON(benches []namedBench, scope string) ([]byte, error) {
 	var out []BenchMeasurement
 	for _, bench := range benches {
 		benchErr = nil
@@ -203,8 +201,7 @@ func RunBenchJSON() ([]byte, error) {
 			if underlying == nil {
 				underlying = fmt.Errorf("benchmark body aborted without reporting a cause")
 			}
-			return nil, fmt.Errorf("benchmark %s failed after zero iterations over the %d-module corpus: %w",
-				bench.name, drivergen.NumModules, underlying)
+			return nil, fmt.Errorf("benchmark %s failed after zero iterations%s: %w", bench.name, scope, underlying)
 		}
 		out = append(out, BenchMeasurement{
 			Name:        bench.name,
@@ -217,39 +214,41 @@ func RunBenchJSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
+// RunBenchJSON runs the solver benchmarks via testing.Benchmark and
+// returns the measurements as indented JSON (the same shape the
+// committed BENCH_solver.json uses for its before/after snapshots).
+func RunBenchJSON() ([]byte, error) {
+	return runBenchJSON([]namedBench{
+		{"BenchmarkSolverPropagation", BenchSolverPropagation},
+		{"BenchmarkCorpusSummary", BenchCorpusSummary},
+		{"BenchmarkConfineOverhead/without-confine", func(b *testing.B) { BenchConfineOverhead(b, false) }},
+		{"BenchmarkConfineOverhead/with-confine", func(b *testing.B) { BenchConfineOverhead(b, true) }},
+	}, fmt.Sprintf(" over the %d-module corpus", drivergen.NumModules))
+}
+
 // RunObsBenchJSON runs the observability-overhead benchmarks — each
 // workload with instrumentation disabled (metrics only; tracing off,
 // the default) and enabled (per-request span traces) — and returns
 // the measurements as indented JSON. BENCH_obs.json at the repo root
 // records these next to the pre-instrumentation baseline.
 func RunObsBenchJSON() ([]byte, error) {
-	benches := []struct {
-		name string
-		fn   func(*testing.B)
-	}{
+	return runBenchJSON([]namedBench{
 		{"BenchmarkSolverPropagation/disabled", BenchSolverPropagation},
 		{"BenchmarkSolverPropagation/traced", BenchSolverPropagationTraced},
 		{"BenchmarkCorpusSummary/disabled", BenchCorpusSummary},
 		{"BenchmarkCorpusSummary/traced", BenchCorpusSummaryTraced},
+	}, "")
+}
+
+// corpusRequests renders the 589-module corpus as analyze requests
+// (default mode: the full three-mode qual experiment, like the
+// experiment driver submits). The gateway and trace generators replay
+// prefixes of it.
+func corpusRequests() []service.AnalyzeRequest {
+	specs := drivergen.Corpus()
+	reqs := make([]service.AnalyzeRequest, len(specs))
+	for i, s := range specs {
+		reqs[i] = service.AnalyzeRequest{Module: s.Name + ".mc", Source: s.Source()}
 	}
-	var out []BenchMeasurement
-	for _, bench := range benches {
-		benchErr = nil
-		r := testing.Benchmark(bench.fn)
-		if r.N == 0 {
-			underlying := benchErr
-			if underlying == nil {
-				underlying = fmt.Errorf("benchmark body aborted without reporting a cause")
-			}
-			return nil, fmt.Errorf("benchmark %s failed after zero iterations: %w", bench.name, underlying)
-		}
-		out = append(out, BenchMeasurement{
-			Name:        bench.name,
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
+	return reqs
 }

@@ -1,5 +1,8 @@
-// Package funcidx indexes a MiniC module's top-level declarations for
-// the incremental engine.
+// Package funcidx indexes a MiniC module's top-level declarations and
+// diffs two revisions of it. Its only non-test caller is the steady
+// benchmark, which times Build, Diff and Invalidated per request as
+// the per-layer metric funcidx.us_per_request; no daemon path uses
+// it.
 //
 // The index is a purely lexical view of a module: one entry per
 // top-level declaration (fun / global / struct), each keyed by a
@@ -8,18 +11,10 @@
 // included) or struct types it mentions. Comparing two revisions'
 // indexes yields exactly the declarations that changed, and the
 // reverse edges give the invalidation closure: the functions whose
-// analysis could be affected by those changes.
-//
-// The closure is deliberately conservative bookkeeping, not the
-// correctness mechanism. The solver's component-summary memo
-// (solve.Memo) is content-addressed, so an over- or under-approximate
-// closure can never change an analysis result — the index exists so
-// the service can report *why* a re-analysis was cheap (disposition
-// headers, metrics) and so tests can pin the invalidation rules of
-// the design: a comment-only edit changes nothing, editing a function
-// invalidates it and its (transitive) callers, editing a shared
-// global or lock declaration invalidates every function that touches
-// it.
+// analysis could be affected by those changes. The tests pin its
+// rules: a comment-only edit changes nothing, editing a function
+// invalidates it and its (transitive) callers, editing a shared global
+// or lock declaration invalidates every function that touches it.
 //
 // Hashes cover token kinds and spellings only — never positions — so
 // whitespace and comment edits are invisible by construction.
@@ -73,11 +68,6 @@ type Decl struct {
 	// empty for non-function declarations.
 	Calls []string
 	Refs  []string
-	// QualifiedCalls lists the "pkg.fn" names this function's body
-	// mentions — calls into imported modules. They resolve against
-	// *other* modules' indexes (see CrossInvalidated), not this one's.
-	// Sorted, deduplicated, empty for non-function declarations.
-	QualifiedCalls []string
 
 	// mentions holds the raw identifier spellings seen in a function
 	// body during scanning; Build resolves them into Calls/Refs once
@@ -229,7 +219,6 @@ func scanFunc(toks []lexer.Token, i int, ix *Index) int {
 	}
 	depth := 0
 	var mentions []string
-	qualified := map[string]bool{}
 	bodyStart := i
 	for toks[i].Kind != token.EOF {
 		switch toks[i].Kind {
@@ -240,9 +229,6 @@ func scanFunc(toks []lexer.Token, i int, ix *Index) int {
 		case token.Ident:
 			if i > bodyStart {
 				mentions = append(mentions, toks[i].Lit)
-				if toks[i+1].Kind == token.Dot && toks[i+2].Kind == token.Ident {
-					qualified[toks[i].Lit+"."+toks[i+2].Lit] = true
-				}
 			}
 		}
 		i++
@@ -253,15 +239,13 @@ func scanFunc(toks []lexer.Token, i int, ix *Index) int {
 	if name == "" {
 		return i
 	}
-	d := &Decl{
-		Kind:           KindFunc,
-		Name:           name,
-		Hash:           hashTokens(toks[start:i]),
-		Span:           source.Span{Start: toks[start].Span.Start, End: toks[i-1].Span.End},
-		mentions:       mentions,
-		QualifiedCalls: sortedKeys(qualified),
-	}
-	ix.add(d)
+	ix.add(&Decl{
+		Kind:     KindFunc,
+		Name:     name,
+		Hash:     hashTokens(toks[start:i]),
+		Span:     source.Span{Start: toks[start].Span.Start, End: toks[i-1].Span.End},
+		mentions: mentions,
+	})
 	return i
 }
 
@@ -462,81 +446,6 @@ func Invalidated(old, new *Index, d Delta) []string {
 		handle(key, true)
 	}
 	return sortedKeys(dirty)
-}
-
-// CrossInvalidated extends the invalidation closure across module
-// boundaries: given every module's index, the name of the edited
-// module, and its declaration delta, it returns — per *importing*
-// module — the functions whose analysis the edit could affect. A
-// function is invalidated when its body makes a qualified call
-// "edited.fn" to a changed or removed function (a changed callee
-// means a changed package summary at that call site; a removed one
-// means the import no longer resolves), and the closure then climbs
-// that module's local call graph exactly like Invalidated does:
-// summaries inline local callees, so a transitive caller in pkg A
-// depends on an edited callee in pkg B. The edited module itself is
-// not in the result — Invalidated covers it. Like the single-module
-// closure this is conservative bookkeeping for dispositions and
-// tests; the content-addressed caches are the correctness mechanism.
-func CrossInvalidated(indexes map[string]*Index, edited string, d Delta) map[string][]string {
-	touched := map[string]bool{}
-	collect := func(keys []string) {
-		for _, key := range keys {
-			if kind, name, ok := splitKey(key); ok && kind == "fun" {
-				touched[edited+"."+name] = true
-			}
-		}
-	}
-	collect(d.Changed)
-	collect(d.Removed)
-	if len(touched) == 0 {
-		return nil
-	}
-
-	out := map[string][]string{}
-	for mod, ix := range indexes {
-		if mod == edited || ix == nil {
-			continue
-		}
-		callers := make(map[string][]string)
-		for _, decl := range ix.Decls {
-			if decl.Kind != KindFunc {
-				continue
-			}
-			for _, callee := range decl.Calls {
-				callers[callee] = append(callers[callee], decl.Name)
-			}
-		}
-		dirty := make(map[string]bool)
-		var markCallers func(name string)
-		markCallers = func(name string) {
-			for _, c := range callers[name] {
-				if !dirty[c] {
-					dirty[c] = true
-					markCallers(c)
-				}
-			}
-		}
-		for _, decl := range ix.Decls {
-			if decl.Kind != KindFunc || dirty[decl.Name] {
-				continue
-			}
-			for _, q := range decl.QualifiedCalls {
-				if touched[q] {
-					dirty[decl.Name] = true
-					markCallers(decl.Name)
-					break
-				}
-			}
-		}
-		if len(dirty) > 0 {
-			out[mod] = sortedKeys(dirty)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 func splitKey(key string) (kind, name string, ok bool) {

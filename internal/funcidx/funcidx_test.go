@@ -179,101 +179,6 @@ func TestMalformedSourceDegrades(t *testing.T) {
 	}
 }
 
-// pkgB / pkgA model an import edge: pkgA's entry function reaches
-// pkgB's exported pulse through a local helper chain, so a pulse edit
-// must climb A's local call graph after crossing the boundary.
-const pkgB = `
-global l: lock;
-
-fun pulse(): unit {
-    spin_lock(&l);
-    spin_unlock(&l);
-}
-
-fun idle(): unit {
-    let x = 1;
-}
-`
-
-const pkgA = `
-import "b";
-
-fun wrapper(): unit {
-    b.pulse();
-}
-
-fun entry(): unit {
-    wrapper();
-}
-
-fun unrelated(): unit {
-    b.idle();
-}
-`
-
-// TestQualifiedCallsIndexed: a qualified call shows up on the caller's
-// declaration as a "pkg.fn" edge, not as an unresolved local mention.
-func TestQualifiedCallsIndexed(t *testing.T) {
-	ix := Build("a.mc", pkgA)
-	if got := ix.Func("wrapper").QualifiedCalls; !reflect.DeepEqual(got, []string{"b.pulse"}) {
-		t.Errorf("wrapper qualified calls %v, want [b.pulse]", got)
-	}
-	if got := ix.Func("wrapper").Calls; len(got) != 0 {
-		t.Errorf("wrapper local calls %v, want none", got)
-	}
-	if got := ix.Func("entry").QualifiedCalls; len(got) != 0 {
-		t.Errorf("entry qualified calls %v, want none (boundary crossed via wrapper)", got)
-	}
-}
-
-// TestCrossModuleInvalidation is the satellite scenario: the caller
-// lives in pkg A, the edited callee in pkg B. Editing b.pulse must
-// invalidate A's wrapper (the qualified call site) and entry (its
-// transitive local caller), but not unrelated — and editing b.idle
-// must flip exactly the complement.
-func TestCrossModuleInvalidation(t *testing.T) {
-	ixA, ixB := Build("a.mc", pkgA), Build("b.mc", pkgB)
-	indexes := map[string]*Index{"a": ixA, "b": ixB}
-
-	editedB := replace(t, pkgB, "spin_unlock(&l);", "spin_unlock(&l);\n    let y = 2;")
-	d := Diff(ixB, Build("b.mc", editedB))
-	if !reflect.DeepEqual(d.Changed, []string{"fun pulse"}) {
-		t.Fatalf("unexpected delta: %+v", d)
-	}
-	got := CrossInvalidated(indexes, "b", d)
-	want := map[string][]string{"a": {"entry", "wrapper"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CrossInvalidated = %v, want %v", got, want)
-	}
-
-	// The complementary edit: only the b.idle call site is dirtied,
-	// and nothing climbs from it (no local callers of unrelated).
-	editedIdle := replace(t, pkgB, "let x = 1;", "let x = 2;")
-	d = Diff(ixB, Build("b.mc", editedIdle))
-	got = CrossInvalidated(indexes, "b", d)
-	if want := (map[string][]string{"a": {"unrelated"}}); !reflect.DeepEqual(got, want) {
-		t.Errorf("CrossInvalidated = %v, want %v", got, want)
-	}
-
-	// A removed exported function invalidates its importers too (the
-	// qualified call now dangles).
-	removed := replace(t, pkgB, "fun pulse(): unit {\n    spin_lock(&l);\n    spin_unlock(&l);\n}\n", "")
-	d = Diff(ixB, Build("b.mc", removed))
-	if !reflect.DeepEqual(d.Removed, []string{"fun pulse"}) {
-		t.Fatalf("unexpected delta: %+v", d)
-	}
-	got = CrossInvalidated(indexes, "b", d)
-	if want := (map[string][]string{"a": {"entry", "wrapper"}}); !reflect.DeepEqual(got, want) {
-		t.Errorf("CrossInvalidated = %v, want %v", got, want)
-	}
-
-	// A trivia-only edit crosses no boundary.
-	d = Diff(ixB, Build("b.mc", "// comment\n"+pkgB))
-	if got := CrossInvalidated(indexes, "b", d); got != nil {
-		t.Errorf("trivia-only edit invalidated %v across modules", got)
-	}
-}
-
 func replace(t *testing.T, src, old, new string) string {
 	t.Helper()
 	i := index(src, old)

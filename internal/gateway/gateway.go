@@ -104,7 +104,7 @@ func (o Options) withDefaults() Options {
 
 // Gateway fronts a pool of analysis daemons: it routes each request by
 // its content-hash cache key so identical submissions always reach the
-// same replica (cache and memo affinity), reroutes along the ring when
+// same replica (result-cache affinity), reroutes along the ring when
 // a backend fails, optionally hedges slow requests, and applies
 // bounded admission before any backend is touched.
 type Gateway struct {
@@ -498,7 +498,7 @@ func relay(w http.ResponseWriter, res *client.Result, b *Backend, attempts int) 
 	for _, h := range []string{
 		"Content-Type", "Retry-After",
 		"X-Lna-Cache", "X-Lna-Cache-Key", "X-Lna-Trace",
-		"X-Lna-Incremental", "X-Lna-Xmodule", "X-Lna-Phases",
+		"X-Lna-Xmodule", "X-Lna-Phases",
 	} {
 		if v := res.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -593,7 +593,6 @@ func (g *Gateway) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 	}
 	relay(w, res, b, attempts)
 	entry.Cache = w.Header().Get("X-Lna-Cache")
-	entry.Incremental = w.Header().Get("X-Lna-Incremental")
 	entry.Xmodule = w.Header().Get("X-Lna-Xmodule")
 	entry.Backend = b.URL
 	entry.Attempts = attempts

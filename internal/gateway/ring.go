@@ -2,7 +2,7 @@
 // an HTTP tier that consistent-hashes each request's content-hash
 // cache key across a pool of health-checked `lna serve` replicas, so
 // the same module (same source, same options) always lands on the
-// same backend and its result cache and solve memo stay hot. Around
+// same backend and its result cache stays hot. Around
 // that routing core it layers per-request retry with ring-successor
 // rerouting, optional request hedging, and the same bounded admission
 // control the daemon itself applies.

@@ -148,13 +148,6 @@ func (s *Store) Compress() {
 // Same reports whether a and b are in the same class.
 func (s *Store) Same(a, b Loc) bool { return s.Find(a) == s.Find(b) }
 
-// Rank returns the union-by-rank height of l's class. Unify picks the
-// higher-rank representative as the surviving winner, so any consumer
-// that wants to predict (or fingerprint) unification outcomes — the
-// solver's component-summary memo does — must include the ranks of the
-// classes involved.
-func (s *Store) Rank(l Loc) int8 { return s.rank[s.Find(l)] }
-
 // Info returns the metadata of l's representative.
 func (s *Store) InfoOf(l Loc) Info { return s.info[s.Find(l)] }
 

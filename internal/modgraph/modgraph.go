@@ -24,7 +24,6 @@ import (
 	"localalias/internal/core"
 	"localalias/internal/obs"
 	"localalias/internal/parser"
-	"localalias/internal/solve"
 	"localalias/internal/source"
 )
 
@@ -52,9 +51,6 @@ type Options struct {
 	// SolverWorkers bounds the constraint solver's concurrency
 	// within each module.
 	SolverWorkers int
-	// Memo, when non-nil, lets per-module solves replay
-	// content-addressed component summaries.
-	Memo *solve.Memo
 	// Cache, when non-nil, memoizes whole-module outcomes
 	// content-addressed over source, options, and dependency
 	// fingerprints — editing a package invalidates exactly its

@@ -221,7 +221,6 @@ func (r *runner) analyze(name string) {
 		NoParams:        r.opts.NoParams,
 		NoLets:          r.opts.NoLets,
 		SolverWorkers:   r.opts.SolverWorkers,
-		Memo:            r.opts.Memo,
 		ImportEffects:   importEffects(effs, r.opts.Havoc),
 		ImportTransfers: importTransfers(trans, r.opts.Havoc),
 		ExportAPI:       !r.opts.Havoc,

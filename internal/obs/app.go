@@ -18,12 +18,6 @@ var modeNames = []string{"check", "infer", "confine", "qual"}
 // Failure kinds mirror faults.Kind.
 var failureKinds = []string{"panic", "timeout", "error"}
 
-// Incremental dispositions mirror the service's X-Lna-Incremental
-// header values: "cold" (no component reused), "partial" (some
-// components replayed, some solved), "full" (every component
-// replayed).
-var incrementalDispositions = []string{"cold", "partial", "full"}
-
 // Span vocabulary of a coalesced cache hit: a request that waited for
 // a concurrent cold run of its key records one SpanCacheWait span
 // covering the wait, with args AttrCache=CacheCoalesced and
@@ -59,13 +53,6 @@ type AppMetrics struct {
 	SolveComponentSize *Histogram
 	SolveWorkersInUse  *Gauge
 
-	// Component-summary memo accounting (the solver's incremental
-	// layer, see solve.Memo): probes that found a reusable component
-	// solution, probes that didn't, and LRU evictions.
-	SolveMemoHits      *Counter
-	SolveMemoMisses    *Counter
-	SolveMemoEvictions *Counter
-
 	// Engine accounting: requests by analysis mode, contained
 	// failures by kind, and the end-to-end latency distribution.
 	requestsByMode map[string]*Counter
@@ -83,11 +70,6 @@ type AppMetrics struct {
 	// CacheCoalesced counts the hits answered by joining a concurrent
 	// cold run of the same key (a subset of CacheHits).
 	CacheCoalesced *Counter
-
-	// Incremental-engine accounting: analysis requests by how much
-	// prior work they reused (see service's X-Lna-Incremental header
-	// for the disposition vocabulary).
-	incrementalByDisposition map[string]*Counter
 }
 
 var (
@@ -110,14 +92,10 @@ func App() *AppMetrics {
 			SolveComponents:           r.Counter("lna_solve_components_total", "Connected components solved by partitioned solves."),
 			SolveComponentSize:        r.Histogram("lna_solve_component_size", "Partition component sizes (vars+inodes+conds; unitless power-of-two buckets).", componentSizeBounds),
 			SolveWorkersInUse:         r.Gauge("lna_solve_workers_inuse", "Worker goroutines used by the most recent partitioned solve."),
-			SolveMemoHits:             r.Counter("lna_solve_memo_hits_total", "Component-summary memo hits."),
-			SolveMemoMisses:           r.Counter("lna_solve_memo_misses_total", "Component-summary memo misses."),
-			SolveMemoEvictions:        r.Counter("lna_solve_memo_evictions_total", "Component-summary memo LRU evictions."),
 			AnalyzeSeconds:            r.Histogram("lna_analyze_seconds", "End-to-end per-module analysis latency.", nil),
 			requestsByMode:            make(map[string]*Counter, len(modeNames)),
 			failuresByKind:            make(map[string]*Counter, len(failureKinds)),
 			phaseSeconds:              make(map[string]*Histogram, len(phaseNames)),
-			incrementalByDisposition:  make(map[string]*Counter, len(incrementalDispositions)),
 			CacheHits:                 r.Counter("lna_cache_hits_total", "Result-cache hits."),
 			CacheMisses:               r.Counter("lna_cache_misses_total", "Result-cache misses."),
 			CacheEvictions:            r.Counter("lna_cache_evictions_total", "Result-cache LRU evictions."),
@@ -131,9 +109,6 @@ func App() *AppMetrics {
 		}
 		for _, p := range phaseNames {
 			a.phaseSeconds[p] = r.Histogram("lna_phase_seconds", "Per-phase analysis latency.", nil, "phase", p)
-		}
-		for _, d := range incrementalDispositions {
-			a.incrementalByDisposition[d] = r.Counter("lna_incremental_requests_total", "Incremental analysis requests by reuse disposition.", "disposition", d)
 		}
 		app = a
 	})
@@ -149,12 +124,6 @@ func (a *AppMetrics) Failures(kind string) *Counter { return a.failuresByKind[ki
 
 // Phase returns the latency histogram for a pipeline phase.
 func (a *AppMetrics) Phase(phase string) *Histogram { return a.phaseSeconds[phase] }
-
-// Incremental returns the request counter for a reuse disposition
-// (nil, and therefore a no-op, for unknown dispositions).
-func (a *AppMetrics) Incremental(disposition string) *Counter {
-	return a.incrementalByDisposition[disposition]
-}
 
 // RecordSolve folds one solve's work counters into the global
 // registry: a handful of atomic adds, called once per solve so the

@@ -53,13 +53,6 @@ type CheckOptions struct {
 	// constraints present); <= 1 solves sequentially. Results are
 	// identical either way.
 	SolverWorkers int
-	// Memo, when non-nil, lets the solve replay content-addressed
-	// component summaries recorded by earlier solves (and record new
-	// ones). Replay is byte-identical to solving fresh.
-	Memo *solve.Memo
-	// MemoCounters, when non-nil, receives the solve's component
-	// reuse accounting (replayed vs freshly solved).
-	MemoCounters *solve.MemoCounters
 }
 
 // Check verifies all restrict and confine annotations in the program
@@ -80,9 +73,7 @@ func CheckWith(tinfo *types.Info, diags *source.Diagnostics, opts CheckOptions) 
 		out.UsedFigure5 = true
 		out.Violations = solve.Check(sys)
 	} else {
-		sol := solve.SolveOpts(nil, sys, solve.Options{
-			Workers: opts.SolverWorkers, Memo: opts.Memo, Counters: opts.MemoCounters,
-		})
+		sol := solve.SolveOpts(nil, sys, solve.Options{Workers: opts.SolverWorkers})
 		out.Violations = sol.Violations()
 		// Checking consumes nothing else from the solution, so its
 		// pooled storage can go straight back for the next module.
@@ -122,13 +113,6 @@ type Options struct {
 	// concurrency; <= 1 solves sequentially. Results are identical
 	// either way.
 	SolverWorkers int
-	// Memo, when non-nil, lets the solve replay content-addressed
-	// component summaries recorded by earlier solves (and record new
-	// ones). Replay is byte-identical to solving fresh.
-	Memo *solve.Memo
-	// MemoCounters, when non-nil, receives the solve's component
-	// reuse accounting (replayed vs freshly solved).
-	MemoCounters *solve.MemoCounters
 }
 
 // Infer runs restrict inference, marking successful let candidates in
@@ -144,9 +128,7 @@ func Infer(tinfo *types.Info, diags *source.Diagnostics, opts Options) *InferRes
 		InferRestrictParams:   opts.Params,
 		LiberalRestrictEffect: true,
 	})
-	sol := solve.SolveOpts(nil, res.Sys, solve.Options{
-		Workers: opts.SolverWorkers, Memo: opts.Memo, Counters: opts.MemoCounters,
-	})
+	sol := solve.SolveOpts(nil, res.Sys, solve.Options{Workers: opts.SolverWorkers})
 	out := &InferResult{Infer: res, Solution: sol}
 
 	// Index the fired conditionals by the location pair their ActUnify

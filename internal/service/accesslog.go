@@ -25,7 +25,7 @@ const (
 // behaviour rides here — and NOT in the response body, which must
 // stay byte-stable for caching. The daemon and the gateway share the
 // type (and the logger): the gateway additionally fills Backend,
-// Attempts, and the relayed Incremental/Xmodule dispositions.
+// Attempts, and the relayed Xmodule summary.
 type AccessEntry struct {
 	Time   time.Time `json:"time"`
 	Method string    `json:"method"`
@@ -34,9 +34,6 @@ type AccessEntry struct {
 	DurMs  float64   `json:"dur_ms"`
 	Trace  string    `json:"trace,omitempty"`
 	Cache  string    `json:"cache,omitempty"` // hit|miss (single analyze)
-	// Incremental is the reuse disposition of a cold single-module
-	// run: cold|partial|full (empty on hits or when disabled).
-	Incremental string `json:"incremental,omitempty"`
 	// Xmodule is the whole-program pass summary of a multi_module
 	// request ("modules=N;analyzed=A;failed=F"), mirroring the
 	// X-Lna-Xmodule response header.
@@ -104,9 +101,6 @@ func (l *AccessLogger) Log(e AccessEntry) {
 	}
 	if e.Cache != "" {
 		fmt.Fprintf(&b, " cache=%s", e.Cache)
-	}
-	if e.Incremental != "" {
-		fmt.Fprintf(&b, " incremental=%s", e.Incremental)
 	}
 	if e.Xmodule != "" {
 		fmt.Fprintf(&b, " xmodule=%s", e.Xmodule)

@@ -139,21 +139,6 @@ type AnalyzeRequest struct {
 	// computed at one setting is a valid cache hit for any other. The
 	// daemon injects its -solver-workers setting here.
 	SolverWorkers int `json:"-"`
-
-	// Memo, when non-nil, lets every solve of this request reuse (and
-	// record) content-addressed component summaries — the incremental
-	// engine's substrate. Like SolverWorkers it is an execution knob
-	// outside the cache key: replaying a summary is byte-identical to
-	// solving fresh, so a response computed with any memo state is a
-	// valid hit for any other. The daemon injects its process-wide
-	// memo here.
-	Memo *solve.Memo `json:"-"`
-
-	// MemoCounters, when non-nil, receives this request's component
-	// reuse accounting (replayed vs freshly solved) — an output the
-	// incremental engine turns into the X-Lna-Incremental disposition,
-	// never an analysis input.
-	MemoCounters *solve.MemoCounters `json:"-"`
 }
 
 // Diagnostic is one positioned message in wire form.

@@ -242,8 +242,6 @@ func TestCacheKeyRequestFieldContract(t *testing.T) {
 		"Generate":      "source synthesis seam; requests carrying it are never cached",
 		"Obs":           "tracing does not change canonical bytes",
 		"SolverWorkers": "partitioned solver is deterministic at any worker count",
-		"Memo":          "component-summary replay is byte-identical to a fresh solve",
-		"MemoCounters":  "request-scoped accounting output, not an analysis input",
 	}
 	rt := reflect.TypeOf(AnalyzeRequest{})
 	for i := 0; i < rt.NumField(); i++ {

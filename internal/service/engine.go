@@ -118,16 +118,12 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 			r := restrict.CheckWith(m.TInfo, m.Diags, restrict.CheckOptions{
 				Liberal:       req.Options.Liberal,
 				SolverWorkers: req.SolverWorkers,
-				Memo:          req.Memo,
-				MemoCounters:  req.MemoCounters,
 			})
 			check = &CheckReport{OK: r.OK(), UsedFigure5: r.UsedFigure5}
 		case ModeInfer:
 			r := m.InferRestrictWith(restrict.Options{
 				Params:        req.Options.Params,
 				SolverWorkers: req.SolverWorkers,
-				Memo:          req.Memo,
-				MemoCounters:  req.MemoCounters,
 			})
 			rep := &InferReport{
 				Candidates: len(r.Infer.Candidates),
@@ -151,8 +147,6 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 			lr, err := m.AnalyzeLockingCtx(ctx, core.LockingOptions{
 				General:       req.Options.General,
 				SolverWorkers: req.SolverWorkers,
-				Memo:          req.Memo,
-				MemoCounters:  req.MemoCounters,
 			}, tr)
 			if err != nil {
 				return err

@@ -71,19 +71,6 @@ type ServerOptions struct {
 	// Responses are byte-identical at any setting, so it does not
 	// participate in the result cache key.
 	SolverWorkers int
-	// MemoEntries bounds the process-wide solve memo backing the
-	// incremental engine: content-addressed component summaries that
-	// let a re-submitted (or lightly edited) module replay most of its
-	// constraint solving (0 = solve.DefaultMemoEntries; negative
-	// disables incremental re-analysis entirely). Replay is
-	// byte-identical to solving fresh, so — like SolverWorkers — it
-	// stays out of the result cache key.
-	MemoEntries int
-	// SummaryEntries bounds the per-module baseline store the
-	// incremental engine diffs new revisions against
-	// (0 = DefaultSummaryEntries). Eviction only loses diff
-	// reporting, never correctness.
-	SummaryEntries int
 	// TraceEntries bounds the ring buffer of recently completed traces
 	// served by /v1/trace/{id} (0 = DefaultTraceEntries; negative
 	// disables trace retention entirely — requests still get spans and
@@ -106,12 +93,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 		o.RequestTimeout = DefaultRequestTimeout
 	} else if o.RequestTimeout < 0 {
 		o.RequestTimeout = 0
-	}
-	if o.MemoEntries == 0 {
-		o.MemoEntries = DefaultMemoEntries()
-	}
-	if o.SummaryEntries <= 0 {
-		o.SummaryEntries = DefaultSummaryEntries
 	}
 	if o.TraceEntries == 0 {
 		o.TraceEntries = DefaultTraceEntries
@@ -137,10 +118,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 type Server struct {
 	opts  ServerOptions
 	cache *Cache
-	// inc is the incremental re-analysis engine (nil when MemoEntries
-	// is negative): cache misses run through it so edited modules
-	// re-solve only what changed.
-	inc *Incremental
 	// slots is the worker pool: holding a token = running an analysis.
 	slots chan struct{}
 	// queue bounds admitted single-module requests (waiting+running).
@@ -176,9 +153,6 @@ func NewServer(opts ServerOptions) *Server {
 		queue:  make(chan struct{}, o.QueueDepth),
 		log:    NewAccessLogger(o.AccessLog, o.LogFormat),
 		traces: obs.NewTraceRing(o.TraceEntries),
-	}
-	if o.MemoEntries > 0 {
-		s.inc = NewIncremental(solve.NewMemo(o.MemoEntries), o.SummaryEntries)
 	}
 	reg := obs.Default()
 	s.mRequests = reg.Counter("lna_http_requests_total",
@@ -219,11 +193,10 @@ type ServerStats struct {
 	Draining       bool       `json:"draining"`
 	Cache          CacheStats `json:"cache"`
 	RequestTimeout string     `json:"request_timeout"`
-	// Memo is the solve-component summary memo backing incremental
-	// re-analysis (nil when disabled); Summaries counts the resident
-	// per-module diff baselines.
-	Memo      *solve.MemoStats `json:"memo,omitempty"`
-	Summaries int              `json:"summaries,omitempty"`
+	// Memo is always nil: the daemon has no solve memo. The field
+	// stays only because the steady benchmark (perfbench/fleet.go)
+	// still reads it under a nil check; remove both together.
+	Memo *solve.MemoStats `json:"memo,omitempty"`
 }
 
 // Handler returns the service's HTTP handler.
@@ -329,12 +302,11 @@ type cachedRun struct {
 	data []byte
 	key  string
 	// hit reports that the bytes came from the cache or from a
-	// concurrent cold run of the same key (see Cache.Lookup); resp and
-	// inc are set only when this request ran the engine itself.
+	// concurrent cold run of the same key (see Cache.Lookup); resp is
+	// set only when this request ran the engine itself.
 	hit    bool
 	failed bool // the bytes carry a Failure record
 	resp   *AnalyzeResponse
-	inc    *IncrementalInfo
 }
 
 // runCached answers req through the result cache. The lookup comes
@@ -371,11 +343,7 @@ func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (cachedRun,
 	}
 	defer s.releaseSlot()
 	req.SolverWorkers = s.opts.SolverWorkers
-	if s.inc != nil {
-		run.resp, run.inc = s.inc.Analyze(ctx, req, s.opts.RequestTimeout)
-	} else {
-		run.resp = AnalyzeBounded(ctx, req, s.opts.RequestTimeout)
-	}
+	run.resp = AnalyzeBounded(ctx, req, s.opts.RequestTimeout)
 	run.failed = run.resp.Failure != nil
 	if run.failed {
 		s.failures.Add(1)
@@ -461,7 +429,7 @@ func (s *Server) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 		WriteWireError(w, CodeInternal, "encoding response: %v", err)
 		return
 	}
-	resp, inc := run.resp, run.inc
+	resp := run.resp
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Lna-Cache-Key", run.key)
 	w.Header().Set("X-Lna-Trace", ot.ID())
@@ -472,16 +440,9 @@ func (s *Server) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Lna-Cache", "miss")
 		entry.Cache = "miss"
 	}
-	// How much of the cold run was replayed from component summaries
-	// (cache hits skipped the analysis outright, so the header only
-	// rides on misses — like X-Lna-Phases).
-	if inc != nil {
-		w.Header().Set("X-Lna-Incremental", inc.Disposition)
-		entry.Incremental = inc.Disposition
-	}
 	// The whole-program pass summary of a multi_module request rides
-	// in a header for the same reason (hits skipped the pass, so it
-	// only appears on misses).
+	// in a header, never in the canonical body (hits skipped the pass,
+	// so it only appears on misses — like X-Lna-Phases).
 	if resp != nil && resp.Xmodule != "" {
 		w.Header().Set("X-Lna-Xmodule", resp.Xmodule)
 		entry.Xmodule = resp.Xmodule
@@ -509,10 +470,6 @@ type BatchEntry struct {
 	CacheKey string          `json:"cache_key"`
 	TraceID  string          `json:"trace_id"`
 	Response json.RawMessage `json:"response,omitempty"`
-	// Incremental is the reuse disposition of a cold entry
-	// (cold|partial|full; empty on cache hits and when incremental
-	// re-analysis is disabled).
-	Incremental string `json:"incremental,omitempty"`
 	// Error is set — and Response empty — when this entry was never
 	// analyzed: it failed admission (unknown mode, empty source,
 	// unsupported api_version) or, at a gateway, no backend could
@@ -614,9 +571,6 @@ func (s *Server) handleBatch(rw http.ResponseWriter, r *http.Request) {
 			out.Results[i].Cached = run.hit
 			out.Results[i].CacheKey = run.key
 			out.Results[i].Response = run.data
-			if run.inc != nil {
-				out.Results[i].Incremental = run.inc.Disposition
-			}
 			mu.Lock()
 			defer mu.Unlock()
 			if run.hit {
@@ -701,11 +655,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Draining:       s.draining.Load(),
 		Cache:          s.cache.Stats(),
 		RequestTimeout: s.opts.RequestTimeout.String(),
-	}
-	if s.inc != nil {
-		ms := s.inc.Memo().Stats()
-		st.Memo = &ms
-		st.Summaries = s.inc.Summaries()
 	}
 	_ = enc.Encode(st)
 }

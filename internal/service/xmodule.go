@@ -36,7 +36,6 @@ func analyzeMultiModule(ctx context.Context, req *AnalyzeRequest, name, src, mod
 		Workers:       req.SolverWorkers,
 		General:       req.Options.General,
 		SolverWorkers: req.SolverWorkers,
-		Memo:          req.Memo,
 		Trace:         trace,
 		TraceParent:   parent,
 	})

@@ -112,10 +112,9 @@ func eachCondVar(c *effects.Cond, f func(v effects.Var)) {
 // with compOf == nil means the partitioner bailed — the graph is
 // empty or contains a construct it doesn't understand (a conditional
 // touching no variable); solving then falls back to the sequential
-// path, which is always correct. When compOf is set the CSR
-// membership lists are populated even for ncomp == 1, so the memoized
-// solver can fingerprint a whole-module component; SolveWorkers still
-// only goes parallel for ncomp > 1.
+// path, which is always correct. A single-component graph returns
+// ncomp == 1 without membership lists: SolveWorkers only goes
+// parallel for ncomp > 1.
 func newPartition(g *graph) *partition {
 	nvar := g.nvar
 	sys := g.sys
@@ -245,6 +244,9 @@ func newPartition(g *graph) *partition {
 			ncomp++
 		}
 		compOf[v] = rootComp[r]
+	}
+	if ncomp == 1 {
+		return &partition{ncomp: 1}
 	}
 	p := &partition{ncomp: int(ncomp), compOf: compOf}
 

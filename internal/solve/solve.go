@@ -323,11 +323,6 @@ type solver struct {
 	// losers accumulates the absorbed representatives since the last
 	// re-canonicalization, recorded by the unify observer.
 	losers []locs.Loc
-	// memoWinners records the surviving representative of each
-	// unification in order, set only by the memoized driver's observer
-	// (see memo.go): the summary encodes post-unification atoms as
-	// "winner of the i-th merge", so extraction needs the sequence.
-	memoWinners []locs.Loc
 
 	scratch  []int32      // reusable bitset snapshot buffer
 	staleBuf []effects.ID // reusable stale-ID buffer
@@ -383,6 +378,21 @@ func SolveWorkers(ctx context.Context, sys *effects.System, workers int) *Result
 	res := solveSequential(ctx, sys, g, sc)
 	putScratch(sc)
 	return res
+}
+
+// Options bundles a solve's execution knobs. The zero value solves
+// sequentially — exactly Solve.
+type Options struct {
+	// Workers bounds the partitioned solver's concurrency (<= 1
+	// solves sequentially).
+	Workers int
+}
+
+// SolveOpts is the options-bundle entry point: Solve, SolveCtx and
+// SolveWorkers are spellings of it. Results are byte-identical across
+// every option combination.
+func SolveOpts(ctx context.Context, sys *effects.System, opts Options) *Result {
+	return SolveWorkers(ctx, sys, opts.Workers)
 }
 
 // deadlineStride is how many propagation steps pass between deadline

@@ -57,3 +57,15 @@ func (s Stats) String() string {
 		s.Vars, s.Atoms, s.AtomsPropagated, s.IntersectionArrivals,
 		s.CondFirings, s.Unifications, s.Recanonicalizations)
 }
+
+// MemoStats is the accounting shape of the component-summary memo the
+// solver no longer has. Only service.ServerStats.Memo still names it,
+// always nil, because the steady benchmark reads that field; it goes
+// when the benchmark stops reading it.
+type MemoStats struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Entries   int    `json:"entries"`
+	Capacity  int    `json:"capacity"`
+}
