@@ -281,12 +281,11 @@ func BenchmarkSolverPropagationTraced(b *testing.B) { experiments.BenchSolverPro
 // BenchmarkSolverSteadyState times exactly solve+Release per op (the
 // constraint system is rebuilt with the timer stopped) — the
 // per-request cost a resident daemon pays. The sub-benchmarks compare
-// the pre-pooling allocation profile, the pooled sequential solver,
-// and the pooled partitioned solver (see BENCH_parallel.json).
+// the pre-pooling allocation profile with the pooled solver (see
+// BENCH_parallel.json).
 func BenchmarkSolverSteadyState(b *testing.B) {
-	b.Run("unpooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, false, 1) })
-	b.Run("pooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, true, 1) })
-	b.Run("pooled-workers-4", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, true, 4) })
+	b.Run("unpooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, false) })
+	b.Run("pooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, true) })
 }
 
 // Guard: the scaling generator must produce type-correct programs.

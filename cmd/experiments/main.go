@@ -71,10 +71,10 @@ func main() {
 		csvPath       = flag.String("csv", "", "also write per-module results as CSV to this file")
 		benchJSON     = flag.String("bench-json", "", "run the solver benchmarks, write ns/op as JSON to this file (- for stdout), and exit")
 		benchObsJSON  = flag.String("bench-obs-json", "", "run the observability-overhead benchmarks (tracing disabled vs enabled), write ns/op as JSON to this file (- for stdout), and exit")
-		benchParJSON  = flag.String("bench-parallel-json", "", "run the parallel-solver benchmarks (sequential unpooled vs pooled partitioned, interleaved, at GOMAXPROCS 1/2/4), write the report as JSON to this file (- for stdout), and exit")
+		benchParJSON  = flag.String("bench-parallel-json", "", "run the solver-pooling benchmarks (unpooled vs pooled solver, interleaved, steady-state solve and corpus at GOMAXPROCS 1/2/4), write the report as JSON to this file (- for stdout), and exit")
 		benchGwJSON   = flag.String("bench-gateway-json", "", "run the gateway open-loop load benchmarks (1-replica vs 2-replica stacks, interleaved), write the report as JSON to this file (- for stdout), and exit")
 		benchTrJSON   = flag.String("bench-trace-json", "", "run the tracing-overhead benchmarks (gateway relay with tracing off vs on, interleaved), write the report as JSON to this file (- for stdout), and exit")
-		benchXmodJSON = flag.String("bench-xmodule-json", "", "run the cross-module DAG benchmarks (sequential vs parallel scheduler, cold vs warm summary cache, interleaved), write the report as JSON to this file (- for stdout), and exit")
+		benchXmodJSON = flag.String("bench-xmodule-json", "", "run the cross-module benchmark (cold vs warm summary cache after a one-leaf edit, interleaved), write the report as JSON to this file (- for stdout), and exit")
 		xmodule       = flag.Bool("xmodule", false, "print the cross-module precision table (per-module havoc vs package summaries) and exit")
 		phases        = flag.Bool("phases", false, "also print the per-phase p50/p95/max timing table with the summary")
 		quiet         = flag.Bool("q", false, "suppress progress output")
@@ -137,7 +137,7 @@ func main() {
 		var progress io.Writer
 		if !*quiet {
 			progress = os.Stderr
-			fmt.Fprintln(progress, "running parallel-solver benchmarks (interleaved before/after pairs; this takes a few minutes)...")
+			fmt.Fprintln(progress, "running solver-pooling benchmarks (interleaved before/after pairs; this takes a few minutes)...")
 		}
 		data, err := experiments.RunParallelBenchJSON(progress)
 		if err != nil {
@@ -206,7 +206,7 @@ func main() {
 		var progress io.Writer
 		if !*quiet {
 			progress = os.Stderr
-			fmt.Fprintln(progress, "running cross-module DAG benchmarks (interleaved before/after pairs; this takes a minute)...")
+			fmt.Fprintln(progress, "running cross-module cache benchmark (interleaved before/after pairs; this takes a minute)...")
 		}
 		data, err := experiments.RunXmoduleBenchJSON(progress)
 		if err != nil {

@@ -68,8 +68,6 @@
 //	-addr            listen address (default 127.0.0.1:8347; port 0
 //	                 picks a free port, printed on startup)
 //	-workers         analysis pool size (0 = GOMAXPROCS)
-//	-solver-workers  constraint-solver goroutines per module
-//	                 (default 1 = sequential; results identical)
 //	-cache-entries   LRU result-cache capacity
 //	-queue-depth     max in-flight single requests before 429
 //	-request-timeout per-module analysis deadline
@@ -174,7 +172,6 @@ type options struct {
 
 	addr           string
 	workers        int
-	solverWorkers  int
 	cacheEntries   int
 	queueDepth     int
 	requestTimeout time.Duration
@@ -225,7 +222,6 @@ func main() {
 	fs.Var(&opt.libs, "lib", "library module file for cross-module analysis (repeatable; confine/qual only; import name = base name without extension)")
 	fs.StringVar(&opt.addr, "addr", "127.0.0.1:8347", "serve: listen address (port 0 picks a free port)")
 	fs.IntVar(&opt.workers, "workers", 0, "serve: analysis pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&opt.solverWorkers, "solver-workers", 1, "serve: constraint-solver goroutines per module (<=1 = sequential; results identical)")
 	fs.IntVar(&opt.cacheEntries, "cache-entries", service.DefaultCacheEntries, "serve: LRU result-cache capacity")
 	fs.IntVar(&opt.queueDepth, "queue-depth", 0, "serve: max in-flight single requests before 429 (0 = 4×workers)")
 	fs.DurationVar(&opt.requestTimeout, "request-timeout", service.DefaultRequestTimeout, "serve: per-module analysis deadline")
@@ -458,7 +454,6 @@ func renderResponse(cmd string, resp *service.AnalyzeResponse) {
 func runServe(opt options) int {
 	so := service.ServerOptions{
 		Workers:        opt.workers,
-		SolverWorkers:  opt.solverWorkers,
 		CacheEntries:   opt.cacheEntries,
 		QueueDepth:     opt.queueDepth,
 		RequestTimeout: opt.requestTimeout,

@@ -61,10 +61,6 @@ type Options struct {
 	// Trace, when non-nil, records phase transitions (typecheck/
 	// infer/solve) for fault attribution in corpus runs.
 	Trace *faults.Trace
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency; <= 1 solves sequentially. Results are identical
-	// either way.
-	SolverWorkers int
 	// Imports supplies resolved import signatures for the
 	// re-typecheck of the planted program; it must match what the
 	// module was originally loaded with.
@@ -129,7 +125,7 @@ func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (
 		return res, fmt.Errorf("confine: inference failed on the planted program: %w", diags.Err())
 	}
 	opts.Trace.Enter(faults.PhaseSolve)
-	res.Solution = solve.SolveOpts(opts.Ctx, res.Infer.Sys, solve.Options{Workers: opts.SolverWorkers})
+	res.Solution = solve.SolveCtx(opts.Ctx, res.Infer.Sys)
 	if effects.ReportMalformed(diags, prog.File, res.Solution.Malformed()) {
 		return res, fmt.Errorf("confine: %w", diags.Err())
 	}

@@ -98,7 +98,7 @@ func (m *Module) InferRestrict(params bool) *restrict.InferResult {
 }
 
 // InferRestrictWith is InferRestrict with full options (parameter
-// candidates, solver parallelism).
+// candidates).
 func (m *Module) InferRestrictWith(opts restrict.Options) *restrict.InferResult {
 	return restrict.Infer(m.TInfo, m.Diags, opts)
 }
@@ -116,10 +116,6 @@ type LockingOptions struct {
 	// confine-inference mode (on by default: it recovers strong
 	// updates for locks held in local pointer bindings).
 	NoLets bool
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency for both solves; <= 1 solves sequentially. Results
-	// are identical either way.
-	SolverWorkers int
 	// ImportEffects supplies per-formal effect masks for imported
 	// functions ("pkg.fn"), applied at the solver level; nil havocs
 	// every imported call's arguments.
@@ -223,7 +219,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 		return nil, fmt.Errorf("%s: %w", m.Name, m.Diags.Err())
 	}
 	tr.Enter(faults.PhaseSolve)
-	baseSol := solve.SolveOpts(ctx, baseInfer.Sys, solve.Options{Workers: opts.SolverWorkers})
+	baseSol := solve.SolveCtx(ctx, baseInfer.Sys)
 	if err := m.reportMalformed(baseSol.Malformed()); err != nil {
 		return nil, err
 	}
@@ -239,7 +235,6 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 		General:       opts.General,
 		Params:        !opts.NoParams,
 		Lets:          !opts.NoLets,
-		SolverWorkers: opts.SolverWorkers,
 		Ctx:           ctx,
 		Trace:         tr,
 		Imports:       m.ImportSigs,

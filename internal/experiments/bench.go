@@ -56,7 +56,7 @@ func BenchSolverPropagation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := infer.Run(mod.TInfo, mod.Diags, infer.Options{InferRestrictLets: true})
 		sol := solve.Solve(res.Sys)
-		if sol.AtomsPropagated == 0 {
+		if sol.Stats.AtomsPropagated == 0 {
 			benchFatal(b, fmt.Errorf("solver propagated no atoms on the scaling program"))
 			return
 		}
@@ -85,7 +85,7 @@ func BenchSolverPropagationTraced(b *testing.B) {
 		tr.Enter(faults.PhaseSolve)
 		sol := solve.Solve(res.Sys)
 		tr.Enter(faults.PhaseQual)
-		if sol.AtomsPropagated == 0 {
+		if sol.Stats.AtomsPropagated == 0 {
 			benchFatal(b, fmt.Errorf("solver propagated no atoms on the scaling program"))
 			return
 		}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"localalias/internal/core"
@@ -15,14 +15,13 @@ import (
 	"localalias/internal/solve"
 )
 
-// This file measures the component-partitioned parallel solver and its
-// pooled per-worker arenas (docs/ALGORITHMS.md "Component-partitioned
-// solving") against the pre-PR execution profile. The "before" side of
-// every pair runs the sequential propagation loop with pooling disabled
-// (solve.SetPooling(false)) — the organic-allocation behavior the solver
-// had before the scratch/retained pools existed — so one binary measures
-// both sides interleaved, the same methodology BENCH_solver.json and
-// BENCH_obs.json use.
+// This file measures the solver's pooled scratch/retained arenas
+// (docs/ALGORITHMS.md "Pooled solver storage") against the
+// allocate-per-solve profile. The "before" side of every pair runs the
+// solver with pooling disabled (solve.SetPooling(false)) — the
+// organic-allocation behavior the solver had before the pools existed
+// — so one binary measures both sides interleaved, the same
+// methodology BENCH_solver.json and BENCH_obs.json use.
 
 // BenchSolverSolveOnly measures the steady-state constraint solve in
 // isolation: every iteration rebuilds the constraint system with the
@@ -30,10 +29,8 @@ import (
 // solve+Release. This is the number the pools exist to improve — in a
 // resident daemon the per-request cost is the solve, not the one-time
 // module load — and the allocs/op it reports is the solver's own,
-// not inference's. pooled toggles the scratch/retained pools; workers
-// bounds the partitioned solver's concurrency (<= 1 is the sequential
-// drain loop).
-func BenchSolverSolveOnly(b *testing.B, pooled bool, workers int) {
+// not inference's. pooled toggles the scratch/retained pools.
+func BenchSolverSolveOnly(b *testing.B, pooled bool) {
 	src := ScalingProgram(200, 0)
 	mod, err := core.LoadModule("scale.mc", src)
 	if err != nil {
@@ -48,8 +45,8 @@ func BenchSolverSolveOnly(b *testing.B, pooled bool, workers int) {
 		b.StopTimer()
 		res := infer.Run(mod.TInfo, mod.Diags, infer.Options{InferRestrictLets: true})
 		b.StartTimer()
-		sol := solve.SolveWorkers(nil, res.Sys, workers)
-		if sol.AtomsPropagated == 0 {
+		sol := solve.Solve(res.Sys)
+		if sol.Stats.AtomsPropagated == 0 {
 			benchFatal(b, fmt.Errorf("solver propagated no atoms on the scaling program"))
 			return
 		}
@@ -57,13 +54,10 @@ func BenchSolverSolveOnly(b *testing.B, pooled bool, workers int) {
 	}
 }
 
-// BenchCorpusParallel runs the full 589-module corpus with GOMAXPROCS
-// pinned to procs and the per-module partitioned solver bounded at
-// workers goroutines. pooled selects the scratch/retained pools.
-// Corpus-level parallelism (one worker per CPU, across modules) and
-// solver-level parallelism (within one module's solves) compose; this
-// benchmark varies the scheduler's parallelism budget underneath both.
-func BenchCorpusParallel(b *testing.B, procs, workers int, pooled bool) {
+// BenchCorpusParallel runs the full 589-module corpus (one worker per
+// CPU, across modules) with GOMAXPROCS pinned to procs. pooled selects
+// the scratch/retained pools.
+func BenchCorpusParallel(b *testing.B, procs int, pooled bool) {
 	prevProcs := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prevProcs)
 	prevPool := solve.SetPooling(pooled)
@@ -71,7 +65,7 @@ func BenchCorpusParallel(b *testing.B, procs, workers int, pooled bool) {
 	specs := drivergen.Corpus()
 	var res *CorpusResult
 	for i := 0; i < b.N; i++ {
-		res = RunCorpus(context.Background(), CorpusOptions{Specs: specs, SolverWorkers: workers})
+		res = RunCorpus(context.Background(), CorpusOptions{Specs: specs})
 	}
 	b.StopTimer()
 	if res.Degraded() {
@@ -113,19 +107,12 @@ type ParallelBenchReport struct {
 	Description string `json:"description"`
 	Platform    string `json:"platform"`
 	// NumCPU is the host's hardware parallelism at measurement time.
-	// Wall-clock scaling across the gomaxprocs entries is only
-	// observable when NumCPU covers the requested GOMAXPROCS; on a
-	// single-hardware-thread host the parallel rows bound scheduling
-	// overhead instead. HardwareNote spells this out when NumCPU is
-	// below the largest GOMAXPROCS swept.
-	NumCPU       int                   `json:"num_cpu"`
-	HardwareNote string                `json:"hardware_note,omitempty"`
-	Benchmarks   []*ParallelBenchEntry `json:"benchmarks"`
+	NumCPU     int                   `json:"num_cpu"`
+	Benchmarks []*ParallelBenchEntry `json:"benchmarks"`
 }
 
 // corpusGomaxprocs are the scheduler parallelism levels the corpus
-// pairs sweep, per the benchmark plan (sequential vs parallel at
-// GOMAXPROCS 1/2/4).
+// pairs sweep.
 var corpusGomaxprocs = []int{1, 2, 4}
 
 // parallelBenchRounds is how many interleaved before/after pairs each
@@ -171,98 +158,72 @@ func runPair(name, beforeDesc, afterDesc string, rounds int, before, after func(
 		}
 	}
 	e.MedianSpeedup = round2(median(e.PairwiseSpeedups))
-	ba, aa := medianInt(e.BeforeAllocsPerOp), medianInt(e.AfterAllocsPerOp)
-	if aa > 0 {
-		e.AllocsReduction = round2(float64(ba) / float64(aa))
+	if aa := median(e.AfterAllocsPerOp); aa > 0 {
+		e.AllocsReduction = round2(median(e.BeforeAllocsPerOp) / aa)
 	}
 	return e, nil
 }
 
-func median(xs []float64) float64 {
+// median returns the median of xs (the mean of the middle two for an
+// even count), or 0 when xs is empty.
+func median[T int64 | float64](xs []T) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
-}
-
-func medianInt(xs []int64) int64 {
-	if len(xs) == 0 {
-		return 0
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return float64(s[mid])
 	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
+	return (float64(s[mid-1]) + float64(s[mid])) / 2
 }
 
 func round2(x float64) float64 {
 	return float64(int64(x*100+0.5)) / 100
 }
 
-// RunParallelBenchJSON runs the parallel-solver benchmark suite —
+// RunParallelBenchJSON runs the solver-pooling benchmark suite —
 // steady-state solve allocs/op with pooling off vs on, and the full
-// corpus with the sequential pre-PR profile vs the pooled partitioned
-// solver at GOMAXPROCS 1/2/4 — and renders BENCH_parallel.json.
-// progress (when non-nil) receives one line per interleaved pair.
+// corpus with pooling off vs on at GOMAXPROCS 1/2/4 — and renders
+// BENCH_parallel.json. progress (when non-nil) receives one line per
+// interleaved pair.
 func RunParallelBenchJSON(progress io.Writer) ([]byte, error) {
 	rep := &ParallelBenchReport{
-		Description: "Before/after comparison for the component-partitioned parallel solver " +
-			"with pooled per-worker arenas. 'before' is the sequential propagation loop with " +
-			"pooling disabled (solve.SetPooling(false)) — the organic-allocation profile the " +
-			"solver had before this change; 'after' is the pooled solver, sequential or " +
-			"partitioned as named. Both sides run in one binary, interleaved " +
-			"(before, after, before, after, ...), so shared-VM load drift hits both equally; " +
-			"compare pairwise ratios, not absolute numbers. The steady-state-solve entries " +
-			"time exactly solve+Release (the constraint system is rebuilt with the timer and " +
-			"allocation accounting stopped), which is the per-request cost a resident " +
-			"`lna serve` daemon pays. Regenerate with: " +
+		Description: "Before/after comparison for the solver's pooled scratch/retained arenas. " +
+			"'before' is the solver with pooling disabled (solve.SetPooling(false)) — the " +
+			"organic-allocation profile it had before the pools existed; 'after' is the pooled " +
+			"solver. The solver is sequential; the corpus rows run one module per CPU. Both " +
+			"sides run in one binary, interleaved (before, after, before, after, ...), so " +
+			"shared-VM load drift hits both equally; compare pairwise ratios, not absolute " +
+			"numbers. The steady-state-solve entry times exactly solve+Release (the constraint " +
+			"system is rebuilt with the timer and allocation accounting stopped), which is the " +
+			"per-request cost a resident `lna serve` daemon pays. Regenerate with: " +
 			"go run ./cmd/experiments -bench-parallel-json BENCH_parallel.json",
 		Platform: fmt.Sprintf("%s/%s, shared VM (expect run-to-run noise; compare interleaved pairs)",
 			runtime.GOOS, runtime.GOARCH),
 		NumCPU: runtime.NumCPU(),
-	}
-	if max := corpusGomaxprocs[len(corpusGomaxprocs)-1]; rep.NumCPU < max {
-		rep.HardwareNote = fmt.Sprintf(
-			"measured on a %d-hardware-thread host: the partitioned (workers-4 and gomaxprocs-N) "+
-				"rows bound scheduling overhead rather than demonstrating scaling — wall-clock speedup "+
-				"from solver parallelism requires at least as many hardware threads as workers. "+
-				"The pooled sequential row (the daemon default) is hardware-independent; regenerate on "+
-				"a >=%d-core host to observe the parallel scaling.", rep.NumCPU, max)
 	}
 
 	type spec struct {
 		name, before, after string
 		fnBefore, fnAfter   func(*testing.B)
 	}
-	specs := []spec{
-		{
-			name:     "BenchmarkSolverPropagation/steady-state-solve",
-			before:   "sequential solve, pooling disabled (pre-PR allocation profile)",
-			after:    "sequential solve, pooled scratch/retained arenas",
-			fnBefore: func(b *testing.B) { BenchSolverSolveOnly(b, false, 1) },
-			fnAfter:  func(b *testing.B) { BenchSolverSolveOnly(b, true, 1) },
-		},
-		{
-			name:     "BenchmarkSolverPropagation/steady-state-solve/workers-4",
-			before:   "sequential solve, pooling disabled (pre-PR allocation profile)",
-			after:    "partitioned solve at 4 workers, pooled arenas (GOMAXPROCS 4)",
-			fnBefore: func(b *testing.B) { BenchSolverSolveOnly(b, false, 1) },
-			fnAfter: func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(4)
-				defer runtime.GOMAXPROCS(prev)
-				BenchSolverSolveOnly(b, true, 4)
-			},
-		},
-	}
+	specs := []spec{{
+		name:     "BenchmarkSolverPropagation/steady-state-solve",
+		before:   "solve, pooling disabled (allocate-per-solve profile)",
+		after:    "solve, pooled scratch/retained arenas",
+		fnBefore: func(b *testing.B) { BenchSolverSolveOnly(b, false) },
+		fnAfter:  func(b *testing.B) { BenchSolverSolveOnly(b, true) },
+	}}
 	for _, procs := range corpusGomaxprocs {
 		procs := procs
 		specs = append(specs, spec{
 			name:     fmt.Sprintf("BenchmarkCorpusSummary/gomaxprocs-%d", procs),
-			before:   fmt.Sprintf("sequential solver, pooling disabled, GOMAXPROCS %d", procs),
-			after:    fmt.Sprintf("partitioned solver at 4 workers, pooled arenas, GOMAXPROCS %d", procs),
-			fnBefore: func(b *testing.B) { BenchCorpusParallel(b, procs, 1, false) },
-			fnAfter:  func(b *testing.B) { BenchCorpusParallel(b, procs, 4, true) },
+			before:   fmt.Sprintf("pooling disabled, GOMAXPROCS %d", procs),
+			after:    fmt.Sprintf("pooled arenas, GOMAXPROCS %d", procs),
+			fnBefore: func(b *testing.B) { BenchCorpusParallel(b, procs, false) },
+			fnAfter:  func(b *testing.B) { BenchCorpusParallel(b, procs, true) },
 		})
 	}
 	for _, s := range specs {

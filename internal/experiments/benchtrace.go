@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http/httptest"
 	"runtime"
-	"sort"
 	"time"
 
 	"localalias/internal/bench"
@@ -135,21 +134,6 @@ func runTraceBench(ctx context.Context, tracing bool, reqs []service.AnalyzeRequ
 	return TraceBenchRun{Tracing: tracing, Report: *rep}, nil
 }
 
-// medianOf returns the median of the samples (mean of the middle two
-// for even counts).
-func medianOf(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
-}
-
 // RunTraceBenchJSON runs the tracing-overhead benchmarks and renders
 // BENCH_trace.json. progress (when non-nil) receives one line per
 // pair.
@@ -204,8 +188,8 @@ func RunTraceBenchJSON(progress io.Writer) ([]byte, error) {
 				round+1, traceBenchRounds, off.Report.LatencyMsP50, on.Report.LatencyMsP50)
 		}
 	}
-	rep.OffP50MedianMs = medianOf(offP50s)
-	rep.OnP50MedianMs = medianOf(onP50s)
+	rep.OffP50MedianMs = median(offP50s)
+	rep.OnP50MedianMs = median(onP50s)
 	if rep.OffP50MedianMs > 0 {
 		rep.OverheadPct = round2(100 * (rep.OnP50MedianMs - rep.OffP50MedianMs) / rep.OffP50MedianMs)
 	}

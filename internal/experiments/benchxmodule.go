@@ -11,25 +11,21 @@ import (
 	"localalias/internal/modgraph"
 )
 
-// This file measures the parallel bottom-up DAG pass over the
-// multi-module driver stacks (internal/modgraph) and the summary
-// cache's incremental replay. Both sides of every pair run in one
-// binary, interleaved (before, after, before, after, ...), the same
-// methodology BENCH_parallel.json and BENCH_gateway.json use; the
-// entries reuse the ParallelBenchEntry shape.
+// This file measures the summary cache's incremental replay over the
+// multi-module driver stacks (internal/modgraph). Both sides of every
+// pair run in one binary, interleaved (before, after, before, after,
+// ...), the same methodology BENCH_parallel.json and
+// BENCH_gateway.json use; the entries reuse the ParallelBenchEntry
+// shape.
 
-// xmoduleBenchLeaves sizes the benchmark stack. Larger than the
-// experiment/table stack so the DAG has enough independent leaves for
-// worker scaling to be observable above scheduling overhead.
+// xmoduleBenchLeaves sizes the benchmark stack: larger than the
+// experiment/table stack, so a from-scratch pass costs well above
+// timer noise.
 const xmoduleBenchLeaves = 24
 
 // xmoduleBenchRounds is how many interleaved before/after pairs each
 // entry records.
 const xmoduleBenchRounds = 3
-
-// xmoduleWorkerSweep are the scheduler widths the DAG pairs compare
-// against the sequential (Workers 1) baseline.
-var xmoduleWorkerSweep = []int{2, 4}
 
 func xmoduleBenchSources() []modgraph.Source {
 	mods := drivergen.XStack(xmoduleBenchLeaves)
@@ -58,23 +54,6 @@ func checkXmoduleRun(b *testing.B, res *modgraph.Result, mods []drivergen.XModul
 	return true
 }
 
-// BenchXmoduleDAG times one whole-stack bottom-up pass (parse, type
-// check, three-variant locking analysis, summary export for every
-// module) at the given scheduler width. No cache: every iteration is
-// a cold whole-program analysis.
-func BenchXmoduleDAG(b *testing.B, workers int) {
-	mods := drivergen.XStack(xmoduleBenchLeaves)
-	srcs := xmoduleBenchSources()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := modgraph.Analyze(srcs, modgraph.Options{Workers: workers})
-		if !checkXmoduleRun(b, res, mods) {
-			return
-		}
-	}
-}
-
 // BenchXmoduleCacheReplay times the incremental path: one leaf edited
 // (a comment appended, so results are unchanged), everything else a
 // fingerprint hit. Each iteration's edit is unique, so the warm side
@@ -85,7 +64,7 @@ func BenchXmoduleDAG(b *testing.B, workers int) {
 func BenchXmoduleCacheReplay(b *testing.B, warm bool) {
 	mods := drivergen.XStack(xmoduleBenchLeaves)
 	srcs := xmoduleBenchSources()
-	opts := modgraph.Options{Workers: 4, Cache: modgraph.NewSummaryCache()}
+	opts := modgraph.Options{Cache: modgraph.NewSummaryCache()}
 	// Populate the cache with the unedited stack outside the timer.
 	res := modgraph.Analyze(srcs, opts)
 	if !checkXmoduleRun(b, res, mods) {
@@ -115,15 +94,15 @@ type XmoduleBenchReport struct {
 	Platform    string `json:"platform"`
 	// Modules is the stack size every entry analyzes.
 	Modules int `json:"modules"`
-	// NumCPU is the host's hardware parallelism at measurement time;
-	// see ParallelBenchReport for how to read HardwareNote.
-	NumCPU       int                   `json:"num_cpu"`
-	HardwareNote string                `json:"hardware_note,omitempty"`
-	Benchmarks   []*ParallelBenchEntry `json:"benchmarks"`
+	// NumCPU is the host's hardware parallelism at measurement time.
+	NumCPU     int                   `json:"num_cpu"`
+	Benchmarks []*ParallelBenchEntry `json:"benchmarks"`
 }
 
-// RunXmoduleBenchJSON runs the cross-module benchmark suite — the
-// parallel DAG pass at 1 vs 2 and 1 vs 4 workers, and cold vs warm
+// xmoduleBenchEntry names the report's one before/after pair.
+const xmoduleBenchEntry = "BenchmarkXmoduleCache/one-leaf-edit"
+
+// RunXmoduleBenchJSON runs the cross-module benchmark — cold vs warm
 // summary-cache replay of a one-leaf edit — and renders
 // BENCH_xmodule.json. progress (when non-nil) receives one line per
 // interleaved pair.
@@ -132,55 +111,27 @@ func RunXmoduleBenchJSON(progress io.Writer) ([]byte, error) {
 		Description: "Before/after comparison for the cross-module whole-program pass: a " +
 			fmt.Sprintf("%d-module import DAG (lock header, two mid-layer libraries, %d leaf drivers) ",
 				xmoduleBenchLeaves+3, xmoduleBenchLeaves) +
-			"analyzed bottom-up with package summaries. The workers-N entries compare the " +
-			"sequential scheduler (Workers 1) against the parallel DAG scheduler at N workers; " +
-			"the cache entry compares a from-scratch re-analysis against the fingerprint-cached " +
-			"replay of a one-leaf edit. Both sides run in one binary, interleaved " +
-			"(before, after, before, after, ...), so shared-VM load drift hits both equally; " +
-			"compare pairwise ratios, not absolute numbers. Regenerate with: " +
+			"analyzed bottom-up, sequentially, with package summaries. The entry compares a " +
+			"from-scratch re-analysis against the fingerprint-cached replay of a one-leaf edit. " +
+			"Both sides run in one binary, interleaved (before, after, before, after, ...), so " +
+			"shared-VM load drift hits both equally; compare pairwise ratios, not absolute " +
+			"numbers. Regenerate with: " +
 			"go run ./cmd/experiments -bench-xmodule-json BENCH_xmodule.json",
 		Platform: fmt.Sprintf("%s/%s, shared VM (expect run-to-run noise; compare interleaved pairs)",
 			runtime.GOOS, runtime.GOARCH),
 		Modules: xmoduleBenchLeaves + 3,
 		NumCPU:  runtime.NumCPU(),
 	}
-	if max := xmoduleWorkerSweep[len(xmoduleWorkerSweep)-1]; rep.NumCPU < max {
-		rep.HardwareNote = fmt.Sprintf(
-			"measured on a %d-hardware-thread host: the workers-N rows bound scheduling overhead "+
-				"rather than demonstrating scaling — wall-clock speedup from DAG parallelism requires "+
-				"at least as many hardware threads as workers. The cache-replay row is "+
-				"hardware-independent; regenerate on a >=%d-core host to observe the parallel scaling.",
-			rep.NumCPU, max)
+	e, err := runPair(xmoduleBenchEntry,
+		"cold cache: every module re-analyzed after the edit",
+		"warm cache: fingerprint hits for all but the edited leaf",
+		xmoduleBenchRounds,
+		func(b *testing.B) { BenchXmoduleCacheReplay(b, false) },
+		func(b *testing.B) { BenchXmoduleCacheReplay(b, true) },
+		progress)
+	if err != nil {
+		return nil, err
 	}
-
-	type spec struct {
-		name, before, after string
-		fnBefore, fnAfter   func(*testing.B)
-	}
-	var specs []spec
-	for _, w := range xmoduleWorkerSweep {
-		w := w
-		specs = append(specs, spec{
-			name:     fmt.Sprintf("BenchmarkXmoduleDAG/workers-%d", w),
-			before:   "sequential bottom-up pass (Workers 1)",
-			after:    fmt.Sprintf("parallel DAG scheduler at %d workers", w),
-			fnBefore: func(b *testing.B) { BenchXmoduleDAG(b, 1) },
-			fnAfter:  func(b *testing.B) { BenchXmoduleDAG(b, w) },
-		})
-	}
-	specs = append(specs, spec{
-		name:     "BenchmarkXmoduleCache/one-leaf-edit",
-		before:   "cold cache: every module re-analyzed after the edit",
-		after:    "warm cache: fingerprint hits for all but the edited leaf",
-		fnBefore: func(b *testing.B) { BenchXmoduleCacheReplay(b, false) },
-		fnAfter:  func(b *testing.B) { BenchXmoduleCacheReplay(b, true) },
-	})
-	for _, s := range specs {
-		e, err := runPair(s.name, s.before, s.after, xmoduleBenchRounds, s.fnBefore, s.fnAfter, progress)
-		if err != nil {
-			return nil, err
-		}
-		rep.Benchmarks = append(rep.Benchmarks, e)
-	}
+	rep.Benchmarks = append(rep.Benchmarks, e)
 	return json.MarshalIndent(rep, "", "  ")
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,8 +10,8 @@ import (
 
 // TestXmoduleBenchReportSchema guards the committed BENCH_xmodule.json
 // against drift: it must parse into the current report shape with no
-// unknown fields, cover the worker-sweep and cache-replay pairs with
-// the configured number of interleaved rounds, and carry the
+// unknown fields, cover the cache-replay pair with the configured
+// number of interleaved rounds, and carry the
 // regeneration command. A failure means the harness changed without
 // regenerating the artifact (go run ./cmd/experiments
 // -bench-xmodule-json BENCH_xmodule.json).
@@ -33,10 +32,7 @@ func TestXmoduleBenchReportSchema(t *testing.T) {
 	if !bytes.Contains(data, []byte("go run ./cmd/experiments -bench-xmodule-json")) {
 		t.Error("report description lost the regeneration command")
 	}
-	want := map[string]bool{"BenchmarkXmoduleCache/one-leaf-edit": false}
-	for _, w := range xmoduleWorkerSweep {
-		want[fmt.Sprintf("BenchmarkXmoduleDAG/workers-%d", w)] = false
-	}
+	want := map[string]bool{xmoduleBenchEntry: false}
 	for _, e := range rep.Benchmarks {
 		if _, ok := want[e.Name]; !ok {
 			t.Errorf("unexpected benchmark entry %q", e.Name)

@@ -66,8 +66,8 @@ func RunXmoduleCorpus() *XmoduleResult {
 	for _, m := range mods {
 		srcs = append(srcs, modgraph.Source{Name: m.Name, Text: m.Source})
 	}
-	havoc := modgraph.Analyze(srcs, modgraph.Options{Havoc: true, Workers: 4})
-	summary := modgraph.Analyze(srcs, modgraph.Options{Workers: 4})
+	havoc := modgraph.Analyze(srcs, modgraph.Options{Havoc: true})
+	summary := modgraph.Analyze(srcs, modgraph.Options{})
 
 	res := &XmoduleResult{}
 	seen := map[string]bool{}

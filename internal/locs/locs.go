@@ -20,21 +20,13 @@
 //     construction (the whole point of the constructs).
 package locs
 
-import "sync/atomic"
-
-// Store owns all abstract locations of one analysis run.
-//
-// A Store is not safe for unrestricted concurrent use, but it
-// supports the partitioned-solver discipline (see solve): after
-// Compress, Find is read-only on any class that is not unified again,
-// so goroutines owning disjoint sets of unifiable classes may call
-// Find and Unify concurrently as long as no goroutine touches a class
-// another may still unify.
+// Store owns all abstract locations of one analysis run. It is not
+// safe for concurrent use.
 type Store struct {
 	parent     []Loc
 	rank       []int8
 	info       []Info
-	numUnifies atomic.Int64
+	numUnifies int
 	onUnify    []func(winner, loser Loc)
 }
 
@@ -68,9 +60,8 @@ func NewStore() *Store { return &Store{} }
 func (s *Store) Len() int { return len(s.parent) }
 
 // NumUnifies returns how many unifications have been performed; used
-// by complexity benchmarks. The counter is atomic so concurrent
-// solver workers unifying disjoint classes don't race on it.
-func (s *Store) NumUnifies() int { return int(s.numUnifies.Load()) }
+// by complexity benchmarks.
+func (s *Store) NumUnifies() int { return s.numUnifies }
 
 // Fresh creates a new location with no storage origin (a type
 // placeholder). It becomes meaningful once storage is attached via
@@ -107,14 +98,8 @@ func (s *Store) FreshRestricted(name string) Loc {
 	return l
 }
 
-// Find returns the representative of l, with path compression.
-//
-// Find only writes when the chain from l is at least two hops long.
-// A chain that long exists only if the class was unified after its
-// last compression, so after Compress, Finds on classes that see no
-// further unification are pure reads — which is what lets solver
-// workers share a store: each worker writes only within classes it
-// exclusively owns.
+// Find returns the representative of l, with path compression. It
+// writes only when the chain from l is at least two hops long.
 func (s *Store) Find(l Loc) Loc {
 	p := s.parent[l]
 	if p == l {
@@ -133,16 +118,6 @@ func (s *Store) Find(l Loc) Loc {
 		l, s.parent[l] = s.parent[l], r
 	}
 	return r
-}
-
-// Compress path-compresses every chain so that each location points
-// directly at its representative. Until the next Unify, all Finds are
-// then read-only; the partitioned solver runs this once before its
-// workers start sharing the store.
-func (s *Store) Compress() {
-	for l := range s.parent {
-		s.Find(Loc(l))
-	}
 }
 
 // Same reports whether a and b are in the same class.
@@ -176,8 +151,7 @@ func (s *Store) Linear(l Loc) bool {
 }
 
 // OnUnify registers a callback invoked after each union with the
-// surviving representative and the absorbed representative. The
-// constraint solver uses this to merge graph nodes.
+// surviving representative and the absorbed representative.
 func (s *Store) OnUnify(f func(winner, loser Loc)) {
 	s.onUnify = append(s.onUnify, f)
 }
@@ -193,15 +167,14 @@ func (s *Store) Unify(a, b Loc) Loc {
 // actually merge, observe (when non-nil) is invoked with the
 // surviving and absorbed representatives, after any registered
 // OnUnify callbacks. The solver uses this instead of OnUnify so that
-// each solve — and under the partitioned solver, each worker —
-// observes exactly its own unifications, with no callback left behind
-// when the solve ends.
+// each solve observes exactly its own unifications, with no callback
+// left behind when the solve ends.
 func (s *Store) UnifyObserved(a, b Loc, observe func(winner, loser Loc)) Loc {
 	ra, rb := s.Find(a), s.Find(b)
 	if ra == rb {
 		return ra
 	}
-	s.numUnifies.Add(1)
+	s.numUnifies++
 	winner, loser := ra, rb
 	if s.rank[winner] < s.rank[loser] {
 		winner, loser = loser, winner

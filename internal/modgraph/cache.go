@@ -30,7 +30,7 @@ type cacheEntry struct {
 }
 
 // NewSummaryCache returns an empty cache. It is safe for concurrent
-// use by the parallel DAG pass.
+// use, so one cache may serve concurrent Analyze calls.
 func NewSummaryCache() *SummaryCache {
 	return &SummaryCache{entries: make(map[[32]byte]*cacheEntry)}
 }

@@ -1,7 +1,7 @@
 // Package modgraph links separately-parsed MiniC modules into a whole
 // program. It builds the module dependency DAG from import
 // declarations, condenses it (cycle members are rejected with
-// positioned diagnostics, Go-style), and schedules a parallel
+// positioned diagnostics, Go-style), and runs a sequential
 // bottom-up pass over the condensation: each module is analyzed after
 // its dependencies, receiving their package summaries — exported
 // signatures, qualifier transfer tables per experiment variant, and
@@ -36,8 +36,9 @@ type Source struct {
 
 // Options configures the whole-program pass.
 type Options struct {
-	// Workers bounds analysis concurrency over the dependency DAG;
-	// <= 1 runs sequentially. Results are identical either way.
+	// Workers is ignored: the pass always runs sequentially, in
+	// dependency order. It is kept only until the steady-state
+	// benchmark stops setting it.
 	Workers int
 	// Havoc disables summary application: imported calls degrade to
 	// worst-case effects, reproducing per-module analysis in
@@ -48,19 +49,13 @@ type Options struct {
 	General  bool
 	NoParams bool
 	NoLets   bool
-	// SolverWorkers bounds the constraint solver's concurrency
-	// within each module.
-	SolverWorkers int
 	// Cache, when non-nil, memoizes whole-module outcomes
 	// content-addressed over source, options, and dependency
 	// fingerprints — editing a package invalidates exactly its
 	// downstream cone.
 	Cache *SummaryCache
-	// Trace, when non-nil, receives one span per scheduled module
-	// (category "modgraph"), parented under TraceParent; the module's
-	// own solver components nest under its span. The runner schedules
-	// modules on worker goroutines, so the trace travels by option
-	// rather than by context.
+	// Trace, when non-nil, receives one span per analyzed module
+	// (category "modgraph"), parented under TraceParent.
 	Trace *obs.Trace
 	// TraceParent is the span ID module spans parent under (typically
 	// the request's analyze span).
@@ -210,8 +205,10 @@ func Analyze(sources []Source, opts Options) *Result {
 	// Deterministic bottom-up order over the acyclic remainder.
 	res.Order = topoOrder(mods, names, cyclic)
 
-	run := newRunner(mods, cyclic, opts, res)
-	run.execute()
+	r := &runner{mods: mods, opts: opts, res: res}
+	for _, name := range res.Order {
+		r.analyze(name)
+	}
 	return res
 }
 

@@ -88,8 +88,8 @@ func TestCrossModuleBugFinding(t *testing.T) {
 // preconditions, which havoc does not model, and are excluded.
 func TestCrossModuleDifferential(t *testing.T) {
 	srcs := stackSources(9)
-	havoc := Analyze(srcs, Options{Havoc: true, Workers: 4})
-	summary := Analyze(srcs, Options{Workers: 4})
+	havoc := Analyze(srcs, Options{Havoc: true})
+	summary := Analyze(srcs, Options{})
 	for name, hm := range havoc.Modules {
 		sm := summary.Modules[name]
 		if hm.Outcome == nil || sm == nil || sm.Outcome == nil {
@@ -109,26 +109,6 @@ func TestCrossModuleDifferential(t *testing.T) {
 						name, v, e.Pos, e.Msg)
 				}
 			}
-		}
-	}
-}
-
-// TestParallelDeterminism checks that the DAG pass produces identical
-// outcomes and fingerprints regardless of worker count.
-func TestParallelDeterminism(t *testing.T) {
-	srcs := stackSources(8)
-	seq := Analyze(srcs, Options{Workers: 1})
-	par := Analyze(srcs, Options{Workers: 8})
-	if !reflect.DeepEqual(seq.Order, par.Order) {
-		t.Fatalf("order differs: %v vs %v", seq.Order, par.Order)
-	}
-	for name, sm := range seq.Modules {
-		pm := par.Modules[name]
-		if sm.Fingerprint != pm.Fingerprint {
-			t.Errorf("%s: fingerprint differs across worker counts", name)
-		}
-		if !reflect.DeepEqual(sm.Outcome, pm.Outcome) {
-			t.Errorf("%s: outcome differs across worker counts", name)
 		}
 	}
 }

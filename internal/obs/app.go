@@ -44,15 +44,6 @@ type AppMetrics struct {
 	SolveUnifications         *Counter
 	SolveRecanonicalizations  *Counter
 
-	// Partitioned-solver accounting, recorded once per parallel solve
-	// (sequential solves don't touch these). SolveComponentSize abuses
-	// the duration-based histogram for a unitless quantity: buckets
-	// are powers of two of "component size" (variables + intersection
-	// nodes + conditionals), rendered as nanosecond bounds.
-	SolveComponents    *Counter
-	SolveComponentSize *Histogram
-	SolveWorkersInUse  *Gauge
-
 	// Engine accounting: requests by analysis mode, contained
 	// failures by kind, and the end-to-end latency distribution.
 	requestsByMode map[string]*Counter
@@ -89,9 +80,6 @@ func App() *AppMetrics {
 			SolveCondFirings:          r.Counter("lna_solve_cond_firings_total", "Conditional constraints fired."),
 			SolveUnifications:         r.Counter("lna_solve_unifications_total", "Location unifications observed while solving."),
 			SolveRecanonicalizations:  r.Counter("lna_solve_recanonicalizations_total", "Incremental re-canonicalization passes."),
-			SolveComponents:           r.Counter("lna_solve_components_total", "Connected components solved by partitioned solves."),
-			SolveComponentSize:        r.Histogram("lna_solve_component_size", "Partition component sizes (vars+inodes+conds; unitless power-of-two buckets).", componentSizeBounds),
-			SolveWorkersInUse:         r.Gauge("lna_solve_workers_inuse", "Worker goroutines used by the most recent partitioned solve."),
 			AnalyzeSeconds:            r.Histogram("lna_analyze_seconds", "End-to-end per-module analysis latency.", nil),
 			requestsByMode:            make(map[string]*Counter, len(modeNames)),
 			failuresByKind:            make(map[string]*Counter, len(failureKinds)),
@@ -135,24 +123,6 @@ func (a *AppMetrics) RecordSolve(atomsPropagated, intersectionArrivals, condFiri
 	a.SolveCondFirings.Add(uint64(condFirings))
 	a.SolveUnifications.Add(uint64(unifications))
 	a.SolveRecanonicalizations.Add(uint64(recanons))
-}
-
-// componentSizeBounds are power-of-two "sizes" for the component-size
-// histogram (the histogram machinery is duration-typed; these are
-// unitless counts).
-var componentSizeBounds = []time.Duration{
-	1, 2, 4, 8, 16, 32, 64, 128, 256, 512,
-	1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 20,
-}
-
-// RecordSolvePartition records one partitioned solve: how many worker
-// goroutines ran it and the size of each component.
-func (a *AppMetrics) RecordSolvePartition(workers int, componentSizes []int) {
-	a.SolveComponents.Add(uint64(len(componentSizes)))
-	a.SolveWorkersInUse.Set(int64(workers))
-	for _, s := range componentSizes {
-		a.SolveComponentSize.Observe(time.Duration(s))
-	}
 }
 
 // RecordPhase records one phase's elapsed wall clock (no-op for

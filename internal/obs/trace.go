@@ -102,8 +102,9 @@ type Span struct {
 }
 
 // maxTraceSpans bounds one trace's span count so a pathological
-// request (thousands of solver components) cannot grow a trace
-// without limit; spans past the cap are dropped silently.
+// request (a multi-module program with thousands of modules) cannot
+// grow a trace without limit; spans past the cap are dropped
+// silently.
 const maxTraceSpans = 4096
 
 // Trace collects the spans of one request under a process-unique
@@ -115,9 +116,8 @@ const maxTraceSpans = 4096
 // trace's default parent until End, so plain Add calls made inside
 // the window (pipeline phases, cache probes) nest under it without
 // knowing about span IDs at all. Concurrent work — hedged backend
-// attempts, solver components on worker goroutines — uses StartChild
-// or AddChild with an explicit parent instead, because a shared
-// mutable "current parent" is meaningless across goroutines.
+// attempts — uses StartChild with an explicit parent instead, because
+// a shared mutable "current parent" is meaningless across goroutines.
 type Trace struct {
 	id     string
 	module string
@@ -177,19 +177,6 @@ func (t *Trace) Add(name, cat string, start time.Time, dur time.Duration, kv ...
 	}
 	t.mu.Lock()
 	t.addLocked(Span{ID: NewSpanID(), Parent: t.parent, Name: name, Cat: cat, Start: start, Dur: dur, Args: kv})
-	t.mu.Unlock()
-}
-
-// AddChild records one completed span under an explicit parent span
-// ID, bypassing the default-parent stack. This is the form for spans
-// recorded from worker goroutines, where "current parent" is owned by
-// some other control flow.
-func (t *Trace) AddChild(parent, name, cat string, start time.Time, dur time.Duration, kv ...string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.addLocked(Span{ID: NewSpanID(), Parent: parent, Name: name, Cat: cat, Start: start, Dur: dur, Args: kv})
 	t.mu.Unlock()
 }
 

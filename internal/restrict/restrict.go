@@ -48,11 +48,6 @@ type CheckOptions struct {
 	// restricted copy is used (matching C99 and the inference rule).
 	// The default is the strict Figure 2 rule.
 	Liberal bool
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency when the system needs a full solve (conditional
-	// constraints present); <= 1 solves sequentially. Results are
-	// identical either way.
-	SolverWorkers int
 }
 
 // Check verifies all restrict and confine annotations in the program
@@ -73,7 +68,7 @@ func CheckWith(tinfo *types.Info, diags *source.Diagnostics, opts CheckOptions) 
 		out.UsedFigure5 = true
 		out.Violations = solve.Check(sys)
 	} else {
-		sol := solve.SolveOpts(nil, sys, solve.Options{Workers: opts.SolverWorkers})
+		sol := solve.Solve(sys)
 		out.Violations = sol.Violations()
 		// Checking consumes nothing else from the solution, so its
 		// pooled storage can go straight back for the next module.
@@ -109,10 +104,6 @@ type Options struct {
 	// Params additionally treats ref-typed parameters as restrict
 	// candidates.
 	Params bool
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency; <= 1 solves sequentially. Results are identical
-	// either way.
-	SolverWorkers int
 }
 
 // Infer runs restrict inference, marking successful let candidates in
@@ -128,7 +119,7 @@ func Infer(tinfo *types.Info, diags *source.Diagnostics, opts Options) *InferRes
 		InferRestrictParams:   opts.Params,
 		LiberalRestrictEffect: true,
 	})
-	sol := solve.SolveOpts(nil, res.Sys, solve.Options{Workers: opts.SolverWorkers})
+	sol := solve.Solve(res.Sys)
 	out := &InferResult{Infer: res, Solution: sol}
 
 	// Index the fired conditionals by the location pair their ActUnify

@@ -131,13 +131,10 @@ type AnalyzeRequest struct {
 	// nil — the default — disables tracing at zero cost.
 	Obs *obs.Trace `json:"-"`
 
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency for this request; <= 1 solves sequentially. It is an
-	// execution knob, not an analysis option: results are identical at
-	// any worker count (the partitioned solver is deterministic), so
-	// it stays off the wire and out of the cache key — a response
-	// computed at one setting is a valid cache hit for any other. The
-	// daemon injects its -solver-workers setting here.
+	// SolverWorkers is ignored: the constraint solver always runs
+	// sequentially. It stays off the wire and out of the cache key,
+	// and is kept only until the steady-state benchmark stops setting
+	// it.
 	SolverWorkers int `json:"-"`
 }
 

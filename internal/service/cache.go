@@ -24,9 +24,9 @@ import (
 // mode defaulted), not by hand-packed flag bits: every exported
 // wire field of AnalyzeOptions — including any added later — is
 // covered automatically, so a new option can never silently alias
-// cache entries across option values. Execution knobs that do not
-// affect response bytes (SolverWorkers and the other `json:"-"`
-// request fields) stay outside the key by the same rule; the reflect
+// cache entries across option values. Request fields that do not
+// affect response bytes (the `json:"-"` ones) stay outside the key by
+// the same rule; the reflect
 // guard test in cache_test.go pins both halves of this contract.
 //
 // Requests carrying a Generate closure have no content to hash until

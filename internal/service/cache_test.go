@@ -241,7 +241,7 @@ func TestCacheKeyRequestFieldContract(t *testing.T) {
 	exempt := map[string]string{
 		"Generate":      "source synthesis seam; requests carrying it are never cached",
 		"Obs":           "tracing does not change canonical bytes",
-		"SolverWorkers": "partitioned solver is deterministic at any worker count",
+		"SolverWorkers": "ignored; kept for perfbench",
 	}
 	rt := reflect.TypeOf(AnalyzeRequest{})
 	for i := 0; i < rt.NumField(); i++ {

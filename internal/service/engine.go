@@ -72,10 +72,9 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 	tr.SetSpans(req.Obs)
 	// Open the request's root span and install it in the context: the
 	// fault guard derives its context from ctx, so the span reaches
-	// every ctx-aware layer below (the parallel solver's per-component
-	// spans, the modgraph runner) without new parameters, and the
-	// phase spans faults.Trace emits parent under it via the trace's
-	// default-parent stack.
+	// the multi-module pass (whose per-module spans parent under it)
+	// without new parameters, and the phase spans faults.Trace emits
+	// parent under it via the trace's default-parent stack.
 	span := req.Obs.StartSpan("analyze", "request")
 	ctx = obs.ContextWithSpan(ctx, req.Obs, span.ID())
 	start := time.Now()
@@ -116,14 +115,12 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 		switch mode {
 		case ModeCheck:
 			r := restrict.CheckWith(m.TInfo, m.Diags, restrict.CheckOptions{
-				Liberal:       req.Options.Liberal,
-				SolverWorkers: req.SolverWorkers,
+				Liberal: req.Options.Liberal,
 			})
 			check = &CheckReport{OK: r.OK(), UsedFigure5: r.UsedFigure5}
 		case ModeInfer:
 			r := m.InferRestrictWith(restrict.Options{
-				Params:        req.Options.Params,
-				SolverWorkers: req.SolverWorkers,
+				Params: req.Options.Params,
 			})
 			rep := &InferReport{
 				Candidates: len(r.Infer.Candidates),
@@ -145,8 +142,7 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 			r.Solution.Release()
 		case ModeConfine, ModeQual:
 			lr, err := m.AnalyzeLockingCtx(ctx, core.LockingOptions{
-				General:       req.Options.General,
-				SolverWorkers: req.SolverWorkers,
+				General: req.Options.General,
 			}, tr)
 			if err != nil {
 				return err

@@ -88,18 +88,17 @@ func serveAnalyze(t *testing.T, h http.Handler, req *AnalyzeRequest) []byte {
 // FuzzAnalyzeBounded drives the whole pipeline, in every mode, on
 // arbitrary source text. Property 1: no panic escapes the fault guard
 // (an escaped panic crashes the fuzz worker). Property 2: for every
-// input that parses, the daemon path — byte cache, two request
-// workers and two solver workers, with each input sent twice at once
-// so one request may coalesce onto the other — answers bytes identical
-// to a bare AnalyzeBounded run with no cache and one worker.
+// input that parses, the daemon path — byte cache and two request
+// workers, with each input sent twice at once so one request may
+// coalesce onto the other — answers bytes identical to a bare
+// AnalyzeBounded run with no cache and one worker.
 func FuzzAnalyzeBounded(f *testing.F) {
 	for _, src := range fuzzSeeds(f) {
 		f.Add(src)
 	}
 	// The daemon's only state between requests is its byte cache: a
-	// cache miss runs exactly the bare engine, with the partitioned
-	// solver at two workers.
-	srv := NewServer(ServerOptions{Workers: 2, SolverWorkers: 2, RequestTimeout: fuzzTimeout, TraceEntries: -1})
+	// cache miss runs exactly the bare engine.
+	srv := NewServer(ServerOptions{Workers: 2, RequestTimeout: fuzzTimeout, TraceEntries: -1})
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {

@@ -63,14 +63,6 @@ type ServerOptions struct {
 	// LogFormat selects the access-log rendering: LogText (default)
 	// or LogJSON.
 	LogFormat string
-	// SolverWorkers bounds the partitioned constraint solver's
-	// concurrency within each analyzed module (<= 1 = sequential, the
-	// default). Orthogonal to Workers, which parallelizes across
-	// modules: a mostly-idle daemon serving huge single modules wants
-	// SolverWorkers up; a saturated corpus daemon wants it at 1.
-	// Responses are byte-identical at any setting, so it does not
-	// participate in the result cache key.
-	SolverWorkers int
 	// TraceEntries bounds the ring buffer of recently completed traces
 	// served by /v1/trace/{id} (0 = DefaultTraceEntries; negative
 	// disables trace retention entirely — requests still get spans and
@@ -342,7 +334,6 @@ func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (cachedRun,
 		return run, ctx.Err()
 	}
 	defer s.releaseSlot()
-	req.SolverWorkers = s.opts.SolverWorkers
 	run.resp = AnalyzeBounded(ctx, req, s.opts.RequestTimeout)
 	run.failed = run.resp.Failure != nil
 	if run.failed {

@@ -81,9 +81,6 @@ func TestMetricsEndpointShape(t *testing.T) {
 		"lna_cache_misses_total",
 		"lna_queue_depth",
 		"lna_solve_total",
-		"lna_solve_components_total",
-		"lna_solve_component_size",
-		"lna_solve_workers_inuse",
 	} {
 		metrics, _ := doc["metrics"].([]any)
 		found := false

@@ -535,3 +535,47 @@ func TestListenAndServeGracefulDrain(t *testing.T) {
 		t.Fatal("server did not drain")
 	}
 }
+
+// TestServerBatchPanicIsolationParallel: one module panicking
+// mid-analysis degrades only its own batch entry; its neighbours,
+// analyzed concurrently on the daemon's worker pool, still answer
+// healthily.
+func TestServerBatchPanicIsolationParallel(t *testing.T) {
+	service.SetTestAnalyzeHook(func(ctx context.Context, module string) {
+		if module == "bomb.mc" {
+			panic("injected batch fault")
+		}
+	})
+	defer service.SetTestAnalyzeHook(nil)
+
+	_, c := newTestServer(t, service.ServerOptions{Workers: 2})
+	reqs := corpusBatch(8)
+	reqs = append(reqs[:4], append([]service.AnalyzeRequest{{
+		Module: "bomb.mc", Source: service.CleanCheckSrc,
+		Options: service.AnalyzeOptions{Mode: service.ModeCheck},
+	}}, reqs[4:]...)...)
+
+	out, _, err := c.Batch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("Batch: %v", err)
+	}
+	if out.Summary.Failures != 1 {
+		t.Errorf("summary failures = %d, want exactly the injected one", out.Summary.Failures)
+	}
+	for i, entry := range out.Results {
+		var r service.AnalyzeResponse
+		if err := json.Unmarshal(entry.Response, &r); err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		switch r.Module {
+		case "bomb.mc":
+			if r.Failure == nil || !strings.Contains(r.Failure.Message, "injected batch fault") {
+				t.Errorf("panicking module lacks its failure record: %+v", r.Failure)
+			}
+		default:
+			if r.Failure != nil {
+				t.Errorf("healthy module %s degraded by its neighbour: %v", r.Module, r.Failure)
+			}
+		}
+	}
+}

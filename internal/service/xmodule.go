@@ -28,16 +28,12 @@ func analyzeMultiModule(ctx context.Context, req *AnalyzeRequest, name, src, mod
 	}
 	sources = append(sources, modgraph.Source{Name: name, Text: src})
 
-	// The DAG runner schedules modules on its own goroutines, so the
-	// trace travels by explicit option rather than context: every
-	// per-module span parents under the request's analyze span.
+	// Every per-module span parents under the request's analyze span.
 	trace, parent := obs.SpanFromContext(ctx)
 	xres := modgraph.Analyze(sources, modgraph.Options{
-		Workers:       req.SolverWorkers,
-		General:       req.Options.General,
-		SolverWorkers: req.SolverWorkers,
-		Trace:         trace,
-		TraceParent:   parent,
+		General:     req.Options.General,
+		Trace:       trace,
+		TraceParent: parent,
 	})
 
 	var stats solve.Stats

@@ -16,7 +16,6 @@ package solve_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -108,98 +107,14 @@ func compareSolutions(t *testing.T, label string,
 	}
 }
 
-// randomCondSystem builds a system with conditional constraints from a
-// seed; calling it twice with the same seed produces identical
-// systems over independent stores.
-func randomCondSystem(seed int64) *effects.System {
-	r := rand.New(rand.NewSource(seed))
-	ls := locs.NewStore()
-	sys := effects.NewSystem(ls)
-	buildRandomCondInto(sys, r)
-	return sys
-}
-
-// buildRandomCondInto adds one random constraint cluster — fresh
-// variables, fresh locations, conditionals over both — to sys. The
-// parallel differential tests call it several times into one system
-// to get a naturally multi-component graph.
-func buildRandomCondInto(sys *effects.System, r *rand.Rand) {
-	ls := sys.Locs
-	nv := 3 + r.Intn(10)
-	nl := 3 + r.Intn(6)
-	var vars []effects.Var
-	for i := 0; i < nv; i++ {
-		vars = append(vars, sys.Fresh("v"))
-	}
-	var rhos []locs.Loc
-	for i := 0; i < nl; i++ {
-		rhos = append(rhos, ls.Fresh("r"))
-	}
-	rho := func() locs.Loc { return rhos[r.Intn(nl)] }
-	v := func() effects.Var { return vars[r.Intn(nv)] }
-	kind := func() effects.Kind { return effects.Kind(r.Intn(4)) }
-	atom := func() effects.Atom { return effects.Atom{Kind: kind(), Loc: rho()} }
-
-	nc := 4 + r.Intn(16)
-	for i := 0; i < nc; i++ {
-		switch r.Intn(4) {
-		case 0:
-			sys.AddAtom(atom(), v())
-		case 1:
-			sys.AddVarIncl(v(), v())
-		case 2:
-			sys.AddIncl(effects.Inter{
-				L: effects.VarRef{V: v()},
-				R: effects.VarRef{V: v()},
-			}, v())
-		case 3:
-			sys.AddIncl(effects.Union{
-				L: effects.AtomExpr{A: atom()},
-				R: effects.VarRef{V: v()},
-			}, v())
-		}
-	}
-	ncond := 1 + r.Intn(5)
-	for i := 0; i < ncond; i++ {
-		var trig effects.Trigger
-		switch r.Intn(4) {
-		case 0:
-			trig = effects.LocIn{Loc: rho(), V: v()}
-		case 1:
-			trig = effects.AtomIn{Kind: kind(), Loc: rho(), V: v()}
-		case 2:
-			trig = effects.KindIn{Kind: kind(), V: v()}
-		case 3:
-			trig = effects.PairIn{KindA: kind(), VA: v(), KindB: kind(), VB: v()}
-		}
-		var acts []effects.Action
-		for j, na := 0, 1+r.Intn(2); j < na; j++ {
-			switch r.Intn(3) {
-			case 0:
-				acts = append(acts, effects.ActUnify{A: rho(), B: rho()})
-			case 1:
-				acts = append(acts, effects.ActIncl{From: v(), To: v()})
-			case 2:
-				acts = append(acts, effects.ActAddAtom{A: atom(), V: v()})
-			}
-		}
-		sys.AddCond(&effects.Cond{Trigger: trig, Actions: acts,
-			Reason: fmt.Sprintf("cond %d", i)})
-	}
-	// A couple of pre-solve unifications.
-	for i := 0; i < r.Intn(3); i++ {
-		ls.Unify(rho(), rho())
-	}
-}
-
 // TestDenseMatchesReferenceQuick cross-checks the solvers on random
 // systems with conditional constraints — the machinery (gate rechecks,
 // mid-solve unification, lazy re-canonicalization) the brute-force
 // oracle in oracle_test.go cannot reach.
 func TestDenseMatchesReferenceQuick(t *testing.T) {
 	prop := func(seed int64) bool {
-		denseSys := randomCondSystem(seed)
-		refSys := randomCondSystem(seed)
+		denseSys := solve.RandomCondSystem(seed)
+		refSys := solve.RandomCondSystem(seed)
 		dense := solve.Solve(denseSys)
 		ref := solve.SolveReference(refSys)
 		dk := classKeys(denseSys.Locs)

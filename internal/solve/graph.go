@@ -54,9 +54,7 @@ const (
 // what keeps propagation — and hence conditional firing order —
 // deterministic).
 type graph struct {
-	sys   *effects.System
-	ls    *locs.Store
-	norms []effects.Norm
+	ls *locs.Store
 
 	nvar      int
 	edgeStart []int32
@@ -84,11 +82,12 @@ type inode struct {
 // the reference solver pass nil, since they retain the graph beyond
 // the scratch's checkout.
 func newGraph(sys *effects.System, sc *scratch) *graph {
-	g := &graph{sys: sys, ls: sys.Locs}
+	g := &graph{ls: sys.Locs}
+	var norms []effects.Norm
 	if sc == nil {
-		g.norms = sys.Normalize()
+		norms = sys.Normalize()
 	} else {
-		g.norms, sc.normWork = sys.NormalizeInto(sc.norms, sc.normWork)
+		norms, sc.normWork = sys.NormalizeInto(sc.norms, sc.normWork)
 	}
 	// Normalize may create fresh variables, so size after.
 	g.nvar = sys.NumVars()
@@ -105,7 +104,7 @@ func newGraph(sys *effects.System, sc *scratch) *graph {
 
 	// CSR in two passes: count each variable's out-degree, prefix-sum
 	// into edgeStart, then fill slots in norm order.
-	for _, n := range g.norms {
+	for _, n := range norms {
 		if !n.Inter {
 			if !n.Left.IsAtom {
 				degree[n.Left.V]++
@@ -142,7 +141,7 @@ func newGraph(sys *effects.System, sc *scratch) *graph {
 		g.edges[next[from]] = t
 		next[from]++
 	}
-	for _, n := range g.norms {
+	for _, n := range norms {
 		if !n.Inter {
 			if n.Left.IsAtom {
 				g.seeds[n.V] = append(g.seeds[n.V], n.Left.A)
@@ -167,7 +166,7 @@ func newGraph(sys *effects.System, sc *scratch) *graph {
 	if sc != nil {
 		// Capture append growth so the scratch keeps the high-water
 		// backing for the next solve.
-		sc.norms = g.norms
+		sc.norms = norms
 		sc.inter = g.inter
 	}
 	return g

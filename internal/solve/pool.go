@@ -41,7 +41,7 @@ type scratch struct {
 	next      []int32
 	inter     []inode
 
-	// Solver buffers (see solveSequential / attachScratch).
+	// Solver buffers (see SolveCtx).
 	queue      []qitem
 	scratchBuf []int32
 	staleBuf   []effects.ID
@@ -62,7 +62,6 @@ type retained struct {
 var (
 	scratchPool  = sync.Pool{New: func() any { return new(scratch) }}
 	retainedPool = sync.Pool{New: func() any { return new(retained) }}
-	internerPool = sync.Pool{New: func() any { return effects.NewInterner() }}
 
 	poolingOff atomic.Bool
 )
@@ -107,22 +106,6 @@ func putRetained(r *retained) {
 		return
 	}
 	retainedPool.Put(r)
-}
-
-func getInterner() *effects.Interner {
-	if poolingOff.Load() {
-		return effects.NewInterner()
-	}
-	in := internerPool.Get().(*effects.Interner)
-	in.Reset()
-	return in
-}
-
-func putInterner(in *effects.Interner) {
-	if poolingOff.Load() {
-		return
-	}
-	internerPool.Put(in)
 }
 
 // takeSlice returns buf resized to n with all elements zeroed,

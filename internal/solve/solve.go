@@ -17,23 +17,12 @@ import (
 //
 // Solution sets are stored as bitsets over interned atom IDs; the
 // accessor methods translate back to effects.Atom values, always
-// under canonical (post-unification) locations. A sequential solve
-// uses one interner for every variable; a partitioned solve (see
-// SolveWorkers) interns per component, and partOf routes each
-// variable's reads to its component's table. Per-variable atom order
-// is identical either way — a component's intern order does not
-// depend on how the components were scheduled — so every accessor
-// returns byte-identical answers regardless of worker count.
+// under canonical (post-unification) locations.
 type Result struct {
 	sys  *effects.System
 	ls   *locs.Store
 	in   *effects.Interner
 	sets []bitset.Set
-
-	// parts/partOf replace in for partitioned solves: variable v's
-	// set holds IDs of parts[partOf[v]].
-	parts  []*effects.Interner
-	partOf []int32
 
 	// ret holds the pooled storage this Result retains (interner and
 	// solution-set arena); Release returns it.
@@ -43,27 +32,11 @@ type Result struct {
 	// Fired lists the conditional constraints whose triggers became
 	// true, in firing order. Inference interprets these: a fired
 	// "failure" conditional unified a candidate's ρ and ρ′, turning
-	// the candidate back into a plain let. A partitioned solve
-	// concatenates per-component firing sequences in component order;
-	// conditionals that can interact always share a component, so
-	// every per-pair and per-tag order consumers rely on is preserved.
+	// the candidate back into a plain let.
 	Fired []*effects.Cond
-
-	// AtomsPropagated counts insert operations (for benchmarks).
-	// Equal to Stats.AtomsPropagated; retained as a field because
-	// long-standing benchmarks read it directly.
-	AtomsPropagated int
 
 	// Stats counts the work performed while solving.
 	Stats Stats
-}
-
-// interner returns the atom table that v's solution set indexes.
-func (r *Result) interner(v effects.Var) *effects.Interner {
-	if r.partOf == nil {
-		return r.in
-	}
-	return r.parts[r.partOf[v]]
 }
 
 // check guards accessors against use-after-Release.
@@ -88,10 +61,7 @@ func (r *Result) Release() {
 		putRetained(r.ret)
 		r.ret = nil
 	}
-	for _, in := range r.parts {
-		putInterner(in)
-	}
-	r.in, r.sets, r.parts, r.partOf = nil, nil, nil, nil
+	r.in, r.sets = nil, nil
 }
 
 // Malformed returns the undecomposable inclusion constraints the
@@ -106,11 +76,10 @@ func (r *Result) Malformed() []effects.MalformedExpr {
 // Atoms returns the canonical atoms of v's solution, sorted.
 func (r *Result) Atoms(v effects.Var) []effects.Atom {
 	r.check()
-	in := r.interner(v)
 	var out []effects.Atom
 	seen := make(map[effects.Atom]bool)
 	r.sets[v].ForEach(func(i int) {
-		a := in.Atom(effects.ID(i))
+		a := r.in.Atom(effects.ID(i))
 		ca := effects.Atom{Kind: a.Kind, Loc: r.ls.Find(a.Loc)}
 		if !seen[ca] {
 			seen[ca] = true
@@ -133,9 +102,8 @@ func (r *Result) Atoms(v effects.Var) []effects.Atom {
 // atom, like the qualifier analysis's havoc, don't care.
 func (r *Result) EachAtom(v effects.Var, f func(effects.Atom)) {
 	r.check()
-	in := r.interner(v)
 	r.sets[v].ForEach(func(i int) {
-		a := in.Atom(effects.ID(i))
+		a := r.in.Atom(effects.ID(i))
 		f(effects.Atom{Kind: a.Kind, Loc: r.ls.Find(a.Loc)})
 	})
 }
@@ -143,11 +111,10 @@ func (r *Result) EachAtom(v effects.Var, f func(effects.Atom)) {
 // ContainsLoc reports whether v's solution has any atom over loc.
 func (r *Result) ContainsLoc(v effects.Var, loc locs.Loc) bool {
 	r.check()
-	in := r.interner(v)
 	rho := r.ls.Find(loc)
 	found := false
 	r.sets[v].ForEach(func(i int) {
-		if !found && r.ls.Find(in.Atom(effects.ID(i)).Loc) == rho {
+		if !found && r.ls.Find(r.in.Atom(effects.ID(i)).Loc) == rho {
 			found = true
 		}
 	})
@@ -158,11 +125,10 @@ func (r *Result) ContainsLoc(v effects.Var, loc locs.Loc) bool {
 // location comparison).
 func (r *Result) ContainsAtom(v effects.Var, a effects.Atom) bool {
 	r.check()
-	in := r.interner(v)
 	rho := r.ls.Find(a.Loc)
 	found := false
 	r.sets[v].ForEach(func(i int) {
-		b := in.Atom(effects.ID(i))
+		b := r.in.Atom(effects.ID(i))
 		if !found && b.Kind == a.Kind && r.ls.Find(b.Loc) == rho {
 			found = true
 		}
@@ -194,14 +160,13 @@ func (r *Result) Violations() []Violation {
 		}
 	}
 	for _, pn := range r.sys.PairNotIns {
-		inA := r.interner(pn.VA)
 		hit := false
 		var witness effects.Atom
 		r.sets[pn.VA].ForEach(func(i int) {
 			if hit {
 				return
 			}
-			a := inA.Atom(effects.ID(i))
+			a := r.in.Atom(effects.ID(i))
 			if a.Kind == pn.KindA && r.hasKindLocResult(pn.VB, pn.KindB, a.Loc) {
 				hit = true
 				witness = a
@@ -222,14 +187,13 @@ func (r *Result) Violations() []Violation {
 
 // firstOfKind returns the lowest-ID atom of kind k in v's solution.
 func (r *Result) firstOfKind(v effects.Var, k effects.Kind) (effects.Atom, bool) {
-	in := r.interner(v)
 	var got effects.Atom
 	found := false
 	r.sets[v].ForEach(func(i int) {
 		if found {
 			return
 		}
-		if a := in.Atom(effects.ID(i)); a.Kind == k {
+		if a := r.in.Atom(effects.ID(i)); a.Kind == k {
 			got, found = a, true
 		}
 	})
@@ -237,11 +201,10 @@ func (r *Result) firstOfKind(v effects.Var, k effects.Kind) (effects.Atom, bool)
 }
 
 func (r *Result) hasKindLocResult(v effects.Var, k effects.Kind, loc locs.Loc) bool {
-	in := r.interner(v)
 	rho := r.ls.Find(loc)
 	found := false
 	r.sets[v].ForEach(func(i int) {
-		a := in.Atom(effects.ID(i))
+		a := r.in.Atom(effects.ID(i))
 		if !found && a.Kind == k && r.ls.Find(a.Loc) == rho {
 			found = true
 		}
@@ -258,15 +221,6 @@ func (r *Result) hasKindLocResult(v effects.Var, k effects.Kind, loc locs.Loc) b
 // the graph's CSR rows. Only two structures can grow mid-solve: the
 // interner (a unification creates the canonical successor of a stale
 // atom) and the `extra` edge overlay (an ActIncl adds an inclusion).
-//
-// One solver instance drains one unit of work: the whole graph
-// (myVars/myInodes nil — the sequential path) or a single connected
-// component of it (the partitioned path, where sets/left/right/watch
-// are shared arrays written only at indices the unit owns). A unit's
-// execution depends only on its own slice of the system, which is
-// what makes the partitioned schedule reproduce the sequential
-// solver's per-variable results exactly (see docs/ALGORITHMS.md,
-// "Component-partitioned solving").
 
 type solver struct {
 	g  *graph
@@ -279,11 +233,6 @@ type solver struct {
 	// cooperatively. nil means unbounded.
 	ctx   context.Context
 	steps int
-
-	// myVars/myInodes restrict this solver to one partition component;
-	// nil means the whole graph.
-	myVars   []int32
-	myInodes []int32
 
 	// extra overlays conditional-added out-edges on the immutable CSR
 	// skeleton; nil until the first ActIncl fires.
@@ -299,10 +248,7 @@ type solver struct {
 	// pending[ci] is whether cond ci is still unfired; watch[v] lists
 	// the conds whose trigger observes v, so an atom arrival only
 	// examines the conds that could care. Rechecks walk conds in
-	// creation order for deterministic firing. For a unit solver,
-	// conds is the unit's creation-order subsequence and watch rows
-	// hold unit-local indices (a trigger's variables are always in
-	// the trigger's own component, so rows are unit-owned).
+	// creation order for deterministic firing.
 	conds   []*effects.Cond
 	pending []bool
 	watch   [][]int32
@@ -311,8 +257,7 @@ type solver struct {
 
 	// obsUnify is the per-solver unification observer passed to
 	// locs.Store.UnifyObserved: unlike a registered OnUnify callback
-	// it lives exactly as long as the solve and never sees another
-	// unit's unifications.
+	// it lives exactly as long as the solve.
 	obsUnify func(winner, loser locs.Loc)
 
 	// idsByLoc[rho] lists the IDs interned under location rho (the
@@ -327,8 +272,7 @@ type solver struct {
 	scratch  []int32      // reusable bitset snapshot buffer
 	staleBuf []effects.ID // reusable stale-ID buffer
 
-	// stats and fired accumulate this unit's work; the driver merges
-	// them into the Result.
+	// stats and fired accumulate the solve's work for the Result.
 	stats Stats
 	fired []*effects.Cond
 }
@@ -344,55 +288,18 @@ type qitem struct {
 // of the O(n) possible location unifications triggers O(n) of
 // re-propagation, for the stated O(n²) bound.
 func Solve(sys *effects.System) *Result {
-	return SolveWorkers(nil, sys, 1)
+	return SolveCtx(nil, sys)
 }
 
-// SolveCtx is Solve bounded by a context: the worklist loop checks
-// ctx's deadline every few thousand steps and aborts via
-// faults.CheckDeadline when it expires. It must run under a
-// faults.Run/RunBounded guard when ctx can expire; a nil ctx (or one
-// that never expires) makes it identical to Solve.
-func SolveCtx(ctx context.Context, sys *effects.System) *Result {
-	return SolveWorkers(ctx, sys, 1)
-}
+// Options is the options bundle SolveOpts takes. It has no fields:
+// the solver has no execution knobs. It is kept, with SolveOpts, only
+// because the steady-state benchmark calls SolveOpts(ctx, sys,
+// Options{}); both go once the benchmark drops that call.
+type Options struct{}
 
-// SolveWorkers is SolveCtx with a parallelism knob: workers > 1
-// partitions the propagation graph into connected components and
-// solves them concurrently on at most that many goroutines. The
-// result — solution sets, violations, firing order per interacting
-// group, and every Stats counter — is identical to the sequential
-// solver's; workers ≤ 1 (or an unpartitionable system) runs the
-// sequential path. Like SolveCtx it must run under a faults guard
-// when ctx can expire; worker panics and deadline aborts are
-// re-thrown on the calling goroutine with the worker's stack.
-func SolveWorkers(ctx context.Context, sys *effects.System, workers int) *Result {
-	sc := getScratch()
-	g := newGraph(sys, sc)
-	if workers > 1 {
-		if p := newPartition(g); p.ncomp > 1 {
-			res := solveParallel(ctx, sys, g, p, workers, sc)
-			putScratch(sc)
-			return res
-		}
-	}
-	res := solveSequential(ctx, sys, g, sc)
-	putScratch(sc)
-	return res
-}
-
-// Options bundles a solve's execution knobs. The zero value solves
-// sequentially — exactly Solve.
-type Options struct {
-	// Workers bounds the partitioned solver's concurrency (<= 1
-	// solves sequentially).
-	Workers int
-}
-
-// SolveOpts is the options-bundle entry point: Solve, SolveCtx and
-// SolveWorkers are spellings of it. Results are byte-identical across
-// every option combination.
+// SolveOpts is SolveCtx; opts is ignored.
 func SolveOpts(ctx context.Context, sys *effects.System, opts Options) *Result {
-	return SolveWorkers(ctx, sys, opts.Workers)
+	return SolveCtx(ctx, sys)
 }
 
 // deadlineStride is how many propagation steps pass between deadline
@@ -400,19 +307,35 @@ func SolveOpts(ctx context.Context, sys *effects.System, opts Options) *Result {
 // rare enough to stay off the hot-path profile.
 const deadlineStride = 4096
 
-// solveSequential runs one solver over the whole graph. All big
-// structures come from the pooled scratch; the two the Result
+// SolveCtx is Solve bounded by a context: the worklist loop checks
+// ctx's deadline every few thousand steps and aborts via
+// faults.CheckDeadline when it expires. It must run under a
+// faults.Run/RunBounded guard when ctx can expire; a nil ctx (or one
+// that never expires) makes it identical to Solve.
+//
+// All big structures come from a pooled scratch; the two the Result
 // retains (interner, solution-set arena) ride in a retained wrapper
 // until Result.Release.
-func solveSequential(ctx context.Context, sys *effects.System, g *graph, sc *scratch) *Result {
+func SolveCtx(ctx context.Context, sys *effects.System) *Result {
+	sc := getScratch()
+	g := newGraph(sys, sc)
 	ret := getRetained(sys.Locs.Len())
 	s := &solver{
-		g:   g,
-		ls:  sys.Locs,
-		in:  ret.in,
-		ctx: ctx,
+		g:        g,
+		ls:       sys.Locs,
+		in:       ret.in,
+		ctx:      ctx,
+		queue:    sc.queue[:0],
+		losers:   sc.losers[:0],
+		scratch:  sc.scratchBuf[:0],
+		staleBuf: sc.staleBuf[:0],
+		idsByLoc: sc.takeIDsByLoc(sys.Locs.Len()),
 	}
-	s.attachScratch(sc, sys.Locs.Len())
+	s.obsUnify = func(winner, loser locs.Loc) {
+		s.unified = true
+		s.stats.Unifications++
+		s.losers = append(s.losers, loser)
+	}
 
 	// Pre-intern every seed atom so the ID space is known before the
 	// solution bitsets are carved; the seeding loop below then hits
@@ -448,8 +371,8 @@ func solveSequential(ctx context.Context, sys *effects.System, g *graph, sc *scr
 	res.Stats = s.stats
 	res.Stats.Vars = g.nvar
 	res.Stats.Atoms = s.in.Len()
-	res.AtomsPropagated = res.Stats.AtomsPropagated
 	sc.reclaim(s)
+	putScratch(sc)
 
 	// Fold the per-solve work counters into the process-wide metrics
 	// registry: a handful of atomic adds once per solve, so the
@@ -460,58 +383,13 @@ func solveSequential(ctx context.Context, sys *effects.System, g *graph, sc *scr
 	return res
 }
 
-// attachScratch wires the pooled per-solve buffers that every unit
-// uses (worklist, loser list, snapshot buffers, stale-ID index).
-func (s *solver) attachScratch(sc *scratch, nlocs int) {
-	s.queue = sc.queue[:0]
-	s.losers = sc.losers[:0]
-	s.scratch = sc.scratchBuf[:0]
-	s.staleBuf = sc.staleBuf[:0]
-	s.idsByLoc = sc.takeIDsByLoc(nlocs)
-	s.obsUnify = func(winner, loser locs.Loc) {
-		s.unified = true
-		s.stats.Unifications++
-		s.losers = append(s.losers, loser)
-	}
-}
-
-// forVars calls f for every variable of this solver's unit, in
-// ascending order — the same relative order the sequential solver
-// visits them in, which is what keeps per-variable intern order
-// schedule-independent.
-func (s *solver) forVars(f func(v int32)) {
-	if s.myVars == nil {
-		for v := int32(0); int(v) < s.g.nvar; v++ {
-			f(v)
-		}
-		return
-	}
-	for _, v := range s.myVars {
-		f(v)
-	}
-}
-
-// forInodes calls f for every intersection node of the unit,
-// ascending.
-func (s *solver) forInodes(f func(i int32)) {
-	if s.myInodes == nil {
-		for i := int32(0); int(i) < len(s.g.inter); i++ {
-			f(i)
-		}
-		return
-	}
-	for _, i := range s.myInodes {
-		f(i)
-	}
-}
-
 func (s *solver) preInternSeeds() {
-	s.forVars(func(v int32) {
-		for _, a := range s.g.seeds[v] {
+	for _, seeds := range s.g.seeds {
+		for _, a := range seeds {
 			s.internCanon(a)
 		}
-	})
-	s.forInodes(func(i int32) {
+	}
+	for i := range s.g.inter {
 		in := &s.g.inter[i]
 		for _, a := range in.leftSeeds {
 			s.internCanon(a)
@@ -519,7 +397,7 @@ func (s *solver) preInternSeeds() {
 		for _, a := range in.rightSeeds {
 			s.internCanon(a)
 		}
-	})
+	}
 }
 
 // buildWatch marks every cond pending and indexes conds by the
@@ -534,25 +412,25 @@ func (s *solver) buildWatch() {
 	}
 }
 
-// seed feeds the unit's direct atom inclusions into the worklist.
+// seed feeds the direct atom inclusions into the worklist.
 func (s *solver) seed() {
-	s.forVars(func(v int32) {
-		for _, a := range s.g.seeds[v] {
+	for v, seeds := range s.g.seeds {
+		for _, a := range seeds {
 			s.insert(effects.Var(v), s.internCanon(a))
 		}
-	})
-	s.forInodes(func(i int32) {
+	}
+	for i := range s.g.inter {
 		in := &s.g.inter[i]
 		for _, a := range in.leftSeeds {
-			s.arriveLeft(i, s.internCanon(a))
+			s.arriveLeft(int32(i), s.internCanon(a))
 		}
 		for _, a := range in.rightSeeds {
-			s.arriveRight(i, s.internCanon(a))
+			s.arriveRight(int32(i), s.internCanon(a))
 		}
-	})
+	}
 }
 
-// run drains the unit to its fixpoint: propagate until quiescent,
+// run drains the system to its fixpoint: propagate until quiescent,
 // then re-canonicalize and re-check triggers after unifications,
 // repeating while anything moved.
 func (s *solver) run() {
@@ -722,7 +600,7 @@ func (s *solver) recanonicalize() {
 		s.idsByLoc[c] = append(s.idsByLoc[c], id)
 	}
 
-	s.forInodes(func(i int32) {
+	for i := range s.g.inter {
 		// Gate state compares by stored value: right sets hold
 		// canonical location indices, so absorbed ones must be
 		// remapped; left atoms stay as-is (the re-exam below and the
@@ -742,7 +620,7 @@ func (s *solver) recanonicalize() {
 			}
 		}
 		if !touched {
-			return
+			continue
 		}
 		// The merge may newly unlock buffered left atoms of this gate.
 		out := s.g.inter[i].Out
@@ -752,7 +630,7 @@ func (s *solver) recanonicalize() {
 				s.insert(out, effects.ID(id))
 			}
 		}
-	})
+	}
 	s.staleBuf = stale[:0]
 }
 

@@ -1,9 +1,14 @@
 package solve
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"localalias/internal/effects"
+	"localalias/internal/faults"
 	"localalias/internal/locs"
 	"localalias/internal/source"
 )
@@ -433,5 +438,194 @@ func TestSolveDeterministic(t *testing.T) {
 				t.Fatalf("var %d atom %d: %v vs %v", i, j, a1[j], a2[j])
 			}
 		}
+	}
+}
+
+// RandomCondSystem builds a system with conditional constraints from a
+// seed; calling it twice with the same seed produces identical
+// systems over independent stores. It is exported only to this
+// package's tests, for the differential tests in package solve_test.
+func RandomCondSystem(seed int64) *effects.System {
+	r := rand.New(rand.NewSource(seed))
+	ls := locs.NewStore()
+	sys := effects.NewSystem(ls)
+	buildRandomCondInto(sys, r)
+	return sys
+}
+
+// randomClusterSystem builds k independent random constraint clusters
+// in one system: disjoint variables and locations per cluster, so the
+// propagation graph has several connected components.
+func randomClusterSystem(seed int64, k int) *effects.System {
+	sys := effects.NewSystem(locs.NewStore())
+	for i := 0; i < k; i++ {
+		buildRandomCondInto(sys, rand.New(rand.NewSource(seed*1009+int64(i))))
+	}
+	return sys
+}
+
+// buildRandomCondInto adds one random constraint cluster — fresh
+// variables, fresh locations, conditionals over both — to sys.
+// randomClusterSystem calls it several times into one system.
+func buildRandomCondInto(sys *effects.System, r *rand.Rand) {
+	ls := sys.Locs
+	nv := 3 + r.Intn(10)
+	nl := 3 + r.Intn(6)
+	var vars []effects.Var
+	for i := 0; i < nv; i++ {
+		vars = append(vars, sys.Fresh("v"))
+	}
+	var rhos []locs.Loc
+	for i := 0; i < nl; i++ {
+		rhos = append(rhos, ls.Fresh("r"))
+	}
+	rho := func() locs.Loc { return rhos[r.Intn(nl)] }
+	v := func() effects.Var { return vars[r.Intn(nv)] }
+	kind := func() effects.Kind { return effects.Kind(r.Intn(4)) }
+	atom := func() effects.Atom { return effects.Atom{Kind: kind(), Loc: rho()} }
+
+	nc := 4 + r.Intn(16)
+	for i := 0; i < nc; i++ {
+		switch r.Intn(4) {
+		case 0:
+			sys.AddAtom(atom(), v())
+		case 1:
+			sys.AddVarIncl(v(), v())
+		case 2:
+			sys.AddIncl(effects.Inter{
+				L: effects.VarRef{V: v()},
+				R: effects.VarRef{V: v()},
+			}, v())
+		case 3:
+			sys.AddIncl(effects.Union{
+				L: effects.AtomExpr{A: atom()},
+				R: effects.VarRef{V: v()},
+			}, v())
+		}
+	}
+	ncond := 1 + r.Intn(5)
+	for i := 0; i < ncond; i++ {
+		var trig effects.Trigger
+		switch r.Intn(4) {
+		case 0:
+			trig = effects.LocIn{Loc: rho(), V: v()}
+		case 1:
+			trig = effects.AtomIn{Kind: kind(), Loc: rho(), V: v()}
+		case 2:
+			trig = effects.KindIn{Kind: kind(), V: v()}
+		case 3:
+			trig = effects.PairIn{KindA: kind(), VA: v(), KindB: kind(), VB: v()}
+		}
+		var acts []effects.Action
+		for j, na := 0, 1+r.Intn(2); j < na; j++ {
+			switch r.Intn(3) {
+			case 0:
+				acts = append(acts, effects.ActUnify{A: rho(), B: rho()})
+			case 1:
+				acts = append(acts, effects.ActIncl{From: v(), To: v()})
+			case 2:
+				acts = append(acts, effects.ActAddAtom{A: atom(), V: v()})
+			}
+		}
+		sys.AddCond(&effects.Cond{Trigger: trig, Actions: acts,
+			Reason: fmt.Sprintf("cond %d", i)})
+	}
+	// A couple of pre-solve unifications.
+	for i := 0; i < r.Intn(3); i++ {
+		ls.Unify(rho(), rho())
+	}
+}
+
+// TestPooledSolveReuse runs many solves back to back with Release, so
+// every pooled buffer is recycled, and requires each round to
+// reproduce the first round's answers — stale state leaking through
+// the pools would show up immediately.
+func TestPooledSolveReuse(t *testing.T) {
+	snapshot := func() []string {
+		sys := randomClusterSystem(11, 4)
+		res := Solve(sys)
+		defer res.Release()
+		var out []string
+		for v := 0; v < sys.NumVars(); v++ {
+			out = append(out, fmt.Sprint(res.Atoms(effects.Var(v))))
+		}
+		out = append(out, res.Stats.String())
+
+		// Interleave a pooled solve of a different system so the
+		// scratch comes back dirty.
+		other := Solve(randomClusterSystem(13, 2))
+		out = append(out, other.Stats.String())
+		other.Release()
+		return out
+	}
+	want := snapshot()
+	for i := 0; i < 10; i++ {
+		if got := snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d diverged from round 0:\n got:  %v\n want: %v", i, got, want)
+		}
+	}
+}
+
+// TestResultReleasePanics pins the use-after-Release contract.
+func TestResultReleasePanics(t *testing.T) {
+	res := Solve(RandomCondSystem(5))
+	res.Release()
+	res.Release() // double release is a no-op
+	defer func() {
+		if recover() == nil {
+			t.Fatal("accessor after Release did not panic")
+		}
+	}()
+	res.Atoms(0)
+}
+
+// expiringCtx is a context whose Err turns non-nil after a fixed
+// number of calls, so a test decides which deadline check fires.
+type expiringCtx struct {
+	context.Context
+	calls, live int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.calls++; c.calls > c.live {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestParallelDeadlineAbort proves a deadline expiring in the middle
+// of propagation surfaces as a KindTimeout failure, not as a hang or
+// a completed solve. The system needs more than deadlineStride
+// insertions and fires no conditional, so the only check that can
+// see the expired context is the drain loop's periodic one: the
+// context stays live for run's check on entry and expires before the
+// first in-drain check.
+func TestParallelDeadlineAbort(t *testing.T) {
+	ls := locs.NewStore()
+	sys := effects.NewSystem(ls)
+	const nlocs, nvars = 64, 100
+	vars := make([]effects.Var, nvars)
+	for i := range vars {
+		vars[i] = sys.Fresh("e")
+		if i > 0 {
+			sys.AddVarIncl(vars[i-1], vars[i])
+		}
+	}
+	for i := 0; i < nlocs; i++ {
+		sys.AddAtom(atom(effects.Read, ls.Fresh("r")), vars[0])
+	}
+	if nlocs*nvars <= deadlineStride {
+		t.Fatalf("system too small: %d insertions never reach a drain check", nlocs*nvars)
+	}
+	ctx := &expiringCtx{Context: context.Background(), live: 1}
+	fail := faults.Run("m", faults.NewTrace("m"), func() error {
+		SolveCtx(ctx, sys)
+		return nil
+	})
+	if fail == nil {
+		t.Fatal("expected a timeout failure, got a completed solve")
+	}
+	if fail.Kind != faults.KindTimeout {
+		t.Fatalf("expected %s, got %s (%s)", faults.KindTimeout, fail.Kind, fail.Message)
 	}
 }
