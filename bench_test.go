@@ -9,10 +9,13 @@
 //	E7 BenchmarkConfineBackwardSearch— the Section 6.2 backward search
 //	   BenchmarkAblationNoDown       — cost/effect of removing (Down)
 //	   BenchmarkScopeHeuristic       — syntactic heuristic vs general search
+//	   BenchmarkSolverPropagation    — inference + solve throughput
+//	   BenchmarkSolverSteadyState    — one pooled solve, as a daemon pays it
 //
 // Reported custom metrics carry the experiment's headline quantity
 // (e.g. eliminated-rate for E1) so `go test -bench` output documents
-// the reproduction, not just its speed.
+// the reproduction, not just its speed. Every body lives in this file;
+// the fleet-level measurements are perfbench's (perfbench/README.md).
 package localalias
 
 import (
@@ -21,29 +24,38 @@ import (
 	"strings"
 	"testing"
 
+	"localalias/internal/confine"
 	"localalias/internal/core"
 	"localalias/internal/drivergen"
 	"localalias/internal/experiments"
 	"localalias/internal/infer"
+	"localalias/internal/qual"
 	"localalias/internal/restrict"
 	"localalias/internal/solve"
-	"localalias/internal/source"
-	"localalias/internal/types"
 )
 
 // ---------------------------------------------------------------------
 // E1–E3: the corpus experiments
 
-// The body lives in internal/experiments (bench.go) so the
-// experiments command's -bench-json mode can run the same measurement
-// via testing.Benchmark.
-func BenchmarkCorpusSummary(b *testing.B) { experiments.BenchCorpusSummary(b) }
-
-// BenchmarkCorpusSummaryTraced is the same corpus run with the
-// observability path enabled (a span trace per module, as under the
-// daemon); its delta against BenchmarkCorpusSummary bounds the
-// tracing overhead recorded in BENCH_obs.json.
-func BenchmarkCorpusSummaryTraced(b *testing.B) { experiments.BenchCorpusSummaryTraced(b) }
+// BenchmarkCorpusSummary measures the full E1 experiment: the
+// three-mode analysis of all 589 corpus modules.
+func BenchmarkCorpusSummary(b *testing.B) {
+	specs := drivergen.Corpus()
+	var res *experiments.CorpusResult
+	for i := 0; i < b.N; i++ {
+		res = experiments.RunCorpus(context.Background(), experiments.CorpusOptions{Specs: specs})
+	}
+	b.StopTimer()
+	if res.Degraded() {
+		b.Fatalf("%d of %d modules failed or timed out", res.Failed+res.TimedOut, len(res.Modules))
+	}
+	if res.Mismatches != 0 {
+		b.Fatalf("%d corpus mismatches", res.Mismatches)
+	}
+	b.ReportMetric(float64(res.Eliminated), "eliminated")
+	b.ReportMetric(float64(res.Potential), "potential")
+	b.ReportMetric(res.EliminationRate()*100, "%eliminated")
+}
 
 func BenchmarkFigure6(b *testing.B) {
 	// The histogram inputs are the strong-updates-matter modules.
@@ -89,22 +101,66 @@ func BenchmarkFigure7(b *testing.B) {
 // E4: confine-inference overhead (paper: ide-tape, 28.5s vs 26.0s)
 
 func BenchmarkConfineOverhead(b *testing.B) {
-	b.Run("without-confine", func(b *testing.B) { experiments.BenchConfineOverhead(b, false) })
-	b.Run("with-confine", func(b *testing.B) { experiments.BenchConfineOverhead(b, true) })
+	b.Run("without-confine", func(b *testing.B) { benchConfineOverhead(b, false) })
+	b.Run("with-confine", func(b *testing.B) { benchConfineOverhead(b, true) })
+}
+
+// benchConfineOverhead measures one full analysis of ide_tape (the E4
+// module) with or without confine inference.
+func benchConfineOverhead(b *testing.B, withConfine bool) {
+	var spec *drivergen.ModuleSpec
+	for _, m := range drivergen.Corpus() {
+		if m.Name == "ide_tape" {
+			spec = m
+		}
+	}
+	if spec == nil {
+		b.Fatal("module ide_tape not found in the corpus")
+	}
+	src := spec.Source()
+	for i := 0; i < b.N; i++ {
+		mod, err := core.LoadModule("ide_tape.mc", src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if withConfine {
+			cres, err := confine.InferAndApply(mod.Prog, mod.Diags, confine.Options{Params: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			qual.Analyze(cres.Infer, cres.Solution, qual.ModePlain)
+		} else {
+			res := infer.Run(mod.TInfo, mod.Diags, infer.Options{})
+			sol := solve.Solve(res.Sys)
+			qual.Analyze(res, sol, qual.ModePlain)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------
 // E5/E6: complexity scaling
 
 // scalingProgram builds a program with funcs functions; the first k
-// contain an explicit restrict (see experiments.ScalingProgram).
+// contain an explicit restrict. Program size n grows linearly with
+// funcs.
 func scalingProgram(funcs, k int) string {
-	return experiments.ScalingProgram(funcs, k)
+	var sb strings.Builder
+	for i := 0; i < funcs; i++ {
+		fmt.Fprintf(&sb, "fun f%d(q: ref int): int {\n", i)
+		if i < k {
+			fmt.Fprintf(&sb, "    restrict p = q {\n        *p = *p + %d;\n    }\n", i)
+		} else {
+			fmt.Fprintf(&sb, "    let p = q;\n    *p = *p + %d;\n", i)
+		}
+		sb.WriteString("    let t = new 1;\n")
+		sb.WriteString("    *t = *t + *q;\n")
+		sb.WriteString("    return *t;\n}\n\n")
+	}
+	return sb.String()
 }
 
 func benchCheck(b *testing.B, funcs, k int) {
 	src := scalingProgram(funcs, k)
-	var diags source.Diagnostics
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mod, err := core.LoadModule("scale.mc", src)
@@ -116,7 +172,6 @@ func benchCheck(b *testing.B, funcs, k int) {
 			b.Fatalf("scaling program must check via Figure 5")
 		}
 	}
-	_ = diags
 }
 
 func BenchmarkRestrictCheckScaling(b *testing.B) {
@@ -272,31 +327,50 @@ func BenchmarkScopeHeuristic(b *testing.B) {
 // ---------------------------------------------------------------------
 // Micro: solver throughput
 
-func BenchmarkSolverPropagation(b *testing.B) { experiments.BenchSolverPropagation(b) }
-
-// BenchmarkSolverPropagationTraced runs the same workload inside a
-// phase trace carrying obs spans (the instrumented pipeline path).
-func BenchmarkSolverPropagationTraced(b *testing.B) { experiments.BenchSolverPropagationTraced(b) }
+// BenchmarkSolverPropagation measures inference + solve throughput on
+// a 200-function program with let-or-restrict conditional constraints
+// (parsing and standard checking excluded).
+func BenchmarkSolverPropagation(b *testing.B) {
+	mod, err := core.LoadModule("scale.mc", scalingProgram(200, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		res := infer.Run(mod.TInfo, mod.Diags, infer.Options{InferRestrictLets: true})
+		if solve.Solve(res.Sys).Stats.AtomsPropagated == 0 {
+			b.Fatal("solver propagated no atoms on the scaling program")
+		}
+	}
+}
 
 // BenchmarkSolverSteadyState times exactly solve+Release per op (the
 // constraint system is rebuilt with the timer stopped) — the
-// per-request cost a resident daemon pays. The sub-benchmarks compare
-// the pre-pooling allocation profile with the pooled solver (see
-// BENCH_parallel.json).
+// per-request cost a resident daemon pays, with the solver's pooled
+// scratch and retained storage recycled between solves.
 func BenchmarkSolverSteadyState(b *testing.B) {
-	b.Run("unpooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, false) })
-	b.Run("pooled", func(b *testing.B) { experiments.BenchSolverSolveOnly(b, true) })
+	mod, err := core.LoadModule("scale.mc", scalingProgram(200, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		res := infer.Run(mod.TInfo, mod.Diags, infer.Options{InferRestrictLets: true})
+		b.StartTimer()
+		sol := solve.Solve(res.Sys)
+		if sol.Stats.AtomsPropagated == 0 {
+			b.Fatal("solver propagated no atoms on the scaling program")
+		}
+		sol.Release()
+	}
 }
 
 // Guard: the scaling generator must produce type-correct programs.
 func TestScalingProgramsCompile(t *testing.T) {
 	for _, funcs := range []int{5, 50} {
-		src := scalingProgram(funcs, funcs/2)
-		var diags source.Diagnostics
-		if _, err := core.LoadModule("scale.mc", src); err != nil {
+		if _, err := core.LoadModule("scale.mc", scalingProgram(funcs, funcs/2)); err != nil {
 			t.Fatalf("funcs=%d: %v", funcs, err)
 		}
-		_ = diags
-		_ = types.IntType
 	}
 }

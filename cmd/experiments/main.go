@@ -9,21 +9,19 @@
 //	experiments -timing       # E4 only
 //	experiments -dump DIR     # write the generated corpus sources to DIR
 //	experiments -phases       # with -summary: per-phase p50/p95/max table
-//	experiments -bench-obs-json FILE
-//	                          # observability-overhead benchmarks
-//	experiments -bench-gateway-json FILE
-//	                          # gateway open-loop load benchmarks
 //	experiments -bench-trace-json FILE
 //	                          # tracing overhead on the gateway relay path
 //	experiments -xmodule      # cross-module precision table (havoc vs summaries)
-//	experiments -bench-xmodule-json FILE
-//	                          # cross-module DAG scheduler + summary-cache benchmarks
 //
 // Fault-containment flags:
 //
 //	-module-timeout D    per-module analysis deadline (default 2m, 0 = none)
 //	-failures-json FILE  write the degraded-run failure report as JSON
 //	                     (- for stdout)
+//
+// -csv and -failures-json describe a corpus run, so they need one of
+// -summary, -fig6, -fig7 or no mode flag; with -timing alone, -xmodule,
+// -dump or -bench-trace-json they are a usage error (exit 2).
 //
 // A run where some module panics or exceeds its deadline still
 // completes the rest of the corpus; the numbers then cover only the
@@ -69,12 +67,7 @@ func main() {
 		rounds        = flag.Int("rounds", 5, "timing rounds for -timing")
 		dump          = flag.String("dump", "", "write generated corpus sources to this directory and exit")
 		csvPath       = flag.String("csv", "", "also write per-module results as CSV to this file")
-		benchJSON     = flag.String("bench-json", "", "run the solver benchmarks, write ns/op as JSON to this file (- for stdout), and exit")
-		benchObsJSON  = flag.String("bench-obs-json", "", "run the observability-overhead benchmarks (tracing disabled vs enabled), write ns/op as JSON to this file (- for stdout), and exit")
-		benchParJSON  = flag.String("bench-parallel-json", "", "run the solver-pooling benchmarks (unpooled vs pooled solver, interleaved, steady-state solve and corpus at GOMAXPROCS 1/2/4), write the report as JSON to this file (- for stdout), and exit")
-		benchGwJSON   = flag.String("bench-gateway-json", "", "run the gateway open-loop load benchmarks (1-replica vs 2-replica stacks, interleaved), write the report as JSON to this file (- for stdout), and exit")
 		benchTrJSON   = flag.String("bench-trace-json", "", "run the tracing-overhead benchmarks (gateway relay with tracing off vs on, interleaved), write the report as JSON to this file (- for stdout), and exit")
-		benchXmodJSON = flag.String("bench-xmodule-json", "", "run the cross-module benchmark (cold vs warm summary cache after a one-leaf edit, interleaved), write the report as JSON to this file (- for stdout), and exit")
 		xmodule       = flag.Bool("xmodule", false, "print the cross-module precision table (per-module havoc vs package summaries) and exit")
 		phases        = flag.Bool("phases", false, "also print the per-phase p50/p95/max timing table with the summary")
 		quiet         = flag.Bool("q", false, "suppress progress output")
@@ -83,98 +76,18 @@ func main() {
 	)
 	flag.Parse()
 
+	all := !*summary && !*fig6 && !*fig7 && !*timing
+	corpusRun := (all || *summary || *fig6 || *fig7) && *dump == "" && *benchTrJSON == "" && !*xmodule
+	if !corpusRun && (*csvPath != "" || *failuresJSON != "") {
+		fmt.Fprintln(os.Stderr, "error: -csv and -failures-json need a corpus run (-summary, -fig6, -fig7 or no mode flag)")
+		flag.Usage()
+		os.Exit(exitError)
+	}
+
 	if *dump != "" {
 		if err := dumpCorpus(*dump); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(exitError)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, "running solver benchmarks (this takes a few seconds per benchmark)...")
-		}
-		data, err := experiments.RunBenchJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchJSON)
-		}
-		return
-	}
-
-	if *benchObsJSON != "" {
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, "running observability-overhead benchmarks (disabled vs traced)...")
-		}
-		data, err := experiments.RunObsBenchJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchObsJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchObsJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchObsJSON)
-		}
-		return
-	}
-
-	if *benchParJSON != "" {
-		var progress io.Writer
-		if !*quiet {
-			progress = os.Stderr
-			fmt.Fprintln(progress, "running solver-pooling benchmarks (interleaved before/after pairs; this takes a few minutes)...")
-		}
-		data, err := experiments.RunParallelBenchJSON(progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchParJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchParJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchParJSON)
-		}
-		return
-	}
-
-	if *benchGwJSON != "" {
-		var progress io.Writer
-		if !*quiet {
-			progress = os.Stderr
-			fmt.Fprintln(progress, "running gateway load benchmarks (interleaved 1-replica/2-replica pairs; this takes a minute)...")
-		}
-		data, err := experiments.RunGatewayBenchJSON(progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchGwJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchGwJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchGwJSON)
 		}
 		return
 	}
@@ -202,29 +115,6 @@ func main() {
 		return
 	}
 
-	if *benchXmodJSON != "" {
-		var progress io.Writer
-		if !*quiet {
-			progress = os.Stderr
-			fmt.Fprintln(progress, "running cross-module cache benchmark (interleaved before/after pairs; this takes a minute)...")
-		}
-		data, err := experiments.RunXmoduleBenchJSON(progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		}
-		data = append(data, '\n')
-		if *benchXmodJSON == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*benchXmodJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitError)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchXmodJSON)
-		}
-		return
-	}
-
 	if *xmodule {
 		xres := experiments.RunXmoduleCorpus()
 		fmt.Println(xres.Table())
@@ -238,10 +128,8 @@ func main() {
 		return
 	}
 
-	all := !*summary && !*fig6 && !*fig7 && !*timing
-
 	var res *experiments.CorpusResult
-	if all || *summary || *fig6 || *fig7 {
+	if corpusRun {
 		specs, err := loadCorpus()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
@@ -264,7 +152,7 @@ func main() {
 		}
 	}
 
-	if *csvPath != "" && res != nil {
+	if *csvPath != "" {
 		if err := os.WriteFile(*csvPath, []byte(res.CSV()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(exitError)
@@ -274,7 +162,7 @@ func main() {
 		}
 	}
 
-	if *failuresJSON != "" && res != nil {
+	if *failuresJSON != "" {
 		data, err := res.FailuresJSON(failureReportSlowest)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)

@@ -96,6 +96,11 @@ func TestExitPolicyAgreement(t *testing.T) {
 		{"lna stranded flag", "lna", []string{"-json"}, service.ExitUsage},
 		{"experiments unknown flag", "experiments", []string{"-no-such-flag"}, service.ExitUsage},
 		{"experiments bad dump dir", "experiments", []string{"-dump", "/dev/null/nope"}, service.ExitUsage},
+		{"experiments retired -bench-json", "experiments", []string{"-bench-json", "-"}, service.ExitUsage},
+		{"experiments retired -bench-obs-json", "experiments", []string{"-bench-obs-json", "-"}, service.ExitUsage},
+		{"experiments retired -bench-parallel-json", "experiments", []string{"-bench-parallel-json", "-"}, service.ExitUsage},
+		{"experiments retired -bench-gateway-json", "experiments", []string{"-bench-gateway-json", "-"}, service.ExitUsage},
+		{"experiments retired -bench-xmodule-json", "experiments", []string{"-bench-xmodule-json", "-"}, service.ExitUsage},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,6 +109,33 @@ func TestExitPolicyAgreement(t *testing.T) {
 				t.Errorf("%s %v: exit %d, want %d\nstderr: %s", tc.bin, tc.args, code, tc.want, stderr)
 			}
 		})
+	}
+}
+
+// TestExperimentsReportFlagsNeedCorpusRun: -csv and -failures-json
+// describe a corpus run, so combining them with a mode that runs no
+// corpus is a usage error rather than a silently skipped write.
+func TestExperimentsReportFlagsNeedCorpusRun(t *testing.T) {
+	bin := binaries(t)["experiments"]
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-timing", "-rounds", "1", "-q", "-csv"},
+		{"-timing", "-rounds", "1", "-q", "-failures-json"},
+		{"-xmodule", "-csv"},
+		{"-xmodule", "-summary", "-failures-json"},
+	} {
+		out := filepath.Join(dir, "report")
+		args = append(args, out)
+		_, stderr, code := run(t, bin, args...)
+		if code != service.ExitUsage {
+			t.Errorf("experiments %v: exit %d, want %d\nstderr: %s", args, code, service.ExitUsage, stderr)
+		}
+		if !strings.Contains(stderr, "need a corpus run") {
+			t.Errorf("experiments %v: stderr does not name the problem:\n%s", args, stderr)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("experiments %v wrote %s", args, out)
+		}
 	}
 }
 

@@ -44,7 +44,8 @@ func TestXStackShape(t *testing.T) {
 }
 
 // TestXStackDeterministic checks the generator is a pure function of
-// its input (the fingerprint-based summary cache depends on it).
+// its input (the -xmodule table and the modgraph tests rerun it and
+// compare outcomes).
 func TestXStackDeterministic(t *testing.T) {
 	a, b := XStack(4), XStack(4)
 	for i := range a {

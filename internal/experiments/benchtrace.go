@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"time"
 
 	"localalias/internal/bench"
 	"localalias/internal/client"
+	"localalias/internal/drivergen"
 	"localalias/internal/gateway"
 	"localalias/internal/service"
 )
@@ -25,9 +27,9 @@ import (
 // is the largest fraction of the path it will ever be.
 
 // Trace benchmark workload shape: a two-replica fleet (so routing,
-// health gauges, and per-attempt spans all run) at the same arrival
-// rate as the gateway benchmark, with enough rounds that the median
-// pair is meaningful on a noisy host.
+// health gauges, and per-attempt spans all run) at a fixed arrival
+// rate, with enough rounds that the median pair is meaningful on a
+// noisy host.
 const (
 	traceBenchModules  = 60
 	traceBenchRPS      = 150
@@ -194,4 +196,35 @@ func RunTraceBenchJSON(progress io.Writer) ([]byte, error) {
 		rep.OverheadPct = round2(100 * (rep.OnP50MedianMs - rep.OffP50MedianMs) / rep.OffP50MedianMs)
 	}
 	return json.MarshalIndent(rep, "", "  ")
+}
+
+// corpusRequests renders the 589-module corpus as analyze requests
+// (default mode: the full three-mode qual experiment, like the
+// experiment driver submits). The trace benchmark replays a prefix.
+func corpusRequests() []service.AnalyzeRequest {
+	specs := drivergen.Corpus()
+	reqs := make([]service.AnalyzeRequest, len(specs))
+	for i, s := range specs {
+		reqs[i] = service.AnalyzeRequest{Module: s.Name + ".mc", Source: s.Source()}
+	}
+	return reqs
+}
+
+// median returns the median of xs (the mean of the middle two for an
+// even count), or 0 when xs is empty.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	return (s[mid-1] + s[mid]) / 2
+}
+
+func round2(x float64) float64 {
+	return float64(int64(x*100+0.5)) / 100
 }

@@ -34,7 +34,6 @@ import (
 	"localalias/internal/drivergen"
 	"localalias/internal/faults"
 	"localalias/internal/infer"
-	"localalias/internal/obs"
 	"localalias/internal/qual"
 	"localalias/internal/service"
 	"localalias/internal/solve"
@@ -66,11 +65,6 @@ type ModuleResult struct {
 	// PhaseTimings is the per-phase wall-clock breakdown
 	// (generate/parse/typecheck/infer/solve/qual).
 	PhaseTimings []faults.PhaseTiming
-	// TraceID identifies this module's span trace when the corpus ran
-	// with CorpusOptions.Traced ("" otherwise).
-	TraceID string
-	// Trace holds the collected spans when Traced (nil otherwise).
-	Trace *obs.Trace
 }
 
 // Potential is the number of spurious errors strong updates could
@@ -159,7 +153,7 @@ var testFaultHook func(ctx context.Context, spec *drivergen.ModuleSpec)
 // module's wall-clock time so one pathological constraint system
 // cannot stall a worker. The corpus driver, the lna subcommands, and
 // the `lna serve` daemon therefore measure exactly the same pipeline.
-func analyzeSpec(ctx context.Context, spec *drivergen.ModuleSpec, timeout time.Duration, traced bool) *ModuleResult {
+func analyzeSpec(ctx context.Context, spec *drivergen.ModuleSpec, timeout time.Duration) *ModuleResult {
 	out := &ModuleResult{Spec: spec}
 	req := &service.AnalyzeRequest{
 		Module:  spec.Name + ".mc",
@@ -172,11 +166,6 @@ func analyzeSpec(ctx context.Context, spec *drivergen.ModuleSpec, timeout time.D
 			}
 			return spec.Source()
 		},
-	}
-	if traced {
-		req.Obs = obs.NewTrace(spec.Name)
-		out.Trace = req.Obs
-		out.TraceID = req.Obs.ID()
 	}
 	resp := service.AnalyzeBounded(ctx, req, timeout)
 	out.Response = resp
@@ -229,10 +218,6 @@ type CorpusOptions struct {
 	// per-module deadline. A module that exceeds it is reported as
 	// timed out and the run continues.
 	ModuleTimeout time.Duration
-	// Traced attaches a span trace (with a unique trace ID) to every
-	// module's request. Off by default: the corpus benchmark compares
-	// this path against the traced one to bound tracing overhead.
-	Traced bool
 }
 
 // RunCorpus analyzes opts.Specs on a fixed pool of one worker per
@@ -264,7 +249,7 @@ func RunCorpus(ctx context.Context, opts CorpusOptions) *CorpusResult {
 				if i >= len(specs) {
 					return
 				}
-				results[i] = analyzeSpec(ctx, specs[i], opts.ModuleTimeout, opts.Traced)
+				results[i] = analyzeSpec(ctx, specs[i], opts.ModuleTimeout)
 				if n := int(done.Add(1)); progress != nil && n%50 == 0 && n < len(specs) {
 					fmt.Fprintf(progress, "  ...%d/%d modules\n", n, len(specs))
 				}

@@ -49,11 +49,6 @@ type Options struct {
 	General  bool
 	NoParams bool
 	NoLets   bool
-	// Cache, when non-nil, memoizes whole-module outcomes
-	// content-addressed over source, options, and dependency
-	// fingerprints — editing a package invalidates exactly its
-	// downstream cone.
-	Cache *SummaryCache
 	// Trace, when non-nil, receives one span per analyzed module
 	// (category "modgraph"), parented under TraceParent.
 	Trace *obs.Trace
@@ -73,9 +68,9 @@ type ModeOutcome struct {
 	Errors []Finding `json:"errors"`
 }
 
-// Outcome is the distilled, cache-replayable analysis outcome of one
-// module: the Section 7 locking report with rendered positions,
-// indexed by core.Variant*.
+// Outcome is the distilled analysis outcome of one module: the
+// Section 7 locking report with rendered positions, indexed by
+// core.Variant*.
 type Outcome struct {
 	Sites   int                           `json:"sites"`
 	Planted int                           `json:"planted"`
@@ -91,11 +86,10 @@ type ModuleResult struct {
 	Name string
 	// Deps are the declared import paths, sorted and deduplicated.
 	Deps []string
-	// Module carries the loaded AST and diagnostics (nil when the
-	// outcome was replayed from the summary cache).
+	// Module carries the loaded AST and diagnostics (nil for a
+	// duplicate module name).
 	Module *core.Module
-	// Locking is the full per-module result (nil on cache replay or
-	// failure).
+	// Locking is the full per-module result (nil on failure).
 	Locking *core.LockingResult
 	// Outcome is the distilled report (nil when the module failed).
 	Outcome *Outcome
@@ -106,11 +100,6 @@ type ModuleResult struct {
 	Err error
 	// Cyclic marks members of an import cycle.
 	Cyclic bool
-	// CacheHit marks outcomes replayed from the summary cache.
-	CacheHit bool
-	// Fingerprint is the content-addressed identity of this module's
-	// analysis: source, options, and dependency fingerprints.
-	Fingerprint [32]byte
 }
 
 // Failed reports whether the module produced no outcome.

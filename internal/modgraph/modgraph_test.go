@@ -221,80 +221,41 @@ func TestSingleModuleUnchanged(t *testing.T) {
 	}
 }
 
-// TestSummaryCacheInvalidation checks the content-addressed cache:
-// an unchanged rerun replays every module; editing a library
-// invalidates exactly that library and its downstream import cone.
-func TestSummaryCacheInvalidation(t *testing.T) {
-	cache := NewSummaryCache()
+// TestRerunAndCommentEditStable checks the pass is deterministic: an
+// unchanged rerun gives equal outcomes, and a comment-only edit to a
+// library leaves every module's outcome unchanged.
+func TestRerunAndCommentEditStable(t *testing.T) {
 	srcs := stackSources(4) // xhdr, xio, xqueue, xdrv00..03
 
-	first := Analyze(srcs, Options{Cache: cache})
+	first := Analyze(srcs, Options{})
 	if f := first.Failures(); len(f) != 0 {
 		t.Fatalf("failures: %v", f)
 	}
-	for name, mr := range first.Modules {
-		if mr.CacheHit {
-			t.Fatalf("%s: hit on cold cache", name)
-		}
-	}
 
-	second := Analyze(srcs, Options{Cache: cache})
+	second := Analyze(srcs, Options{})
 	for name, mr := range second.Modules {
-		if !mr.CacheHit {
-			t.Fatalf("%s: miss on warm cache", name)
-		}
 		if !reflect.DeepEqual(mr.Outcome, first.Modules[name].Outcome) {
-			t.Fatalf("%s: replayed outcome differs", name)
+			t.Fatalf("%s: rerun outcome differs", name)
 		}
 	}
 
-	// Edit xio (a comment suffices: the fingerprint is content-based).
 	edited := make([]Source, len(srcs))
 	copy(edited, srcs)
+	found := false
 	for i := range edited {
 		if edited[i].Name == "xio" {
 			edited[i].Text += "// rev2\n"
+			found = true
 		}
 	}
-	third := Analyze(edited, Options{Cache: cache})
-	wantMiss := map[string]bool{"xio": true}
-	for _, m := range drivergen.XStack(4) {
-		for _, d := range m.Deps {
-			if d == "xio" {
-				wantMiss[m.Name] = true
-			}
-		}
+	if !found {
+		t.Fatal("stack has no xio module to edit")
 	}
-	for name, mr := range third.Modules {
-		if wantMiss[name] && mr.CacheHit {
-			t.Errorf("%s: want re-analysis after upstream edit, got cache hit", name)
-		}
-		if !wantMiss[name] && !mr.CacheHit {
-			t.Errorf("%s: want cache hit (outside the edited cone), got miss", name)
-		}
-	}
-	// The edit was semantically neutral, so downstream outcomes match.
+	third := Analyze(edited, Options{})
 	for name, mr := range third.Modules {
 		if !reflect.DeepEqual(mr.Outcome, first.Modules[name].Outcome) {
-			t.Errorf("%s: outcome changed after neutral edit", name)
+			t.Errorf("%s: outcome changed after a comment-only edit", name)
 		}
-	}
-}
-
-// TestHavocAndSummaryCacheSeparate checks the two modes never share
-// cache entries (options are part of the fingerprint).
-func TestHavocAndSummaryCacheSeparate(t *testing.T) {
-	cache := NewSummaryCache()
-	srcs := stackSources(1)
-	Analyze(srcs, Options{Cache: cache})
-	res := Analyze(srcs, Options{Cache: cache, Havoc: true})
-	for name, mr := range res.Modules {
-		if mr.CacheHit {
-			t.Fatalf("%s: havoc run hit a summary-mode entry", name)
-		}
-	}
-	if hits, _ := cache.Stats(); hits != 0 {
-		t.Fatalf("hits = %d, want 0", hits)
 	}
 }
 

@@ -1,7 +1,6 @@
 package modgraph
 
 import (
-	"crypto/sha256"
 	"fmt"
 
 	"localalias/internal/ast"
@@ -57,46 +56,18 @@ func (r *runner) analyze(name string) {
 	span := r.opts.Trace.StartChild(r.opts.TraceParent, "module:"+name, "modgraph")
 	defer func() {
 		outcome := "analyzed"
-		switch {
-		case mr.CacheHit:
-			outcome = "cache_hit"
-		case mr.Err != nil:
+		if mr.Err != nil {
 			outcome = "failed"
 		}
 		span.End("module", name, "deps", fmt.Sprintf("%d", len(p.deps)), "outcome", outcome)
 	}()
 
-	// Build the import environment and the content fingerprint in one
-	// pass over the (sorted) dependency list.
+	// Build the import environment from the (sorted) dependency list.
 	sigs := make(types.ImportSigs)
 	effs := make(map[string][]effects.Mask)
 	var trans [core.NumVariants]qual.Transfers
-	h := sha256.New()
-	h.Write([]byte("lna-xmod/v1\x00"))
-	fmt.Fprintf(h, "havoc=%t;general=%t;noparams=%t;nolets=%t\x00",
-		r.opts.Havoc, r.opts.General, r.opts.NoParams, r.opts.NoLets)
-	h.Write([]byte(name))
-	h.Write([]byte{0})
-	h.Write([]byte(p.src.Text))
 	for _, d := range p.deps {
-		h.Write([]byte{0})
-		h.Write([]byte(d))
-		h.Write([]byte{0})
-		dp := r.mods[d]
-		if dp == nil {
-			h.Write([]byte("missing"))
-			continue // unresolved: typecheck reports it
-		}
-		var dfp [32]byte
-		dmr := r.res.Modules[d]
-		if dmr != nil && !dmr.Failed() {
-			dfp = dmr.Fingerprint
-		} else {
-			// Failed dependency: chain its source identity so fixing
-			// it invalidates this module too.
-			dfp = sha256.Sum256([]byte("failed\x00" + d + "\x00" + dp.src.Text))
-		}
-		h.Write(dfp[:])
+		// An unresolved dependency gets no entry: typecheck reports it.
 		if ps := r.depSigs(d); ps != nil {
 			sigs[d] = ps
 		}
@@ -112,17 +83,6 @@ func (r *runner) analyze(name string) {
 					trans[v][d+"."+fn] = pts
 				}
 			}
-		}
-	}
-	copy(mr.Fingerprint[:], h.Sum(nil))
-
-	if r.opts.Cache != nil {
-		if api, out, ok := r.opts.Cache.lookup(mr.Fingerprint); ok {
-			mr.CacheHit = true
-			mr.API = api
-			mr.Outcome = out
-			r.publish(mr)
-			return
 		}
 	}
 
@@ -149,9 +109,6 @@ func (r *runner) analyze(name string) {
 	mr.Locking = lr
 	mr.API = lr.API
 	mr.Outcome = distill(m, lr)
-	if r.opts.Cache != nil {
-		r.opts.Cache.store(mr.Fingerprint, mr.API, mr.Outcome)
-	}
 	r.publish(mr)
 }
 
@@ -176,7 +133,7 @@ func importTransfers(trans [core.NumVariants]qual.Transfers, havoc bool) [core.N
 	return trans
 }
 
-// distill reduces a full locking result to its cache-replayable form:
+// distill reduces a full locking result to its reportable form:
 // counts plus rendered findings per experiment variant.
 func distill(m *core.Module, lr *core.LockingResult) *Outcome {
 	out := &Outcome{

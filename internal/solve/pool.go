@@ -2,7 +2,6 @@ package solve
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"localalias/internal/bitset"
 	"localalias/internal/effects"
@@ -62,36 +61,13 @@ type retained struct {
 var (
 	scratchPool  = sync.Pool{New: func() any { return new(scratch) }}
 	retainedPool = sync.Pool{New: func() any { return new(retained) }}
-
-	poolingOff atomic.Bool
 )
 
-// SetPooling toggles solver storage reuse and reports the previous
-// setting. Disabling makes every Solve allocate fresh buffers and
-// turns Release into a plain drop — the pre-pooling behaviour. The
-// experiments driver flips this to measure the pooled steady state
-// against the allocate-per-solve baseline inside one process;
-// production code leaves pooling on (the default).
-func SetPooling(on bool) (prev bool) { return !poolingOff.Swap(!on) }
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-func getScratch() *scratch {
-	if poolingOff.Load() {
-		return new(scratch)
-	}
-	return scratchPool.Get().(*scratch)
-}
-
-func putScratch(sc *scratch) {
-	if poolingOff.Load() {
-		return
-	}
-	scratchPool.Put(sc)
-}
+func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
 func getRetained(nlocs int) *retained {
-	if poolingOff.Load() {
-		return &retained{in: effects.NewInternerSized(nlocs)}
-	}
 	r := retainedPool.Get().(*retained)
 	if r.in == nil {
 		r.in = effects.NewInternerSized(nlocs)
@@ -101,12 +77,7 @@ func getRetained(nlocs int) *retained {
 	return r
 }
 
-func putRetained(r *retained) {
-	if poolingOff.Load() {
-		return
-	}
-	retainedPool.Put(r)
-}
+func putRetained(r *retained) { retainedPool.Put(r) }
 
 // takeSlice returns buf resized to n with all elements zeroed,
 // growing only when capacity is insufficient.
