@@ -6,7 +6,7 @@
 //	experiments -summary      # E1 only
 //	experiments -fig6         # Figure 6 only
 //	experiments -fig7         # Figure 7 only
-//	experiments -timing       # E4 only
+//	experiments -timing       # E4 only (ide_tape, then the corpus-wide ratio)
 //	experiments -dump DIR     # write the generated corpus sources to DIR
 //	experiments -phases       # with -summary: per-phase p50/p95/max table
 //	experiments -bench-trace-json FILE
@@ -195,6 +195,10 @@ func main() {
 	}
 	if all || *timing {
 		tr, err := experiments.Timing("ide_tape", *rounds)
+		if err == nil {
+			fmt.Println(tr.String())
+			tr, err = experiments.TimingCorpus(*rounds)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(exitError)

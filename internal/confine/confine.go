@@ -14,12 +14,17 @@
 //     General option keeps planted scopes transparent so enclosing
 //     blocks are also tried, approximating the Section 6.2 algorithm
 //     of inserting confine? at every possible scope and keeping the
-//     outermost success.
-//  2. Re-run standard type checking (the planted program contains
-//     fresh cloned expressions), then alias-and-effect inference with
-//     the planted nodes marked optional, and solve. Each candidate
-//     succeeds iff its ρ and ρ′ remain distinct in the least
-//     solution.
+//     outermost success. A wrap is planted only if it stays well
+//     scoped: the clone's identifiers denote, at the wrap point, the
+//     symbols of the occurrence it copies, and no let among the
+//     wrapped statements is used after them.
+//  2. Run alias-and-effect inference with the planted nodes marked
+//     optional, and solve. The planted program is not checked again:
+//     each clone takes the standard types, place flags and resolved
+//     symbols of the occurrence it copies from the module's own check
+//     (Options.Info), which well-scopedness makes exactly what a
+//     fresh check would compute. Each candidate succeeds iff its ρ
+//     and ρ′ remain distinct in the least solution.
 //  3. Apply verdicts: failed candidates are spliced back out of the
 //     AST; successes are kept (marked Inferred), adjacent successful
 //     confines of the same expression are combined per the identity
@@ -61,10 +66,12 @@ type Options struct {
 	// Trace, when non-nil, records phase transitions (typecheck/
 	// infer/solve) for fault attribution in corpus runs.
 	Trace *faults.Trace
-	// Imports supplies resolved import signatures for the
-	// re-typecheck of the planted program; it must match what the
-	// module was originally loaded with.
-	Imports types.ImportSigs
+	// Info is the standard checking of prog (the module's own
+	// types.CheckWith result). Planting extends it in place with
+	// entries for the cloned confine expressions, so afterwards it
+	// describes the rewritten program. Nil checks prog first, without
+	// imports.
+	Info *types.Info
 	// ImportEffects supplies per-formal effect masks for imported
 	// functions ("pkg.fn"); nil havocs imported calls (see
 	// infer.Options.ImportEffects).
@@ -94,22 +101,21 @@ type Result struct {
 // types.Info, the infer.Result whose maps cover the surviving nodes,
 // and the least solution.
 func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (*Result, error) {
-	res := &Result{}
+	res := &Result{TInfo: opts.Info}
+	if res.TInfo == nil {
+		opts.Trace.Enter(faults.PhaseTypecheck)
+		res.TInfo = types.Check(prog, diags)
+		if diags.HasErrors() {
+			return res, fmt.Errorf("confine: %w", diags.Err())
+		}
+	}
 
 	// 1. Plant.
-	planter := &planter{general: opts.General}
-	for _, f := range prog.Funs {
-		planter.block(f.Body, nil)
-	}
+	opts.Trace.Enter(faults.PhaseInfer)
+	planter := plant(prog, res.TInfo, opts.General)
 	res.Planted = len(planter.planted)
 
-	// 2. Re-typecheck the planted program and infer.
-	opts.Trace.Enter(faults.PhaseTypecheck)
-	res.TInfo = types.CheckWith(prog, diags, opts.Imports)
-	if diags.HasErrors() {
-		return res, fmt.Errorf("confine: planted program fails standard checking: %w", diags.Err())
-	}
-	opts.Trace.Enter(faults.PhaseInfer)
+	// 2. Infer and solve.
 	optional := make(map[*ast.ConfineStmt]bool, len(planter.planted))
 	for _, c := range planter.planted {
 		optional[c] = true
@@ -163,41 +169,135 @@ func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (
 // ---------------------------------------------------------------------
 // Planting
 
-// planter inserts confine? candidates.
-type planter struct {
-	general bool
-	planted []*ast.ConfineStmt
+// lockArg is one confinable change_type argument: its syntactic key
+// and the occurrence a planted clone copies (the last one in source
+// order).
+type lockArg struct {
+	key  string
+	expr ast.Expr
 }
 
-// lockArgs returns the confinable change_type arguments syntactically
-// contained in s: arguments of spin_lock/spin_unlock that are
-// call-free pointer expressions. Planted candidate sub-blocks are
-// opaque under the heuristic ("the new sub-block does not contain a
-// change_type") and transparent in general mode.
-func (p *planter) lockArgs(s ast.Stmt, out map[string]ast.Expr) {
-	ast.Inspect(s, func(n ast.Node) bool {
-		if cs, ok := n.(*ast.ConfineStmt); ok && !p.general && p.isPlanted(cs) {
-			return false
+// lockArgs summarizes the change_type arguments a statement contains:
+// each key once, in order of first appearance.
+type lockArgs []lockArg
+
+func (s lockArgs) add(key string, e ast.Expr) lockArgs {
+	for i := range s {
+		if s[i].key == key {
+			s[i].expr = e
+			return s
 		}
+	}
+	return append(s, lockArg{key, e})
+}
+
+func (s lockArgs) merge(t lockArgs) lockArgs {
+	for _, a := range t {
+		s = s.add(a.key, a.expr)
+	}
+	return s
+}
+
+// scope is the chain of local binders visible at a program point,
+// innermost first. A frame is either one binder (a parameter or a
+// let-in) or a block prefix, whose lets are in scope after it.
+type scope struct {
+	up    *scope
+	sym   *types.Symbol
+	stmts []ast.Stmt
+}
+
+// planter inserts confine? candidates, bottom-up: each statement's
+// lock arguments are summarized once, after its nested blocks are
+// planted. Planted candidates are opaque under the heuristic ("the
+// new sub-block does not contain a change_type") and transparent in
+// general mode.
+type planter struct {
+	info    *types.Info
+	general bool
+	planted []*ast.ConfineStmt
+	// refused counts the wraps skipped because they would not stay
+	// well scoped (see wellScoped).
+	refused int
+}
+
+// plant plants candidates in every function of prog and records the
+// clones' standard-checking entries in info, prog's checking.
+func plant(prog *ast.Program, info *types.Info, general bool) *planter {
+	p := &planter{info: info, general: general}
+	for _, f := range prog.Funs {
+		var sc *scope
+		for _, prm := range f.Params {
+			sc = &scope{up: sc, sym: info.Binders[prm]}
+		}
+		p.block(f.Body, sc, nil)
+	}
+	return p
+}
+
+// block plants candidates in b, nested blocks first (the smallest
+// scopes get the tightest confines), and returns the lock arguments
+// of b's final statements. sc is the scope at b's entry; masked holds
+// the expressions confined by enclosing confines, which are not
+// wrapped again.
+func (p *planter) block(b *ast.Block, sc *scope, masked map[string]bool) lockArgs {
+	sums := make([]lockArgs, len(b.Stmts))
+	for i, s := range b.Stmts {
+		sums[i] = p.stmt(s, sc, b.Stmts[:i], masked)
+	}
+	var out lockArgs
+	for _, sum := range p.pair(b, sums, sc, masked) {
+		out = out.merge(sum)
+	}
+	return out
+}
+
+// stmt plants in the blocks nested in s, which follows the statements
+// before in its block, and returns s's lock arguments.
+func (p *planter) stmt(s ast.Stmt, sc *scope, before []ast.Stmt, masked map[string]bool) lockArgs {
+	in := func() *scope { return &scope{up: sc, stmts: before} }
+	switch s := s.(type) {
+	case *ast.DeclStmt:
+		return exprArgs(nil, s.Init)
+	case *ast.BindStmt:
+		body := &scope{up: in(), sym: p.info.Binders[s]}
+		return exprArgs(nil, s.Init).merge(p.block(s.Body, body, masked))
+	case *ast.ConfineStmt:
+		sub := maskWith(masked, ast.ExprString(s.Expr))
+		return exprArgs(nil, s.Expr).merge(p.block(s.Body, in(), sub))
+	case *ast.AssignStmt:
+		return exprArgs(exprArgs(nil, s.LHS), s.RHS)
+	case *ast.ExprStmt:
+		return exprArgs(nil, s.X)
+	case *ast.IfStmt:
+		out := exprArgs(nil, s.Cond).merge(p.block(s.Then, in(), masked))
+		if s.Else != nil {
+			out = out.merge(p.block(s.Else, in(), masked))
+		}
+		return out
+	case *ast.WhileStmt:
+		return exprArgs(nil, s.Cond).merge(p.block(s.Body, in(), masked))
+	case *ast.ReturnStmt:
+		if s.X != nil {
+			return exprArgs(nil, s.X)
+		}
+	case *ast.Block:
+		return p.block(s, in(), masked)
+	}
+	return nil
+}
+
+// exprArgs adds to out the confinable arguments of the spin_lock/
+// spin_unlock calls in e.
+func exprArgs(out lockArgs, e ast.Expr) lockArgs {
+	ast.Inspect(e, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !types.IsLockOp(call.Fun) || len(call.Args) != 1 {
-			return true
-		}
-		arg := call.Args[0]
-		if confinable(arg) {
-			out[ast.ExprString(arg)] = arg
+		if ok && types.IsLockOp(call.Fun) && len(call.Args) == 1 && confinable(call.Args[0]) {
+			out = out.add(ast.ExprString(call.Args[0]), call.Args[0])
 		}
 		return true
 	})
-}
-
-func (p *planter) isPlanted(cs *ast.ConfineStmt) bool {
-	for _, q := range p.planted {
-		if q == cs {
-			return true
-		}
-	}
-	return false
+	return out
 }
 
 // confinable enforces the Section 6.1 syntactic restriction: the
@@ -217,99 +317,196 @@ func confinable(e ast.Expr) bool {
 	return ok
 }
 
-// block plants candidates in b, bottom-up. alreadyConfined carries
-// the expressions confined by enclosing planted candidates, to avoid
-// infinitely re-wrapping the same range.
-func (p *planter) block(b *ast.Block, alreadyConfined map[string]bool) {
-	// Children first (smallest scopes get the tightest confines).
-	for _, s := range b.Stmts {
-		p.stmt(s, alreadyConfined)
+func maskWith(masked map[string]bool, key string) map[string]bool {
+	sub := map[string]bool{key: true}
+	for k := range masked {
+		sub[k] = true
 	}
+	return sub
+}
 
-	// Then pair statements at this level, to a fixpoint.
+// pair plants at b's own level, to a fixpoint: while some unmasked
+// expression has change_types in two or more statements, it wraps the
+// smallest range covering them (ties go to the leftmost range, then
+// the smaller key) in a confine? of that expression. sums holds the
+// statements' lock arguments; pair returns them for the final
+// statements.
+func (p *planter) pair(b *ast.Block, sums []lockArgs, sc *scope, masked map[string]bool) []lockArgs {
+	type occurrence struct {
+		first, last, n int
+		expr           ast.Expr
+	}
+	var refused map[string]bool
+	occ := map[string]occurrence{}
 	for {
-		// For each confinable expression, the statement indices
-		// containing a change_type of it.
-		occ := map[string][]int{}
-		exprs := map[string]ast.Expr{}
-		for i, s := range b.Stmts {
-			args := map[string]ast.Expr{}
-			p.lockArgs(s, args)
-			for k, e := range args {
-				occ[k] = append(occ[k], i)
-				exprs[k] = e
+		clear(occ)
+		for i, sum := range sums {
+			for _, a := range sum {
+				o, seen := occ[a.key]
+				if !seen {
+					o.first = i
+				}
+				o.last, o.n, o.expr = i, o.n+1, a.expr
+				occ[a.key] = o
 			}
 		}
-		// Pick the key with >= 2 occurrences and the smallest range;
-		// break ties toward the leftmost.
 		bestKey := ""
-		bestFirst, bestLast := 0, 0
-		for k, idxs := range occ {
-			if alreadyConfined[k] || len(idxs) < 2 {
+		var best occurrence
+		for k, o := range occ {
+			if masked[k] || refused[k] || o.n < 2 {
 				continue
 			}
-			first, last := idxs[0], idxs[len(idxs)-1]
 			if bestKey == "" ||
-				(last-first) < (bestLast-bestFirst) ||
-				((last-first) == (bestLast-bestFirst) && (first < bestFirst || (first == bestFirst && k < bestKey))) {
-				bestKey, bestFirst, bestLast = k, first, last
+				(o.last-o.first) < (best.last-best.first) ||
+				((o.last-o.first) == (best.last-best.first) && (o.first < best.first || (o.first == best.first && k < bestKey))) {
+				bestKey, best = k, o
 			}
 		}
 		if bestKey == "" {
-			return
+			return sums
 		}
-		p.wrap(b, bestFirst, bestLast, exprs[bestKey], bestKey, alreadyConfined)
+		if !p.wellScoped(b, best.first, best.last, best.expr, sc) {
+			if refused == nil {
+				refused = map[string]bool{}
+			}
+			refused[bestKey] = true
+			p.refused++
+			continue
+		}
+		sums = p.wrap(b, sums, best.first, best.last, best.expr, bestKey, sc, masked)
 	}
 }
 
-// wrap replaces b.Stmts[first..last] with a single confine? of expr.
-func (p *planter) wrap(b *ast.Block, first, last int, expr ast.Expr, key string, alreadyConfined map[string]bool) {
+// wellScoped reports whether wrapping b.Stmts[first..last] in a
+// confine? of a clone of expr keeps the program's meaning: every
+// identifier of the clone must denote, at the wrap point, the symbol
+// the original occurrence denotes (so the clone may share its types),
+// and no let among the wrapped statements may be used after them (its
+// scope would end at the confine).
+func (p *planter) wellScoped(b *ast.Block, first, last int, expr ast.Expr, sc *scope) bool {
+	at := &scope{up: sc, stmts: b.Stmts[:first]}
+	ok := true
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if v, isVar := n.(*ast.VarExpr); isVar && ok {
+			ok = p.resolve(at, v.Name) == p.info.Uses[v]
+		}
+		return ok
+	})
+	if !ok {
+		return false
+	}
+	var lets []*types.Symbol
+	for _, s := range b.Stmts[first : last+1] {
+		if d, isLet := s.(*ast.DeclStmt); isLet {
+			lets = append(lets, p.info.Binders[d])
+		}
+	}
+	if len(lets) == 0 {
+		return true
+	}
+	for _, s := range b.Stmts[last+1:] {
+		ast.Inspect(s, func(n ast.Node) bool {
+			if v, isVar := n.(*ast.VarExpr); isVar && ok {
+				for _, l := range lets {
+					if p.info.Uses[v] == l {
+						ok = false
+					}
+				}
+			}
+			return ok
+		})
+	}
+	return ok
+}
+
+// resolve returns the symbol name denotes in sc, as standard checking
+// would resolve it there.
+func (p *planter) resolve(sc *scope, name string) *types.Symbol {
+	for ; sc != nil; sc = sc.up {
+		if sc.sym != nil {
+			if sc.sym.Name == name {
+				return sc.sym
+			}
+			continue
+		}
+		for i := len(sc.stmts) - 1; i >= 0; i-- {
+			if d, ok := sc.stmts[i].(*ast.DeclStmt); ok && d.Name == name {
+				return p.info.Binders[d]
+			}
+		}
+	}
+	return p.info.Globals[name]
+}
+
+// wrap replaces b.Stmts[first..last] with a single confine? of a
+// clone of expr, plants inside it with key masked, and returns the
+// updated statement summaries.
+func (p *planter) wrap(b *ast.Block, sums []lockArgs, first, last int, expr ast.Expr, key string, sc *scope, masked map[string]bool) []lockArgs {
 	span := b.Stmts[first].Span().Union(b.Stmts[last].Span())
 	inner := &ast.Block{
 		Stmts: append([]ast.Stmt(nil), b.Stmts[first:last+1]...),
 		Sp:    span,
 	}
 	cs := &ast.ConfineStmt{
-		Expr:     ast.CloneExpr(expr),
+		Expr:     p.clone(expr),
 		Body:     inner,
 		Inferred: false, // set on success
 		Sp:       span,
 	}
 	p.planted = append(p.planted, cs)
 
-	rest := append([]ast.Stmt(nil), b.Stmts[last+1:]...)
-	b.Stmts = append(b.Stmts[:first], cs)
-	b.Stmts = append(b.Stmts, rest...)
-
-	// The new body may pair other expressions among the statements it
-	// swallowed; process it with this key masked.
-	sub := map[string]bool{key: true}
-	for k := range alreadyConfined {
-		sub[k] = true
+	// The wrapped statements' nested blocks are already planted; only
+	// their own level may pair other expressions.
+	innerSums := p.pair(inner, append([]lockArgs(nil), sums[first:last+1]...),
+		&scope{up: sc, stmts: b.Stmts[:first]}, maskWith(masked, key))
+	var sum lockArgs
+	if p.general {
+		for _, s := range innerSums {
+			sum = sum.merge(s)
+		}
 	}
-	p.block(inner, sub)
+
+	b.Stmts = append(append(b.Stmts[:first:first], cs), b.Stmts[last+1:]...)
+	return append(append(sums[:first:first], sum), sums[last+1:]...)
 }
 
-// stmt recurses into nested blocks.
-func (p *planter) stmt(s ast.Stmt, alreadyConfined map[string]bool) {
-	switch s := s.(type) {
-	case *ast.BindStmt:
-		p.block(s.Body, alreadyConfined)
-	case *ast.ConfineStmt:
-		sub := map[string]bool{ast.ExprString(s.Expr): true}
-		for k := range alreadyConfined {
-			sub[k] = true
+// clone copies e for a planted confine and gives every node of the
+// copy the entries standard checking recorded for its original, so
+// the planted program needs no second check. The planter clones only
+// occurrences that are well scoped at the wrap point, which makes the
+// copied entries exactly the ones a check would compute.
+func (p *planter) clone(e ast.Expr) ast.Expr {
+	c := ast.CloneExpr(e)
+	copyEntries(p.info, e, c)
+	return c
+}
+
+func copyEntries(in *types.Info, orig, c ast.Expr) {
+	if t, ok := in.ExprTypes[orig]; ok {
+		in.ExprTypes[c] = t
+	}
+	if in.IsPlace[orig] {
+		in.IsPlace[c] = true
+	}
+	switch o := orig.(type) {
+	case *ast.VarExpr:
+		if sym, ok := in.Uses[o]; ok {
+			in.Uses[c.(*ast.VarExpr)] = sym
 		}
-		p.block(s.Body, sub)
-	case *ast.IfStmt:
-		p.block(s.Then, alreadyConfined)
-		if s.Else != nil {
-			p.block(s.Else, alreadyConfined)
-		}
-	case *ast.WhileStmt:
-		p.block(s.Body, alreadyConfined)
-	case *ast.Block:
-		p.block(s, alreadyConfined)
+	case *ast.DerefExpr:
+		copyEntries(in, o.X, c.(*ast.DerefExpr).X)
+	case *ast.AddrExpr:
+		copyEntries(in, o.X, c.(*ast.AddrExpr).X)
+	case *ast.IndexExpr:
+		copyEntries(in, o.X, c.(*ast.IndexExpr).X)
+		copyEntries(in, o.Index, c.(*ast.IndexExpr).Index)
+	case *ast.FieldExpr:
+		copyEntries(in, o.X, c.(*ast.FieldExpr).X)
+	case *ast.BinExpr:
+		copyEntries(in, o.X, c.(*ast.BinExpr).X)
+		copyEntries(in, o.Y, c.(*ast.BinExpr).Y)
+	case *ast.UnExpr:
+		copyEntries(in, o.X, c.(*ast.UnExpr).X)
 	}
 }
 

@@ -1,0 +1,13 @@
+package confine
+
+import (
+	"localalias/internal/ast"
+	"localalias/internal/types"
+)
+
+// Plant runs the planter alone over prog, extending info, and reports
+// how many candidates it planted and how many wraps it refused.
+func Plant(prog *ast.Program, info *types.Info, general bool) (planted, refused int) {
+	p := plant(prog, info, general)
+	return len(p.planted), p.refused
+}

@@ -39,10 +39,6 @@ type Module struct {
 	Prog  *ast.Program
 	TInfo *types.Info
 	Diags *source.Diagnostics
-	// ImportSigs is the import environment the module was loaded
-	// with (nil for standalone modules); confine's re-typecheck of
-	// the planted program resolves imports against the same surface.
-	ImportSigs types.ImportSigs
 }
 
 // LoadModule parses and type checks src. It fails on lexical,
@@ -70,7 +66,7 @@ func LoadModuleTraced(name, src string, tr *faults.Trace) (*Module, error) {
 // absent from sigs fail with positioned "package not found"
 // diagnostics.
 func LoadModuleWith(name, src string, sigs types.ImportSigs, tr *faults.Trace) (*Module, error) {
-	m := &Module{Name: name, Diags: &source.Diagnostics{}, ImportSigs: sigs}
+	m := &Module{Name: name, Diags: &source.Diagnostics{}}
 	tr.Enter(faults.PhaseParse)
 	m.Prog = parser.Parse(name, src, m.Diags)
 	if m.Diags.HasErrors() {
@@ -229,15 +225,15 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	out.AllStrong = qual.AnalyzeWith(baseInfer, baseSol, qual.ModeAllStrong,
 		opts.ImportTransfers[VariantAllStrong])
 
-	// Confine inference (mutates the AST), then the qualifier
-	// analysis over the surviving bindings.
+	// Confine inference (mutates the AST and extends m.TInfo to
+	// match), then the qualifier analysis over the surviving bindings.
 	cres, err := confine.InferAndApply(m.Prog, m.Diags, confine.Options{
 		General:       opts.General,
 		Params:        !opts.NoParams,
 		Lets:          !opts.NoLets,
 		Ctx:           ctx,
 		Trace:         tr,
-		Imports:       m.ImportSigs,
+		Info:          m.TInfo,
 		ImportEffects: opts.ImportEffects,
 	})
 	if err != nil {

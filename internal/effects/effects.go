@@ -30,6 +30,7 @@ package effects
 
 import (
 	"fmt"
+	"strconv"
 
 	"localalias/internal/locs"
 	"localalias/internal/source"
@@ -163,7 +164,7 @@ type NotIn struct {
 	Loc  locs.Loc
 	V    Var
 	Site source.Span
-	What string
+	What Reason
 }
 
 // KindNotIn is the check that no atom of the given kind occurs in V.
@@ -173,7 +174,7 @@ type KindNotIn struct {
 	Kind Kind
 	V    Var
 	Site source.Span
-	What string
+	What Reason
 }
 
 // PairNotIn is the check that no location ρ″ has KindA(ρ″) in VA and
@@ -185,7 +186,7 @@ type PairNotIn struct {
 	KindB Kind
 	VB    Var
 	Site  source.Span
-	What  string
+	What  Reason
 }
 
 // Trigger is the antecedent of a conditional constraint.
@@ -260,10 +261,27 @@ func (ActAddAtom) action() {}
 type Cond struct {
 	Trigger Trigger
 	Actions []Action
-	Reason  string
+	Reason  Reason
 	// Tag optionally links the conditional to an inference candidate
 	// for reporting. Zero means untagged.
 	Tag int
+}
+
+// Reason is a lazily rendered constraint label, in the spirit of
+// varName: inference emits half a dozen conditionals per candidate and
+// several checks per annotation, and their text is read only when a
+// rejection is explained or a violation reported, so the pieces are
+// stored unjoined and String assembles them. The rendering is
+// `Kind "Name": Why`, or Why alone when Kind is empty.
+type Reason struct {
+	Kind, Name, Why string
+}
+
+func (r Reason) String() string {
+	if r.Kind == "" {
+		return r.Why
+	}
+	return r.Kind + " " + strconv.Quote(r.Name) + ": " + r.Why
 }
 
 // ---------------------------------------------------------------------
@@ -434,18 +452,18 @@ func (s *System) AddVarIncl(from, to Var) {
 }
 
 // AddNotIn records the check ρ ∉ v.
-func (s *System) AddNotIn(loc locs.Loc, v Var, site source.Span, what string) {
+func (s *System) AddNotIn(loc locs.Loc, v Var, site source.Span, what Reason) {
 	s.NotIns = append(s.NotIns, NotIn{Loc: loc, V: v, Site: site, What: what})
 }
 
 // AddKindNotIn records the check "no Kind atom in v".
-func (s *System) AddKindNotIn(k Kind, v Var, site source.Span, what string) {
+func (s *System) AddKindNotIn(k Kind, v Var, site source.Span, what Reason) {
 	s.KindNotIns = append(s.KindNotIns, KindNotIn{Kind: k, V: v, Site: site, What: what})
 }
 
 // AddPairNotIn records the check "no ρ″ with ka(ρ″) ∈ va and
 // kb(ρ″) ∈ vb".
-func (s *System) AddPairNotIn(ka Kind, va Var, kb Kind, vb Var, site source.Span, what string) {
+func (s *System) AddPairNotIn(ka Kind, va Var, kb Kind, vb Var, site source.Span, what Reason) {
 	s.PairNotIns = append(s.PairNotIns, PairNotIn{KindA: ka, VA: va, KindB: kb, VB: vb, Site: site, What: what})
 }
 

@@ -627,54 +627,68 @@ func Timing(moduleName string, rounds int) (*TimingResult, error) {
 	if moduleName == "" {
 		moduleName = "ide_tape"
 	}
+	for _, m := range drivergen.Corpus() {
+		if m.Name == moduleName {
+			return timeModules(moduleName, []*drivergen.ModuleSpec{m}, rounds)
+		}
+	}
+	return nil, fmt.Errorf("no module %q in the corpus", moduleName)
+}
+
+// TimingCorpus is Timing over the whole corpus: each side is the sum
+// over all modules of one round, averaged over rounds, so the ratio is
+// the corpus-wide overhead of confine inference.
+func TimingCorpus(rounds int) (*TimingResult, error) {
+	specs := drivergen.Corpus()
+	return timeModules(fmt.Sprintf("corpus, %d modules", len(specs)), specs, rounds)
+}
+
+func timeModules(label string, specs []*drivergen.ModuleSpec, rounds int) (*TimingResult, error) {
 	if rounds <= 0 {
 		rounds = 5
 	}
-	var spec *drivergen.ModuleSpec
-	for _, m := range drivergen.Corpus() {
-		if m.Name == moduleName {
-			spec = m
-			break
-		}
+	srcs := make([]string, len(specs))
+	for i, spec := range specs {
+		srcs[i] = spec.Source()
 	}
-	if spec == nil {
-		return nil, fmt.Errorf("no module %q in the corpus", moduleName)
-	}
-	src := spec.Source()
 
 	var withC, withoutC time.Duration
 	for i := 0; i < rounds; i++ {
-		// Without confine inference: plain inference + solve + the
-		// flow-sensitive qualifier analysis (CQUAL's baseline run).
-		mod, err := core.LoadModule(spec.Name+".mc", src)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		res := infer.Run(mod.TInfo, mod.Diags, infer.Options{})
-		sol := solve.Solve(res.Sys)
-		qual.Analyze(res, sol, qual.ModePlain)
-		withoutC += time.Since(t0)
+		for j, spec := range specs {
+			// Without confine inference: plain inference + solve + the
+			// flow-sensitive qualifier analysis (CQUAL's baseline run).
+			mod, err := core.LoadModule(spec.Name+".mc", srcs[j])
+			if err != nil {
+				return nil, err
+			}
+			t0 := time.Now()
+			res := infer.Run(mod.TInfo, mod.Diags, infer.Options{})
+			sol := solve.Solve(res.Sys)
+			qual.Analyze(res, sol, qual.ModePlain)
+			withoutC += time.Since(t0)
 
-		// With confine inference: plant candidates, infer with the
-		// conditional constraints, solve, apply, and run the same
-		// qualifier analysis once (re-load: inference mutates the
-		// AST). This matches the paper's measurement, which compares
-		// one CQUAL run with inference against one without.
-		mod2, err := core.LoadModule(spec.Name+".mc", src)
-		if err != nil {
-			return nil, err
+			// With confine inference: plant candidates, infer with the
+			// conditional constraints, solve, apply, and run the same
+			// qualifier analysis once (re-load: inference mutates the
+			// AST). The module's own check is passed in, as the engine
+			// does. This matches the paper's measurement, which
+			// compares one CQUAL run with inference against one
+			// without.
+			mod2, err := core.LoadModule(spec.Name+".mc", srcs[j])
+			if err != nil {
+				return nil, err
+			}
+			t1 := time.Now()
+			cres, err := confine.InferAndApply(mod2.Prog, mod2.Diags, confine.Options{Params: true, Info: mod2.TInfo})
+			if err != nil {
+				return nil, err
+			}
+			qual.Analyze(cres.Infer, cres.Solution, qual.ModePlain)
+			withC += time.Since(t1)
 		}
-		t1 := time.Now()
-		cres, err := confine.InferAndApply(mod2.Prog, mod2.Diags, confine.Options{Params: true})
-		if err != nil {
-			return nil, err
-		}
-		qual.Analyze(cres.Infer, cres.Solution, qual.ModePlain)
-		withC += time.Since(t1)
 	}
 	out := &TimingResult{
-		Module:       moduleName,
+		Module:       label,
 		WithConfine:  withC / time.Duration(rounds),
 		WithoutCfine: withoutC / time.Duration(rounds),
 	}

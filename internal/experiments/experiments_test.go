@@ -124,6 +124,17 @@ func TestTiming(t *testing.T) {
 	if !strings.Contains(tr.String(), "paper: 28.5s") {
 		t.Errorf("render: %s", tr)
 	}
+
+	ct, err := TimingCorpus(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct.WithConfine <= 0 || ct.WithoutCfine <= 0 || ct.OverheadRatio > 6 {
+		t.Errorf("corpus-wide timing: %+v", ct)
+	}
+	if !strings.Contains(ct.String(), "corpus, 589 modules") {
+		t.Errorf("render: %s", ct)
+	}
 }
 
 func TestRunCorpusDeterministic(t *testing.T) {

@@ -1,9 +1,6 @@
 package infer
 
 import (
-	"fmt"
-	"strconv"
-
 	"localalias/internal/ast"
 	"localalias/internal/effects"
 	"localalias/internal/locs"
@@ -334,9 +331,9 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 			xT := inf.b.mkRef(rhoP, orig.Elem(), p.Name+"'")
 			esc := inf.paramEscapeVar(fi, i, orig, p.Name)
 			inf.sys.AddNotIn(rho, fi.body, p.Sp,
-				fmt.Sprintf("restrict parameter %q: an alias of the restricted location is used in the body", p.Name))
+				effects.Reason{Kind: "restrict parameter", Name: p.Name, Why: "an alias of the restricted location is used in the body"})
 			inf.sys.AddNotIn(rhoP, esc, p.Sp,
-				fmt.Sprintf("restrict parameter %q: the restricted pointer escapes the function", p.Name))
+				effects.Reason{Kind: "restrict parameter", Name: p.Name, Why: "the restricted pointer escapes the function"})
 			// Restricting the caller's location is itself an effect;
 			// in strict mode the kind-agnostic write(ρ) in the latent
 			// effect also conservatively covers every access made
@@ -391,9 +388,8 @@ func (inf *inferencer) paramEscapeVar(fi *funLInfo, i int, orig *LType, name str
 // addRelayConds surfaces effects on a restricted copy ρ′ as effects
 // on the underlying ρ in out ("X(ρ′) ∈ L₂ ⇒ {X(ρ)} ⊆ π").
 func (inf *inferencer) addRelayConds(kind, name string, rhoP locs.Loc, l2 effects.Var, rho locs.Loc, out effects.Var) {
-	// One conditional per effect kind; the reason is shared (these are
-	// emitted for every candidate, so avoid formatting three times).
-	reason := kind + " " + strconv.Quote(name) + ": effect on restricted copy surfaces on ρ"
+	// One conditional per effect kind, sharing one (unrendered) reason.
+	reason := effects.Reason{Kind: kind, Name: name, Why: "effect on restricted copy surfaces on ρ"}
 	for _, k := range []effects.Kind{effects.Read, effects.Write, effects.Alloc} {
 		inf.sys.AddCond(&effects.Cond{
 			Trigger: effects.AtomIn{Kind: k, Loc: rhoP, V: l2},
@@ -422,19 +418,19 @@ func (inf *inferencer) restrictEffect(name string, rho, rhoP locs.Loc, l2, sink 
 // esc; relayed effects land in out.
 func (inf *inferencer) addCandidateConds(c *Candidate, l2 effects.Var, esc effects.Var, out effects.Var) {
 	fail := []effects.Action{effects.ActUnify{A: c.Rho, B: c.RhoP}}
-	head := c.Kind.String() + " " + strconv.Quote(c.Name)
+	kind := c.Kind.String()
 	inf.sys.AddCond(&effects.Cond{
 		Trigger: effects.LocIn{Loc: c.Rho, V: l2},
 		Actions: fail,
-		Reason:  head + ": outer location accessed within the scope",
+		Reason:  effects.Reason{Kind: kind, Name: c.Name, Why: "outer location accessed within the scope"},
 	})
 	inf.sys.AddCond(&effects.Cond{
 		Trigger: effects.LocIn{Loc: c.RhoP, V: esc},
 		Actions: fail,
-		Reason:  head + ": restricted pointer escapes its scope",
+		Reason:  effects.Reason{Kind: kind, Name: c.Name, Why: "restricted pointer escapes its scope"},
 	})
 	// (ρ′ ∈ L₂) ⇒ {X(ρ)} ⊆ ε: the conditional restrict effect.
-	inf.addRelayConds(c.Kind.String(), c.Name, c.RhoP, l2, c.Rho, out)
+	inf.addRelayConds(kind, c.Name, c.RhoP, l2, c.Rho, out)
 }
 
 // ---------------------------------------------------------------------
@@ -481,9 +477,9 @@ func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effe
 		inf.walkStmts(rest, l2, env2)
 		inf.sys.AddVarIncl(l2, sink)
 		inf.sys.AddNotIn(rho, l2, s.Sp,
-			fmt.Sprintf("restrict %q: an alias of the restricted location is used within its scope", s.Name))
+			effects.Reason{Kind: "restrict", Name: s.Name, Why: "an alias of the restricted location is used within its scope"})
 		inf.sys.AddNotIn(rhoP, esc, s.Sp,
-			fmt.Sprintf("restrict %q: the restricted pointer escapes its scope", s.Name))
+			effects.Reason{Kind: "restrict", Name: s.Name, Why: "the restricted pointer escapes its scope"})
 		inf.restrictEffect(s.Name, rho, rhoP, l2, sink)
 
 	case inf.opts.InferRestrictLets && isRef && !s.Restrict:
@@ -599,9 +595,9 @@ func (inf *inferencer) bindStmt(s *ast.BindStmt, sink, env effects.Var) {
 	inf.walkStmts(s.Body.Stmts, l2, env2)
 	inf.sys.AddVarIncl(l2, sink)
 	inf.sys.AddNotIn(rho, l2, s.Sp,
-		fmt.Sprintf("restrict %q: an alias of the restricted location is used within its scope", s.Name))
+		effects.Reason{Kind: "restrict", Name: s.Name, Why: "an alias of the restricted location is used within its scope"})
 	inf.sys.AddNotIn(rhoP, esc, s.Sp,
-		fmt.Sprintf("restrict %q: the restricted pointer escapes its scope", s.Name))
+		effects.Reason{Kind: "restrict", Name: s.Name, Why: "the restricted pointer escapes its scope"})
 	inf.restrictEffect(s.Name, rho, rhoP, l2, sink)
 }
 
@@ -652,7 +648,7 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 		}
 		mk := func(t effects.Trigger, why string) {
 			inf.sys.AddCond(&effects.Cond{Trigger: t, Actions: fail,
-				Reason: fmt.Sprintf("confine %q: %s", name, why)})
+				Reason: effects.Reason{Kind: "confine", Name: name, Why: why}})
 		}
 		mk(effects.LocIn{Loc: rho, V: l2}, "outer location accessed within the scope")
 		mk(effects.LocIn{Loc: rhoP, V: esc}, "confined pointer escapes its scope")
@@ -672,17 +668,17 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 	// confine? by requiring ρ ≠ ρ′, Section 6.1).
 	inf.res.Bindings[s] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
 	inf.sys.AddNotIn(rho, l2, s.Sp,
-		fmt.Sprintf("confine %q: an alias of the confined location is used within its scope", name))
+		effects.Reason{Kind: "confine", Name: name, Why: "an alias of the confined location is used within its scope"})
 	inf.sys.AddNotIn(rhoP, esc, s.Sp,
-		fmt.Sprintf("confine %q: the confined pointer escapes its scope", name))
+		effects.Reason{Kind: "confine", Name: name, Why: "the confined pointer escapes its scope"})
 	inf.sys.AddKindNotIn(effects.Write, l1, s.Sp,
-		fmt.Sprintf("confine %q: the confined expression must have no write effects", name))
+		effects.Reason{Kind: "confine", Name: name, Why: "the confined expression must have no write effects"})
 	inf.sys.AddKindNotIn(effects.Alloc, l1, s.Sp,
-		fmt.Sprintf("confine %q: the confined expression must have no alloc effects", name))
+		effects.Reason{Kind: "confine", Name: name, Why: "the confined expression must have no alloc effects"})
 	inf.sys.AddPairNotIn(effects.Read, l1, effects.Write, l2, s.Sp,
-		fmt.Sprintf("confine %q: a location it reads is written within the scope", name))
+		effects.Reason{Kind: "confine", Name: name, Why: "a location it reads is written within the scope"})
 	inf.sys.AddPairNotIn(effects.Read, l1, effects.Alloc, l2, s.Sp,
-		fmt.Sprintf("confine %q: a location it reads is allocated within the scope", name))
+		effects.Reason{Kind: "confine", Name: name, Why: "a location it reads is allocated within the scope"})
 	inf.restrictEffect(name, rho, rhoP, l2, sink)
 }
 

@@ -47,3 +47,28 @@ func TestGenerateUsesTheInterestingForms(t *testing.T) {
 		}
 	}
 }
+
+func TestLockingDeterministicAndWellTyped(t *testing.T) {
+	if Locking(42) != Locking(42) {
+		t.Error("same seed must generate the same program")
+	}
+	var all strings.Builder
+	for seed := int64(0); seed < 500; seed++ {
+		src := Locking(seed)
+		all.WriteString(src)
+		var diags source.Diagnostics
+		prog := parser.Parse("lock.mc", src, &diags)
+		types.Check(prog, &diags)
+		if diags.HasErrors() {
+			t.Fatalf("seed %d: %s\n%s", seed, diags.String(), src)
+		}
+	}
+	// The scoping shapes: a let between a pair used after it, a lock
+	// call on a name bound inside a branch, and a bound name.
+	s := all.String()
+	for _, form := range []string{"print(t", "    let p = ", "    let q = ", "spin_lock(p);", "spin_unlock(q);"} {
+		if !strings.Contains(s, form) {
+			t.Errorf("generator never produced %q", form)
+		}
+	}
+}

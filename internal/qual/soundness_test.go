@@ -8,8 +8,6 @@ package qual
 // the client analysis.
 
 import (
-	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,103 +15,11 @@ import (
 	"localalias/internal/infer"
 	"localalias/internal/interp"
 	"localalias/internal/parser"
+	"localalias/internal/progen"
 	"localalias/internal/solve"
 	"localalias/internal/source"
 	"localalias/internal/types"
 )
-
-// lockGen generates a random deterministic locking program: scalar
-// and array locks, literal indices, branches on constants, helper
-// calls, balanced and unbalanced sequences.
-type lockGen struct {
-	r       *rand.Rand
-	b       strings.Builder
-	indent  int
-	helpers int
-}
-
-func (g *lockGen) line(format string, args ...any) {
-	g.b.WriteString(strings.Repeat("    ", g.indent))
-	fmt.Fprintf(&g.b, format, args...)
-	g.b.WriteByte('\n')
-}
-
-// lockExpr picks a random lock place expression.
-func (g *lockGen) lockExpr() string {
-	switch g.r.Intn(3) {
-	case 0:
-		return "&big0"
-	case 1:
-		return "&big1"
-	default:
-		return fmt.Sprintf("&tbl[%d]", g.r.Intn(4))
-	}
-}
-
-func (g *lockGen) stmts(depth, budget int) {
-	for i := 0; i < budget; i++ {
-		g.stmt(depth)
-	}
-}
-
-func (g *lockGen) stmt(depth int) {
-	switch g.r.Intn(6) {
-	case 0, 1: // balanced pair (the common case)
-		l := g.lockExpr()
-		g.line("spin_lock(%s);", l)
-		if g.r.Intn(2) == 0 {
-			g.line("work();")
-		}
-		g.line("spin_unlock(%s);", l)
-	case 2: // lone op (often a bug)
-		op := "spin_lock"
-		if g.r.Intn(2) == 0 {
-			op = "spin_unlock"
-		}
-		g.line("%s(%s);", op, g.lockExpr())
-	case 3: // branch on a constant
-		if depth > 0 {
-			g.line("if (%d) {", g.r.Intn(2))
-			g.indent++
-			g.stmts(depth-1, 1+g.r.Intn(2))
-			g.indent--
-			g.line("} else {")
-			g.indent++
-			g.stmts(depth-1, 1+g.r.Intn(2))
-			g.indent--
-			g.line("}")
-		}
-	case 4: // helper call
-		if g.helpers > 0 {
-			g.line("h%d();", g.r.Intn(g.helpers))
-		}
-	default:
-		g.line("work();")
-	}
-}
-
-func generateLockProgram(seed int64) string {
-	g := &lockGen{r: rand.New(rand.NewSource(seed))}
-	g.line("global big0: lock;")
-	g.line("global big1: lock;")
-	g.line("global tbl: lock[4];")
-	g.line("")
-	nHelpers := g.r.Intn(3)
-	for i := 0; i < nHelpers; i++ {
-		g.line("fun h%d() {", i)
-		g.indent++
-		g.stmts(1, 1+g.r.Intn(2))
-		g.indent--
-		g.line("}")
-		g.helpers++
-	}
-	g.line("fun main() {")
-	g.indent++
-	g.stmts(2, 2+g.r.Intn(4))
-	g.indent--
-	g.line("}")
-	return g.b.String()
-}
 
 // analyzeAndRun returns (plain-mode error count, runtime lock trap).
 func analyzeAndRun(t *testing.T, src string) (int, error) {
@@ -135,7 +41,7 @@ func analyzeAndRun(t *testing.T, src string) (int, error) {
 
 func TestQualSoundnessQuick(t *testing.T) {
 	prop := func(seed int64) bool {
-		src := generateLockProgram(seed)
+		src := progen.Locking(seed)
 		errs, runErr := analyzeAndRun(t, src)
 		if errs > 0 {
 			return true // flagged: no claim
@@ -155,7 +61,7 @@ func TestQualSoundnessQuick(t *testing.T) {
 func TestQualSoundnessDistribution(t *testing.T) {
 	verified, flagged, flaggedTrapped := 0, 0, 0
 	for seed := int64(0); seed < 300; seed++ {
-		errs, runErr := analyzeAndRun(t, generateLockProgram(seed))
+		errs, runErr := analyzeAndRun(t, progen.Locking(seed))
 		if errs == 0 {
 			verified++
 		} else {

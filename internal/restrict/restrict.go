@@ -146,7 +146,7 @@ func Infer(tinfo *types.Info, diags *source.Diagnostics, opts Options) *InferRes
 				}
 			}
 			done = append(done, key)
-			firedUnifies[key] = append(firedUnifies[key], f.Reason)
+			firedUnifies[key] = append(firedUnifies[key], f.Reason.String())
 		}
 	}
 

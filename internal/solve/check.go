@@ -64,7 +64,7 @@ func Check(sys *effects.System) []Violation {
 		if !c.Sat(ni) {
 			out = append(out, Violation{
 				Site:   ni.Site,
-				What:   ni.What,
+				What:   ni.What.String(),
 				Detail: fmt.Sprintf("ρ%d (%s) reaches %s", ni.Loc, sys.Locs.Name(ni.Loc), sys.VarName(ni.V)),
 			})
 		}

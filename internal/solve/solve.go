@@ -145,7 +145,7 @@ func (r *Result) Violations() []Violation {
 		if r.ContainsLoc(ni.V, ni.Loc) {
 			out = append(out, Violation{
 				Site:   ni.Site,
-				What:   ni.What,
+				What:   ni.What.String(),
 				Detail: fmt.Sprintf("ρ%d (%s) is in %s", ni.Loc, r.ls.Name(ni.Loc), r.sys.VarName(ni.V)),
 			})
 		}
@@ -154,7 +154,7 @@ func (r *Result) Violations() []Violation {
 		if a, ok := r.firstOfKind(kn.V, kn.Kind); ok {
 			out = append(out, Violation{
 				Site:   kn.Site,
-				What:   kn.What,
+				What:   kn.What.String(),
 				Detail: fmt.Sprintf("%s(%s) is in %s", a.Kind, r.ls.Name(a.Loc), r.sys.VarName(kn.V)),
 			})
 		}
@@ -175,7 +175,7 @@ func (r *Result) Violations() []Violation {
 		if hit {
 			out = append(out, Violation{
 				Site: pn.Site,
-				What: pn.What,
+				What: pn.What.String(),
 				Detail: fmt.Sprintf("%s(%s) in %s and %s of it in %s",
 					pn.KindA, r.ls.Name(witness.Loc), r.sys.VarName(pn.VA),
 					pn.KindB, r.sys.VarName(pn.VB)),

@@ -35,7 +35,7 @@ func TestCheckSatReachable(t *testing.T) {
 	ls := locs.NewStore()
 	s := effects.NewSystem(ls)
 	rho, vars := chain(s, ls, 4)
-	s.AddNotIn(rho, vars[3], source.NoSpan, "test")
+	s.AddNotIn(rho, vars[3], source.NoSpan, effects.Reason{Why: "test"})
 	vs := Check(s)
 	if len(vs) != 1 {
 		t.Fatalf("want 1 violation, got %v", vs)
@@ -47,7 +47,7 @@ func TestCheckSatUnreachable(t *testing.T) {
 	s := effects.NewSystem(ls)
 	rho, _ := chain(s, ls, 4)
 	other := s.Fresh("island")
-	s.AddNotIn(rho, other, source.NoSpan, "test")
+	s.AddNotIn(rho, other, source.NoSpan, effects.Reason{Why: "test"})
 	if vs := Check(s); len(vs) != 0 {
 		t.Fatalf("want no violations, got %v", vs)
 	}
@@ -65,7 +65,7 @@ func TestCheckSatIntersectionGate(t *testing.T) {
 	s.AddAtom(atom(effects.Write, rho), eL)
 	// Only the left side sees rho: the Count(I)==2 condition of
 	// Figure 5 must block it.
-	s.AddNotIn(rho, out, source.NoSpan, "blocked")
+	s.AddNotIn(rho, out, source.NoSpan, effects.Reason{Why: "blocked"})
 	if vs := Check(s); len(vs) != 0 {
 		t.Fatalf("intersection must gate: %v", vs)
 	}
@@ -89,7 +89,7 @@ func TestCheckSatDiamond(t *testing.T) {
 	s.AddVarIncl(src, b)
 	s.AddVarIncl(a, out)
 	s.AddVarIncl(b, out)
-	s.AddNotIn(rho, out, source.NoSpan, "diamond")
+	s.AddNotIn(rho, out, source.NoSpan, effects.Reason{Why: "diamond"})
 	if vs := Check(s); len(vs) != 1 {
 		t.Fatalf("want 1 violation, got %v", vs)
 	}
@@ -102,7 +102,7 @@ func TestCheckSatRespectsUnification(t *testing.T) {
 	rho2 := ls.Fresh("rho2")
 	e := s.Fresh("e")
 	s.AddAtom(atom(effects.Read, rho2), e)
-	s.AddNotIn(rho1, e, source.NoSpan, "pre-unify")
+	s.AddNotIn(rho1, e, source.NoSpan, effects.Reason{Why: "pre-unify"})
 	if vs := Check(s); len(vs) != 0 {
 		t.Fatal("distinct locations must not collide")
 	}
@@ -178,8 +178,8 @@ func TestSolveViolations(t *testing.T) {
 	ls := locs.NewStore()
 	s := effects.NewSystem(ls)
 	rho, vars := chain(s, ls, 2)
-	s.AddNotIn(rho, vars[1], source.NoSpan, "hit")
-	s.AddNotIn(ls.Fresh("free"), vars[1], source.NoSpan, "miss")
+	s.AddNotIn(rho, vars[1], source.NoSpan, effects.Reason{Why: "hit"})
+	s.AddNotIn(ls.Fresh("free"), vars[1], source.NoSpan, effects.Reason{Why: "miss"})
 	r := Solve(s)
 	vs := r.Violations()
 	if len(vs) != 1 || vs[0].What != "hit" {
@@ -198,7 +198,7 @@ func TestSolveCondLocInFires(t *testing.T) {
 	s.AddCond(&effects.Cond{
 		Trigger: effects.LocIn{Loc: rho, V: e},
 		Actions: []effects.Action{effects.ActUnify{A: a, B: b}},
-		Reason:  "rho used",
+		Reason:  effects.Reason{Why: "rho used"},
 	})
 	r := Solve(s)
 	if len(r.Fired) != 1 {
@@ -528,7 +528,7 @@ func buildRandomCondInto(sys *effects.System, r *rand.Rand) {
 			}
 		}
 		sys.AddCond(&effects.Cond{Trigger: trig, Actions: acts,
-			Reason: fmt.Sprintf("cond %d", i)})
+			Reason: effects.Reason{Why: fmt.Sprintf("cond %d", i)}})
 	}
 	// A couple of pre-solve unifications.
 	for i := 0; i < r.Intn(3); i++ {

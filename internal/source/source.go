@@ -11,6 +11,7 @@ package source
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -85,9 +86,9 @@ type Position struct {
 
 func (p Position) String() string {
 	if p.Name == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Column)
+		return strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Column)
 	}
-	return fmt.Sprintf("%s:%d:%d", p.Name, p.Line, p.Column)
+	return p.Name + ":" + strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Column)
 }
 
 // Position resolves a byte offset to a line/column pair.
