@@ -31,6 +31,32 @@ type Node interface {
 	Span() source.Span
 }
 
+// NodeID is a node's dense index into the side tables later phases
+// keep about it (types.Info, infer.Result). The parser numbers every
+// expression and every node that binds or scopes a name — GlobalDecl,
+// Param, DeclStmt, BindStmt and ConfineStmt — from 0 up, and records
+// the count in Program.NumNodes. Nodes added to a parsed program take
+// their IDs from Program.NewID.
+type NodeID int32
+
+// Numbered is implemented by the nodes that carry a NodeID.
+type Numbered interface {
+	Node
+	NodeID() NodeID
+}
+
+// Lookup returns table[id], or T's zero value when id is past the end
+// of table. Side tables are sized to the program's node count when
+// they are built, so a node numbered later (a planted clone) has no
+// entry in them.
+func Lookup[T any](table []T, id NodeID) T {
+	if int(id) < len(table) {
+		return table[id]
+	}
+	var zero T
+	return zero
+}
+
 // ---------------------------------------------------------------------
 // Types (syntactic)
 
@@ -104,19 +130,21 @@ func (*ArrayType) typeExpr() {}
 
 // Expr is implemented by all expression nodes.
 type Expr interface {
-	Node
+	Numbered
 	expr()
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
 	Value int64
+	ID    NodeID
 	Sp    source.Span
 }
 
 // VarExpr is a reference to a let-bound variable, parameter or global.
 type VarExpr struct {
 	Name string
+	ID   NodeID
 	Sp   source.Span
 }
 
@@ -124,12 +152,14 @@ type VarExpr struct {
 // return a reference to it.
 type NewExpr struct {
 	Init Expr
+	ID   NodeID
 	Sp   source.Span
 }
 
 // DerefExpr is "*e".
 type DerefExpr struct {
 	X  Expr
+	ID NodeID
 	Sp source.Span
 }
 
@@ -137,6 +167,7 @@ type DerefExpr struct {
 // expression, or a field access.
 type AddrExpr struct {
 	X  Expr
+	ID NodeID
 	Sp source.Span
 }
 
@@ -144,6 +175,7 @@ type AddrExpr struct {
 type IndexExpr struct {
 	X     Expr
 	Index Expr
+	ID    NodeID
 	Sp    source.Span
 }
 
@@ -152,6 +184,7 @@ type FieldExpr struct {
 	X     Expr
 	Name  string
 	Arrow bool
+	ID    NodeID
 	Sp    source.Span
 }
 
@@ -159,6 +192,7 @@ type FieldExpr struct {
 type BinExpr struct {
 	Op   token.Kind
 	X, Y Expr
+	ID   NodeID
 	Sp   source.Span
 }
 
@@ -166,6 +200,7 @@ type BinExpr struct {
 type UnExpr struct {
 	Op token.Kind
 	X  Expr
+	ID NodeID
 	Sp source.Span
 }
 
@@ -175,6 +210,7 @@ type UnExpr struct {
 type CallExpr struct {
 	Fun  string
 	Args []Expr
+	ID   NodeID
 	Sp   source.Span
 }
 
@@ -188,6 +224,17 @@ func (e *FieldExpr) Span() source.Span { return e.Sp }
 func (e *BinExpr) Span() source.Span   { return e.Sp }
 func (e *UnExpr) Span() source.Span    { return e.Sp }
 func (e *CallExpr) Span() source.Span  { return e.Sp }
+
+func (e *IntLit) NodeID() NodeID    { return e.ID }
+func (e *VarExpr) NodeID() NodeID   { return e.ID }
+func (e *NewExpr) NodeID() NodeID   { return e.ID }
+func (e *DerefExpr) NodeID() NodeID { return e.ID }
+func (e *AddrExpr) NodeID() NodeID  { return e.ID }
+func (e *IndexExpr) NodeID() NodeID { return e.ID }
+func (e *FieldExpr) NodeID() NodeID { return e.ID }
+func (e *BinExpr) NodeID() NodeID   { return e.ID }
+func (e *UnExpr) NodeID() NodeID    { return e.ID }
+func (e *CallExpr) NodeID() NodeID  { return e.ID }
 
 func (*IntLit) expr()    {}
 func (*VarExpr) expr()   {}
@@ -233,6 +280,7 @@ type DeclStmt struct {
 	Init Expr
 	// Restrict records restrict inference's verdict (Section 5).
 	Restrict bool
+	ID       NodeID
 	Sp       source.Span
 }
 
@@ -243,6 +291,7 @@ type BindStmt struct {
 	Name string
 	Init Expr
 	Body *Block
+	ID   NodeID
 	Sp   source.Span
 }
 
@@ -252,6 +301,7 @@ type ConfineStmt struct {
 	Expr     Expr
 	Body     *Block
 	Inferred bool
+	ID       NodeID
 	Sp       source.Span
 }
 
@@ -307,6 +357,10 @@ func (s *WhileStmt) Span() source.Span   { return s.Sp }
 func (s *ReturnStmt) Span() source.Span  { return s.Sp }
 func (s *Block) Span() source.Span       { return s.Sp }
 
+func (s *DeclStmt) NodeID() NodeID    { return s.ID }
+func (s *BindStmt) NodeID() NodeID    { return s.ID }
+func (s *ConfineStmt) NodeID() NodeID { return s.ID }
+
 func (*DeclStmt) stmt()    {}
 func (*BindStmt) stmt()    {}
 func (*ConfineStmt) stmt() {}
@@ -348,6 +402,7 @@ type StructDecl struct {
 type GlobalDecl struct {
 	Name string
 	Type TypeExpr
+	ID   NodeID
 	Sp   source.Span
 }
 
@@ -360,6 +415,7 @@ type Param struct {
 	Name     string
 	Type     TypeExpr
 	Restrict bool
+	ID       NodeID
 	Sp       source.Span
 }
 
@@ -378,6 +434,9 @@ func (d *GlobalDecl) Span() source.Span { return d.Sp }
 func (d *FunDecl) Span() source.Span    { return d.Sp }
 func (f *Field) Span() source.Span      { return f.Sp }
 func (p *Param) Span() source.Span      { return p.Sp }
+
+func (d *GlobalDecl) NodeID() NodeID { return d.ID }
+func (p *Param) NodeID() NodeID      { return p.ID }
 
 // Decl is a top-level declaration.
 type Decl interface {
@@ -398,6 +457,16 @@ type Program struct {
 	Structs []*StructDecl
 	Globals []*GlobalDecl
 	Funs    []*FunDecl
+	// NumNodes is the number of NodeIDs handed out: every numbered
+	// node of the program has an ID below it.
+	NumNodes int
+}
+
+// NewID hands out the next unused NodeID.
+func (p *Program) NewID() NodeID {
+	id := NodeID(p.NumNodes)
+	p.NumNodes++
+	return id
 }
 
 // Span covers the whole file.

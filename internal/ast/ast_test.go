@@ -49,10 +49,24 @@ func TestEqualExpr(t *testing.T) {
 }
 
 func TestCloneExpr(t *testing.T) {
+	prog := &Program{NumNodes: 10}
 	orig := addr(idx(v("locks"), bin(token.Plus, v("i"), lit(1))))
-	c := CloneExpr(orig)
+	c := CloneExpr(prog, orig)
 	if !EqualExpr(orig, c) {
 		t.Fatal("clone must be equal")
+	}
+	// Every node of the clone gets a fresh ID from the program.
+	seen := map[NodeID]bool{}
+	Inspect(c, func(n Node) bool {
+		id := n.(Numbered).NodeID()
+		if id < 10 || int(id) >= prog.NumNodes || seen[id] {
+			t.Errorf("clone node %s has ID %d; want a distinct ID in [10, %d)", ExprString(n.(Expr)), id, prog.NumNodes)
+		}
+		seen[id] = true
+		return true
+	})
+	if len(seen) != 6 || prog.NumNodes != 16 {
+		t.Errorf("clone numbered %d nodes, NumNodes %d; want 6 and 16", len(seen), prog.NumNodes)
 	}
 	// Mutating the clone must not touch the original.
 	c.(*AddrExpr).X.(*IndexExpr).Index.(*BinExpr).Y.(*IntLit).Value = 99
@@ -61,7 +75,7 @@ func TestCloneExpr(t *testing.T) {
 	}
 	// Clone of a call.
 	call := &CallExpr{Fun: "spin_lock", Args: []Expr{addr(v("g"))}}
-	cc := CloneExpr(call).(*CallExpr)
+	cc := CloneExpr(prog, call).(*CallExpr)
 	if cc == call || cc.Args[0] == call.Args[0] {
 		t.Error("call clone must be deep")
 	}

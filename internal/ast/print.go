@@ -277,33 +277,38 @@ func EqualExpr(a, b Expr) bool {
 }
 
 // CloneExpr returns a deep copy of e sharing no mutable nodes with the
-// original. Spans are preserved.
-func CloneExpr(e Expr) Expr {
+// original. Spans are preserved; every node of the copy gets a fresh
+// ID from prog, so tables indexed by NodeID keep its entries apart
+// from the original's.
+func CloneExpr(prog *Program, e Expr) Expr {
+	clone := func(x Expr) Expr { return CloneExpr(prog, x) }
 	switch e := e.(type) {
 	case *IntLit:
 		c := *e
+		c.ID = prog.NewID()
 		return &c
 	case *VarExpr:
 		c := *e
+		c.ID = prog.NewID()
 		return &c
 	case *NewExpr:
-		return &NewExpr{Init: CloneExpr(e.Init), Sp: e.Sp}
+		return &NewExpr{ID: prog.NewID(), Init: clone(e.Init), Sp: e.Sp}
 	case *DerefExpr:
-		return &DerefExpr{X: CloneExpr(e.X), Sp: e.Sp}
+		return &DerefExpr{ID: prog.NewID(), X: clone(e.X), Sp: e.Sp}
 	case *AddrExpr:
-		return &AddrExpr{X: CloneExpr(e.X), Sp: e.Sp}
+		return &AddrExpr{ID: prog.NewID(), X: clone(e.X), Sp: e.Sp}
 	case *IndexExpr:
-		return &IndexExpr{X: CloneExpr(e.X), Index: CloneExpr(e.Index), Sp: e.Sp}
+		return &IndexExpr{ID: prog.NewID(), X: clone(e.X), Index: clone(e.Index), Sp: e.Sp}
 	case *FieldExpr:
-		return &FieldExpr{X: CloneExpr(e.X), Name: e.Name, Arrow: e.Arrow, Sp: e.Sp}
+		return &FieldExpr{ID: prog.NewID(), X: clone(e.X), Name: e.Name, Arrow: e.Arrow, Sp: e.Sp}
 	case *BinExpr:
-		return &BinExpr{Op: e.Op, X: CloneExpr(e.X), Y: CloneExpr(e.Y), Sp: e.Sp}
+		return &BinExpr{ID: prog.NewID(), Op: e.Op, X: clone(e.X), Y: clone(e.Y), Sp: e.Sp}
 	case *UnExpr:
-		return &UnExpr{Op: e.Op, X: CloneExpr(e.X), Sp: e.Sp}
+		return &UnExpr{ID: prog.NewID(), Op: e.Op, X: clone(e.X), Sp: e.Sp}
 	case *CallExpr:
-		c := &CallExpr{Fun: e.Fun, Sp: e.Sp}
+		c := &CallExpr{ID: prog.NewID(), Fun: e.Fun, Sp: e.Sp}
 		for _, a := range e.Args {
-			c.Args = append(c.Args, CloneExpr(a))
+			c.Args = append(c.Args, clone(a))
 		}
 		return c
 	default:

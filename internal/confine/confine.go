@@ -228,7 +228,7 @@ func plant(prog *ast.Program, info *types.Info, general bool) *planter {
 	for _, f := range prog.Funs {
 		var sc *scope
 		for _, prm := range f.Params {
-			sc = &scope{up: sc, sym: info.Binders[prm]}
+			sc = &scope{up: sc, sym: info.BinderOf(prm)}
 		}
 		p.block(f.Body, sc, nil)
 	}
@@ -260,7 +260,7 @@ func (p *planter) stmt(s ast.Stmt, sc *scope, before []ast.Stmt, masked map[stri
 	case *ast.DeclStmt:
 		return exprArgs(nil, s.Init)
 	case *ast.BindStmt:
-		body := &scope{up: in(), sym: p.info.Binders[s]}
+		body := &scope{up: in(), sym: p.info.BinderOf(s)}
 		return exprArgs(nil, s.Init).merge(p.block(s.Body, body, masked))
 	case *ast.ConfineStmt:
 		sub := maskWith(masked, ast.ExprString(s.Expr))
@@ -388,7 +388,7 @@ func (p *planter) wellScoped(b *ast.Block, first, last int, expr ast.Expr, sc *s
 	ok := true
 	ast.Inspect(expr, func(n ast.Node) bool {
 		if v, isVar := n.(*ast.VarExpr); isVar && ok {
-			ok = p.resolve(at, v.Name) == p.info.Uses[v]
+			ok = p.resolve(at, v.Name) == p.info.UseOf(v)
 		}
 		return ok
 	})
@@ -398,7 +398,7 @@ func (p *planter) wellScoped(b *ast.Block, first, last int, expr ast.Expr, sc *s
 	var lets []*types.Symbol
 	for _, s := range b.Stmts[first : last+1] {
 		if d, isLet := s.(*ast.DeclStmt); isLet {
-			lets = append(lets, p.info.Binders[d])
+			lets = append(lets, p.info.BinderOf(d))
 		}
 	}
 	if len(lets) == 0 {
@@ -408,7 +408,7 @@ func (p *planter) wellScoped(b *ast.Block, first, last int, expr ast.Expr, sc *s
 		ast.Inspect(s, func(n ast.Node) bool {
 			if v, isVar := n.(*ast.VarExpr); isVar && ok {
 				for _, l := range lets {
-					if p.info.Uses[v] == l {
+					if p.info.UseOf(v) == l {
 						ok = false
 					}
 				}
@@ -431,7 +431,7 @@ func (p *planter) resolve(sc *scope, name string) *types.Symbol {
 		}
 		for i := len(sc.stmts) - 1; i >= 0; i-- {
 			if d, ok := sc.stmts[i].(*ast.DeclStmt); ok && d.Name == name {
-				return p.info.Binders[d]
+				return p.info.BinderOf(d)
 			}
 		}
 	}
@@ -447,12 +447,16 @@ func (p *planter) wrap(b *ast.Block, sums []lockArgs, first, last int, expr ast.
 		Stmts: append([]ast.Stmt(nil), b.Stmts[first:last+1]...),
 		Sp:    span,
 	}
+	prog := p.info.Prog
 	cs := &ast.ConfineStmt{
-		Expr:     p.clone(expr),
+		ID:       prog.NewID(),
+		Expr:     ast.CloneExpr(prog, expr),
 		Body:     inner,
 		Inferred: false, // set on success
 		Sp:       span,
 	}
+	p.info.Extend()
+	copyEntries(p.info, expr, cs.Expr)
 	p.planted = append(p.planted, cs)
 
 	// The wrapped statements' nested blocks are already planted; only
@@ -470,29 +474,20 @@ func (p *planter) wrap(b *ast.Block, sums []lockArgs, first, last int, expr ast.
 	return append(append(sums[:first:first], sum), sums[last+1:]...)
 }
 
-// clone copies e for a planted confine and gives every node of the
-// copy the entries standard checking recorded for its original, so
-// the planted program needs no second check. The planter clones only
-// occurrences that are well scoped at the wrap point, which makes the
-// copied entries exactly the ones a check would compute.
-func (p *planter) clone(e ast.Expr) ast.Expr {
-	c := ast.CloneExpr(e)
-	copyEntries(p.info, e, c)
-	return c
-}
-
+// copyEntries gives every node of c, a clone of orig planted in a
+// confine, the entries standard checking recorded for its original,
+// so the planted program needs no second check. The planter clones
+// only occurrences that are well scoped at the wrap point, which
+// makes the copied entries exactly the ones a check would compute.
 func copyEntries(in *types.Info, orig, c ast.Expr) {
-	if t, ok := in.ExprTypes[orig]; ok {
-		in.ExprTypes[c] = t
+	o, n := orig.NodeID(), c.NodeID()
+	if t := in.ExprTypes[o]; t != nil {
+		in.ExprTypes[n] = t
+		in.Typed++
 	}
-	if in.IsPlace[orig] {
-		in.IsPlace[c] = true
-	}
+	in.IsPlace[n] = in.IsPlace[o]
+	in.Uses[n] = in.Uses[o]
 	switch o := orig.(type) {
-	case *ast.VarExpr:
-		if sym, ok := in.Uses[o]; ok {
-			in.Uses[c.(*ast.VarExpr)] = sym
-		}
 	case *ast.DerefExpr:
 		copyEntries(in, o.X, c.(*ast.DerefExpr).X)
 	case *ast.AddrExpr:

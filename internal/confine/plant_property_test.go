@@ -14,10 +14,12 @@ import (
 )
 
 // plantAndRecheck plants candidates in src using the program's own
-// check, then checks the planted program afresh: the fresh check must
-// report no errors and agree with the extended Info on every entry —
-// the clones' copied entries and the originals' alike. Symbols are
-// compared by their defining node, types structurally and by rendering.
+// check, then checks the planted program afresh. Every numbered node
+// of the planted program must have a distinct ID below NumNodes; the
+// fresh check must report no errors and agree with the extended Info
+// index by index — the clones' copied entries and the originals'
+// alike. Symbols are compared by their defining node, types
+// structurally and by rendering.
 func plantAndRecheck(name, src string, general bool) (planted, refused int, err error) {
 	var diags source.Diagnostics
 	prog := parser.Parse(name, src, &diags)
@@ -27,27 +29,62 @@ func plantAndRecheck(name, src string, general bool) (planted, refused int, err 
 	}
 	planted, refused = confine.Plant(prog, info, general)
 
+	nodes := make(map[ast.NodeID]ast.Numbered)
+	ast.Inspect(prog, func(n ast.Node) bool {
+		if nn, ok := n.(ast.Numbered); ok {
+			id := nn.NodeID()
+			if id < 0 || int(id) >= prog.NumNodes {
+				err = fmt.Errorf("%T at %v has ID %d, outside [0, %d)", n, n.Span(), id, prog.NumNodes)
+			} else if prev := nodes[id]; prev != nil {
+				err = fmt.Errorf("%T at %v and %T at %v share ID %d", prev, prev.Span(), n, n.Span(), id)
+			}
+			nodes[id] = nn
+		}
+		return err == nil
+	})
+	if err != nil {
+		return planted, refused, err
+	}
+
 	var again source.Diagnostics
 	fresh := types.Check(prog, &again)
 	if again.HasErrors() {
 		return planted, refused, fmt.Errorf("planted program fails checking: %s\n%s", again.String(), ast.String(prog))
 	}
-	if len(fresh.ExprTypes) != len(info.ExprTypes) || len(fresh.IsPlace) != len(info.IsPlace) || len(fresh.Uses) != len(info.Uses) {
-		return planted, refused, fmt.Errorf("entry counts differ: types %d/%d, places %d/%d, uses %d/%d",
-			len(fresh.ExprTypes), len(info.ExprTypes), len(fresh.IsPlace), len(info.IsPlace), len(fresh.Uses), len(info.Uses))
+	if fresh.Typed != info.Typed || fresh.NumBinders != info.NumBinders {
+		return planted, refused, fmt.Errorf("entry counts differ: typed %d/%d, binders %d/%d",
+			fresh.Typed, info.Typed, fresh.NumBinders, info.NumBinders)
 	}
-	for e, want := range fresh.ExprTypes {
-		got := info.ExprTypes[e]
-		if got == nil || !types.Equal(got, want) || got.String() != want.String() {
-			return planted, refused, fmt.Errorf("%s at %v: type %v, a fresh check says %v", ast.ExprString(e), e.Span(), got, want)
-		}
-		if info.IsPlace[e] != fresh.IsPlace[e] {
-			return planted, refused, fmt.Errorf("%s at %v: place flag %v, a fresh check says %v", ast.ExprString(e), e.Span(), info.IsPlace[e], fresh.IsPlace[e])
+	for _, tables := range [][2]int{
+		{len(fresh.ExprTypes), len(info.ExprTypes)}, {len(fresh.IsPlace), len(info.IsPlace)},
+		{len(fresh.Uses), len(info.Uses)}, {len(fresh.Binders), len(info.Binders)},
+		{len(fresh.StructAllocs), len(info.StructAllocs)},
+	} {
+		if tables[0] != prog.NumNodes || tables[1] != prog.NumNodes {
+			return planted, refused, fmt.Errorf("table lengths %d (fresh) and %d (planted), want NumNodes %d", tables[0], tables[1], prog.NumNodes)
 		}
 	}
-	for v, want := range fresh.Uses {
-		if got := info.Uses[v]; got == nil || got.Def != want.Def {
-			return planted, refused, fmt.Errorf("%s at %v resolves to a different symbol than a fresh check finds", v.Name, v.Sp)
+	sameSym := func(a, b *types.Symbol) bool { return (a == nil) == (b == nil) && (a == nil || a.Def == b.Def) }
+	for id := range prog.NumNodes {
+		at := fmt.Sprintf("node %d", id)
+		if n := nodes[ast.NodeID(id)]; n != nil {
+			at = fmt.Sprintf("%T at %v", n, n.Span())
+		}
+		got, want := info.ExprTypes[id], fresh.ExprTypes[id]
+		if (got == nil) != (want == nil) || want != nil && (!types.Equal(got, want) || got.String() != want.String()) {
+			return planted, refused, fmt.Errorf("%s: type %v, a fresh check says %v", at, got, want)
+		}
+		if info.IsPlace[id] != fresh.IsPlace[id] {
+			return planted, refused, fmt.Errorf("%s: place flag %v, a fresh check says %v", at, info.IsPlace[id], fresh.IsPlace[id])
+		}
+		if !sameSym(info.Uses[id], fresh.Uses[id]) {
+			return planted, refused, fmt.Errorf("%s resolves to a different symbol than a fresh check finds", at)
+		}
+		if !sameSym(info.Binders[id], fresh.Binders[id]) {
+			return planted, refused, fmt.Errorf("%s binds a different symbol than a fresh check finds", at)
+		}
+		if info.StructAllocs[id] != fresh.StructAllocs[id] {
+			return planted, refused, fmt.Errorf("%s: struct allocation differs from a fresh check", at)
 		}
 	}
 	return planted, refused, nil

@@ -391,6 +391,11 @@ func (s *System) Fresh(name string) Var {
 // can estimate the system's size (inference knows the expression
 // count) avoids growth reallocation on the hot path. Estimates may be
 // exceeded freely; growth then proceeds normally.
+//
+// Inference reserves one variable and 1.5 inclusions per typed
+// expression. Over the 589 corpus modules a base run mints 0.59
+// variables and 0.80 inclusions per typed expression and a confine
+// run 0.82 and 1.22; no run of any module exceeds 1.00 and 1.50.
 func (s *System) Reserve(vars, incls int) {
 	if cap(s.varNames) < vars {
 		grown := make([]varName, len(s.varNames), vars)

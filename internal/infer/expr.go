@@ -33,12 +33,12 @@ func (inf *inferencer) expr(e ast.Expr, sink effects.Var, env effects.Var) *LTyp
 		ctx := inf.confines[i]
 		if inf.matchesConfined(e, ctx.expr) {
 			inf.sys.AddVarIncl(ctx.pi, sink)
-			inf.res.LTypes[e] = ctx.xT
+			inf.res.LTypes[e.NodeID()] = ctx.xT
 			return ctx.xT
 		}
 	}
 	t := inf.expr1(e, sink, env)
-	inf.res.LTypes[e] = t
+	inf.res.LTypes[e.NodeID()] = t
 	return t
 }
 
@@ -48,7 +48,7 @@ func (inf *inferencer) expr1(e ast.Expr, sink effects.Var, env effects.Var) *LTy
 		return inf.b.intT
 
 	case *ast.VarExpr:
-		sym := inf.tinfo.Uses[e]
+		sym := inf.tinfo.UseOf(e)
 		if sym == nil {
 			return inf.b.intT
 		}
@@ -69,7 +69,7 @@ func (inf *inferencer) expr1(e ast.Expr, sink effects.Var, env effects.Var) *LTy
 		return inf.b.intT
 
 	case *ast.NewExpr:
-		if sd := inf.tinfo.StructAllocs[e]; sd != nil {
+		if sd := inf.tinfo.StructAllocOf(e); sd != nil {
 			// Heap struct allocation: fresh instance whose cells are
 			// conservatively multi (a new-site may execute many
 			// times); alloc effects on the storage the instantiation
@@ -252,10 +252,10 @@ func (r *Result) ParamCells(f *ast.FunDecl, i int) []locs.Loc {
 	}
 	p := f.Params[i]
 	var out []locs.Loc
-	if b := r.Bindings[p]; b != nil {
+	if b := r.BindingOf(p); b != nil {
 		out = append(out, r.Locs.Find(b.Rho), r.Locs.Find(b.RhoP))
 	}
-	sym := r.TInfo.Binders[p]
+	sym := r.TInfo.BinderOf(p)
 	if sym != nil {
 		for _, c := range effCells(r.SymLTypes[sym], nil, nil) {
 			out = append(out, r.Locs.Find(c))
@@ -301,10 +301,7 @@ func effCells(t *LType, out []locs.Loc, seen map[*LType]bool) []locs.Loc {
 func (inf *inferencer) place(e ast.Expr, sink effects.Var, env effects.Var) (locs.Loc, *LType) {
 	cell, content := inf.place1(e, sink, env)
 	if content != nil {
-		inf.res.LTypes[e] = content
-	}
-	if cell != locs.NoLoc {
-		inf.res.PlaceCells[e] = cell
+		inf.res.LTypes[e.NodeID()] = content
 	}
 	return cell, content
 }
@@ -316,7 +313,7 @@ func (inf *inferencer) place1(e ast.Expr, sink effects.Var, env effects.Var) (lo
 	// whole of e is matched first by expr()).
 	switch e := e.(type) {
 	case *ast.VarExpr:
-		sym := inf.tinfo.Uses[e]
+		sym := inf.tinfo.UseOf(e)
 		if sym == nil || sym.Kind != types.SymGlobal {
 			return locs.NoLoc, nil
 		}

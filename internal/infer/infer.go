@@ -96,13 +96,13 @@ type Result struct {
 	Locs  *locs.Store
 	Sys   *effects.System
 
-	// LTypes is the located value type of every inferred expression.
-	LTypes map[ast.Expr]*LType
-	// PlaceCells is the storage cell of every place expression.
-	PlaceCells map[ast.Expr]locs.Loc
-	// Bindings maps restrict/confine nodes (and candidate params and
-	// lets) to their ρ/ρ′ pair.
-	Bindings map[ast.Node]*Binding
+	// LTypes holds the located value type of every inferred
+	// expression, indexed by ast.NodeID (read it through LTypeOf).
+	LTypes []*LType
+	// Bindings holds the ρ/ρ′ pair of every restrict/confine node and
+	// candidate param and let, indexed by ast.NodeID (read it through
+	// BindingOf).
+	Bindings []*Binding
 	// Candidates lists inference candidates in source order.
 	Candidates []*Candidate
 	// FunEff is each function's latent (post-Down) effect variable;
@@ -122,12 +122,20 @@ type Result struct {
 // TargetOf returns the pointed-to cell of a ref-typed expression
 // (canonical), e.g. the lock cell of a spin_lock argument.
 func (r *Result) TargetOf(e ast.Expr) (locs.Loc, bool) {
-	lt := r.LTypes[e]
+	lt := r.LTypeOf(e)
 	if lt == nil || lt.Kind() != LRef {
 		return locs.NoLoc, false
 	}
 	return r.Locs.Find(lt.Cell()), true
 }
+
+// LTypeOf returns the located type inference gave e, or nil. Like the
+// types.Info accessors, it treats a node numbered after the run (a
+// confine planted into the program later) as absent.
+func (r *Result) LTypeOf(e ast.Expr) *LType { return ast.Lookup(r.LTypes, e.NodeID()) }
+
+// BindingOf returns the restrict/confine binding of n, or nil.
+func (r *Result) BindingOf(n ast.Numbered) *Binding { return ast.Lookup(r.Bindings, n.NodeID()) }
 
 // Succeeded reports a candidate's post-solve verdict: the candidate
 // became a restrict/confine iff its two locations stayed distinct.
@@ -143,16 +151,17 @@ func (r *Result) Succeeded(c *Candidate) bool {
 func Run(tinfo *types.Info, diags *source.Diagnostics, opts Options) *Result {
 	ls := locs.NewStore()
 	sys := effects.NewSystem(ls)
-	// Inference mints a few variables and inclusions per expression;
-	// reserving against the typed-expression count avoids slice growth
-	// on the constraint-building hot path.
-	sys.Reserve(2*len(tinfo.ExprTypes), 2*len(tinfo.ExprTypes))
+	// Reserving against the typed-expression count avoids slice growth
+	// on the constraint-building hot path (see System.Reserve for the
+	// measured ratios).
+	sys.Reserve(tinfo.Typed, 3*tinfo.Typed/2)
 	b := newBuilder(ls, sys)
 	b.structReg = tinfo.Structs
 	b.diags = diags
 	b.file = tinfo.Prog.File
 	b.site = source.NoSpan
 
+	n := tinfo.Prog.NumNodes
 	inf := &inferencer{
 		b:     b,
 		ls:    ls,
@@ -161,16 +170,15 @@ func Run(tinfo *types.Info, diags *source.Diagnostics, opts Options) *Result {
 		diags: diags,
 		opts:  opts,
 		res: &Result{
-			Prog:       tinfo.Prog,
-			TInfo:      tinfo,
-			Locs:       ls,
-			Sys:        sys,
-			LTypes:     make(map[ast.Expr]*LType, len(tinfo.ExprTypes)),
-			PlaceCells: make(map[ast.Expr]locs.Loc, len(tinfo.IsPlace)),
-			Bindings:   make(map[ast.Node]*Binding, len(tinfo.Binders)),
-			FunEff:     make(map[effKey]effects.Var),
-			FunBody:    make(map[effKey]effects.Var),
-			SymLTypes:  make(map[*types.Symbol]*LType, len(tinfo.Binders)),
+			Prog:      tinfo.Prog,
+			TInfo:     tinfo,
+			Locs:      ls,
+			Sys:       sys,
+			LTypes:    make([]*LType, n),
+			Bindings:  make([]*Binding, n),
+			FunEff:    make(map[effKey]effects.Var),
+			FunBody:   make(map[effKey]effects.Var),
+			SymLTypes: make(map[*types.Symbol]*LType, tinfo.NumBinders),
 		},
 	}
 	inf.run()
@@ -319,7 +327,7 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 	// Bind parameters: explicitly restrict-qualified ones get hard
 	// checks; otherwise they are optionally restrict candidates.
 	for i, p := range f.Params {
-		sym := inf.tinfo.Binders[p]
+		sym := inf.tinfo.BinderOf(p)
 		if sym == nil {
 			continue
 		}
@@ -341,7 +349,7 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 			// it without conditional relays (keeping restrict-only
 			// systems on the Figure 5 fast path).
 			inf.restrictEffect(p.Name, rho, rhoP, fi.body, fi.eff)
-			inf.res.Bindings[p] = &Binding{Node: p, Rho: rho, RhoP: rhoP, Explicit: true}
+			inf.res.Bindings[p.ID] = &Binding{Node: p, Rho: rho, RhoP: rhoP, Explicit: true}
 			bound = xT
 		} else if inf.opts.InferRestrictParams && orig.Kind() == LRef {
 			rho := orig.Cell()
@@ -358,7 +366,7 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 			esc := inf.paramEscapeVar(fi, i, orig, p.Name)
 			inf.addCandidateConds(cand, fi.body, esc, fi.eff)
 			inf.res.Candidates = append(inf.res.Candidates, cand)
-			inf.res.Bindings[p] = &Binding{Node: p, Rho: rho, RhoP: rhoP, Cand: cand}
+			inf.res.Bindings[p.ID] = &Binding{Node: p, Rho: rho, RhoP: rhoP, Cand: cand}
 			bound = xT
 		}
 		inf.res.SymLTypes[sym] = bound
@@ -455,7 +463,7 @@ func (inf *inferencer) walkStmts(stmts []ast.Stmt, sink effects.Var, env effects
 // candidate (inference mode).
 func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effects.Var) {
 	initT := inf.expr(s.Init, sink, env)
-	sym := inf.tinfo.Binders[s]
+	sym := inf.tinfo.BinderOf(s)
 	if sym == nil {
 		return
 	}
@@ -469,7 +477,7 @@ func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effe
 		rhoP := inf.ls.FreshRestricted(s.Name + "'")
 		xT := inf.b.mkRef(rhoP, initT.Elem(), s.Name+"'")
 		inf.res.SymLTypes[sym] = xT
-		inf.res.Bindings[s] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
+		inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
 
 		l2 := inf.sys.FreshN("L2(", s.Name, ")")
 		esc := inf.escapeVar(env, initT, s.Name)
@@ -502,7 +510,7 @@ func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effe
 		inf.sys.AddVarIncl(l2, sink)
 		inf.addCandidateConds(cand, l2, esc, sink)
 		inf.res.Candidates = append(inf.res.Candidates, cand)
-		inf.res.Bindings[s] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Cand: cand}
+		inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Cand: cand}
 
 	default:
 		// Plain let.
@@ -571,7 +579,7 @@ func (inf *inferencer) stmt(s ast.Stmt, sink, env effects.Var) effects.Var {
 // bindStmt handles the explicitly scoped binders.
 func (inf *inferencer) bindStmt(s *ast.BindStmt, sink, env effects.Var) {
 	initT := inf.expr(s.Init, sink, env)
-	sym := inf.tinfo.Binders[s]
+	sym := inf.tinfo.BinderOf(s)
 	if sym == nil {
 		return
 	}
@@ -587,7 +595,7 @@ func (inf *inferencer) bindStmt(s *ast.BindStmt, sink, env effects.Var) {
 	rhoP := inf.ls.FreshRestricted(s.Name + "'")
 	xT := inf.b.mkRef(rhoP, initT.Elem(), s.Name+"'")
 	inf.res.SymLTypes[sym] = xT
-	inf.res.Bindings[s] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
+	inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
 
 	l2 := inf.sys.FreshN("L2(", s.Name, ")")
 	esc := inf.escapeVar(env, initT, s.Name)
@@ -660,13 +668,13 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 			"a location read by the confined expression is allocated in the scope")
 		inf.addRelayConds("confine", name, rhoP, l2, rho, sink)
 		inf.res.Candidates = append(inf.res.Candidates, cand)
-		inf.res.Bindings[s] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Cand: cand}
+		inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Cand: cand}
 		return
 	}
 
 	// Explicit confine: hard checks (the confine rule derived from
 	// confine? by requiring ρ ≠ ρ′, Section 6.1).
-	inf.res.Bindings[s] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
+	inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
 	inf.sys.AddNotIn(rho, l2, s.Sp,
 		effects.Reason{Kind: "confine", Name: name, Why: "an alias of the confined location is used within its scope"})
 	inf.sys.AddNotIn(rhoP, esc, s.Sp,

@@ -76,8 +76,8 @@ fun f(q: ref int, a: ref int) {
 }
 `, Options{})
 	f := res.Prog.Fun("f")
-	qSym := res.TInfo.Binders[f.Params[0]]
-	aSym := res.TInfo.Binders[f.Params[1]]
+	qSym := res.TInfo.BinderOf(f.Params[0])
+	aSym := res.TInfo.BinderOf(f.Params[1])
 	qT := res.SymLTypes[qSym]
 	aT := res.SymLTypes[aSym]
 	if !res.Locs.Same(qT.Cell(), aT.Cell()) {
@@ -92,8 +92,8 @@ fun f(q: ref int, a: ref int): int {
 }
 `, Options{})
 	f := res.Prog.Fun("f")
-	qT := res.SymLTypes[res.TInfo.Binders[f.Params[0]]]
-	aT := res.SymLTypes[res.TInfo.Binders[f.Params[1]]]
+	qT := res.SymLTypes[res.TInfo.BinderOf(f.Params[0])]
+	aT := res.SymLTypes[res.TInfo.BinderOf(f.Params[1])]
 	if res.Locs.Same(qT.Cell(), aT.Cell()) {
 		t.Error("mere reads must not unify distinct pointers")
 	}
@@ -276,7 +276,7 @@ fun f(q: ref int, n: int): int {
 	if len(res.Candidates) != 1 || res.Candidates[0].Kind != CandParam {
 		t.Fatalf("candidates: %+v", res.Candidates)
 	}
-	if _, ok := res.Bindings[res.Prog.Fun("f").Params[0]]; !ok {
+	if res.BindingOf(res.Prog.Fun("f").Params[0]) == nil {
 		t.Error("param binding must be recorded for qual")
 	}
 }
@@ -294,7 +294,7 @@ fun f(i: int) {
     }
 }
 `, Options{})
-	b := res.Bindings[firstConfine(res.Prog)]
+	b := res.BindingOf(firstConfine(res.Prog))
 	if b == nil {
 		t.Fatal("confine binding missing")
 	}
@@ -367,24 +367,30 @@ fun f() {
 }
 
 func TestPlaceCells(t *testing.T) {
+	// The cell a place denotes is the target of its address: a struct
+	// field's and an array element's must differ.
 	res, _ := run(t, `
 struct dev { l: lock; n: int; }
 global d: dev;
 global tbl: int[4];
 fun f(i: int) {
-    d.n = tbl[i];
+    let p = &d.n;
+    let q = &tbl[i];
+    *p = *q;
 }
 `, Options{})
 	var fieldCell, elemCell = -1, -1
 	ast.Inspect(res.Prog, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FieldExpr:
-			if c, ok := res.PlaceCells[ast.Expr(n)]; ok {
-				fieldCell = int(res.Locs.Find(c))
+		if a, ok := n.(*ast.AddrExpr); ok {
+			c, ok := res.TargetOf(a)
+			if !ok {
+				t.Fatalf("no target for %s", ast.ExprString(a))
 			}
-		case *ast.IndexExpr:
-			if c, ok := res.PlaceCells[ast.Expr(n)]; ok {
-				elemCell = int(res.Locs.Find(c))
+			switch a.X.(type) {
+			case *ast.FieldExpr:
+				fieldCell = int(c)
+			case *ast.IndexExpr:
+				elemCell = int(c)
 			}
 		}
 		return true
@@ -418,13 +424,13 @@ fun f(n: ref node, a: ref int): int {
 }
 `, Options{})
 	f := res.Prog.Fun("f")
-	nT := res.SymLTypes[res.TInfo.Binders[f.Params[0]]]
+	nT := res.SymLTypes[res.TInfo.BinderOf(f.Params[0])]
 	s := nT.String()
 	// Cyclic struct types must render without hanging.
 	if !strings.Contains(s, "ref") || !strings.Contains(s, "node") {
 		t.Errorf("render: %q", s)
 	}
-	aT := res.SymLTypes[res.TInfo.Binders[f.Params[1]]]
+	aT := res.SymLTypes[res.TInfo.BinderOf(f.Params[1])]
 	if !strings.HasPrefix(aT.String(), "ref ρ") {
 		t.Errorf("render: %q", aT.String())
 	}

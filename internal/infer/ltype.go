@@ -179,10 +179,11 @@ type builder struct {
 	// allocation).
 	cellsMade []locs.Loc
 
-	// slab chunk-allocates LType nodes: one make per 256 nodes
-	// instead of one per node. Chunks are never reallocated (a full
-	// chunk is replaced by a fresh one), so returned pointers stay
-	// valid.
+	// slab chunk-allocates LType nodes: one make per chunk instead of
+	// one per node. Chunks start at 16 nodes and double up to 256, so
+	// a small module (a base run uses a few dozen) does not pay for
+	// the largest chunk. Chunks are never reallocated (a full chunk is
+	// replaced by a fresh one), so returned pointers stay valid.
 	slab []LType
 }
 
@@ -210,7 +211,7 @@ func newBuilder(ls *locs.Store, sys *effects.System) *builder {
 // newNode allocates a node with its ε_τ variable.
 func (b *builder) newNode(k LKind, name string) *LType {
 	if len(b.slab) == cap(b.slab) {
-		b.slab = make([]LType, 0, 256)
+		b.slab = make([]LType, 0, min(max(2*cap(b.slab), 16), 256))
 	}
 	b.slab = append(b.slab, LType{kind: k, cell: locs.NoLoc, tvar: b.sys.FreshN("τ(", name, ")")})
 	return &b.slab[len(b.slab)-1]

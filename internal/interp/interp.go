@@ -205,7 +205,7 @@ func (in *Interp) invoke(f *ast.FunDecl, args []Value) (Value, error) {
 	}
 	var open []opened
 	for i, p := range f.Params {
-		sym := in.tinfo.Binders[p]
+		sym := in.tinfo.BinderOf(p)
 		v := args[i]
 		if p.Restrict {
 			r, ok := v.(*Ref)
@@ -256,7 +256,7 @@ func (in *Interp) stmts(list []ast.Stmt, e *env) error {
 			if err != nil {
 				return err
 			}
-			sym := in.tinfo.Binders[s]
+			sym := in.tinfo.BinderOf(s)
 			rest := list[i+1:]
 			if s.Restrict {
 				return in.restrictScope(s.Sp, sym, v, func(e2 *env) error {
@@ -308,7 +308,7 @@ func (in *Interp) stmt(s ast.Stmt, e *env) error {
 		if err != nil {
 			return err
 		}
-		sym := in.tinfo.Binders[s]
+		sym := in.tinfo.BinderOf(s)
 		if s.Kind == ast.BindRestrict {
 			return in.restrictScope(s.Sp, sym, v, func(e2 *env) error {
 				return in.stmts(s.Body.Stmts, e2)
@@ -445,7 +445,7 @@ func (in *Interp) expr(x ast.Expr, e *env) (Value, error) {
 		return x.Value, nil
 
 	case *ast.VarExpr:
-		sym := in.tinfo.Uses[x]
+		sym := in.tinfo.UseOf(x)
 		if sym == nil {
 			return nil, &Trap{At: x.Sp, Msg: "unresolved variable " + x.Name}
 		}
@@ -464,7 +464,7 @@ func (in *Interp) expr(x ast.Expr, e *env) (Value, error) {
 		return v, nil
 
 	case *ast.NewExpr:
-		if sd := in.tinfo.StructAllocs[x]; sd != nil {
+		if sd := in.tinfo.StructAllocOf(x); sd != nil {
 			return &Ref{S: in.allocType(&types.Named{Decl: sd})}, nil
 		}
 		v, err := in.expr(x.Init, e)

@@ -9,9 +9,11 @@ import (
 )
 
 // FuzzParse feeds arbitrary bytes through the whole front end: the
-// parser must never panic, must terminate, and — when it produces a
-// program that survives standard type checking — printing and
-// re-parsing that program must succeed (printer/parser coherence).
+// parser must never panic, must terminate, must give every numbered
+// node of the program it returns (recovered or not) a distinct ID
+// below NumNodes, and — when it produces a program that survives
+// standard type checking — printing and re-parsing that program must
+// succeed (printer/parser coherence).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -43,6 +45,20 @@ func FuzzParse(f *testing.F) {
 		if prog == nil {
 			t.Fatal("parser must always return a program")
 		}
+		seen := make(map[ast.NodeID]ast.Node)
+		ast.Inspect(prog, func(n ast.Node) bool {
+			if nn, ok := n.(ast.Numbered); ok {
+				id := nn.NodeID()
+				if id < 0 || int(id) >= prog.NumNodes {
+					t.Fatalf("%T at %v has ID %d, outside [0, %d)", n, n.Span(), id, prog.NumNodes)
+				}
+				if prev := seen[id]; prev != nil {
+					t.Fatalf("%T at %v and %T at %v share ID %d", prev, prev.Span(), n, n.Span(), id)
+				}
+				seen[id] = n
+			}
+			return true
+		})
 		if diags.HasErrors() {
 			return // rejected input: fine
 		}

@@ -75,6 +75,14 @@ type parser struct {
 	diags *source.Diagnostics
 	toks  []lexer.Token
 	pos   int
+	// nodes counts the NodeIDs handed out so far.
+	nodes int
+}
+
+// id numbers the next node.
+func (p *parser) id() ast.NodeID {
+	p.nodes++
+	return ast.NodeID(p.nodes - 1)
 }
 
 func (p *parser) tok() lexer.Token  { return p.toks[p.pos] }
@@ -159,6 +167,7 @@ func (p *parser) program() *ast.Program {
 			}
 		}
 	}
+	prog.NumNodes = p.nodes
 	return prog
 }
 
@@ -204,7 +213,7 @@ func (p *parser) globalDecl() *ast.GlobalDecl {
 	p.expect(token.Colon)
 	typ := p.typeExpr()
 	end := p.expect(token.Semi).Span
-	return &ast.GlobalDecl{Name: name.Lit, Type: typ, Sp: start.Union(end)}
+	return &ast.GlobalDecl{ID: p.id(), Name: name.Lit, Type: typ, Sp: start.Union(end)}
 }
 
 func (p *parser) funDecl() *ast.FunDecl {
@@ -218,6 +227,7 @@ func (p *parser) funDecl() *ast.FunDecl {
 		restricted := p.accept(token.KwRestrict)
 		ptype := p.typeExpr()
 		d.Params = append(d.Params, &ast.Param{
+			ID:       p.id(),
 			Name:     pname.Lit,
 			Type:     ptype,
 			Restrict: restricted,
@@ -326,11 +336,12 @@ func (p *parser) letStmt() ast.Stmt {
 	init := p.expr()
 	if p.at(token.Semi) {
 		end := p.advance().Span
-		return &ast.DeclStmt{Name: name.Lit, Init: init, Sp: start.Union(end)}
+		return &ast.DeclStmt{ID: p.id(), Name: name.Lit, Init: init, Sp: start.Union(end)}
 	}
 	p.accept(token.KwIn)
 	body := p.block()
 	return &ast.BindStmt{
+		ID:   p.id(),
 		Kind: ast.BindLet,
 		Name: name.Lit,
 		Init: init,
@@ -347,6 +358,7 @@ func (p *parser) restrictStmt() ast.Stmt {
 	p.accept(token.KwIn)
 	body := p.block()
 	return &ast.BindStmt{
+		ID:   p.id(),
 		Kind: ast.BindRestrict,
 		Name: name.Lit,
 		Init: init,
@@ -360,7 +372,7 @@ func (p *parser) confineStmt() ast.Stmt {
 	e := p.expr()
 	p.accept(token.KwIn)
 	body := p.block()
-	return &ast.ConfineStmt{Expr: e, Body: body, Sp: start.Union(body.Span())}
+	return &ast.ConfineStmt{ID: p.id(), Expr: e, Body: body, Sp: start.Union(body.Span())}
 }
 
 func (p *parser) ifStmt() ast.Stmt {
@@ -428,7 +440,7 @@ func (p *parser) binary(minPrec int) ast.Expr {
 		}
 		op := p.advance().Kind
 		rhs := p.binary(prec + 1)
-		lhs = &ast.BinExpr{Op: op, X: lhs, Y: rhs, Sp: lhs.Span().Union(rhs.Span())}
+		lhs = &ast.BinExpr{ID: p.id(), Op: op, X: lhs, Y: rhs, Sp: lhs.Span().Union(rhs.Span())}
 	}
 }
 
@@ -438,23 +450,23 @@ func (p *parser) unary() ast.Expr {
 	case token.Star:
 		p.advance()
 		x := p.unary()
-		return &ast.DerefExpr{X: x, Sp: sp.Union(x.Span())}
+		return &ast.DerefExpr{ID: p.id(), X: x, Sp: sp.Union(x.Span())}
 	case token.Amp:
 		p.advance()
 		x := p.unary()
-		return &ast.AddrExpr{X: x, Sp: sp.Union(x.Span())}
+		return &ast.AddrExpr{ID: p.id(), X: x, Sp: sp.Union(x.Span())}
 	case token.Not:
 		p.advance()
 		x := p.unary()
-		return &ast.UnExpr{Op: token.Not, X: x, Sp: sp.Union(x.Span())}
+		return &ast.UnExpr{ID: p.id(), Op: token.Not, X: x, Sp: sp.Union(x.Span())}
 	case token.Minus:
 		p.advance()
 		x := p.unary()
-		return &ast.UnExpr{Op: token.Minus, X: x, Sp: sp.Union(x.Span())}
+		return &ast.UnExpr{ID: p.id(), Op: token.Minus, X: x, Sp: sp.Union(x.Span())}
 	case token.KwNew:
 		p.advance()
 		x := p.unary()
-		return &ast.NewExpr{Init: x, Sp: sp.Union(x.Span())}
+		return &ast.NewExpr{ID: p.id(), Init: x, Sp: sp.Union(x.Span())}
 	default:
 		return p.postfix()
 	}
@@ -468,14 +480,14 @@ func (p *parser) postfix() ast.Expr {
 			p.advance()
 			idx := p.expr()
 			end := p.expect(token.RBrack).Span
-			e = &ast.IndexExpr{X: e, Index: idx, Sp: e.Span().Union(end)}
+			e = &ast.IndexExpr{ID: p.id(), X: e, Index: idx, Sp: e.Span().Union(end)}
 		case token.Dot:
 			p.advance()
 			name := p.expect(token.Ident)
 			if v, ok := e.(*ast.VarExpr); ok && p.at(token.LParen) {
 				// Qualified call pkg.fn(args) into an imported module.
 				p.advance()
-				call := &ast.CallExpr{Fun: v.Name + "." + name.Lit}
+				call := &ast.CallExpr{ID: p.id(), Fun: v.Name + "." + name.Lit}
 				for !p.at(token.RParen) && !p.at(token.EOF) {
 					call.Args = append(call.Args, p.expr())
 					if !p.accept(token.Comma) {
@@ -487,11 +499,11 @@ func (p *parser) postfix() ast.Expr {
 				e = call
 				continue
 			}
-			e = &ast.FieldExpr{X: e, Name: name.Lit, Sp: e.Span().Union(name.Span)}
+			e = &ast.FieldExpr{ID: p.id(), X: e, Name: name.Lit, Sp: e.Span().Union(name.Span)}
 		case token.Arrow:
 			p.advance()
 			name := p.expect(token.Ident)
-			e = &ast.FieldExpr{X: e, Name: name.Lit, Arrow: true, Sp: e.Span().Union(name.Span)}
+			e = &ast.FieldExpr{ID: p.id(), X: e, Name: name.Lit, Arrow: true, Sp: e.Span().Union(name.Span)}
 		default:
 			return e
 		}
@@ -507,12 +519,12 @@ func (p *parser) primary() ast.Expr {
 		if err != nil {
 			p.errorf(t.Span, "invalid integer literal %q", t.Lit)
 		}
-		return &ast.IntLit{Value: v, Sp: t.Span}
+		return &ast.IntLit{ID: p.id(), Value: v, Sp: t.Span}
 	case token.Ident:
 		t := p.advance()
 		if p.at(token.LParen) {
 			p.advance()
-			call := &ast.CallExpr{Fun: t.Lit}
+			call := &ast.CallExpr{ID: p.id(), Fun: t.Lit}
 			for !p.at(token.RParen) && !p.at(token.EOF) {
 				call.Args = append(call.Args, p.expr())
 				if !p.accept(token.Comma) {
@@ -523,7 +535,7 @@ func (p *parser) primary() ast.Expr {
 			call.Sp = t.Span.Union(end)
 			return call
 		}
-		return &ast.VarExpr{Name: t.Lit, Sp: t.Span}
+		return &ast.VarExpr{ID: p.id(), Name: t.Lit, Sp: t.Span}
 	case token.LParen:
 		p.advance()
 		e := p.expr()
@@ -532,6 +544,6 @@ func (p *parser) primary() ast.Expr {
 	default:
 		p.errorf(sp, "expected expression, found %q", p.kind())
 		p.sync(token.Semi, token.RParen, token.RBrack, token.RBrace)
-		return &ast.IntLit{Value: 0, Sp: sp}
+		return &ast.IntLit{ID: p.id(), Value: 0, Sp: sp}
 	}
 }

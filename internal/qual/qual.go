@@ -143,10 +143,7 @@ func Analyze(res *infer.Result, sol *solve.Result, mode Mode) *Report {
 }
 
 func (a *analyzer) report() *Report {
-	rep := &Report{Mode: a.mode, NumSites: a.numSites}
-	for _, e := range a.failed {
-		rep.Errors = append(rep.Errors, e)
-	}
+	rep := &Report{Mode: a.mode, NumSites: a.numSites, Errors: a.failed}
 	sort.Slice(rep.Errors, func(i, j int) bool {
 		return rep.Errors[i].Site.Start < rep.Errors[j].Site.Start
 	})
@@ -240,8 +237,11 @@ type analyzer struct {
 	res      *infer.Result
 	sol      *solve.Result
 	mode     Mode
-	failed   map[*ast.CallExpr]SiteError
 	numSites int
+	// failed lists the failing sites in the order they were found,
+	// each once; failedAt marks their calls by NodeID.
+	failed   []SiteError
+	failedAt []bool
 
 	// sums are the import summaries (nil: havoc imported calls).
 	sums Transfers
@@ -331,7 +331,7 @@ func (a *analyzer) fun(f *ast.FunDecl, sigma store, stack []string) store {
 	type opened struct{ rho, rhoP locs.Loc }
 	var open []opened
 	for _, p := range f.Params {
-		if b := a.res.Bindings[p]; b != nil {
+		if b := a.res.BindingOf(p); b != nil {
 			if rho, rhoP, ok := a.enterBinding(b, sigma); ok {
 				open = append(open, opened{rho, rhoP})
 			}
@@ -377,7 +377,7 @@ func (a *analyzer) stmts(list []ast.Stmt, sigma store, stack []string) (store, s
 		switch s := s.(type) {
 		case *ast.DeclStmt:
 			// Remainder-of-block binder; possibly a restrict scope.
-			if b := a.res.Bindings[s]; b != nil {
+			if b := a.res.BindingOf(s); b != nil {
 				if rho, rhoP, ok := a.enterBinding(b, sigma); ok {
 					out, r2 := a.stmts(list[i+1:], sigma, stack)
 					a.exitBinding(rho, rhoP, out)
@@ -410,7 +410,7 @@ func (a *analyzer) stmt(s ast.Stmt, sigma store, stack []string) (store, store) 
 	switch s := s.(type) {
 	case *ast.BindStmt:
 		sigma = a.expr(s.Init, sigma, stack)
-		if b := a.res.Bindings[s]; b != nil {
+		if b := a.res.BindingOf(s); b != nil {
 			if rho, rhoP, ok := a.enterBinding(b, sigma); ok {
 				out, rets := a.stmts(s.Body.Stmts, sigma, stack)
 				a.exitBinding(rho, rhoP, out)
@@ -422,7 +422,7 @@ func (a *analyzer) stmt(s ast.Stmt, sigma store, stack []string) (store, store) 
 
 	case *ast.ConfineStmt:
 		sigma = a.expr(s.Expr, sigma, stack)
-		if b := a.res.Bindings[s]; b != nil {
+		if b := a.res.BindingOf(s); b != nil {
 			if rho, rhoP, ok := a.enterBinding(b, sigma); ok {
 				out, rets := a.stmts(s.Body.Stmts, sigma, stack)
 				a.exitBinding(rho, rhoP, out)
@@ -520,6 +520,18 @@ func (a *analyzer) expr(e ast.Expr, sigma store, stack []string) store {
 	}
 }
 
+// fail records e unless its call already failed.
+func (a *analyzer) fail(e SiteError) {
+	if a.failedAt == nil {
+		a.failedAt = make([]bool, a.res.Prog.NumNodes)
+	}
+	if a.failedAt[e.Call.ID] {
+		return
+	}
+	a.failedAt[e.Call.ID] = true
+	a.failed = append(a.failed, e)
+}
+
 // lockOp checks and applies one spin_lock/spin_unlock site.
 func (a *analyzer) lockOp(call *ast.CallExpr, sigma store) store {
 	target, ok := a.res.TargetOf(call.Args[0])
@@ -534,15 +546,7 @@ func (a *analyzer) lockOp(call *ast.CallExpr, sigma store) store {
 	}
 	got := sigma.get(target)
 	if got != want {
-		if _, dup := a.failed[call]; !dup {
-			a.failed[call] = SiteError{
-				Call: call,
-				Site: call.Sp,
-				Op:   call.Fun,
-				Want: want,
-				Got:  got,
-			}
-		}
+		a.fail(SiteError{Call: call, Site: call.Sp, Op: call.Fun, Want: want, Got: got})
 		if a.watch != nil && a.watch[target] {
 			a.watchErrs++
 		}

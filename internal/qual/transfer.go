@@ -59,11 +59,10 @@ type Transfers map[string][]ParamTransfer
 // anticipated) havoc their argument targets to ⊤.
 func AnalyzeWith(res *infer.Result, sol *solve.Result, mode Mode, sums Transfers) *Report {
 	a := &analyzer{
-		res:    res,
-		sol:    sol,
-		mode:   mode,
-		sums:   sums,
-		failed: make(map[*ast.CallExpr]SiteError),
+		res:  res,
+		sol:  sol,
+		mode: mode,
+		sums: sums,
 	}
 	a.countSites()
 
@@ -123,13 +122,12 @@ func transfersOf(res *infer.Result, sol *solve.Result, mode Mode, sums Transfers
 		pt := ParamTransfer{Param: fm.idx}
 		for s := Bot; s <= Top; s++ {
 			a := &analyzer{
-				res:    res,
-				sol:    sol,
-				mode:   mode,
-				sums:   sums,
-				failed: make(map[*ast.CallExpr]SiteError),
-				weak:   weak,
-				watch:  map[locs.Loc]bool{fm.rho: true},
+				res:   res,
+				sol:   sol,
+				mode:  mode,
+				sums:  sums,
+				weak:  weak,
+				watch: map[locs.Loc]bool{fm.rho: true},
 			}
 			out := a.fun(f, store{fm.rho: s}, nil)
 			ent := TransferEntry{Out: Top, Err: a.watchErrs > 0}
@@ -147,10 +145,10 @@ func transfersOf(res *infer.Result, sol *solve.Result, mode Mode, sums Transfers
 // ρ of its restrict binding when one exists, else its placeholder
 // cell.
 func formalRho(res *infer.Result, p *ast.Param) locs.Loc {
-	if b := res.Bindings[p]; b != nil {
+	if b := res.BindingOf(p); b != nil {
 		return res.Locs.Find(b.Rho)
 	}
-	sym := res.TInfo.Binders[p]
+	sym := res.TInfo.BinderOf(p)
 	if sym == nil {
 		return locs.NoLoc
 	}
@@ -201,15 +199,7 @@ func (a *analyzer) importedCall(e *ast.CallExpr, sigma store) store {
 			in := sigma.get(r.target)
 			ent := pt.Table[in]
 			if ent.Err {
-				if _, dup := a.failed[e]; !dup {
-					a.failed[e] = SiteError{
-						Call: e,
-						Site: e.Sp,
-						Op:   e.Fun,
-						Want: wantOf(pt),
-						Got:  in,
-					}
-				}
+				a.fail(SiteError{Call: e, Site: e.Sp, Op: e.Fun, Want: wantOf(pt), Got: in})
 				if a.watch != nil && a.watch[r.target] {
 					a.watchErrs++
 				}

@@ -90,7 +90,7 @@ func TestInferenceOptimalityQuick(t *testing.T) {
 				inferred[i] = true
 			}
 			// Ref-typed lets are the candidate population.
-			if sym := tinfo.Binders[d]; sym != nil {
+			if sym := tinfo.BinderOf(d); sym != nil {
 				if _, isRef := sym.Type.(*types.Ref); isRef {
 					candidates = append(candidates, i)
 				}

@@ -137,7 +137,7 @@ fun f(): int {
 `)
 	found := false
 	for _, sd := range info.StructAllocs {
-		if sd.Name == "dev" {
+		if sd != nil && sd.Name == "dev" {
 			found = true
 		}
 	}
@@ -296,7 +296,7 @@ fun f(x: int): int {
 	var kinds []SymKind
 	ast.Inspect(info.Prog, func(n ast.Node) bool {
 		if v, ok := n.(*ast.VarExpr); ok {
-			if sym := info.Uses[v]; sym != nil {
+			if sym := info.UseOf(v); sym != nil {
 				kinds = append(kinds, sym.Kind)
 			}
 		}
@@ -317,14 +317,15 @@ fun f(p: ref int): int {
 }
 `)
 	places := 0
-	for e, isP := range info.IsPlace {
-		if isP {
-			switch e.(type) {
-			case *ast.IndexExpr, *ast.DerefExpr, *ast.VarExpr:
+	ast.Inspect(info.Prog, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.IndexExpr, *ast.DerefExpr, *ast.VarExpr:
+			if info.IsPlaceExpr(e.(ast.Expr)) {
 				places++
 			}
 		}
-	}
+		return true
+	})
 	if places < 4 {
 		t.Errorf("place classification too sparse: %d", places)
 	}

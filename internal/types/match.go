@@ -27,7 +27,7 @@ func (in *Info) EqualResolved(a, b ast.Expr) bool {
 		return false
 	}
 	for i := range avs {
-		sa, sb := in.Uses[avs[i]], in.Uses[bvs[i]]
+		sa, sb := in.UseOf(avs[i]), in.UseOf(bvs[i])
 		if sa == nil || sb == nil || sa != sb {
 			return false
 		}

@@ -212,24 +212,34 @@ func (in *Info) Exports(name string) *PkgSig {
 	return ps
 }
 
-// Info holds everything the checker learned. Later phases key their
-// own tables off the same AST nodes.
+// Info holds everything the checker learned. Its node tables are
+// slices indexed by ast.NodeID, sized to Prog.NumNodes by the check;
+// later phases build their own tables the same way. Read them through
+// TypeOf, IsPlaceExpr, UseOf, BinderOf and StructAllocOf, which treat
+// an ID past the end of a table as absent. Planting confines adds
+// nodes to the program after the check and extends these tables in
+// place (Extend); tables another phase built before planting stay
+// shorter, and the accessors report the planted nodes as absent from
+// them.
 type Info struct {
 	Prog *ast.Program
-	// ExprTypes maps every checked expression to its standard type.
-	// For place expressions this is the content type of the place.
-	ExprTypes map[ast.Expr]Type
+	// ExprTypes holds every checked expression's standard type. For
+	// place expressions this is the content type of the place.
+	ExprTypes []Type
 	// IsPlace records which expressions were checked as places
 	// (lvalues): globals, derefs, index and field expressions.
-	IsPlace map[ast.Expr]bool
+	IsPlace []bool
 	// Uses resolves every variable occurrence to its symbol.
-	Uses map[*ast.VarExpr]*Symbol
-	// Binders maps each binding node (Param, DeclStmt, BindStmt) to
-	// the symbol it introduces.
-	Binders map[ast.Node]*Symbol
+	Uses []*Symbol
+	// Binders holds the symbol each binding node (GlobalDecl, Param,
+	// DeclStmt, BindStmt) introduces.
+	Binders []*Symbol
 	// StructAllocs marks NewExpr nodes that allocate a struct (their
 	// Init is a type name, not an expression).
-	StructAllocs map[*ast.NewExpr]*ast.StructDecl
+	StructAllocs []*ast.StructDecl
+	// Typed counts the expressions with a type in ExprTypes, and
+	// NumBinders the nodes with a symbol in Binders.
+	Typed, NumBinders int
 	// Funs maps function names to signatures (including builtins).
 	Funs map[string]*FunSig
 	// Structs maps struct names to declarations.
@@ -243,7 +253,40 @@ type Info struct {
 }
 
 // TypeOf returns the checked type of e, or nil.
-func (in *Info) TypeOf(e ast.Expr) Type { return in.ExprTypes[e] }
+func (in *Info) TypeOf(e ast.Expr) Type { return ast.Lookup(in.ExprTypes, e.NodeID()) }
+
+// IsPlaceExpr reports whether e was checked as a place.
+func (in *Info) IsPlaceExpr(e ast.Expr) bool { return ast.Lookup(in.IsPlace, e.NodeID()) }
+
+// UseOf returns the symbol v resolves to, or nil.
+func (in *Info) UseOf(v *ast.VarExpr) *Symbol { return ast.Lookup(in.Uses, v.ID) }
+
+// BinderOf returns the symbol binding node n introduces, or nil.
+func (in *Info) BinderOf(n ast.Numbered) *Symbol { return ast.Lookup(in.Binders, n.NodeID()) }
+
+// StructAllocOf returns the struct e allocates, or nil when e is not
+// a struct allocation.
+func (in *Info) StructAllocOf(e *ast.NewExpr) *ast.StructDecl {
+	return ast.Lookup(in.StructAllocs, e.ID)
+}
+
+// Extend grows the node tables to cover every ID of Prog, so that
+// nodes added after the check can be given entries.
+func (in *Info) Extend() {
+	n := in.Prog.NumNodes
+	in.ExprTypes = extend(in.ExprTypes, n)
+	in.IsPlace = extend(in.IsPlace, n)
+	in.Uses = extend(in.Uses, n)
+	in.Binders = extend(in.Binders, n)
+	in.StructAllocs = extend(in.StructAllocs, n)
+}
+
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
 
 // ChangeOp describes one state-changing builtin — an instance of
 // CQUAL's change_type primitive [15]. Every ChangeOp takes a single
