@@ -101,6 +101,7 @@ func TestExitPolicyAgreement(t *testing.T) {
 		{"experiments retired -bench-parallel-json", "experiments", []string{"-bench-parallel-json", "-"}, service.ExitUsage},
 		{"experiments retired -bench-gateway-json", "experiments", []string{"-bench-gateway-json", "-"}, service.ExitUsage},
 		{"experiments retired -bench-xmodule-json", "experiments", []string{"-bench-xmodule-json", "-"}, service.ExitUsage},
+		{"lna gateway retired -hedge-after", "lna", []string{"gateway", "-hedge-after", "50ms", "-backends", "http://127.0.0.1:1"}, service.ExitUsage},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

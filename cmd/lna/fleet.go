@@ -175,8 +175,8 @@ func runTop(opt options) int {
 	gw := fleet.Gateway
 	fmt.Printf("gateway %s: %d/%d backends healthy\n",
 		opt.remote, gw.HealthyBackends, len(gw.Backends))
-	fmt.Printf("  requests=%d batches=%d rejected=%d retries=%d hedges=%d (won %d) max-inflight=%d\n",
-		gw.Requests, gw.BatchRequests, gw.Rejected, gw.Retries, gw.Hedges, gw.HedgeWins, gw.MaxInflight)
+	fmt.Printf("  requests=%d batches=%d rejected=%d retries=%d max-inflight=%d\n",
+		gw.Requests, gw.BatchRequests, gw.Rejected, gw.Retries, gw.MaxInflight)
 	fmt.Printf("  %-28s %-9s %9s %9s %9s %9s %7s\n",
 		"BACKEND", "HEALTHY", "FORWARDED", "REQUESTS", "HITS", "MISSES", "QUEUE")
 	for _, rep := range fleet.Replicas {

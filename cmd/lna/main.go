@@ -13,7 +13,7 @@
 //	lna serve               long-running analysis daemon (HTTP/JSON)
 //	lna gateway             distributed front over N serve replicas:
 //	                        consistent-hash routing by cache key, health
-//	                        checks, retries, hedging, admission control
+//	                        checks, retries, admission control
 //	lna bench               open-loop load generator against a daemon
 //	                        or gateway (-remote), reporting p50/p95/p99
 //	lna trace fetch ID      assemble one distributed trace: pull the
@@ -50,8 +50,6 @@
 //	-addr            listen address (shared with serve)
 //	-backends        comma-separated backend base URLs (required)
 //	-health-interval period between backend health sweeps
-//	-hedge-after     hedge a request against the ring successor after
-//	                 this long (0 = off)
 //	-retries         reroute attempts after the owning backend fails
 //	-max-inflight    admission cap on concurrently forwarded requests
 //
@@ -183,7 +181,6 @@ type options struct {
 
 	backends       string
 	healthInterval time.Duration
-	hedgeAfter     time.Duration
 	retries        int
 	maxInflight    int
 
@@ -231,7 +228,6 @@ func main() {
 	fs.StringVar(&opt.remote, "remote", "", "send the analysis to this daemon or gateway base URL instead of running in-process (check/infer/confine/qual; bench target)")
 	fs.StringVar(&opt.backends, "backends", "", "gateway: comma-separated backend base URLs (required)")
 	fs.DurationVar(&opt.healthInterval, "health-interval", gateway.DefaultHealthInterval, "gateway: period between backend health sweeps")
-	fs.DurationVar(&opt.hedgeAfter, "hedge-after", 0, "gateway: hedge a single-module request against the ring successor after this long (0 = off)")
 	fs.IntVar(&opt.retries, "retries", gateway.DefaultRetries, "gateway: reroute attempts after the owning backend fails (per request)")
 	fs.IntVar(&opt.maxInflight, "max-inflight", gateway.DefaultMaxInflight, "gateway: admission-control cap on concurrently forwarded requests")
 	fs.Float64Var(&opt.rps, "rps", 50, "bench: open-loop target arrival rate")
@@ -402,7 +398,7 @@ func renderResponse(cmd string, resp *service.AnalyzeResponse) {
 	switch {
 	case resp.Failure != nil:
 		f := resp.Failure
-		if f.Kind == faults.KindPanic {
+		if f.Kind == obs.KindPanic {
 			fmt.Fprintf(os.Stderr, "lna: %s: internal error during %s: panic: %s\n",
 				resp.Module, f.Phase, f.Message)
 			if top := faults.TopFrame(f.Stack); top != "" {
@@ -538,7 +534,7 @@ func runLocal(cmd, file, src string, args []string) int {
 	if fail == nil {
 		return code
 	}
-	if fail.Kind == faults.KindPanic {
+	if fail.Kind == obs.KindPanic {
 		if mod != nil {
 			fmt.Print(mod.Diags.RenderAll())
 		}

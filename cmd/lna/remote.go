@@ -86,7 +86,6 @@ func runGateway(opt options) int {
 	o := gateway.Options{
 		Backends:       backends,
 		HealthInterval: opt.healthInterval,
-		HedgeAfter:     opt.hedgeAfter,
 		Retries:        opt.retries,
 		MaxInflight:    opt.maxInflight,
 		TraceEntries:   opt.traceEntries,
@@ -110,16 +109,16 @@ func runGateway(opt options) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	err = g.ListenAndServe(ctx, opt.addr, func(bound string) {
-		fmt.Printf("lna gateway listening on http://%s (backends=%d retries=%d hedge=%v max-inflight=%d)\n",
-			bound, len(backends), g.Retries(), opt.hedgeAfter, g.MaxInflight())
+		fmt.Printf("lna gateway listening on http://%s (backends=%d retries=%d max-inflight=%d)\n",
+			bound, len(backends), g.Retries(), g.MaxInflight())
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lna: gateway:", err)
 		return service.ExitUsage
 	}
 	st := g.Stats()
-	fmt.Printf("lna gateway drained (%d requests, %d batches, %d rejected, %d retries, %d hedges)\n",
-		st.Requests, st.BatchRequests, st.Rejected, st.Retries, st.Hedges)
+	fmt.Printf("lna gateway drained (%d requests, %d batches, %d rejected, %d retries)\n",
+		st.Requests, st.BatchRequests, st.Rejected, st.Retries)
 	return service.ExitClean
 }
 

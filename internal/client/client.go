@@ -180,7 +180,7 @@ func (r *Result) WireError() *service.WireError {
 // attempt — no retries, no status interpretation. The error is
 // transport-level only (connection refused, context cancelled); any
 // HTTP status comes back as a Result. This is the primitive the
-// gateway's ring-aware retry and hedging are built on.
+// gateway's ring-aware retry is built on.
 //
 // When ctx carries an active trace span (obs.ContextWithSpan), the
 // request is stamped with the X-Lna-Trace-Context header, so the

@@ -41,6 +41,7 @@ import (
 	"localalias/internal/effects"
 	"localalias/internal/faults"
 	"localalias/internal/infer"
+	"localalias/internal/obs"
 	"localalias/internal/solve"
 	"localalias/internal/source"
 	"localalias/internal/types"
@@ -103,7 +104,7 @@ type Result struct {
 func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (*Result, error) {
 	res := &Result{TInfo: opts.Info}
 	if res.TInfo == nil {
-		opts.Trace.Enter(faults.PhaseTypecheck)
+		opts.Trace.Enter(obs.PhaseTypecheck)
 		res.TInfo = types.Check(prog, diags)
 		if diags.HasErrors() {
 			return res, fmt.Errorf("confine: %w", diags.Err())
@@ -111,7 +112,7 @@ func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (
 	}
 
 	// 1. Plant.
-	opts.Trace.Enter(faults.PhaseInfer)
+	opts.Trace.Enter(obs.PhaseInfer)
 	planter := plant(prog, res.TInfo, opts.General)
 	res.Planted = len(planter.planted)
 
@@ -130,7 +131,7 @@ func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (
 	if res.Infer.InternalErrors > 0 {
 		return res, fmt.Errorf("confine: inference failed on the planted program: %w", diags.Err())
 	}
-	opts.Trace.Enter(faults.PhaseSolve)
+	opts.Trace.Enter(obs.PhaseSolve)
 	res.Solution = solve.SolveCtx(opts.Ctx, res.Infer.Sys)
 	if effects.ReportMalformed(diags, prog.File, res.Solution.Malformed()) {
 		return res, fmt.Errorf("confine: %w", diags.Err())

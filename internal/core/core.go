@@ -19,6 +19,7 @@ import (
 	"localalias/internal/faults"
 	"localalias/internal/infer"
 	"localalias/internal/locs"
+	"localalias/internal/obs"
 	"localalias/internal/parser"
 	"localalias/internal/qual"
 	"localalias/internal/restrict"
@@ -67,12 +68,12 @@ func LoadModuleTraced(name, src string, tr *faults.Trace) (*Module, error) {
 // diagnostics.
 func LoadModuleWith(name, src string, sigs types.ImportSigs, tr *faults.Trace) (*Module, error) {
 	m := &Module{Name: name, Diags: &source.Diagnostics{}}
-	tr.Enter(faults.PhaseParse)
+	tr.Enter(obs.PhaseParse)
 	m.Prog = parser.Parse(name, src, m.Diags)
 	if m.Diags.HasErrors() {
 		return m, fmt.Errorf("%s: %w", name, m.Diags.Err())
 	}
-	tr.Enter(faults.PhaseTypecheck)
+	tr.Enter(obs.PhaseTypecheck)
 	m.TInfo = types.CheckWith(m.Prog, m.Diags, sigs)
 	if m.Diags.HasErrors() {
 		return m, fmt.Errorf("%s: %w", name, m.Diags.Err())
@@ -207,19 +208,19 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	out := &LockingResult{Module: m}
 
 	// Baseline and upper bound on the pristine AST.
-	tr.Enter(faults.PhaseInfer)
+	tr.Enter(obs.PhaseInfer)
 	baseInfer := infer.Run(m.TInfo, m.Diags, infer.Options{
 		ImportEffects: opts.ImportEffects,
 	})
 	if baseInfer.InternalErrors > 0 {
 		return nil, fmt.Errorf("%s: %w", m.Name, m.Diags.Err())
 	}
-	tr.Enter(faults.PhaseSolve)
+	tr.Enter(obs.PhaseSolve)
 	baseSol := solve.SolveCtx(ctx, baseInfer.Sys)
 	if err := m.reportMalformed(baseSol.Malformed()); err != nil {
 		return nil, err
 	}
-	tr.Enter(faults.PhaseQual)
+	tr.Enter(obs.PhaseQual)
 	out.NoConfine = qual.AnalyzeWith(baseInfer, baseSol, qual.ModePlain,
 		opts.ImportTransfers[VariantNoConfine])
 	out.AllStrong = qual.AnalyzeWith(baseInfer, baseSol, qual.ModeAllStrong,
@@ -240,7 +241,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 		return nil, err
 	}
 	out.Confine = cres
-	tr.Enter(faults.PhaseQual)
+	tr.Enter(obs.PhaseQual)
 	out.WithConfine = qual.AnalyzeWith(cres.Infer, cres.Solution, qual.ModePlain,
 		opts.ImportTransfers[VariantWithConfine])
 	out.SolveStats.Add(baseSol.Stats)

@@ -34,6 +34,7 @@ import (
 	"localalias/internal/drivergen"
 	"localalias/internal/faults"
 	"localalias/internal/infer"
+	"localalias/internal/obs"
 	"localalias/internal/qual"
 	"localalias/internal/service"
 	"localalias/internal/solve"
@@ -131,11 +132,11 @@ func (r *CorpusResult) Analyzed() int {
 func (r *CorpusResult) Degraded() bool { return r.Failed+r.TimedOut > 0 }
 
 // PhaseFailures breaks the failures down by pipeline phase.
-func (r *CorpusResult) PhaseFailures() map[faults.Phase]int {
+func (r *CorpusResult) PhaseFailures() map[obs.Phase]int {
 	if len(r.Failures) == 0 {
 		return nil
 	}
-	out := make(map[faults.Phase]int)
+	out := make(map[obs.Phase]int)
 	for _, f := range r.Failures {
 		out[f.Phase]++
 	}
@@ -181,8 +182,8 @@ func analyzeSpec(ctx context.Context, spec *drivergen.ModuleSpec, timeout time.D
 			msg = resp.Raw.Err().Error()
 		}
 		resp.Failure = &faults.ModuleFailure{
-			Module: spec.Name, Phase: faults.PhaseTypecheck,
-			Kind: faults.KindError, Message: msg, Elapsed: resp.Elapsed,
+			Module: spec.Name, Phase: obs.PhaseTypecheck,
+			Kind: obs.KindError, Message: msg, Elapsed: resp.Elapsed,
 		}
 	}
 	if resp.Failure != nil {
@@ -270,7 +271,7 @@ func aggregate(results []*ModuleResult) *CorpusResult {
 			continue // worker stopped by ctx cancellation before reaching it
 		}
 		if m.Failure != nil {
-			if m.Failure.Kind == faults.KindTimeout {
+			if m.Failure.Kind == obs.KindTimeout {
 				r.TimedOut++
 			} else {
 				r.Failed++
@@ -353,7 +354,7 @@ type PhaseStat struct {
 // percentiles (nearest-rank over the sorted samples), not histogram
 // estimates: the corpus driver holds every sample in memory anyway.
 func (r *CorpusResult) PhaseStats() []PhaseStat {
-	samples := make(map[faults.Phase][]time.Duration)
+	samples := make(map[obs.Phase][]time.Duration)
 	for _, m := range r.Modules {
 		if m == nil || m.Failure != nil {
 			continue
@@ -363,7 +364,7 @@ func (r *CorpusResult) PhaseStats() []PhaseStat {
 		}
 	}
 	var out []PhaseStat
-	for _, p := range faults.Phases() {
+	for _, p := range obs.Phases() {
 		ds := samples[p]
 		if len(ds) == 0 {
 			continue
@@ -499,7 +500,7 @@ func (r *CorpusResult) FailureSummary(slowestN int) string {
 	}
 	sort.Strings(phases)
 	for _, p := range phases {
-		fmt.Fprintf(&b, "  phase %-9s %d failure(s)\n", p+":", byPhase[faults.Phase(p)])
+		fmt.Fprintf(&b, "  phase %-9s %d failure(s)\n", p+":", byPhase[obs.Phase(p)])
 	}
 	for _, f := range r.Failures {
 		fmt.Fprintf(&b, "  %s\n", f.Error())

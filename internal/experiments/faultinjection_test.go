@@ -13,6 +13,7 @@ import (
 
 	"localalias/internal/drivergen"
 	"localalias/internal/faults"
+	"localalias/internal/obs"
 )
 
 func TestCorpusFaultInjection(t *testing.T) {
@@ -72,7 +73,7 @@ func TestCorpusFaultInjection(t *testing.T) {
 	if pf == nil {
 		t.Fatalf("no failure recorded for panicking module %s", panicMod)
 	}
-	if pf.Kind != faults.KindPanic || pf.Phase != faults.PhaseGenerate {
+	if pf.Kind != obs.KindPanic || pf.Phase != obs.PhaseGenerate {
 		t.Errorf("panic failure = kind %q phase %q, want panic/generate", pf.Kind, pf.Phase)
 	}
 	if !strings.Contains(pf.Message, "exploding module") {
@@ -85,7 +86,7 @@ func TestCorpusFaultInjection(t *testing.T) {
 	if tf == nil {
 		t.Fatalf("no failure recorded for stalled module %s", stallMod)
 	}
-	if tf.Kind != faults.KindTimeout {
+	if tf.Kind != obs.KindTimeout {
 		t.Errorf("stall failure kind = %q, want timeout", tf.Kind)
 	}
 	if tf.Elapsed < 300*time.Millisecond {

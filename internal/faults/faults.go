@@ -22,44 +22,14 @@ import (
 	"localalias/internal/obs"
 )
 
-// Phase identifies the pipeline stage that was executing when a
-// failure occurred.
-type Phase string
-
-// The pipeline phases, in execution order.
-const (
-	PhaseGenerate  Phase = "generate"  // corpus source generation (drivergen)
-	PhaseParse     Phase = "parse"     // lexing and parsing
-	PhaseTypecheck Phase = "typecheck" // standard type checking
-	PhaseInfer     Phase = "infer"     // alias-and-effect inference
-	PhaseSolve     Phase = "solve"     // constraint solving
-	PhaseQual      Phase = "qual"      // flow-sensitive qualifier analysis
-)
-
-// Phases returns the pipeline phases in execution order, for code
-// that renders per-phase tables in a canonical order.
-func Phases() []Phase {
-	return []Phase{PhaseGenerate, PhaseParse, PhaseTypecheck, PhaseInfer, PhaseSolve, PhaseQual}
-}
-
-// Kind classifies a module failure.
-type Kind string
-
-// The failure kinds.
-const (
-	KindPanic   Kind = "panic"   // a panic was recovered
-	KindTimeout Kind = "timeout" // the per-module deadline expired
-	KindError   Kind = "error"   // the analysis returned an error
-)
-
 // ModuleFailure is the structured record of one module's failure:
 // what module, in which phase, why, and (for panics) where. It
 // implements error so pipeline results can carry it in error-typed
 // fields.
 type ModuleFailure struct {
 	Module  string        `json:"module"`
-	Phase   Phase         `json:"phase"`
-	Kind    Kind          `json:"kind"`
+	Phase   obs.Phase     `json:"phase"`
+	Kind    obs.Kind      `json:"kind"`
 	Message string        `json:"message"`
 	Stack   string        `json:"stack,omitempty"`
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -72,7 +42,7 @@ func (f *ModuleFailure) Error() string {
 // PhaseTiming is the accumulated wall-clock time one module spent in
 // one phase.
 type PhaseTiming struct {
-	Phase   Phase         `json:"phase"`
+	Phase   obs.Phase     `json:"phase"`
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
@@ -83,10 +53,10 @@ type PhaseTiming struct {
 type Trace struct {
 	mu      sync.Mutex
 	module  string
-	phase   Phase
+	phase   obs.Phase
 	start   time.Time
-	order   []Phase
-	elapsed map[Phase]time.Duration
+	order   []obs.Phase
+	elapsed map[obs.Phase]time.Duration
 	// spans, when non-nil, receives one obs span per phase interval as
 	// it closes — the bridge from coarse phase tracking to real
 	// request tracing. nil (the default) costs nothing.
@@ -95,7 +65,7 @@ type Trace struct {
 
 // NewTrace starts a trace for the named module.
 func NewTrace(module string) *Trace {
-	return &Trace{module: module, elapsed: make(map[Phase]time.Duration)}
+	return &Trace{module: module, elapsed: make(map[obs.Phase]time.Duration)}
 }
 
 // SetSpans attaches an obs trace: every phase interval the trace
@@ -122,7 +92,7 @@ func (t *Trace) Spans() *obs.Trace {
 
 // Enter marks the start of phase p, closing the timing of the phase
 // previously entered (if any). Re-entering a phase accumulates.
-func (t *Trace) Enter(p Phase) {
+func (t *Trace) Enter(p obs.Phase) {
 	if t == nil {
 		return
 	}
@@ -153,7 +123,7 @@ func (t *Trace) closeLocked(now time.Time) {
 
 // Current returns the phase most recently entered ("" before the
 // first Enter).
-func (t *Trace) Current() Phase {
+func (t *Trace) Current() obs.Phase {
 	if t == nil {
 		return ""
 	}
@@ -183,7 +153,7 @@ func (t *Trace) Timings() []PhaseTiming {
 // Deadline abort
 
 // deadlineAbort is the sentinel panic payload thrown by CheckDeadline
-// and converted back into a KindTimeout failure by Run. It never
+// and converted back into an obs.KindTimeout failure by Run. It never
 // escapes a Run guard.
 type deadlineAbort struct{ err error }
 
@@ -207,8 +177,9 @@ func CheckDeadline(ctx context.Context) {
 
 // Run executes fn under a recover guard, attributing any failure to
 // the trace's current phase. It returns nil on success; a panic
-// becomes a KindPanic failure with a trimmed stack, a CheckDeadline
-// abort becomes KindTimeout, and a returned error becomes KindError.
+// becomes an obs.KindPanic failure with a trimmed stack, a
+// CheckDeadline abort becomes obs.KindTimeout, and a returned error
+// becomes obs.KindError.
 func Run(module string, tr *Trace, fn func() error) (fail *ModuleFailure) {
 	start := time.Now()
 	defer func() {
@@ -218,10 +189,10 @@ func Run(module string, tr *Trace, fn func() error) (fail *ModuleFailure) {
 		}
 		mf := &ModuleFailure{Module: module, Phase: tr.Current(), Elapsed: time.Since(start)}
 		if da, ok := p.(deadlineAbort); ok {
-			mf.Kind = KindTimeout
+			mf.Kind = obs.KindTimeout
 			mf.Message = da.err.Error()
 		} else {
-			mf.Kind = KindPanic
+			mf.Kind = obs.KindPanic
 			mf.Message = fmt.Sprint(p)
 			mf.Stack = trimStack(debug.Stack())
 		}
@@ -229,7 +200,7 @@ func Run(module string, tr *Trace, fn func() error) (fail *ModuleFailure) {
 	}()
 	if err := fn(); err != nil {
 		return &ModuleFailure{
-			Module: module, Phase: tr.Current(), Kind: KindError,
+			Module: module, Phase: tr.Current(), Kind: obs.KindError,
 			Message: err.Error(), Elapsed: time.Since(start),
 		}
 	}
@@ -245,9 +216,9 @@ const graceAfterDeadline = 100 * time.Millisecond
 // own goroutine with a context that expires after timeout (0 means no
 // deadline beyond ctx's own). If the deadline passes and fn does not
 // abort cooperatively within a short grace period, RunBounded
-// abandons the goroutine and returns a KindTimeout failure with the
-// phase the trace last entered — one pathological module cannot stall
-// the worker that ran it.
+// abandons the goroutine and returns an obs.KindTimeout failure with
+// the phase the trace last entered — one pathological module cannot
+// stall the worker that ran it.
 func RunBounded(ctx context.Context, module string, timeout time.Duration, tr *Trace, fn func(context.Context) error) *ModuleFailure {
 	if ctx == nil {
 		ctx = context.Background()
@@ -277,7 +248,7 @@ func RunBounded(ctx context.Context, module string, timeout time.Duration, tr *T
 	case <-grace.C:
 	}
 	return &ModuleFailure{
-		Module: module, Phase: tr.Current(), Kind: KindTimeout,
+		Module: module, Phase: tr.Current(), Kind: obs.KindTimeout,
 		Message: fmt.Sprintf("%v (analysis goroutine abandoned)", ctx.Err()),
 		Elapsed: time.Since(start),
 	}
@@ -308,7 +279,6 @@ func trimStack(stack []byte) string {
 		fn := lines[i]
 		if strings.HasPrefix(fn, "runtime/debug.Stack") ||
 			strings.Contains(fn, "faults.Run.func") ||
-			strings.Contains(fn, "faults.CaptureWorkerPanic") ||
 			strings.HasPrefix(fn, "panic(") || strings.HasPrefix(fn, "runtime.gopanic") {
 			i += 2
 			continue

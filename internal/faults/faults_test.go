@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"localalias/internal/obs"
 )
 
 func TestRunSuccess(t *testing.T) {
@@ -17,12 +19,12 @@ func TestRunSuccess(t *testing.T) {
 
 func TestRunError(t *testing.T) {
 	tr := NewTrace("m")
-	tr.Enter(PhaseParse)
+	tr.Enter(obs.PhaseParse)
 	f := Run("m", tr, func() error { return errors.New("boom") })
 	if f == nil {
 		t.Fatal("expected a failure")
 	}
-	if f.Kind != KindError || f.Phase != PhaseParse || f.Message != "boom" {
+	if f.Kind != obs.KindError || f.Phase != obs.PhaseParse || f.Message != "boom" {
 		t.Fatalf("got %+v", f)
 	}
 	if f.Stack != "" {
@@ -32,15 +34,15 @@ func TestRunError(t *testing.T) {
 
 func TestRunPanic(t *testing.T) {
 	tr := NewTrace("m")
-	tr.Enter(PhaseInfer)
+	tr.Enter(obs.PhaseInfer)
 	f := Run("m", tr, func() error {
-		tr.Enter(PhaseSolve)
+		tr.Enter(obs.PhaseSolve)
 		panic("solver invariant broken")
 	})
 	if f == nil {
 		t.Fatal("expected a failure")
 	}
-	if f.Kind != KindPanic || f.Phase != PhaseSolve {
+	if f.Kind != obs.KindPanic || f.Phase != obs.PhaseSolve {
 		t.Fatalf("got kind=%s phase=%s", f.Kind, f.Phase)
 	}
 	if !strings.Contains(f.Message, "solver invariant broken") {
@@ -61,13 +63,13 @@ func TestCheckDeadlineAbort(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := NewTrace("m")
-	tr.Enter(PhaseSolve)
+	tr.Enter(obs.PhaseSolve)
 	f := Run("m", tr, func() error {
 		CheckDeadline(ctx)
 		t.Error("CheckDeadline should have aborted")
 		return nil
 	})
-	if f == nil || f.Kind != KindTimeout || f.Phase != PhaseSolve {
+	if f == nil || f.Kind != obs.KindTimeout || f.Phase != obs.PhaseSolve {
 		t.Fatalf("got %+v", f)
 	}
 	// nil context never aborts.
@@ -77,7 +79,7 @@ func TestCheckDeadlineAbort(t *testing.T) {
 
 func TestRunBoundedTimeoutAbandons(t *testing.T) {
 	tr := NewTrace("m")
-	tr.Enter(PhaseQual)
+	tr.Enter(obs.PhaseQual)
 	release := make(chan struct{})
 	defer close(release)
 	start := time.Now()
@@ -85,7 +87,7 @@ func TestRunBoundedTimeoutAbandons(t *testing.T) {
 		<-release // non-cooperative: ignores ctx entirely
 		return nil
 	})
-	if f == nil || f.Kind != KindTimeout || f.Phase != PhaseQual {
+	if f == nil || f.Kind != obs.KindTimeout || f.Phase != obs.PhaseQual {
 		t.Fatalf("got %+v", f)
 	}
 	if el := time.Since(start); el > 5*time.Second {
@@ -96,13 +98,13 @@ func TestRunBoundedTimeoutAbandons(t *testing.T) {
 func TestRunBoundedCooperativeTimeout(t *testing.T) {
 	tr := NewTrace("m")
 	f := RunBounded(context.Background(), "m", 30*time.Millisecond, tr, func(ctx context.Context) error {
-		tr.Enter(PhaseSolve)
+		tr.Enter(obs.PhaseSolve)
 		for {
 			CheckDeadline(ctx)
 			time.Sleep(time.Millisecond)
 		}
 	})
-	if f == nil || f.Kind != KindTimeout || f.Phase != PhaseSolve {
+	if f == nil || f.Kind != obs.KindTimeout || f.Phase != obs.PhaseSolve {
 		t.Fatalf("got %+v", f)
 	}
 }
@@ -116,15 +118,15 @@ func TestRunBoundedNoTimeout(t *testing.T) {
 
 func TestTraceTimings(t *testing.T) {
 	tr := NewTrace("m")
-	tr.Enter(PhaseParse)
-	tr.Enter(PhaseInfer)
-	tr.Enter(PhaseQual)
-	tr.Enter(PhaseQual) // re-entry accumulates, no duplicate row
+	tr.Enter(obs.PhaseParse)
+	tr.Enter(obs.PhaseInfer)
+	tr.Enter(obs.PhaseQual)
+	tr.Enter(obs.PhaseQual) // re-entry accumulates, no duplicate row
 	got := tr.Timings()
 	if len(got) != 3 {
 		t.Fatalf("want 3 phases, got %v", got)
 	}
-	want := []Phase{PhaseParse, PhaseInfer, PhaseQual}
+	want := []obs.Phase{obs.PhaseParse, obs.PhaseInfer, obs.PhaseQual}
 	for i, pt := range got {
 		if pt.Phase != want[i] {
 			t.Fatalf("order %v, want %v", got, want)
@@ -134,7 +136,7 @@ func TestTraceTimings(t *testing.T) {
 		}
 	}
 	var nilTrace *Trace
-	nilTrace.Enter(PhaseParse) // nil trace is inert
+	nilTrace.Enter(obs.PhaseParse) // nil trace is inert
 	if nilTrace.Current() != "" || nilTrace.Timings() != nil {
 		t.Fatal("nil trace should be inert")
 	}

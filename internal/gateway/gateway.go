@@ -55,12 +55,6 @@ type Options struct {
 	// Retries is how many ring successors a failed request tries after
 	// its owner (0 = DefaultRetries; negative = no retries).
 	Retries int
-	// HedgeAfter, when positive, starts a duplicate request on the
-	// key's next ring successor if the owner has not answered within
-	// this long; the first response wins and the loser is cancelled.
-	// Hedging is safe because analysis is pure — a duplicate can only
-	// warm a second cache, never double an effect. 0 disables it.
-	HedgeAfter time.Duration
 	// RequestTimeout bounds one forwarded request
 	// (0 = DefaultRequestTimeout).
 	RequestTimeout time.Duration
@@ -105,8 +99,8 @@ func (o Options) withDefaults() Options {
 // Gateway fronts a pool of analysis daemons: it routes each request by
 // its content-hash cache key so identical submissions always reach the
 // same replica (result-cache affinity), reroutes along the ring when
-// a backend fails, optionally hedges slow requests, and applies
-// bounded admission before any backend is touched.
+// a backend fails, and applies bounded admission before any backend
+// is touched.
 type Gateway struct {
 	opts     Options
 	pool     *pool
@@ -123,15 +117,10 @@ type Gateway struct {
 	batches  atomic.Uint64 // batch requests admitted
 	rejected atomic.Uint64 // 429s + 503s answered locally
 	retries  atomic.Uint64 // rerouted attempts after a backend failure
-	hedges   atomic.Uint64 // hedge requests launched
-	hedgeWon atomic.Uint64 // hedges that beat the owner
 
-	mRequests  *obs.Counter
-	mRejected  *obs.Counter
-	mRetries   *obs.Counter
-	mHedges    *obs.Counter
-	mHedgeWins *obs.Counter
-	mHedgeLoss *obs.Counter
+	mRequests *obs.Counter
+	mRejected *obs.Counter
+	mRetries  *obs.Counter
 }
 
 // New builds a Gateway over opts.Backends. The health sweep starts
@@ -155,12 +144,6 @@ func New(opts Options) (*Gateway, error) {
 		"Requests the gateway refused locally (admission, no healthy backend).")
 	g.mRetries = reg.Counter("lna_gateway_retries_total",
 		"Forward attempts rerouted to a ring successor after a backend failure.")
-	g.mHedges = reg.Counter("lna_gateway_hedges_total",
-		"Hedge requests launched against a key's ring successor.")
-	g.mHedgeWins = reg.Counter("lna_gateway_hedge_wins_total",
-		"Hedge races the successor's duplicate won.")
-	g.mHedgeLoss = reg.Counter("lna_gateway_hedge_losses_total",
-		"Hedge races the owner won anyway (the duplicate was wasted).")
 	reg.GaugeFunc("lna_gateway_backends_healthy",
 		"Backends currently in the gateway's hash ring.",
 		func() int64 { return int64(g.pool.healthyCount()) })
@@ -299,7 +282,6 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // fwdResult is one attempt's outcome.
 type fwdResult struct {
 	res *client.Result
-	b   *Backend
 	err error
 }
 
@@ -320,7 +302,7 @@ func (f fwdResult) done() bool {
 // attemptOutcome classifies one forward attempt for the
 // lna_gateway_attempts_total{backend,outcome} metric and the attempt
 // span: ok, error (a relayable non-2xx), retryable (429/502/503/504),
-// transport, or canceled (a hedge loser or a departed client).
+// transport, or canceled (the client departed).
 func attemptOutcome(f fwdResult, ctxErr error) string {
 	switch {
 	case f.err != nil && ctxErr != nil:
@@ -337,15 +319,14 @@ func attemptOutcome(f fwdResult, ctxErr error) string {
 
 // tryOne forwards body to one backend with the per-request timeout.
 // Transport failures mark the backend unhealthy immediately — unless
-// the context was cancelled (a hedge loser or a departed client says
-// nothing about backend health).
+// the context was cancelled (a departed client says nothing about
+// backend health).
 //
 // Each attempt gets its own span, opened with an explicit parent
-// because hedged attempts run concurrently. The attempt span's ID is
-// what the context carries into RoundTrip, so the propagation header
-// names it — the replica's whole trace fragment hangs off exactly the
-// attempt that produced it, and a hedge loser's fragment stays
-// distinguishable from the winner's.
+// because a batch's sub-requests run concurrently. The attempt span's
+// ID is what the context carries into RoundTrip, so the propagation
+// header names it — the replica's whole trace fragment hangs off
+// exactly the attempt that produced it.
 func (g *Gateway) tryOne(ctx context.Context, path string, body []byte, b *Backend) fwdResult {
 	reqCtx, cancel := context.WithTimeout(ctx, g.opts.RequestTimeout)
 	defer cancel()
@@ -353,7 +334,7 @@ func (g *Gateway) tryOne(ctx context.Context, path string, body []byte, b *Backe
 	att := tr.StartChild(parent, "attempt", "gateway")
 	reqCtx = obs.ContextWithSpan(reqCtx, tr, att.ID())
 	res, err := b.client.RoundTrip(reqCtx, path, body)
-	f := fwdResult{res: res, b: b, err: err}
+	f := fwdResult{res: res, err: err}
 	out := attemptOutcome(f, ctx.Err())
 	obs.Default().Counter("lna_gateway_attempts_total",
 		"Forward attempts by backend and outcome (ok|error|retryable|transport|canceled).",
@@ -363,7 +344,7 @@ func (g *Gateway) tryOne(ctx context.Context, path string, body []byte, b *Backe
 			g.pool.markUnhealthy(b, fmt.Sprintf("forward failed: %v", err))
 		}
 		att.End("backend", b.URL, "outcome", out)
-		return fwdResult{b: b, err: err}
+		return fwdResult{err: err}
 	}
 	if res.Status == http.StatusServiceUnavailable {
 		// Draining (or otherwise refusing) replica: take it out of the
@@ -375,78 +356,14 @@ func (g *Gateway) tryOne(ctx context.Context, path string, body []byte, b *Backe
 	return f
 }
 
-// forward routes body along candidates until an attempt produces a
-// relayable answer, hedging the first attempt when configured. It
-// returns the winning result, the serving backend, and the number of
-// attempts spent; err is non-nil only when every candidate failed at
-// the transport level.
+// forward walks candidates in ring order — the owner first, then its
+// successors — until an attempt produces a relayable answer. It
+// returns that result, the serving backend, and the number of attempts
+// spent; err is non-nil only when every candidate failed at the
+// transport level or the client departed.
 func (g *Gateway) forward(ctx context.Context, path string, body []byte, candidates []*Backend) (*client.Result, *Backend, int, error) {
 	tr, parent := obs.SpanFromContext(ctx)
 	attempts := 0
-	next := 0 // index of the next unused candidate
-
-	// Hedged first attempt: race the owner against the first successor
-	// if the owner is slow. Any losing attempt is cancelled.
-	if g.opts.HedgeAfter > 0 && len(candidates) >= 2 {
-		// The race gets a span of its own; both attempts parent under
-		// it, so the merged trace shows the overlap and which racer won
-		// (the loser's attempt closes with outcome "canceled").
-		race := tr.StartChild(parent, "hedge_race", "gateway")
-		raceCtx, cancelRace := context.WithCancel(obs.ContextWithSpan(ctx, tr, race.ID()))
-		defer cancelRace()
-		ch := make(chan fwdResult, 2)
-		launch := func(b *Backend) {
-			attempts++
-			go func() { ch <- g.tryOne(raceCtx, path, body, b) }()
-		}
-		launch(candidates[0])
-		next = 1
-		inFlight := 1
-		timer := time.NewTimer(g.opts.HedgeAfter)
-		defer timer.Stop()
-		hedged := false
-		var last fwdResult
-		for inFlight > 0 {
-			select {
-			case <-timer.C:
-				if !hedged {
-					hedged = true
-					g.hedges.Add(1)
-					g.mHedges.Inc()
-					launch(candidates[1])
-					next = 2
-					inFlight++
-				}
-			case f := <-ch:
-				inFlight--
-				if f.done() {
-					cancelRace() // the loser's attempt is moot
-					winner := "owner"
-					if hedged {
-						if f.b == candidates[1] {
-							g.hedgeWon.Add(1)
-							g.mHedgeWins.Inc()
-							winner = "hedge"
-						} else {
-							g.mHedgeLoss.Inc()
-						}
-					}
-					race.End("winner", f.b.URL, "role", winner,
-						"hedged", strconv.FormatBool(hedged))
-					return f.res, f.b, attempts, nil
-				}
-				last = f
-			case <-ctx.Done():
-				race.End("outcome", "canceled")
-				return nil, nil, attempts, ctx.Err()
-			}
-		}
-		// Both racers failed; fall through to the sequential walk over
-		// the remaining candidates.
-		race.End("outcome", "exhausted", "hedged", strconv.FormatBool(hedged))
-		_ = last
-	}
-
 	// The retry walk opens lazily: only once a reroute actually happens
 	// is there a walk worth a span, and the rerouted attempts parent
 	// under it.
@@ -460,7 +377,7 @@ func (g *Gateway) forward(ctx context.Context, path string, body []byte, candida
 	var lastErr error = errors.New("no candidate backends")
 	var lastRes *client.Result
 	var lastB *Backend
-	for ; next < len(candidates); next++ {
+	for _, b := range candidates {
 		if attempts > 0 {
 			g.retries.Add(1)
 			g.mRetries.Inc()
@@ -470,14 +387,14 @@ func (g *Gateway) forward(ctx context.Context, path string, body []byte, candida
 			}
 		}
 		attempts++
-		f := g.tryOne(walkCtx, path, body, candidates[next])
+		f := g.tryOne(walkCtx, path, body, b)
 		if f.done() {
-			return f.res, f.b, attempts, nil
+			return f.res, b, attempts, nil
 		}
 		if f.err != nil {
 			lastErr = f.err
 		} else {
-			lastRes, lastB = f.res, f.b
+			lastRes, lastB = f.res, b
 		}
 		if ctx.Err() != nil {
 			return nil, nil, attempts, ctx.Err()
@@ -585,6 +502,9 @@ func (g *Gateway) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 	ctx := obs.ContextWithSpan(r.Context(), tr, span.ID())
 	res, b, attempts, err := g.forward(ctx, "/v1/analyze", body, candidates)
 	if err != nil {
+		if r.Context().Err() != nil {
+			return // client went away mid-forward
+		}
 		g.rejected.Add(1)
 		g.mRejected.Inc()
 		service.WriteWireError(w, service.CodeBackendUnavailable,
@@ -797,8 +717,6 @@ type GatewayStats struct {
 	BatchRequests   uint64         `json:"batch_requests"`
 	Rejected        uint64         `json:"rejected"`
 	Retries         uint64         `json:"retries"`
-	Hedges          uint64         `json:"hedges"`
-	HedgeWins       uint64         `json:"hedge_wins"`
 }
 
 // Stats snapshots the gateway's counters.
@@ -811,8 +729,6 @@ func (g *Gateway) Stats() GatewayStats {
 		BatchRequests:   g.batches.Load(),
 		Rejected:        g.rejected.Load(),
 		Retries:         g.retries.Load(),
-		Hedges:          g.hedges.Load(),
-		HedgeWins:       g.hedgeWon.Load(),
 	}
 }
 

@@ -1,9 +1,9 @@
 // Failure-mode and differential tests for the gateway tier, driven
 // through internal/client like any remote caller. The backends are
 // real in-process daemons behind a switchable proxy wrapper that can
-// delay traffic (hedging tests) or kill connections outright (death
-// and reroute tests) — so every failure the gateway handles here is a
-// transport-level fact, not a mock's opinion.
+// delay traffic (client-departure test) or kill connections outright
+// (death and reroute tests) — so every failure the gateway handles here
+// is a transport-level fact, not a mock's opinion.
 package gateway_test
 
 import (
@@ -21,6 +21,7 @@ import (
 	"localalias/internal/client"
 	"localalias/internal/drivergen"
 	"localalias/internal/gateway"
+	"localalias/internal/obs"
 	"localalias/internal/service"
 )
 
@@ -506,61 +507,60 @@ func TestGatewayBatchSurvivesBackendDeath(t *testing.T) {
 	}
 }
 
-// TestGatewayHedgedRequestFirstWinner: when the owner stalls past
-// HedgeAfter, the gateway races the successor and relays whichever
-// answers first — here the successor — then cancels the loser without
-// evicting it from the pool.
-func TestGatewayHedgedRequestFirstWinner(t *testing.T) {
-	// Discover ownership with a hedging-free gateway, then build the
-	// hedging gateway over the same replicas (same URLs, same ring).
-	_, probe, reps := newCluster(t, 2, gateway.Options{})
-	req := findOwnedModule(t, probe, reps[0].ts.URL, true)
+// TestGatewayClientDepartureKeepsBackend: a client that leaves while
+// its owner is slow cancels the forward. A canceled attempt is not
+// evidence about the backend, and the gateway refused nothing: the
+// owner stays in the ring, the rejected counter does not move, and the
+// attempt span closes with outcome "canceled".
+func TestGatewayClientDepartureKeepsBackend(t *testing.T) {
+	g, c, reps := newCluster(t, 2, gateway.Options{})
+	req := findOwnedModule(t, c, reps[0].ts.URL, true)
+	rejected := g.Stats().Rejected
 
-	hg, err := gateway.New(gateway.Options{
-		Backends:       []string{reps[0].ts.URL, reps[1].ts.URL},
-		HedgeAfter:     25 * time.Millisecond,
-		HealthInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hts := httptest.NewServer(hg.Handler())
-	defer hts.Close()
-	hc := client.New(hts.URL, client.Options{Retry: client.RetryPolicy{MaxAttempts: 1}})
-
-	reps[0].wrap.delayNs.Store(int64(1500 * time.Millisecond))
+	reps[0].wrap.delayNs.Store(int64(500 * time.Millisecond))
 	defer reps[0].wrap.delayNs.Store(0)
+	// The caller's own trace context rides the request, so the gateway's
+	// trace takes its ID and the test can find it without a response.
+	caller := obs.NewTrace("departing-client")
+	call := caller.StartSpan("call", "client")
+	ctx, cancel := context.WithTimeout(obs.ContextWithSpan(context.Background(), caller, call.ID()), 50*time.Millisecond)
+	defer cancel()
+	if _, _, err := c.AnalyzeRaw(ctx, &req); err == nil {
+		t.Fatal("analyze outlived its 50ms client deadline against a stalled owner")
+	}
 
-	start := time.Now()
-	body, meta, err := hc.AnalyzeRaw(context.Background(), &req)
-	if err != nil {
-		t.Fatalf("hedged analyze: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed >= 1500*time.Millisecond {
-		t.Errorf("hedged request took %v — it waited for the stalled owner", elapsed)
-	}
-	if meta.Backend != reps[1].ts.URL {
-		t.Errorf("winner = %s; want the hedge target %s", meta.Backend, reps[1].ts.URL)
-	}
-	if meta.Attempts != 2 {
-		t.Errorf("attempts = %d; want 2 (owner + hedge)", meta.Attempts)
-	}
-	direct, err := service.Analyze(context.Background(), &req).MarshalCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, direct) {
-		t.Error("hedged response bytes differ from direct analysis")
-	}
-	st := hg.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Errorf("hedge counters = %d launched / %d won; want 1/1", st.Hedges, st.HedgeWins)
-	}
-	// The cancelled owner is slow, not dead: it must stay in the pool.
-	for _, bs := range hg.BackendStates() {
-		if bs.URL == reps[0].ts.URL && !bs.Healthy {
-			t.Error("stalled owner was evicted by a cancelled hedge loser")
+	// The gateway files its trace when the handler returns, after every
+	// counter it would touch; poll for it.
+	deadline := time.Now().Add(2 * time.Second)
+	var gt *obs.Trace
+	for gt == nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway ring has no trace %s 2s after the client left", caller.ID())
 		}
+		time.Sleep(10 * time.Millisecond)
+		gt = g.Traces().Get(caller.ID())
+	}
+	if got := g.Stats().Rejected; got != rejected {
+		t.Errorf("rejected = %d after a client departure; want %d", got, rejected)
+	}
+	for _, bs := range g.BackendStates() {
+		if bs.URL == reps[0].ts.URL && !bs.Healthy {
+			t.Errorf("stalled owner was evicted by a canceled attempt: %s", bs.LastError)
+		}
+	}
+	var outcomes []string
+	for _, s := range gt.Export("gateway").Spans {
+		if s.Name != "attempt" {
+			continue
+		}
+		for j := 0; j+1 < len(s.Args); j += 2 {
+			if s.Args[j] == "outcome" {
+				outcomes = append(outcomes, s.Args[j+1])
+			}
+		}
+	}
+	if len(outcomes) != 1 || outcomes[0] != "canceled" {
+		t.Errorf("attempt outcomes = %v; want one canceled attempt", outcomes)
 	}
 }
 

@@ -4,8 +4,8 @@
 // the same module (same source, same options) always lands on the
 // same backend and its result cache stays hot. Around
 // that routing core it layers per-request retry with ring-successor
-// rerouting, optional request hedging, and the same bounded admission
-// control the daemon itself applies.
+// rerouting, and the same bounded admission control the daemon itself
+// applies.
 //
 // The gateway speaks the exact v1 wire contract of package service —
 // request bodies are forwarded verbatim and response bodies relayed

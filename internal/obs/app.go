@@ -7,16 +7,41 @@ import (
 	"time"
 )
 
-// Phase names mirror faults.Phase (obs cannot import faults — the
-// dependency points the other way). The engine records one histogram
-// observation per phase per analyzed module.
-var phaseNames = []string{"generate", "parse", "typecheck", "infer", "solve", "qual"}
+// Phase identifies a stage of the analysis pipeline. It names the
+// per-phase timings, the lna_phase_seconds{phase} histograms (one
+// observation per phase per analyzed module), and the phase a
+// contained failure is attributed to.
+type Phase string
+
+// The pipeline phases, in execution order.
+const (
+	PhaseGenerate  Phase = "generate"  // corpus source generation (drivergen)
+	PhaseParse     Phase = "parse"     // lexing and parsing
+	PhaseTypecheck Phase = "typecheck" // standard type checking
+	PhaseInfer     Phase = "infer"     // alias-and-effect inference
+	PhaseSolve     Phase = "solve"     // constraint solving
+	PhaseQual      Phase = "qual"      // flow-sensitive qualifier analysis
+)
+
+// Phases returns the pipeline phases in execution order, for code
+// that renders per-phase tables in a canonical order.
+func Phases() []Phase {
+	return []Phase{PhaseGenerate, PhaseParse, PhaseTypecheck, PhaseInfer, PhaseSolve, PhaseQual}
+}
+
+// Kind classifies a contained module failure; it labels the
+// lna_request_failures_total{kind} counters.
+type Kind string
+
+// The failure kinds.
+const (
+	KindPanic   Kind = "panic"   // a panic was recovered
+	KindTimeout Kind = "timeout" // the per-module deadline expired
+	KindError   Kind = "error"   // the analysis returned an error
+)
 
 // Mode names mirror the service analysis modes.
 var modeNames = []string{"check", "infer", "confine", "qual"}
-
-// Failure kinds mirror faults.Kind.
-var failureKinds = []string{"panic", "timeout", "error"}
 
 // Span vocabulary of a coalesced cache hit: a request that waited for
 // a concurrent cold run of its key records one SpanCacheWait span
@@ -47,11 +72,11 @@ type AppMetrics struct {
 	// Engine accounting: requests by analysis mode, contained
 	// failures by kind, and the end-to-end latency distribution.
 	requestsByMode map[string]*Counter
-	failuresByKind map[string]*Counter
+	failuresByKind map[Kind]*Counter
 	AnalyzeSeconds *Histogram
 
 	// Per-phase latency distributions (parse/typecheck/infer/solve/…).
-	phaseSeconds map[string]*Histogram
+	phaseSeconds map[Phase]*Histogram
 
 	// Result-cache accounting (mirrors the cache's own counters so
 	// scrapers see them without a /v1/stats round trip).
@@ -82,8 +107,8 @@ func App() *AppMetrics {
 			SolveRecanonicalizations:  r.Counter("lna_solve_recanonicalizations_total", "Incremental re-canonicalization passes."),
 			AnalyzeSeconds:            r.Histogram("lna_analyze_seconds", "End-to-end per-module analysis latency.", nil),
 			requestsByMode:            make(map[string]*Counter, len(modeNames)),
-			failuresByKind:            make(map[string]*Counter, len(failureKinds)),
-			phaseSeconds:              make(map[string]*Histogram, len(phaseNames)),
+			failuresByKind:            make(map[Kind]*Counter),
+			phaseSeconds:              make(map[Phase]*Histogram),
 			CacheHits:                 r.Counter("lna_cache_hits_total", "Result-cache hits."),
 			CacheMisses:               r.Counter("lna_cache_misses_total", "Result-cache misses."),
 			CacheEvictions:            r.Counter("lna_cache_evictions_total", "Result-cache LRU evictions."),
@@ -92,11 +117,11 @@ func App() *AppMetrics {
 		for _, m := range modeNames {
 			a.requestsByMode[m] = r.Counter("lna_requests_total", "Analysis requests by mode.", "mode", m)
 		}
-		for _, k := range failureKinds {
-			a.failuresByKind[k] = r.Counter("lna_request_failures_total", "Contained per-module failures by kind.", "kind", k)
+		for _, k := range []Kind{KindPanic, KindTimeout, KindError} {
+			a.failuresByKind[k] = r.Counter("lna_request_failures_total", "Contained per-module failures by kind.", "kind", string(k))
 		}
-		for _, p := range phaseNames {
-			a.phaseSeconds[p] = r.Histogram("lna_phase_seconds", "Per-phase analysis latency.", nil, "phase", p)
+		for _, p := range Phases() {
+			a.phaseSeconds[p] = r.Histogram("lna_phase_seconds", "Per-phase analysis latency.", nil, "phase", string(p))
 		}
 		app = a
 	})
@@ -107,11 +132,11 @@ func App() *AppMetrics {
 // therefore a no-op, for unknown modes).
 func (a *AppMetrics) Requests(mode string) *Counter { return a.requestsByMode[mode] }
 
-// Failures returns the contained-failure counter for a faults kind.
-func (a *AppMetrics) Failures(kind string) *Counter { return a.failuresByKind[kind] }
+// Failures returns the contained-failure counter for a failure kind.
+func (a *AppMetrics) Failures(kind Kind) *Counter { return a.failuresByKind[kind] }
 
 // Phase returns the latency histogram for a pipeline phase.
-func (a *AppMetrics) Phase(phase string) *Histogram { return a.phaseSeconds[phase] }
+func (a *AppMetrics) Phase(phase Phase) *Histogram { return a.phaseSeconds[phase] }
 
 // RecordSolve folds one solve's work counters into the global
 // registry: a handful of atomic adds, called once per solve so the
@@ -127,7 +152,7 @@ func (a *AppMetrics) RecordSolve(atomsPropagated, intersectionArrivals, condFiri
 
 // RecordPhase records one phase's elapsed wall clock (no-op for
 // phases outside the known set).
-func (a *AppMetrics) RecordPhase(phase string, d time.Duration) {
+func (a *AppMetrics) RecordPhase(phase Phase, d time.Duration) {
 	a.phaseSeconds[phase].Observe(d)
 }
 

@@ -115,9 +115,10 @@ const maxTraceSpans = 4096
 // Parentage is assigned two ways. StartSpan pushes its span as the
 // trace's default parent until End, so plain Add calls made inside
 // the window (pipeline phases, cache probes) nest under it without
-// knowing about span IDs at all. Concurrent work — hedged backend
-// attempts — uses StartChild with an explicit parent instead, because
-// a shared mutable "current parent" is meaningless across goroutines.
+// knowing about span IDs at all. Concurrent work — batch
+// sub-requests — uses StartChild with an explicit parent instead,
+// because a shared mutable "current parent" is meaningless across
+// goroutines.
 type Trace struct {
 	id     string
 	module string
@@ -223,8 +224,8 @@ func (t *Trace) StartSpan(name, cat string) *SpanScope {
 }
 
 // StartChild opens a span under an explicit parent without touching
-// the default-parent stack. Use for concurrent work (hedged attempts,
-// worker-pool units) where several open spans share one parent.
+// the default-parent stack. Use for concurrent work (batch
+// sub-requests) where several open spans share one parent.
 func (t *Trace) StartChild(parent, name, cat string) *SpanScope {
 	if t == nil {
 		return nil

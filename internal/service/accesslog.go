@@ -45,7 +45,7 @@ type AccessEntry struct {
 	Misses  int    `json:"misses,omitempty"`  // batch cache misses
 	// Backend and Attempts are gateway-side routing facts: which
 	// replica served the request and how many placement attempts
-	// (including hedges) it took.
+	// (including retries) it took.
 	Backend  string `json:"backend,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
 

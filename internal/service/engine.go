@@ -52,7 +52,7 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 	resp := &AnalyzeResponse{APIVersion: APIVersion, Module: name, Mode: mode}
 	if !ValidMode(mode) {
 		resp.Failure = &faults.ModuleFailure{
-			Module: name, Kind: faults.KindError,
+			Module: name, Kind: obs.KindError,
 			Message: fmt.Sprintf("unknown analysis mode %q", mode),
 		}
 		resp.Diagnostics = NewDiagnostics(nil, solve.Stats{})
@@ -60,7 +60,7 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 	}
 	if req.Options.MultiModule && mode != ModeConfine && mode != ModeQual {
 		resp.Failure = &faults.ModuleFailure{
-			Module: name, Kind: faults.KindError,
+			Module: name, Kind: obs.KindError,
 			Message: fmt.Sprintf("multi_module is not supported in mode %q (confine and qual only)", mode),
 		}
 		resp.Diagnostics = NewDiagnostics(nil, solve.Stats{})
@@ -96,7 +96,7 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 		}
 		src := req.Source
 		if req.Generate != nil {
-			tr.Enter(faults.PhaseGenerate)
+			tr.Enter(obs.PhaseGenerate)
 			src = req.Generate(ctx)
 		}
 		if req.Options.MultiModule {
@@ -166,17 +166,17 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 	m := obs.App()
 	m.AnalyzeSeconds.Observe(resp.Elapsed)
 	for _, pt := range resp.PhaseTimings {
-		m.RecordPhase(string(pt.Phase), pt.Elapsed)
+		m.RecordPhase(pt.Phase, pt.Elapsed)
 	}
 	if fail != nil {
-		m.Failures(string(fail.Kind)).Inc()
+		m.Failures(fail.Kind).Inc()
 	}
 	span.End("module", name, "mode", mode)
 
 	// A non-timeout outcome means the analysis goroutine delivered its
 	// result, so the module (and its diagnostics) are safely ours. A
 	// timed-out module's diagnostics stay with the abandoned goroutine.
-	if fail == nil || fail.Kind != faults.KindTimeout {
+	if fail == nil || fail.Kind != obs.KindTimeout {
 		resp.Xmodule = xmodule
 		if mod != nil {
 			resp.Raw = mod.Diags

@@ -8,6 +8,7 @@ import (
 
 	"localalias/internal/drivergen"
 	"localalias/internal/faults"
+	"localalias/internal/obs"
 )
 
 const violationSrc = `fun f(x: ref int): int {
@@ -178,7 +179,7 @@ func TestAnalyzePanicContained(t *testing.T) {
 	if resp.Failure == nil {
 		t.Fatal("panic was not contained into a Failure record")
 	}
-	if resp.Failure.Kind != faults.KindPanic {
+	if resp.Failure.Kind != obs.KindPanic {
 		t.Errorf("Failure.Kind = %q, want panic", resp.Failure.Kind)
 	}
 	if !strings.Contains(resp.Failure.Message, "injected service fault") {
@@ -201,7 +202,7 @@ func TestAnalyzeTimeout(t *testing.T) {
 		Module: "stall.mc", Source: cleanCheckSrc,
 		Options: AnalyzeOptions{Mode: ModeCheck},
 	}, 50*time.Millisecond)
-	if resp.Failure == nil || resp.Failure.Kind != faults.KindTimeout {
+	if resp.Failure == nil || resp.Failure.Kind != obs.KindTimeout {
 		t.Fatalf("Failure = %+v, want a timeout record", resp.Failure)
 	}
 	if resp.Raw != nil {

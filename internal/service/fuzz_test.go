@@ -15,7 +15,7 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"localalias/internal/faults"
+	"localalias/internal/obs"
 	"localalias/internal/parser"
 	"localalias/internal/progen"
 	"localalias/internal/source"
@@ -134,7 +134,7 @@ func FuzzAnalyzeBounded(f *testing.F) {
 				// A timeout depends on the host, and a contained panic's
 				// stack on the call path: only a panic must agree, and
 				// only in kind.
-				if bare.Failure.Kind == faults.KindTimeout {
+				if bare.Failure.Kind == obs.KindTimeout {
 					continue
 				}
 				for _, g := range got {

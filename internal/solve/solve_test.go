@@ -10,6 +10,7 @@ import (
 	"localalias/internal/effects"
 	"localalias/internal/faults"
 	"localalias/internal/locs"
+	"localalias/internal/obs"
 	"localalias/internal/source"
 )
 
@@ -625,7 +626,7 @@ func TestParallelDeadlineAbort(t *testing.T) {
 	if fail == nil {
 		t.Fatal("expected a timeout failure, got a completed solve")
 	}
-	if fail.Kind != faults.KindTimeout {
-		t.Fatalf("expected %s, got %s (%s)", faults.KindTimeout, fail.Kind, fail.Message)
+	if fail.Kind != obs.KindTimeout {
+		t.Fatalf("expected %s, got %s (%s)", obs.KindTimeout, fail.Kind, fail.Message)
 	}
 }
