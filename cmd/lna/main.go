@@ -222,7 +222,7 @@ func main() {
 	fs.IntVar(&opt.cacheEntries, "cache-entries", service.DefaultCacheEntries, "serve: LRU result-cache capacity")
 	fs.IntVar(&opt.queueDepth, "queue-depth", 0, "serve: max in-flight single requests before 429 (0 = 4×workers)")
 	fs.DurationVar(&opt.requestTimeout, "request-timeout", service.DefaultRequestTimeout, "serve: per-module analysis deadline")
-	fs.StringVar(&opt.logFormat, "log-format", "text", "serve: access-log rendering (text|json|off)")
+	fs.StringVar(&opt.logFormat, "log-format", "text", "serve/gateway: access-log rendering (text|json|off)")
 	fs.StringVar(&opt.debugAddr, "debug-addr", "", "serve: optional pprof+metrics listener (empty = off)")
 	fs.IntVar(&opt.traceEntries, "trace-entries", 0, "serve/gateway: in-memory ring of completed traces for /v1/trace/{id} (0 = default 256; negative disables tracing)")
 	fs.StringVar(&opt.remote, "remote", "", "send the analysis to this daemon or gateway base URL instead of running in-process (check/infer/confine/qual; bench target)")
@@ -448,24 +448,19 @@ func renderResponse(cmd string, resp *service.AnalyzeResponse) {
 // runServe starts the resident analysis daemon and blocks until
 // SIGINT/SIGTERM, then drains gracefully.
 func runServe(opt options) int {
-	so := service.ServerOptions{
+	accessLog, err := accessLogger(opt.logFormat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lna: serve:", err)
+		return service.ExitUsage
+	}
+	srv := service.NewServer(service.ServerOptions{
 		Workers:        opt.workers,
 		CacheEntries:   opt.cacheEntries,
 		QueueDepth:     opt.queueDepth,
 		RequestTimeout: opt.requestTimeout,
+		AccessLog:      accessLog,
 		TraceEntries:   opt.traceEntries,
-	}
-	switch opt.logFormat {
-	case "off":
-		// no access log
-	case service.LogText, service.LogJSON:
-		so.AccessLog = os.Stderr
-		so.LogFormat = opt.logFormat
-	default:
-		fmt.Fprintf(os.Stderr, "lna: serve: unknown -log-format %q (want text|json|off)\n", opt.logFormat)
-		return service.ExitUsage
-	}
-	srv := service.NewServer(so)
+	})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if opt.debugAddr != "" {
@@ -482,7 +477,7 @@ func runServe(opt options) int {
 		go func() { _ = dsrv.Serve(dln) }()
 		defer dsrv.Close()
 	}
-	err := srv.ListenAndServe(ctx, opt.addr, func(bound string) {
+	err = srv.ListenAndServe(ctx, opt.addr, func(bound string) {
 		o := srv.Options()
 		fmt.Printf("lna serve listening on http://%s (workers=%d cache=%d queue=%d timeout=%v)\n",
 			bound, o.Workers, o.CacheEntries, o.QueueDepth, o.RequestTimeout)
@@ -495,6 +490,19 @@ func runServe(opt options) int {
 	fmt.Printf("lna serve drained (cache: %d hits, %d misses, %d evictions)\n",
 		cs.Hits, cs.Misses, cs.Evictions)
 	return service.ExitClean
+}
+
+// accessLogger resolves -log-format for serve and gateway: text or
+// json logs go to stderr, off disables access logging.
+func accessLogger(format string) (*service.AccessLogger, error) {
+	if format == "off" {
+		return nil, nil
+	}
+	l, err := service.NewAccessLogger(os.Stderr, format)
+	if err != nil {
+		return nil, fmt.Errorf("unknown -log-format %q (want text|json|off)", format)
+	}
+	return l, nil
 }
 
 // runLocal executes the subcommands that do not go through the

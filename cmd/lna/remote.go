@@ -83,25 +83,19 @@ func runGateway(opt options) int {
 			backends = append(backends, u)
 		}
 	}
-	o := gateway.Options{
+	accessLog, err := accessLogger(opt.logFormat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lna: gateway:", err)
+		return service.ExitUsage
+	}
+	g, err := gateway.New(gateway.Options{
 		Backends:       backends,
 		HealthInterval: opt.healthInterval,
 		Retries:        opt.retries,
 		MaxInflight:    opt.maxInflight,
+		AccessLog:      accessLog,
 		TraceEntries:   opt.traceEntries,
-	}
-	// The gateway honours the same -log-format contract as serve.
-	switch opt.logFormat {
-	case "off":
-		// no access log
-	case service.LogText, service.LogJSON:
-		o.AccessLog = os.Stderr
-		o.LogFormat = opt.logFormat
-	default:
-		fmt.Fprintf(os.Stderr, "lna: gateway: unknown -log-format %q (want text|json|off)\n", opt.logFormat)
-		return service.ExitUsage
-	}
-	g, err := gateway.New(o)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lna: gateway:", err)
 		return service.ExitUsage

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -32,8 +30,6 @@ const (
 	// DefaultRequestTimeout bounds one forwarded request, mirroring the
 	// daemon's analysis deadline.
 	DefaultRequestTimeout = 2 * time.Minute
-	// maxRequestBytes mirrors the daemon's request-body bound.
-	maxRequestBytes = 64 << 20
 )
 
 // Options configures a Gateway.
@@ -58,11 +54,8 @@ type Options struct {
 	// RequestTimeout bounds one forwarded request
 	// (0 = DefaultRequestTimeout).
 	RequestTimeout time.Duration
-	// AccessLog, when non-nil, receives one line per proxied request.
-	AccessLog io.Writer
-	// LogFormat selects the access-log rendering (service.LogText or
-	// service.LogJSON; "" = text).
-	LogFormat string
+	// AccessLog, when non-nil, logs one line per proxied request.
+	AccessLog *service.AccessLogger
 	// TraceEntries sizes the ring of recently-completed request traces
 	// kept for /v1/trace/{id} (0 = service.DefaultTraceEntries;
 	// negative disables tracing entirely — the benchmark's "off" arm).
@@ -106,11 +99,9 @@ type Gateway struct {
 	pool     *pool
 	inflight chan struct{}
 
-	// log and traces mirror the daemon's observability surface: one
-	// access line per proxied request, and a bounded ring of completed
-	// request traces behind /v1/trace/{id}. traces is nil when
-	// Options.TraceEntries is negative (tracing off).
-	log    *service.AccessLogger
+	// traces mirrors the daemon's bounded ring of completed request
+	// traces behind /v1/trace/{id}; nil when Options.TraceEntries is
+	// negative (tracing off).
 	traces *obs.TraceRing
 
 	requests atomic.Uint64 // single-module requests admitted
@@ -134,7 +125,6 @@ func New(opts Options) (*Gateway, error) {
 		opts:     o,
 		pool:     newPool(o.Backends, o.Vnodes, o.HealthInterval, o.HealthTimeout),
 		inflight: make(chan struct{}, o.MaxInflight),
-		log:      service.NewAccessLogger(o.AccessLog, o.LogFormat),
 		traces:   obs.NewTraceRing(o.TraceEntries),
 	}
 	reg := obs.Default()
@@ -231,52 +221,10 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/v1/batch", g.handleBatch)
 	mux.HandleFunc("/v1/health", g.handleHealth)
 	mux.HandleFunc("/v1/stats", g.handleStats)
-	mux.HandleFunc("/v1/metrics", g.handleMetrics)
+	mux.HandleFunc("/v1/metrics", service.HandleMetrics)
 	mux.HandleFunc("/v1/trace/", g.handleTrace)
 	mux.HandleFunc("/v1/fleet", g.handleFleet)
 	return mux
-}
-
-// statusRecorder captures the status a handler wrote, for the access
-// log (the service package keeps its equivalent unexported).
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusRecorder) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusRecorder) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusRecorder) Status() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
-}
-
-// readBody reads and bounds one POST body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		service.WriteWireError(w, service.CodeMethodNotAllowed, "use POST")
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		service.WriteWireError(w, service.CodeBadRequest, "reading request body: %v", err)
-		return nil, false
-	}
-	return body, true
 }
 
 // fwdResult is one attempt's outcome.
@@ -428,21 +376,11 @@ func relay(w http.ResponseWriter, res *client.Result, b *Backend, attempts int) 
 }
 
 func (g *Gateway) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	w := &statusRecorder{ResponseWriter: rw}
-	entry := service.AccessEntry{Time: start, Method: r.Method, Path: r.URL.Path}
-	defer func() {
-		entry.Status = w.Status()
-		entry.DurMs = float64(time.Since(start)) / float64(time.Millisecond)
-		g.log.Log(entry)
-	}()
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
+	w, entry, done := g.opts.AccessLog.Track(rw, r)
+	defer done()
 	var req service.AnalyzeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		service.WriteWireError(w, service.CodeBadRequest, "bad request body: %v", err)
+	body, ok := service.ReadRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	// Validate at the edge: a malformed request must not cost a backend
@@ -518,46 +456,27 @@ func (g *Gateway) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 	entry.Attempts = attempts
 }
 
-// batchGroup is one backend's share of a batch: the indices (into the
-// original request list) it owns this round.
+// batchGroup is the share of a batch whose entries walk the same
+// candidates: the owner, then the successors a retry would try.
 type batchGroup struct {
-	b   *Backend
-	idx []int
+	candidates []*Backend
+	idx        []int // indices into the submitted requests
 }
 
 func (g *Gateway) handleBatch(rw http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	w := &statusRecorder{ResponseWriter: rw}
-	entry := service.AccessEntry{Time: start, Method: r.Method, Path: r.URL.Path}
-	defer func() {
-		entry.Status = w.Status()
-		entry.DurMs = float64(time.Since(start)) / float64(time.Millisecond)
-		g.log.Log(entry)
-	}()
-	body, ok := readBody(w, r)
+	w, entry, done := g.opts.AccessLog.Track(rw, r)
+	defer done()
+	batch, ok := service.ReadBatch(w, r)
 	if !ok {
-		return
-	}
-	var batch service.BatchRequest
-	if err := json.Unmarshal(body, &batch); err != nil {
-		service.WriteWireError(w, service.CodeBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(batch.Requests) == 0 {
-		service.WriteWireError(w, service.CodeBadRequest, "empty batch")
-		return
-	}
-	if len(batch.Requests) > service.MaxBatch {
-		service.WriteWireError(w, service.CodeBadRequest,
-			"batch of %d exceeds the %d-module limit", len(batch.Requests), service.MaxBatch)
 		return
 	}
 	g.batches.Add(1)
 	g.mRequests.Inc()
+	entry.Modules = len(batch.Requests)
 
-	// One gateway-side trace per batch; the per-group forward attempts
-	// run concurrently, so they parent under the relay span explicitly
-	// via the context rather than the default-parent stack.
+	// One gateway-side trace per batch; the per-group forwards run
+	// concurrently, so they parent under the relay span explicitly via
+	// the context rather than the default-parent stack.
 	sc, _ := obs.ParseTraceContext(r.Header.Get(obs.TraceContextHeader))
 	tr := g.newTrace("batch", sc)
 	entry.Trace = tr.ID()
@@ -568,121 +487,88 @@ func (g *Gateway) handleBatch(rw http.ResponseWriter, r *http.Request) {
 	}()
 	ctx := obs.ContextWithSpan(r.Context(), tr, span.ID())
 
-	out := service.BatchResponse{Results: make([]service.BatchEntry, len(batch.Requests))}
 	// Edge admission, mirroring the daemon: inadmissible entries get
-	// their per-entry error here and are never forwarded.
-	pending := make([]int, 0, len(batch.Requests))
-	for i := range batch.Requests {
-		if werr := service.ValidateRequest(&batch.Requests[i]); werr != nil {
-			out.Results[i].Error = werr
-			out.Summary.Rejected++
-			continue
+	// their per-entry error here and are never forwarded. The rest are
+	// grouped by their whole candidate list, so each group's sub-batch
+	// takes exactly the walk its entries would take as single requests.
+	out, admitted := batch.Admit()
+	groups := make(map[string]*batchGroup)
+	for _, i := range admitted {
+		cands := g.pool.candidates(service.CacheKey(&batch.Requests[i]), 1+g.opts.Retries)
+		urls := make([]string, len(cands))
+		for k, b := range cands {
+			urls[k] = b.URL
 		}
-		pending = append(pending, i)
+		walk := strings.Join(urls, " ")
+		grp := groups[walk]
+		if grp == nil {
+			grp = &batchGroup{candidates: cands}
+			groups[walk] = grp
+		}
+		grp.idx = append(grp.idx, i)
 	}
-
-	// Split by owning backend, forward sub-batches concurrently, and
-	// reroute a failed group's indices across the (now smaller) ring —
-	// up to Retries extra rounds, so a backend dying mid-batch costs
-	// its group one reroute, not the whole batch.
-	var mu sync.Mutex // guards out + summary merges
-	for round := 0; round <= g.opts.Retries && len(pending) > 0; round++ {
-		groups := make(map[*Backend]*batchGroup)
-		unroutable := pending[:0:0]
-		for _, i := range pending {
-			key := service.CacheKey(&batch.Requests[i])
-			cands := g.pool.candidates(key, 1)
-			if len(cands) == 0 {
-				unroutable = append(unroutable, i)
-				continue
-			}
-			grp := groups[cands[0]]
-			if grp == nil {
-				grp = &batchGroup{b: cands[0]}
-				groups[cands[0]] = grp
-			}
-			grp.idx = append(grp.idx, i)
-		}
-		var (
-			wg      sync.WaitGroup
-			retryMu sync.Mutex
-			retry   []int
-		)
-		for _, grp := range groups {
-			wg.Add(1)
-			go func(grp *batchGroup) {
-				defer wg.Done()
-				sub := service.BatchRequest{Requests: make([]service.AnalyzeRequest, len(grp.idx))}
-				for j, i := range grp.idx {
-					sub.Requests[j] = batch.Requests[i]
-				}
-				subBody, err := json.Marshal(sub)
-				if err == nil {
-					f := g.tryOne(ctx, "/v1/batch", subBody, grp.b)
-					if f.done() && f.res.Status == http.StatusOK {
-						var subOut service.BatchResponse
-						if jerr := json.Unmarshal(f.res.Body, &subOut); jerr == nil && len(subOut.Results) == len(grp.idx) {
-							mu.Lock()
-							for j, i := range grp.idx {
-								out.Results[i] = subOut.Results[j]
-							}
-							out.Summary.CacheHits += subOut.Summary.CacheHits
-							out.Summary.CacheMisses += subOut.Summary.CacheMisses
-							out.Summary.Failures += subOut.Summary.Failures
-							out.Summary.Findings += subOut.Summary.Findings
-							out.Summary.Rejected += subOut.Summary.Rejected
-							mu.Unlock()
-							return
-						}
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex // guards out
+	)
+	for _, grp := range groups {
+		wg.Add(1)
+		go func(grp *batchGroup) {
+			defer wg.Done()
+			sub := g.forwardBatch(ctx, batch.Requests, grp)
+			mu.Lock()
+			defer mu.Unlock()
+			if sub == nil {
+				// The walk ended without a usable answer: per-entry
+				// errors, never a dropped batch.
+				for _, i := range grp.idx {
+					out.Results[i].Error = &service.WireError{
+						Code:    service.CodeBackendUnavailable,
+						Message: "no backend could serve this entry",
 					}
+					out.Summary.Rejected++
 				}
-				// Transport failure, retryable status, or an undecodable
-				// answer: this group goes back in the pot. tryOne already
-				// removed a dead backend from the ring, so the next round
-				// re-owns these keys on the survivors.
-				g.retries.Add(1)
-				g.mRetries.Inc()
-				retryMu.Lock()
-				retry = append(retry, grp.idx...)
-				retryMu.Unlock()
-			}(grp)
-		}
-		wg.Wait()
-		pending = append(unroutable, retry...)
-		if r.Context().Err() != nil {
-			return // client went away mid-batch
-		}
+				return
+			}
+			for j, i := range grp.idx {
+				out.Results[i] = sub.Results[j]
+			}
+			out.Summary.CacheHits += sub.Summary.CacheHits
+			out.Summary.CacheMisses += sub.Summary.CacheMisses
+			out.Summary.Failures += sub.Summary.Failures
+			out.Summary.Findings += sub.Summary.Findings
+			out.Summary.Rejected += sub.Summary.Rejected
+		}(grp)
 	}
-	// Whatever is still pending has no serving backend: per-entry
-	// errors, never a dropped batch.
-	for _, i := range pending {
-		out.Results[i].Error = &service.WireError{
-			Code:    service.CodeBackendUnavailable,
-			Message: "no backend could serve this entry",
-		}
-		out.Summary.Rejected++
+	wg.Wait()
+	if r.Context().Err() != nil {
+		return // client went away mid-batch
 	}
-	out.Summary.Modules = len(batch.Requests)
-	entry.Modules = out.Summary.Modules
-	entry.Hits = out.Summary.CacheHits
-	entry.Misses = out.Summary.CacheMisses
+	entry.Hits, entry.Misses = out.Summary.CacheHits, out.Summary.CacheMisses
+	service.WriteBatch(w, out)
+}
 
-	w.Header().Set("Content-Type", "application/json")
-	dispositions := make([]string, len(out.Results))
-	for i, res := range out.Results {
-		switch {
-		case res.Error != nil:
-			dispositions[i] = "error"
-		case res.Cached:
-			dispositions[i] = "hit"
-		default:
-			dispositions[i] = "miss"
-		}
+// forwardBatch sends one group's sub-batch along the group's walk. It
+// returns the decoded answer, or nil unless the walk ends in a 200
+// whose results line up with the group.
+func (g *Gateway) forwardBatch(ctx context.Context, reqs []service.AnalyzeRequest, grp *batchGroup) *service.BatchResponse {
+	sub := service.BatchRequest{Requests: make([]service.AnalyzeRequest, len(grp.idx))}
+	for j, i := range grp.idx {
+		sub.Requests[j] = reqs[i]
 	}
-	w.Header().Set("X-Lna-Cache", strings.Join(dispositions, ","))
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	body, err := json.Marshal(sub)
+	if err != nil {
+		return nil
+	}
+	res, _, _, err := g.forward(ctx, "/v1/batch", body, grp.candidates)
+	if err != nil || res.Status != http.StatusOK {
+		return nil
+	}
+	var out service.BatchResponse
+	if json.Unmarshal(res.Body, &out) != nil || len(out.Results) != len(grp.idx) {
+		return nil
+	}
+	return &out
 }
 
 // GatewayHealth is the gateway's /v1/health payload: its own status
@@ -812,53 +698,12 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(g.Fleet(r.Context()))
 }
 
-// handleMetrics serves the process-wide registry, exactly like the
-// daemon's endpoint (an embedded gateway and daemon share one
-// registry; a standalone gateway exposes only its own instruments).
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := obs.Default()
-	format := r.URL.Query().Get("format")
-	if format == "prometheus" ||
-		(format == "" && strings.Contains(r.Header.Get("Accept"), "text/plain")) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-		return
-	}
-	if format != "" && format != "json" {
-		service.WriteWireError(w, service.CodeBadRequest, "unknown format %q (want json|prometheus)", format)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = reg.WriteJSON(w)
-}
-
 // ListenAndServe binds addr (port 0 picks a free port), starts the
 // health sweep, reports the bound address through ready (when
-// non-nil), and serves until ctx is cancelled, then shuts down
-// gracefully like the daemon.
+// non-nil), and serves until ctx is cancelled, then drains like the
+// daemon.
 func (g *Gateway) ListenAndServe(ctx context.Context, addr string, ready func(boundAddr string)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
 	g.Start()
 	defer g.Shutdown()
-	hs := &http.Server{Handler: g.Handler()}
-	drained := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), service.DefaultDrainTimeout)
-		defer cancel()
-		drained <- hs.Shutdown(shutdownCtx)
-	}()
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	if ctx.Err() != nil {
-		return <-drained
-	}
-	return nil
+	return service.ListenAndServe(ctx, addr, g.Handler(), ready, nil)
 }

@@ -12,7 +12,7 @@ import (
 	"localalias/internal/faults"
 )
 
-// Access-log formats accepted by ServerOptions.LogFormat.
+// Access-log formats accepted by NewAccessLogger.
 const (
 	// LogText renders one human-scannable line per request.
 	LogText = "text"
@@ -62,19 +62,31 @@ type AccessLogger struct {
 	asJSON bool
 }
 
-// NewAccessLogger builds a logger, or nil when w is nil or format
-// does not name a known format.
-func NewAccessLogger(w io.Writer, format string) *AccessLogger {
-	if w == nil {
-		return nil
-	}
+// NewAccessLogger builds a logger writing format ("" = LogText) to w.
+// An unknown format is an error.
+func NewAccessLogger(w io.Writer, format string) (*AccessLogger, error) {
 	switch format {
 	case LogJSON:
-		return &AccessLogger{w: w, asJSON: true}
+		return &AccessLogger{w: w, asJSON: true}, nil
 	case LogText, "":
-		return &AccessLogger{w: w}
+		return &AccessLogger{w: w}, nil
 	}
-	return nil
+	return nil, fmt.Errorf("unknown access-log format %q (want %s|%s)", format, LogText, LogJSON)
+}
+
+// Track starts one request's access record. It wraps rw so the status
+// the handler writes is captured, and returns the record for the
+// handler to fill in. The returned func stamps status and duration and
+// logs the record; handlers defer it. A nil logger still captures the
+// status.
+func (l *AccessLogger) Track(rw http.ResponseWriter, r *http.Request) (*StatusWriter, *AccessEntry, func()) {
+	w := &StatusWriter{ResponseWriter: rw}
+	e := &AccessEntry{Time: time.Now(), Method: r.Method, Path: r.URL.Path}
+	return w, e, func() {
+		e.Status = w.Status()
+		e.DurMs = float64(time.Since(e.Time)) / float64(time.Millisecond)
+		l.Log(*e)
+	}
 }
 
 // Log writes one entry; concurrent requests serialize on the mutex so
@@ -141,21 +153,22 @@ func formatPhases(phases []faults.PhaseTiming) string {
 	return b.String()
 }
 
-// statusWriter captures the status code a handler wrote, for the
-// access log. WriteHeader-less handlers imply 200.
-type statusWriter struct {
+// StatusWriter captures the status code a handler wrote, for the
+// access log and the request span. WriteHeader-less handlers imply
+// 200.
+type StatusWriter struct {
 	http.ResponseWriter
 	status int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
+func (w *StatusWriter) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(p []byte) (int, error) {
+func (w *StatusWriter) Write(p []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
@@ -163,7 +176,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // Status returns the captured status (200 when nothing was written).
-func (w *statusWriter) Status() int {
+func (w *StatusWriter) Status() int {
 	if w.status == 0 {
 		return http.StatusOK
 	}

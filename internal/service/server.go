@@ -3,10 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -31,9 +28,6 @@ const (
 	// DefaultTraceEntries bounds the in-memory ring of recently
 	// completed traces behind /v1/trace/{id}.
 	DefaultTraceEntries = 256
-	// maxRequestBytes bounds one request body (a batch of large
-	// modules fits comfortably; a runaway upload does not).
-	maxRequestBytes = 64 << 20
 	// MaxBatch bounds the modules in one /v1/batch submission.
 	MaxBatch = 4096
 )
@@ -56,13 +50,10 @@ type ServerOptions struct {
 	// RequestTimeout is the per-module analysis deadline
 	// (0 = DefaultRequestTimeout; negative = no deadline).
 	RequestTimeout time.Duration
-	// AccessLog, when non-nil, receives one line per HTTP request
+	// AccessLog, when non-nil, logs one line per HTTP request
 	// (method, path, status, duration, trace ID, cache disposition,
 	// phase timings). nil disables access logging.
-	AccessLog io.Writer
-	// LogFormat selects the access-log rendering: LogText (default)
-	// or LogJSON.
-	LogFormat string
+	AccessLog *AccessLogger
 	// TraceEntries bounds the ring buffer of recently completed traces
 	// served by /v1/trace/{id} (0 = DefaultTraceEntries; negative
 	// disables trace retention entirely — requests still get spans and
@@ -114,8 +105,6 @@ type Server struct {
 	slots chan struct{}
 	// queue bounds admitted single-module requests (waiting+running).
 	queue chan struct{}
-	// log is the access logger (nil = disabled).
-	log *AccessLogger
 	// traces retains recently completed request traces for
 	// /v1/trace/{id} (nil when TraceEntries is negative).
 	traces *obs.TraceRing
@@ -143,7 +132,6 @@ func NewServer(opts ServerOptions) *Server {
 		cache:  NewCache(o.CacheEntries),
 		slots:  make(chan struct{}, o.Workers),
 		queue:  make(chan struct{}, o.QueueDepth),
-		log:    NewAccessLogger(o.AccessLog, o.LogFormat),
 		traces: obs.NewTraceRing(o.TraceEntries),
 	}
 	reg := obs.Default()
@@ -198,7 +186,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/health", s.handleHealth)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/metrics", s.handleMetrics)
+	mux.HandleFunc("/v1/metrics", HandleMetrics)
 	mux.HandleFunc("/v1/trace/", s.handleTrace)
 	return mux
 }
@@ -234,40 +222,6 @@ func HandleTraceFrom(ring *obs.TraceRing, process string, w http.ResponseWriter,
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	HandleTraceFrom(s.traces, "replica", w, r)
-}
-
-// handleMetrics serves the process-wide metrics registry: JSON by
-// default, Prometheus text exposition when the client asks for it
-// with ?format=prometheus or an Accept: text/plain header.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := obs.Default()
-	format := r.URL.Query().Get("format")
-	if format == "prometheus" ||
-		(format == "" && strings.Contains(r.Header.Get("Accept"), "text/plain")) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-		return
-	}
-	if format != "" && format != "json" {
-		WriteWireError(w, CodeBadRequest, "unknown format %q (want json|prometheus)", format)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = reg.WriteJSON(w)
-}
-
-// decodeRequest reads and validates one JSON body into dst.
-func decodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		WriteWireError(w, CodeMethodNotAllowed, "use POST")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(dst); err != nil {
-		WriteWireError(w, CodeBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
 }
 
 // ValidateRequest rejects requests the engine cannot serve before they
@@ -362,14 +316,8 @@ func (s *Server) acquireSlot(ctx context.Context) bool {
 func (s *Server) releaseSlot() { <-s.slots }
 
 func (s *Server) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	w := &statusWriter{ResponseWriter: rw}
-	entry := AccessEntry{Time: start, Method: r.Method, Path: r.URL.Path}
-	defer func() {
-		entry.Status = w.Status()
-		entry.DurMs = float64(time.Since(start)) / float64(time.Millisecond)
-		s.log.Log(entry)
-	}()
+	w, entry, done := s.opts.AccessLog.Track(rw, r)
+	defer done()
 	if s.draining.Load() {
 		s.rejected.Add(1)
 		s.mRejected.Inc()
@@ -377,7 +325,7 @@ func (s *Server) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AnalyzeRequest
-	if !decodeRequest(w, r, &req) {
+	if _, ok := ReadRequest(w, r, &req); !ok {
 		return
 	}
 	if werr := ValidateRequest(&req); werr != nil {
@@ -490,55 +438,33 @@ type BatchResponse struct {
 }
 
 func (s *Server) handleBatch(rw http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	w := &statusWriter{ResponseWriter: rw}
-	entry := AccessEntry{Time: start, Method: r.Method, Path: r.URL.Path}
-	defer func() {
-		entry.Status = w.Status()
-		entry.DurMs = float64(time.Since(start)) / float64(time.Millisecond)
-		s.log.Log(entry)
-	}()
+	w, entry, done := s.opts.AccessLog.Track(rw, r)
+	defer done()
 	if s.draining.Load() {
 		s.rejected.Add(1)
 		s.mRejected.Inc()
 		WriteWireError(w, CodeDraining, "server is draining")
 		return
 	}
-	var batch BatchRequest
-	if !decodeRequest(w, r, &batch) {
-		return
-	}
-	if len(batch.Requests) == 0 {
-		WriteWireError(w, CodeBadRequest, "empty batch")
-		return
-	}
-	if len(batch.Requests) > MaxBatch {
-		WriteWireError(w, CodeBadRequest, "batch of %d exceeds the %d-module limit", len(batch.Requests), MaxBatch)
+	batch, ok := ReadBatch(w, r)
+	if !ok {
 		return
 	}
 	s.batches.Add(1)
 	s.mBatches.Inc()
 	entry.Modules = len(batch.Requests)
 
-	// Fan the batch across the worker pool. Entries stream through the
-	// shared slots, so one batch cannot starve concurrent requests of
-	// more than its fair share of workers. Each entry gets its own
-	// trace, so a slow module inside a big batch is attributable.
-	out := BatchResponse{Results: make([]BatchEntry, len(batch.Requests))}
+	// Fan the admitted entries across the worker pool. Entries stream
+	// through the shared slots, so one batch cannot starve concurrent
+	// requests of more than its fair share of workers. Each entry gets
+	// its own trace, so a slow module inside a big batch is
+	// attributable.
+	out, admitted := batch.Admit()
 	var (
 		wg sync.WaitGroup
 		mu sync.Mutex // guards the summary counters
 	)
-	for i := range batch.Requests {
-		// Admission is per entry: a module with an unknown mode or no
-		// source gets a structured per-entry error, and its healthy
-		// neighbours still analyze — clients distinguish "rejected"
-		// from "analyzed, result empty" by the Error field.
-		if werr := ValidateRequest(&batch.Requests[i]); werr != nil {
-			out.Results[i].Error = werr
-			out.Summary.Rejected++
-			continue
-		}
+	for _, i := range admitted {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -581,27 +507,8 @@ func (s *Server) handleBatch(rw http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return // client went away mid-batch
 	}
-	out.Summary.Modules = len(batch.Requests)
 	entry.Hits, entry.Misses = out.Summary.CacheHits, out.Summary.CacheMisses
-	w.Header().Set("Content-Type", "application/json")
-	// Per-item cache dispositions, index-aligned with the submitted
-	// requests, so clients can spot cold entries without parsing the
-	// body (see the header table in DESIGN.md).
-	dispositions := make([]string, len(out.Results))
-	for i, res := range out.Results {
-		switch {
-		case res.Error != nil:
-			dispositions[i] = "error"
-		case res.Cached:
-			dispositions[i] = "hit"
-		default:
-			dispositions[i] = "miss"
-		}
-	}
-	w.Header().Set("X-Lna-Cache", strings.Join(dispositions, ","))
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	WriteBatch(w, out)
 }
 
 // HealthStatus is the /v1/health payload of one daemon.
@@ -656,27 +563,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // refused with 503 while in-flight ones get up to DefaultDrainTimeout
 // to finish. The returned error is nil on a clean drain.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, ready func(boundAddr string)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	drained := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		s.draining.Store(true)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), DefaultDrainTimeout)
-		defer cancel()
-		drained <- hs.Shutdown(shutdownCtx)
-	}()
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	if ctx.Err() != nil {
-		return <-drained
-	}
-	return nil
+	return ListenAndServe(ctx, addr, s.Handler(), ready, func() { s.draining.Store(true) })
 }

@@ -257,7 +257,19 @@ func TestAccessLogFormats(t *testing.T) {
 	req := service.AnalyzeRequest{Module: "logged.mc", Source: service.CleanCheckSrc,
 		Options: service.AnalyzeOptions{Mode: service.ModeCheck}}
 
-	_, textC := newTestServer(t, service.ServerOptions{AccessLog: &textBuf, LogFormat: service.LogText})
+	logger := func(w *bytes.Buffer, format string) *service.AccessLogger {
+		t.Helper()
+		l, err := service.NewAccessLogger(w, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	if l, err := service.NewAccessLogger(&textBuf, "xml"); err == nil || l != nil {
+		t.Errorf("unknown format: logger %v, err %v; want an error", l, err)
+	}
+
+	_, textC := newTestServer(t, service.ServerOptions{AccessLog: logger(&textBuf, service.LogText)})
 	coldBody, _, err := textC.AnalyzeRaw(context.Background(), &req)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +293,7 @@ func TestAccessLogFormats(t *testing.T) {
 		t.Errorf("hit text line missing cache=hit: %s", lines[1])
 	}
 
-	_, jsonC := newTestServer(t, service.ServerOptions{AccessLog: &jsonBuf, LogFormat: service.LogJSON})
+	_, jsonC := newTestServer(t, service.ServerOptions{AccessLog: logger(&jsonBuf, service.LogJSON)})
 	meta := mustAnalyze(t, jsonC, req)
 	var entry struct {
 		Method string  `json:"method"`
