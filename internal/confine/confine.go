@@ -102,6 +102,13 @@ type Result struct {
 // types.Info, the infer.Result whose maps cover the surviving nodes,
 // and the least solution.
 func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (*Result, error) {
+	return InferAndApplyOver(nil, prog, diags, opts)
+}
+
+// InferAndApplyOver is InferAndApply with the planted program's
+// inference run in the storage of base, the module's baseline
+// inference run (see infer.RunOver), which is released.
+func InferAndApplyOver(base *infer.Result, prog *ast.Program, diags *source.Diagnostics, opts Options) (*Result, error) {
 	res := &Result{TInfo: opts.Info}
 	if res.TInfo == nil {
 		opts.Trace.Enter(obs.PhaseTypecheck)
@@ -121,7 +128,7 @@ func InferAndApply(prog *ast.Program, diags *source.Diagnostics, opts Options) (
 	for _, c := range planter.planted {
 		optional[c] = true
 	}
-	res.Infer = infer.Run(res.TInfo, diags, infer.Options{
+	res.Infer = infer.RunOver(base, res.TInfo, diags, infer.Options{
 		InferRestrictLets:     opts.Lets,
 		InferRestrictParams:   opts.Params,
 		OptionalConfines:      optional,

@@ -226,9 +226,19 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	out.AllStrong = qual.AnalyzeWith(baseInfer, baseSol, qual.ModeAllStrong,
 		opts.ImportTransfers[VariantAllStrong])
 
+	// Without a package summary to export, the baseline run is done:
+	// its solution's pooled arena serves the confine solve, and its
+	// inference tables the confine run.
+	out.SolveStats.Add(baseSol.Stats)
+	var spent *infer.Result
+	if !opts.ExportAPI {
+		baseSol.Release()
+		spent = baseInfer
+	}
+
 	// Confine inference (mutates the AST and extends m.TInfo to
 	// match), then the qualifier analysis over the surviving bindings.
-	cres, err := confine.InferAndApply(m.Prog, m.Diags, confine.Options{
+	cres, err := confine.InferAndApplyOver(spent, m.Prog, m.Diags, confine.Options{
 		General:       opts.General,
 		Params:        !opts.NoParams,
 		Lets:          !opts.NoLets,
@@ -244,16 +254,14 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	tr.Enter(obs.PhaseQual)
 	out.WithConfine = qual.AnalyzeWith(cres.Infer, cres.Solution, qual.ModePlain,
 		opts.ImportTransfers[VariantWithConfine])
-	out.SolveStats.Add(baseSol.Stats)
 	out.SolveStats.Add(cres.Solution.Stats)
 	if opts.ExportAPI {
 		out.API = exportAPI(m, baseInfer, baseSol, cres, opts)
+		baseSol.Release()
 	}
-	// The baseline solution's consumers (the two qual analyses above)
-	// are done and nothing retains it, so its pooled storage can serve
-	// the next module. cres.Solution stays live — it is exported via
-	// out.Confine.
-	baseSol.Release()
+	// cres.Solution stays live: it is exported via out.Confine, and
+	// its owner releases it (the service engine does, once the
+	// response is rendered).
 	return out, nil
 }
 

@@ -366,6 +366,30 @@ func NewSystem(ls *locs.Store) *System {
 	return &System{Locs: ls}
 }
 
+// Reset empties s, keeping the capacity of every table and its
+// location store (which the caller resets), so a later run over the
+// same module builds its constraints in this run's storage.
+func (s *System) Reset() {
+	*s = System{
+		Locs:       s.Locs,
+		varNames:   emptied(s.varNames),
+		Incls:      emptied(s.Incls),
+		VarIncls:   s.VarIncls[:0],
+		AtomIncls:  s.AtomIncls[:0],
+		NotIns:     emptied(s.NotIns),
+		KindNotIns: emptied(s.KindNotIns),
+		PairNotIns: emptied(s.PairNotIns),
+		Conds:      emptied(s.Conds),
+	}
+}
+
+// emptied clears x (dropping what its elements point to) and returns
+// it truncated, capacity kept.
+func emptied[T any](x []T) []T {
+	clear(x)
+	return x[:0]
+}
+
 // NumVars returns the number of effect variables created.
 func (s *System) NumVars() int { return len(s.varNames) }
 
@@ -392,10 +416,11 @@ func (s *System) Fresh(name string) Var {
 // count) avoids growth reallocation on the hot path. Estimates may be
 // exceeded freely; growth then proceeds normally.
 //
-// Inference reserves one variable and 1.5 inclusions per typed
-// expression. Over the 589 corpus modules a base run mints 0.59
-// variables and 0.80 inclusions per typed expression and a confine
-// run 0.82 and 1.22; no run of any module exceeds 1.00 and 1.50.
+// Over the 589 corpus modules a base run mints 0.59 variables and 0.80
+// inclusions per typed expression and a confine run 0.82 and 1.22; no
+// run of any module exceeds 1.00 and 1.50. A run in an earlier run's
+// storage (infer.RunOver) reserves exactly that; a fresh run reserves
+// 20% more, so that the planted program's run fits in its tables.
 func (s *System) Reserve(vars, incls int) {
 	if cap(s.varNames) < vars {
 		grown := make([]varName, len(s.varNames), vars)

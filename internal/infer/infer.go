@@ -117,6 +117,21 @@ type Result struct {
 	// should have prevented). Non-zero means the run's constraint
 	// system is unreliable and the module must be failed.
 	InternalErrors int
+
+	// slabs are the chunks holding the run's located types, for
+	// RunOver to fill again.
+	slabs [][]LType
+	// released marks a Result whose storage a later run took over
+	// (RunOver).
+	released bool
+}
+
+// check guards the accessors against use after RunOver took the
+// Result's storage.
+func (r *Result) check() {
+	if r.released {
+		panic("infer: Result used after RunOver took its storage")
+	}
 }
 
 // TargetOf returns the pointed-to cell of a ref-typed expression
@@ -132,14 +147,21 @@ func (r *Result) TargetOf(e ast.Expr) (locs.Loc, bool) {
 // LTypeOf returns the located type inference gave e, or nil. Like the
 // types.Info accessors, it treats a node numbered after the run (a
 // confine planted into the program later) as absent.
-func (r *Result) LTypeOf(e ast.Expr) *LType { return ast.Lookup(r.LTypes, e.NodeID()) }
+func (r *Result) LTypeOf(e ast.Expr) *LType {
+	r.check()
+	return ast.Lookup(r.LTypes, e.NodeID())
+}
 
 // BindingOf returns the restrict/confine binding of n, or nil.
-func (r *Result) BindingOf(n ast.Numbered) *Binding { return ast.Lookup(r.Bindings, n.NodeID()) }
+func (r *Result) BindingOf(n ast.Numbered) *Binding {
+	r.check()
+	return ast.Lookup(r.Bindings, n.NodeID())
+}
 
 // Succeeded reports a candidate's post-solve verdict: the candidate
 // became a restrict/confine iff its two locations stayed distinct.
 func (r *Result) Succeeded(c *Candidate) bool {
+	r.check()
 	return !r.Locs.Same(c.Rho, c.RhoP)
 }
 
@@ -149,41 +171,101 @@ func (r *Result) Succeeded(c *Candidate) bool {
 // are produced by solving (package solve) and interpreted by the
 // restrict/confine packages.
 func Run(tinfo *types.Info, diags *source.Diagnostics, opts Options) *Result {
-	ls := locs.NewStore()
-	sys := effects.NewSystem(ls)
-	// Reserving against the typed-expression count avoids slice growth
-	// on the constraint-building hot path (see System.Reserve for the
-	// measured ratios).
-	sys.Reserve(tinfo.Typed, 3*tinfo.Typed/2)
-	b := newBuilder(ls, sys)
+	return RunOver(nil, tinfo, diags, opts)
+}
+
+// RunOver is Run in the storage of prev, an earlier run over the same
+// module whose result is no longer needed: its constraint tables,
+// location store and side tables are emptied and refilled instead of
+// allocated again. Confine inference uses it to run over the planted
+// program in the storage of the module's baseline run. prev is
+// released: its tables are gone and its accessors panic. A nil prev
+// makes RunOver Run.
+func RunOver(prev *Result, tinfo *types.Info, diags *source.Diagnostics, opts Options) *Result {
+	var res *Result
+	if prev == nil {
+		res = newResult(tinfo)
+	} else {
+		res = prev.handOff(tinfo)
+	}
+	res.Prog, res.TInfo = tinfo.Prog, tinfo
+	b := newBuilder(res.Locs, res.Sys, res.slabs)
 	b.structReg = tinfo.Structs
 	b.diags = diags
 	b.file = tinfo.Prog.File
 	b.site = source.NoSpan
 
-	n := tinfo.Prog.NumNodes
 	inf := &inferencer{
 		b:     b,
-		ls:    ls,
-		sys:   sys,
+		ls:    res.Locs,
+		sys:   res.Sys,
 		tinfo: tinfo,
 		diags: diags,
 		opts:  opts,
-		res: &Result{
-			Prog:      tinfo.Prog,
-			TInfo:     tinfo,
-			Locs:      ls,
-			Sys:       sys,
-			LTypes:    make([]*LType, n),
-			Bindings:  make([]*Binding, n),
-			FunEff:    make(map[effKey]effects.Var),
-			FunBody:   make(map[effKey]effects.Var),
-			SymLTypes: make(map[*types.Symbol]*LType, tinfo.NumBinders),
-		},
+		res:   res,
 	}
 	inf.run()
-	inf.res.InternalErrors = b.internal
-	return inf.res
+	res.InternalErrors = b.internal
+	res.slabs = b.chunks
+	return res
+}
+
+// newResult allocates the tables of a run over tinfo. Reserving
+// against the typed-expression count avoids slice growth on the
+// constraint-building hot path (see System.Reserve for the measured
+// ratios). The tables get 20% headroom so that a rerun over the
+// planted program (RunOver) fits in them: planting adds at most 20%
+// typed expressions and 22% nodes to a corpus module.
+func newResult(tinfo *types.Info) *Result {
+	ls := locs.NewStore()
+	sys := effects.NewSystem(ls)
+	t, n := tinfo.Typed, tinfo.Prog.NumNodes
+	sys.Reserve(6*t/5, 9*t/5)
+	nf := len(tinfo.Prog.Funs)
+	return &Result{
+		Locs:      ls,
+		Sys:       sys,
+		LTypes:    make([]*LType, n, n+n/4),
+		Bindings:  make([]*Binding, n, n+n/4),
+		FunEff:    make(map[effKey]effects.Var, nf),
+		FunBody:   make(map[effKey]effects.Var, nf),
+		SymLTypes: make(map[*types.Symbol]*LType, tinfo.NumBinders),
+	}
+}
+
+// handOff releases r and returns a Result for a run over tinfo that
+// owns r's emptied tables and its located-type chunks (as spares).
+func (r *Result) handOff(tinfo *types.Info) *Result {
+	r.check()
+	t, n := tinfo.Typed, tinfo.Prog.NumNodes
+	out := &Result{
+		Locs:      r.Locs,
+		Sys:       r.Sys,
+		LTypes:    resized(r.LTypes, n),
+		Bindings:  resized(r.Bindings, n),
+		FunEff:    r.FunEff,
+		FunBody:   r.FunBody,
+		SymLTypes: r.SymLTypes,
+		slabs:     r.slabs,
+	}
+	*r = Result{released: true}
+	out.Locs.Reset()
+	out.Sys.Reset()
+	out.Sys.Reserve(t, 3*t/2)
+	clear(out.FunEff)
+	clear(out.FunBody)
+	clear(out.SymLTypes)
+	return out
+}
+
+// resized returns s cleared and resized to n, reusing its storage
+// when the capacity allows.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	clear(s)
+	return s[:n]
 }
 
 type effKey = string
@@ -239,7 +321,7 @@ func (inf *inferencer) run() {
 	prog := inf.tinfo.Prog
 
 	// Globals: build storage once, collect ε_Γ(globals).
-	inf.globals = make(map[string]*globalLInfo)
+	inf.globals = make(map[string]*globalLInfo, len(prog.Globals))
 	inf.imported = make(map[string]*LType)
 	inf.envG = inf.sys.Fresh("Γ(globals)")
 	for _, g := range prog.Globals {
@@ -263,7 +345,7 @@ func (inf *inferencer) run() {
 
 	// Function signatures (phase A): locate parameter and result
 	// types, allocate latent-effect variables.
-	inf.funs = make(map[string]*funLInfo)
+	inf.funs = make(map[string]*funLInfo, len(prog.Funs))
 	for _, f := range prog.Funs {
 		sig := inf.tinfo.Funs[f.Name]
 		if sig == nil || sig.Decl != f {

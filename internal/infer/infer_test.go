@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -439,5 +440,88 @@ fun f(n: ref node, a: ref int): int {
 func TestCandKindStrings(t *testing.T) {
 	if CandLet.String() != "let" || CandParam.String() != "param" || CandConfine.String() != "confine" {
 		t.Error("cand kind strings")
+	}
+}
+
+// TestRunOverReusesAndReleases runs inference in the storage of an
+// earlier run with other options, as confine inference does with a
+// module's baseline run: the system and verdicts must equal a fresh
+// run's, the storage must be the earlier run's, and the earlier
+// Result must panic on use.
+func TestRunOverReusesAndReleases(t *testing.T) {
+	src := `
+global g: lock;
+global cell: ref int;
+fun helper(l: ref lock, q: ref int): int {
+    spin_lock(l);
+    let p = q;
+    *p = *p + 1;
+    spin_unlock(l);
+    return *q;
+}
+fun f(q: ref int): int {
+    let a = q;
+    let b = new 3;
+    cell = a;
+    confine q {
+        *q = *b;
+    }
+    return helper(&g, b);
+}
+`
+	var diags source.Diagnostics
+	prog := parser.Parse("t.mc", src, &diags)
+	tinfo := types.Check(prog, &diags)
+	if diags.HasErrors() {
+		t.Fatalf("front end: %s", diags.String())
+	}
+	opts := Options{InferRestrictLets: true, InferRestrictParams: true, LiberalRestrictEffect: true}
+	fresh := Run(tinfo, &diags, opts)
+	prev := Run(tinfo, &diags, Options{})
+	sys, ls := prev.Sys, prev.Locs
+	cand := fresh.Candidates[0]
+	over := RunOver(prev, tinfo, &diags, opts)
+	if over.Sys != sys || over.Locs != ls {
+		t.Error("RunOver did not take over the earlier run's system and store")
+	}
+
+	shape := func(r *Result) [7]int {
+		s := r.Sys
+		return [7]int{s.NumVars(), len(s.Incls), len(s.VarIncls), len(s.AtomIncls), len(s.NotIns), len(s.Conds), r.Locs.Len()}
+	}
+	if shape(over) != shape(fresh) {
+		t.Fatalf("system shape: RunOver %v, Run %v", shape(over), shape(fresh))
+	}
+	freshSol, overSol := solve.Solve(fresh.Sys), solve.Solve(over.Sys)
+	if len(fresh.Candidates) == 0 || len(over.Candidates) != len(fresh.Candidates) {
+		t.Fatalf("candidates: RunOver %d, Run %d", len(over.Candidates), len(fresh.Candidates))
+	}
+	for i, c := range fresh.Candidates {
+		if fresh.Succeeded(c) != over.Succeeded(over.Candidates[i]) {
+			t.Errorf("candidate %s: verdicts differ", c.Name)
+		}
+	}
+	for name, v := range fresh.FunEff {
+		if got, want := fmt.Sprint(overSol.Atoms(over.FunEff[name])), fmt.Sprint(freshSol.Atoms(v)); got != want {
+			t.Errorf("eff(%s): RunOver %s, Run %s", name, got, want)
+		}
+	}
+
+	e := findCallArg(prog, "spin_lock")
+	for what, use := range map[string]func(){
+		"LTypeOf":    func() { prev.LTypeOf(e) },
+		"TargetOf":   func() { prev.TargetOf(e) },
+		"BindingOf":  func() { prev.BindingOf(prog.Funs[0].Params[0]) },
+		"Succeeded":  func() { prev.Succeeded(cand) },
+		"ParamCells": func() { prev.ParamCells(prog.Funs[0], 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a Result RunOver took did not panic", what)
+				}
+			}()
+			use()
+		}()
 	}
 }

@@ -21,7 +21,7 @@ func newTestBuilder(t *testing.T) (*builder, *source.Diagnostics, *source.File) 
 	t.Helper()
 	ls := locs.NewStore()
 	sys := effects.NewSystem(ls)
-	b := newBuilder(ls, sys)
+	b := newBuilder(ls, sys, nil)
 	diags := &source.Diagnostics{}
 	file := source.NewFile("bad.mc", "fun f(): int { return 0; }\n")
 	b.diags, b.file = diags, file

@@ -185,6 +185,11 @@ type builder struct {
 	// the largest chunk. Chunks are never reallocated (a full chunk is
 	// replaced by a fresh one), so returned pointers stay valid.
 	slab []LType
+	// chunks lists the chunks this run filled, in order; spare holds
+	// an earlier run's chunks, filled again before any is made
+	// (RunOver hands them on). Both runs grow chunks alike, so each
+	// spare chunk has the size a fresh one would.
+	chunks, spare [][]LType
 }
 
 // internalErrf records an internal-error diagnostic at the span of
@@ -200,8 +205,8 @@ func (b *builder) internalErrf(format string, args ...any) {
 	}
 }
 
-func newBuilder(ls *locs.Store, sys *effects.System) *builder {
-	b := &builder{ls: ls, sys: sys}
+func newBuilder(ls *locs.Store, sys *effects.System, spare [][]LType) *builder {
+	b := &builder{ls: ls, sys: sys, spare: spare}
 	b.intT = b.newNode(LInt, "int")
 	b.unitT = b.newNode(LUnit, "unit")
 	b.lockT = b.newNode(LLock, "lock")
@@ -211,7 +216,14 @@ func newBuilder(ls *locs.Store, sys *effects.System) *builder {
 // newNode allocates a node with its ε_τ variable.
 func (b *builder) newNode(k LKind, name string) *LType {
 	if len(b.slab) == cap(b.slab) {
-		b.slab = make([]LType, 0, min(max(2*cap(b.slab), 16), 256))
+		if len(b.spare) > 0 {
+			b.slab = b.spare[0][:0]
+			clear(b.slab[:cap(b.slab)])
+			b.spare = b.spare[1:]
+		} else {
+			b.slab = make([]LType, 0, min(max(2*cap(b.slab), 16), 256))
+		}
+		b.chunks = append(b.chunks, b.slab)
 	}
 	b.slab = append(b.slab, LType{kind: k, cell: locs.NoLoc, tvar: b.sys.FreshN("τ(", name, ")")})
 	return &b.slab[len(b.slab)-1]

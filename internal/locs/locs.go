@@ -55,6 +55,13 @@ type Info struct {
 // NewStore returns an empty location store.
 func NewStore() *Store { return &Store{} }
 
+// Reset empties s for a new analysis run, keeping the capacity of its
+// tables. Locations of the earlier run must not be used afterwards.
+func (s *Store) Reset() {
+	clear(s.info) // drop the names
+	*s = Store{parent: s.parent[:0], rank: s.rank[:0], info: s.info[:0]}
+}
+
 // Len returns the number of locations created (representatives and
 // merged members alike).
 func (s *Store) Len() int { return len(s.parent) }

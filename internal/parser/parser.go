@@ -12,7 +12,7 @@
 //	             { "[" INT "]" } .
 //	block      = "{" { stmt } "}" .
 //	stmt       = "let" IDENT "=" expr ( ";" | [ "in" ] block )
-//	           | "restrict" IDENT "=" expr [ "in" ] block
+//	           | "restrict" IDENT "=" expr ( ";" | [ "in" ] block )
 //	           | "confine" expr [ "in" ] block
 //	           | "if" "(" expr ")" block [ "else" ( block | ifStmt ) ]
 //	           | "while" "(" expr ")" block
@@ -52,31 +52,53 @@ func Parse(name, src string, diags *source.Diagnostics) *ast.Program {
 
 // ParseFile parses an existing source.File.
 func ParseFile(file *source.File, diags *source.Diagnostics) *ast.Program {
-	p := &parser{
-		file:  file,
-		diags: diags,
-		toks:  lexer.ScanAll(file, diags),
-	}
-	return p.program()
+	p := newParser(file, diags)
+	prog := p.program()
+	p.finish()
+	return prog
 }
 
 // ParseExpr parses a standalone expression (used by tests and by the
 // confine CLI to accept expressions on the command line).
 func ParseExpr(src string, diags *source.Diagnostics) ast.Expr {
-	file := source.NewFile("<expr>", src)
-	p := &parser{file: file, diags: diags, toks: lexer.ScanAll(file, diags)}
+	p := newParser(source.NewFile("<expr>", src), diags)
 	e := p.expr()
 	p.expect(token.EOF)
+	p.finish()
 	return e
 }
 
+// parser pulls tokens from the lexer one at a time: the grammar needs
+// one token of lookahead, so no token slice is ever built.
 type parser struct {
 	file  *source.File
 	diags *source.Diagnostics
-	toks  []lexer.Token
-	pos   int
+	lx    *lexer.Lexer
+	cur   lexer.Token
+	// pos counts the tokens consumed so far; loops compare it to
+	// guarantee progress.
+	pos int
+	// syntax holds the syntax diagnostics until finish: the lexer
+	// reports to diags as it goes, and all lexical diagnostics come
+	// before the syntax ones.
+	syntax source.Diagnostics
 	// nodes counts the NodeIDs handed out so far.
 	nodes int
+}
+
+func newParser(file *source.File, diags *source.Diagnostics) *parser {
+	p := &parser{file: file, diags: diags, lx: lexer.New(file, diags)}
+	p.cur = p.lx.Next()
+	return p
+}
+
+// finish lexes whatever input the parse left unread, for its lexical
+// diagnostics, then appends the syntax diagnostics after them.
+func (p *parser) finish() {
+	for t := p.cur; t.Kind != token.EOF; {
+		t = p.lx.Next()
+	}
+	p.diags.List = append(p.diags.List, p.syntax.List...)
 }
 
 // id numbers the next node.
@@ -85,15 +107,16 @@ func (p *parser) id() ast.NodeID {
 	return ast.NodeID(p.nodes - 1)
 }
 
-func (p *parser) tok() lexer.Token  { return p.toks[p.pos] }
-func (p *parser) kind() token.Kind  { return p.toks[p.pos].Kind }
-func (p *parser) span() source.Span { return p.toks[p.pos].Span }
+func (p *parser) tok() lexer.Token  { return p.cur }
+func (p *parser) kind() token.Kind  { return p.cur.Kind }
+func (p *parser) span() source.Span { return p.cur.Span }
 
-func (p *parser) at(k token.Kind) bool { return p.kind() == k }
+func (p *parser) at(k token.Kind) bool { return p.cur.Kind == k }
 
 func (p *parser) advance() lexer.Token {
-	t := p.toks[p.pos]
+	t := p.cur
 	if t.Kind != token.EOF {
+		p.cur = p.lx.Next()
 		p.pos++
 	}
 	return t
@@ -108,7 +131,7 @@ func (p *parser) accept(k token.Kind) bool {
 }
 
 func (p *parser) errorf(sp source.Span, format string, args ...any) {
-	p.diags.Errorf(p.file, sp, "parse", format, args...)
+	p.syntax.Errorf(p.file, sp, "parse", format, args...)
 }
 
 func (p *parser) expect(k token.Kind) lexer.Token {
@@ -355,6 +378,12 @@ func (p *parser) restrictStmt() ast.Stmt {
 	name := p.expect(token.Ident)
 	p.expect(token.Assign)
 	init := p.expr()
+	if p.at(token.Semi) {
+		// A restricted let: its scope is the rest of the block, as
+		// for the lets restrict inference marks.
+		end := p.advance().Span
+		return &ast.DeclStmt{ID: p.id(), Name: name.Lit, Init: init, Restrict: true, Sp: start.Union(end)}
+	}
 	p.accept(token.KwIn)
 	body := p.block()
 	return &ast.BindStmt{

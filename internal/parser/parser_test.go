@@ -105,6 +105,54 @@ fun f(q: ref int) {
 	}
 }
 
+// TestParseRestrictedLet pins the remainder-of-block form "restrict
+// x = e;": a DeclStmt marked Restrict, which is how the printer writes
+// a let that restrict inference kept.
+func TestParseRestrictedLet(t *testing.T) {
+	src := `
+fun f(q: ref int) {
+    restrict p = q;
+    *p = 1;
+}
+`
+	prog := parseOK(t, src)
+	body := prog.Funs[0].Body
+	if len(body.Stmts) != 2 {
+		t.Fatalf("stmts: %d", len(body.Stmts))
+	}
+	d, ok := body.Stmts[0].(*ast.DeclStmt)
+	if !ok || !d.Restrict || d.Name != "p" || ast.ExprString(d.Init) != "q" {
+		t.Fatalf("stmt0: %T %+v", body.Stmts[0], body.Stmts[0])
+	}
+	if got := ast.String(prog); got != src[1:] {
+		t.Fatalf("printed form:\n%s\nwant:\n%s", got, src[1:])
+	}
+	parseBad(t, `fun f(q: ref int) { restrict p = q }`)
+}
+
+// TestParseLexicalDiagnosticsFirst pins the diagnostic order of a
+// file with both kinds of error: every lexical diagnostic precedes
+// every syntax diagnostic, although the parser pulls tokens lazily.
+func TestParseLexicalDiagnosticsFirst(t *testing.T) {
+	diags := parseBad(t, "fun f() { 1 + ; @ }\nfun g( { # }\n/* open")
+	var phases []string
+	for _, d := range diags.List {
+		phases = append(phases, d.Phase)
+	}
+	got := strings.Join(phases, ",")
+	if want := "lex,lex,lex,parse"; !strings.HasPrefix(got, want) || strings.Contains(strings.TrimPrefix(got, "lex,lex,lex"), "lex") {
+		t.Fatalf("phases = %s, want three lex then only parse", got)
+	}
+
+	// ParseExpr stops at the first token past the expression; the
+	// rest is still lexed for its diagnostics.
+	var ed source.Diagnostics
+	ParseExpr("a + b ) @", &ed)
+	if len(ed.List) != 2 || ed.List[0].Phase != "lex" || ed.List[1].Phase != "parse" {
+		t.Fatalf("ParseExpr diagnostics:\n%s", ed.String())
+	}
+}
+
 func TestParseOptionalIn(t *testing.T) {
 	// "in" before the block is optional everywhere.
 	parseOK(t, `fun f(q: ref int) { restrict p = q { *p = 1; } }`)

@@ -152,6 +152,9 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 			if mode == ModeConfine {
 				program = formatProgram(m.Prog)
 			}
+			// As in infer mode: the report above is all the engine
+			// needs from the confine solution.
+			lr.Confine.Solution.Release()
 		}
 		return nil
 	})

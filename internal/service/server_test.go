@@ -278,6 +278,41 @@ func TestServerLargeBatch(t *testing.T) {
 	}
 }
 
+// TestBatchEntriesAreReindentedCanonical pins the byte relation
+// between a batch entry and a single answer (docs/API.md): an entry's
+// "response" is the canonical /v1/analyze body of its request,
+// re-indented at its depth in the batch body — the same JSON tokens,
+// each line after the first indented six more spaces, without the
+// trailing newline. Whole corpus, one batch.
+func TestBatchEntriesAreReindentedCanonical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("589-module batch in -short mode")
+	}
+	_, c := newTestServer(t, service.ServerOptions{})
+	reqs := corpusBatch(len(drivergen.Corpus()))
+	out, _, err := c.Batch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("Batch: %v", err)
+	}
+	if len(out.Results) != len(reqs) {
+		t.Fatalf("%d results for %d requests", len(out.Results), len(reqs))
+	}
+	for i, entry := range out.Results {
+		canonical, err := service.Analyze(context.Background(), &reqs[i]).MarshalCanonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.Indent(&want, bytes.TrimSuffix(canonical, []byte("\n")), "      ", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(entry.Response, want.Bytes()) {
+			t.Fatalf("%s: batch entry is not the canonical body re-indented at depth 3\n--- entry\n%s\n--- canonical\n%s",
+				reqs[i].Module, entry.Response, canonical)
+		}
+	}
+}
+
 // TestServerBatchPanicIsolation: one module panicking degrades only
 // its own entry — the batch still answers 200 with a failure record in
 // that slot, and the panicking module is never cached.

@@ -61,7 +61,7 @@ func (r *Result) Release() {
 		putRetained(r.ret)
 		r.ret = nil
 	}
-	r.in, r.sets = nil, nil
+	r.sys, r.ls, r.in, r.sets = nil, nil, nil, nil
 }
 
 // Malformed returns the undecomposable inclusion constraints the
@@ -70,6 +70,7 @@ func (r *Result) Release() {
 // system; pipeline callers must surface these as internal-error
 // diagnostics and fail the module.
 func (r *Result) Malformed() []effects.MalformedExpr {
+	r.check()
 	return r.sys.Malformed
 }
 

@@ -28,7 +28,7 @@ type File struct {
 // NewFile builds a File and its line index.
 func NewFile(name, text string) *File {
 	f := &File{Name: name, Text: text}
-	f.lineStarts = append(f.lineStarts, 0)
+	f.lineStarts = make([]int, 1, strings.Count(text, "\n")+1)
 	for i := 0; i < len(text); i++ {
 		if text[i] == '\n' {
 			f.lineStarts = append(f.lineStarts, i+1)

@@ -254,7 +254,11 @@ func (c *checker) checkStmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.DeclStmt:
 		t := c.checkExpr(s.Init)
-		if !IsScalar(t) {
+		if s.Restrict {
+			if _, ok := t.(*Ref); !ok {
+				c.errorf(s.Init.Span(), "restrict initializer must be a pointer, not %s", t)
+			}
+		} else if !IsScalar(t) {
 			c.errorf(s.Init.Span(), "let initializer must be a scalar value (int or ref), not %s", t)
 			t = IntType
 		}

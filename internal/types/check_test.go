@@ -211,6 +211,17 @@ fun f(q: ref int) {
     }
 }
 `)
+	checkBad(t, `
+fun f() {
+    restrict p = 3;
+}
+`, "restrict initializer must be a pointer")
+	checkOK(t, `
+fun f(q: ref int) {
+    restrict p = q;
+    *p = 1;
+}
+`)
 }
 
 func TestCheckConfineRequiresPointer(t *testing.T) {
