@@ -124,7 +124,7 @@ func benchConfineOverhead(b *testing.B, withConfine bool) {
 			b.Fatal(err)
 		}
 		if withConfine {
-			cres, err := confine.InferAndApply(mod.Prog, mod.Diags, confine.Options{Params: true, Info: mod.TInfo})
+			cres, err := confine.InferAndApply(mod.Prog, mod.Diags, confine.Options{Params: true, Lets: true, Info: mod.TInfo})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -58,27 +58,27 @@ func LoadModule(name, src string) (*Module, error) {
 // or ship the diagnostics over the service API instead of losing them
 // to a bare error string.
 func LoadModuleTraced(name, src string, tr *faults.Trace) (*Module, error) {
-	return LoadModuleWith(name, src, nil, tr)
-}
-
-// LoadModuleWith is LoadModuleTraced with cross-module import
-// resolution: sigs supplies the exported signatures of
-// separately-loaded modules. Import declarations naming packages
-// absent from sigs fail with positioned "package not found"
-// diagnostics.
-func LoadModuleWith(name, src string, sigs types.ImportSigs, tr *faults.Trace) (*Module, error) {
 	m := &Module{Name: name, Diags: &source.Diagnostics{}}
 	tr.Enter(obs.PhaseParse)
 	m.Prog = parser.Parse(name, src, m.Diags)
 	if m.Diags.HasErrors() {
 		return m, fmt.Errorf("%s: %w", name, m.Diags.Err())
 	}
+	return m, m.Check(nil, tr)
+}
+
+// Check type checks the module's parsed program into m.TInfo, under
+// the typecheck phase of tr (when non-nil). sigs supplies the
+// exported signatures of separately-loaded modules: import
+// declarations naming packages absent from sigs fail with positioned
+// "package not found" diagnostics. It fails on standard type errors.
+func (m *Module) Check(sigs types.ImportSigs, tr *faults.Trace) error {
 	tr.Enter(obs.PhaseTypecheck)
 	m.TInfo = types.CheckWith(m.Prog, m.Diags, sigs)
 	if m.Diags.HasErrors() {
-		return m, fmt.Errorf("%s: %w", name, m.Diags.Err())
+		return fmt.Errorf("%s: %w", m.Name, m.Diags.Err())
 	}
-	return m, nil
+	return nil
 }
 
 // CheckAnnotations verifies the module's explicit restrict/confine
@@ -105,14 +105,6 @@ type LockingOptions struct {
 	// General selects the exhaustive scope search instead of the
 	// paper's syntactic heuristic (Section 7).
 	General bool
-	// NoParams disables parameter restrict inference in the
-	// confine-inference mode (on by default: it is how strong updates
-	// cross helper-function boundaries).
-	NoParams bool
-	// NoLets disables let-or-restrict inference (Section 5) in the
-	// confine-inference mode (on by default: it recovers strong
-	// updates for locks held in local pointer bindings).
-	NoLets bool
 	// ImportEffects supplies per-formal effect masks for imported
 	// functions ("pkg.fn"), applied at the solver level; nil havocs
 	// every imported call's arguments.
@@ -164,7 +156,8 @@ type LockingResult struct {
 	// what strong-update recovery can eliminate.
 	AllStrong *qual.Report
 
-	// Confine is the inference run that produced WithConfine.
+	// Confine is the inference run that produced WithConfine. Its
+	// Solution is released before AnalyzeLocking returns.
 	Confine *confine.Result
 
 	// SolveStats aggregates the constraint-solver work counters over
@@ -203,7 +196,9 @@ func (m *Module) AnalyzeLocking(opts LockingOptions) (*LockingResult, error) {
 // or timeout is attributed to infer/solve/qual rather than to the
 // whole module. Internal inconsistencies (unification mismatches,
 // malformed effect expressions) become positioned diagnostics on
-// m.Diags and an error — never a panic.
+// m.Diags and an error — never a panic. Both solutions it makes are
+// released before it returns: the reports and the package summary
+// hold all a caller reads.
 func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr *faults.Trace) (*LockingResult, error) {
 	out := &LockingResult{Module: m}
 
@@ -232,7 +227,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	out.SolveStats.Add(baseSol.Stats)
 	var spent *infer.Result
 	if !opts.ExportAPI {
-		baseSol.Release()
+		releaseSolution(baseSol)
 		spent = baseInfer
 	}
 
@@ -240,8 +235,8 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	// match), then the qualifier analysis over the surviving bindings.
 	cres, err := confine.InferAndApplyOver(spent, m.Prog, m.Diags, confine.Options{
 		General:       opts.General,
-		Params:        !opts.NoParams,
-		Lets:          !opts.NoLets,
+		Params:        true,
+		Lets:          true,
 		Ctx:           ctx,
 		Trace:         tr,
 		Info:          m.TInfo,
@@ -257,13 +252,15 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	out.SolveStats.Add(cres.Solution.Stats)
 	if opts.ExportAPI {
 		out.API = exportAPI(m, baseInfer, baseSol, cres, opts)
-		baseSol.Release()
+		releaseSolution(baseSol)
 	}
-	// cres.Solution stays live: it is exported via out.Confine, and
-	// its owner releases it (the service engine does, once the
-	// response is rendered).
+	releaseSolution(cres.Solution)
 	return out, nil
 }
+
+// releaseSolution releases a solution AnalyzeLockingCtx is done
+// with; tests replace it to see which solutions are released.
+var releaseSolution = (*solve.Result).Release
 
 // exportAPI computes the module's package summary from the three
 // analysis runs: transfer tables are probed under exactly the

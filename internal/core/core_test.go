@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"localalias/internal/ast"
+	"localalias/internal/confine"
+	"localalias/internal/qual"
+	"localalias/internal/solve"
 )
 
 func load(t *testing.T, src string) *Module {
@@ -449,6 +453,25 @@ fun bug() {
 	}
 }
 
+// confinedErrors runs confine inference over src with opts and
+// returns the qualifier analysis's error count on the result: the
+// with-confine column of AnalyzeLocking, with chosen inference legs.
+func confinedErrors(t *testing.T, src string, opts confine.Options) int {
+	t.Helper()
+	m := load(t, src)
+	opts.Info = m.TInfo
+	cres, err := confine.InferAndApply(m.Prog, m.Diags, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cres.Solution.Release()
+	return qual.Analyze(cres.Infer, cres.Solution, qual.ModePlain).NumErrors()
+}
+
+// TestLockingOptionFlags checks that each inference leg AnalyzeLocking
+// runs (confine.Options.Params and Lets) recovers its own pattern:
+// without it the pattern stays unrecovered, and AnalyzeLocking (every
+// leg on) recovers it.
 func TestLockingOptionFlags(t *testing.T) {
 	// The planter already confines pairs INSIDE one block (including
 	// inside a helper body), so to observe the Params/Lets inference
@@ -464,24 +487,6 @@ fun with(l: ref lock) {
 }
 fun entry(i: int) { with(&locks[i]); }
 `
-	m := load(t, helperSrc)
-	r, err := m.AnalyzeLocking(LockingOptions{NoParams: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.WithConfine.NumErrors() == 0 {
-		t.Error("NoParams must leave the sub-helper pattern unrecovered")
-	}
-	m2 := load(t, helperSrc)
-	r2, err := m2.AnalyzeLocking(LockingOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.WithConfine.NumErrors() != 0 {
-		t.Errorf("param inference must recover the sub-helper pattern: %d (%s)",
-			r2.WithConfine.NumErrors(), ast.String(m2.Prog))
-	}
-
 	letSrc := `
 global locks: lock[8];
 fun take(l: ref lock) { spin_lock(l); }
@@ -492,22 +497,46 @@ fun handle(i: int) {
     rel(l);
 }
 `
-	m3 := load(t, letSrc)
-	r3, err := m3.AnalyzeLocking(LockingOptions{NoLets: true})
-	if err != nil {
-		t.Fatal(err)
+	if confinedErrors(t, helperSrc, confine.Options{Params: false, Lets: true}) == 0 {
+		t.Error("without param inference the sub-helper pattern must stay unrecovered")
 	}
-	if r3.WithConfine.NumErrors() == 0 {
-		t.Error("NoLets must leave the let-bound sub-helper pattern unrecovered")
+	if confinedErrors(t, letSrc, confine.Options{Params: true, Lets: false}) == 0 {
+		t.Error("without let inference the let-bound sub-helper pattern must stay unrecovered")
 	}
-	m4 := load(t, letSrc)
-	r4, err := m4.AnalyzeLocking(LockingOptions{})
-	if err != nil {
-		t.Fatal(err)
+	for _, src := range []string{helperSrc, letSrc} {
+		if r := locking(t, src); r.WithConfine.NumErrors() != 0 {
+			t.Errorf("param and let inference must recover the pattern: %d (%s)",
+				r.WithConfine.NumErrors(), ast.String(r.Module.Prog))
+		}
 	}
-	if r4.WithConfine.NumErrors() != 0 {
-		t.Errorf("let inference must recover it: %d (%s)",
-			r4.WithConfine.NumErrors(), ast.String(m4.Prog))
+}
+
+// TestAnalyzeLockingReleasesSolutions checks that AnalyzeLockingCtx
+// releases both solutions it makes, also when it exports a package
+// summary (which reads the baseline solution after the confine run).
+func TestAnalyzeLockingReleasesSolutions(t *testing.T) {
+	var released []*solve.Result
+	defer func(orig func(*solve.Result)) { releaseSolution = orig }(releaseSolution)
+	releaseSolution = func(r *solve.Result) {
+		released = append(released, r)
+		r.Release()
+	}
+	for _, export := range []bool{false, true} {
+		released = nil
+		m := load(t, arrayPairSrc)
+		lr, err := m.AnalyzeLockingCtx(context.Background(), LockingOptions{ExportAPI: export}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if export && lr.API == nil {
+			t.Fatal("ExportAPI produced no package summary")
+		}
+		if len(released) != 2 || released[0] == released[1] {
+			t.Fatalf("ExportAPI=%v: released %d solutions, want the baseline and the confine one", export, len(released))
+		}
+		if released[1] != lr.Confine.Solution {
+			t.Errorf("ExportAPI=%v: the confine solution was not released", export)
+		}
 	}
 }
 

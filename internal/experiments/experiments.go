@@ -671,16 +671,16 @@ func timeModules(label string, specs []*drivergen.ModuleSpec, rounds int) (*Timi
 			// With confine inference: plant candidates, infer with the
 			// conditional constraints, solve, apply, and run the same
 			// qualifier analysis once (re-load: inference mutates the
-			// AST). The module's own check is passed in, as the engine
-			// does. This matches the paper's measurement, which
-			// compares one CQUAL run with inference against one
-			// without.
+			// AST). The module's own check is passed in and parameter
+			// and let inference are on, as in the engine. This matches
+			// the paper's measurement, which compares one CQUAL run
+			// with inference against one without.
 			mod2, err := core.LoadModule(spec.Name+".mc", srcs[j])
 			if err != nil {
 				return nil, err
 			}
 			t1 := time.Now()
-			cres, err := confine.InferAndApply(mod2.Prog, mod2.Diags, confine.Options{Params: true, Info: mod2.TInfo})
+			cres, err := confine.InferAndApply(mod2.Prog, mod2.Diags, confine.Options{Params: true, Lets: true, Info: mod2.TInfo})
 			if err != nil {
 				return nil, err
 			}

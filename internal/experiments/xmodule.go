@@ -50,11 +50,11 @@ func (r *XmoduleResult) SummaryWinsEveryColumn() bool {
 		r.SummaryTotal.AllStrong < r.HavocTotal.AllStrong
 }
 
-func outcomeTriple(o *modgraph.Outcome) drivergen.Triple {
+func lockingTriple(lr *core.LockingResult) drivergen.Triple {
 	return drivergen.Triple{
-		NoConfine: o.Errors(core.VariantNoConfine),
-		Confine:   o.Errors(core.VariantWithConfine),
-		AllStrong: o.Errors(core.VariantAllStrong),
+		NoConfine: lr.NoConfine.NumErrors(),
+		Confine:   lr.WithConfine.NumErrors(),
+		AllStrong: lr.AllStrong.NumErrors(),
 	}
 }
 
@@ -81,13 +81,13 @@ func RunXmoduleCorpus() *XmoduleResult {
 	}
 	for _, m := range mods {
 		hm, sm := havoc.Modules[m.Name], summary.Modules[m.Name]
-		if hm == nil || hm.Outcome == nil || sm == nil || sm.Outcome == nil {
+		if hm == nil || hm.Locking == nil || sm == nil || sm.Locking == nil {
 			continue
 		}
 		row := XmoduleModuleRow{
 			Name:       m.Name,
-			Havoc:      outcomeTriple(hm.Outcome),
-			Summary:    outcomeTriple(sm.Outcome),
+			Havoc:      lockingTriple(hm.Locking),
+			Summary:    lockingTriple(sm.Locking),
 			ExpHavoc:   m.ExpHavoc,
 			ExpSummary: m.ExpSummary,
 		}

@@ -8,6 +8,11 @@
 // per-formal effect masks — so call sites into imported functions
 // apply the callee's actual behavior instead of worst-case havoc.
 //
+// Each module is parsed once and then runs the same per-module step
+// as a single-module request — type check against its dependencies'
+// exports, then core.AnalyzeLockingCtx — under the caller's context
+// and phase trace.
+//
 // Failure containment mirrors the corpus driver's: a module that
 // fails to parse, type check, or analyze is recorded and skipped, and
 // its importers still run — resolving the failed package's surface
@@ -17,11 +22,12 @@
 package modgraph
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"localalias/internal/ast"
 	"localalias/internal/core"
+	"localalias/internal/faults"
 	"localalias/internal/obs"
 	"localalias/internal/parser"
 	"localalias/internal/source"
@@ -44,58 +50,34 @@ type Options struct {
 	// worst-case effects, reproducing per-module analysis in
 	// isolation. The differential baseline for the summary pass.
 	Havoc bool
-	// General/NoParams/NoLets forward the per-module experiment
-	// switches (see core.LockingOptions).
-	General  bool
-	NoParams bool
-	NoLets   bool
-	// Trace, when non-nil, receives one span per analyzed module
-	// (category "modgraph"), parented under TraceParent.
-	Trace *obs.Trace
-	// TraceParent is the span ID module spans parent under (typically
-	// the request's analyze span).
-	TraceParent string
+	// General selects the exhaustive confine scope search (see
+	// core.LockingOptions).
+	General bool
+	// Ctx, when non-nil, bounds the pass: it is checked before each
+	// module's parse and analysis, and it bounds each module's
+	// solves. A Ctx that can expire needs the pass to run under a
+	// faults guard (faults.Run or RunBounded), which turns the abort
+	// into a timeout failure. When Ctx carries a span
+	// (obs.ContextWithSpan), each analyzed module gets a span
+	// (category "modgraph") under it.
+	Ctx context.Context
+	// Phases, when non-nil, records the pipeline phase the pass is in,
+	// accumulating each phase's time over all modules.
+	Phases *faults.Trace
 }
-
-// Finding is one rendered analysis error.
-type Finding struct {
-	Pos string `json:"pos"`
-	Msg string `json:"msg"`
-}
-
-// ModeOutcome is one experiment column's findings.
-type ModeOutcome struct {
-	Errors []Finding `json:"errors"`
-}
-
-// Outcome is the distilled analysis outcome of one module: the
-// Section 7 locking report with rendered positions, indexed by
-// core.Variant*.
-type Outcome struct {
-	Sites   int                           `json:"sites"`
-	Planted int                           `json:"planted"`
-	Kept    int                           `json:"kept"`
-	Modes   [core.NumVariants]ModeOutcome `json:"modes"`
-}
-
-// Errors returns the error count of one variant column.
-func (o *Outcome) Errors(v int) int { return len(o.Modes[v].Errors) }
 
 // ModuleResult is one module's outcome within the program.
 type ModuleResult struct {
 	Name string
 	// Deps are the declared import paths, sorted and deduplicated.
 	Deps []string
-	// Module carries the loaded AST and diagnostics (nil for a
+	// Module carries the parsed AST and diagnostics (nil for a
 	// duplicate module name).
 	Module *core.Module
-	// Locking is the full per-module result (nil on failure).
+	// Locking is the full per-module result (nil on failure). Its API
+	// is the package summary published to importers (nil in havoc
+	// mode).
 	Locking *core.LockingResult
-	// Outcome is the distilled report (nil when the module failed).
-	Outcome *Outcome
-	// API is the package summary published to importers (nil on
-	// failure or in havoc mode).
-	API *core.PackageAPI
 	// Err is the load or analysis failure, if any.
 	Err error
 	// Cyclic marks members of an import cycle.
@@ -116,17 +98,6 @@ type Result struct {
 	Cycles [][]string
 }
 
-// Errors sums one variant column over all analyzed modules.
-func (r *Result) Errors(v int) int {
-	n := 0
-	for _, m := range r.Modules {
-		if m.Outcome != nil {
-			n += m.Outcome.Errors(v)
-		}
-	}
-	return n
-}
-
 // Failures returns the names of failed modules, sorted.
 func (r *Result) Failures() []string {
 	var out []string
@@ -139,12 +110,11 @@ func (r *Result) Failures() []string {
 	return out
 }
 
-// parsed is the pre-analysis view of one module.
+// parsed is the pre-analysis view of one module: parsed, not yet
+// type checked.
 type parsed struct {
-	src   Source
-	prog  *ast.Program
-	diags *source.Diagnostics
-	deps  []string // sorted, deduplicated declared imports
+	mod  *core.Module
+	deps []string // sorted, deduplicated declared imports
 }
 
 // Analyze links and analyzes a multi-module program bottom-up over
@@ -153,15 +123,15 @@ type parsed struct {
 func Analyze(sources []Source, opts Options) *Result {
 	res := &Result{Modules: make(map[string]*ModuleResult)}
 
-	// Parse everything once to extract the import graph. The analysis
-	// phase re-loads through core (parse is cheap and keeps the
-	// fault-contained pipeline intact).
+	// Parse every module once: the import graph comes from the parse
+	// trees, and each module's analysis type checks the same tree.
 	count := make(map[string]int)
 	for _, s := range sources {
 		count[s.Name]++
 	}
 	mods := make(map[string]*parsed)
 	var names []string
+	opts.Phases.Enter(obs.PhaseParse)
 	for _, s := range sources {
 		if count[s.Name] > 1 {
 			// Ambiguous: all occurrences of the name fail (there is
@@ -172,18 +142,19 @@ func Analyze(sources []Source, opts Options) *Result {
 			}
 			continue
 		}
-		diags := &source.Diagnostics{}
-		prog := parser.Parse(s.Name, s.Text, diags)
+		faults.CheckDeadline(opts.Ctx)
+		m := &core.Module{Name: s.Name, Diags: &source.Diagnostics{}}
+		m.Prog = parser.Parse(s.Name, s.Text, m.Diags)
 		seen := map[string]bool{}
 		var deps []string
-		for _, im := range prog.Imports {
+		for _, im := range m.Prog.Imports {
 			if !seen[im.Path] {
 				seen[im.Path] = true
 				deps = append(deps, im.Path)
 			}
 		}
 		sort.Strings(deps)
-		mods[s.Name] = &parsed{src: s, prog: prog, diags: diags, deps: deps}
+		mods[s.Name] = &parsed{mod: m, deps: deps}
 		names = append(names, s.Name)
 	}
 	sort.Strings(names)
@@ -196,6 +167,7 @@ func Analyze(sources []Source, opts Options) *Result {
 
 	r := &runner{mods: mods, opts: opts, res: res}
 	for _, name := range res.Order {
+		faults.CheckDeadline(opts.Ctx)
 		r.analyze(name)
 	}
 	return res
@@ -255,10 +227,10 @@ func findCycles(mods map[string]*parsed, names []string, res *Result) map[string
 			inCycle[m] = true
 		}
 		for _, m := range cycle[:len(cycle)-1] {
-			p := mods[m]
-			for _, im := range p.prog.Imports {
+			pm := mods[m].mod
+			for _, im := range pm.Prog.Imports {
 				if inCycle[im.Path] {
-					p.diags.Errorf(p.prog.File, im.Sp, "modgraph",
+					pm.Diags.Errorf(pm.Prog.File, im.Sp, "modgraph",
 						"import cycle: %s", cycleString(cycle, m))
 					break
 				}
@@ -272,7 +244,7 @@ func findCycles(mods map[string]*parsed, names []string, res *Result) map[string
 				Name:   n,
 				Deps:   p.deps,
 				Cyclic: true,
-				Module: &core.Module{Name: n, Prog: p.prog, Diags: p.diags},
+				Module: p.mod,
 				Err:    fmt.Errorf("%s: import cycle", n),
 			}
 		}

@@ -1,12 +1,13 @@
 package modgraph
 
 import (
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
 	"localalias/internal/core"
 	"localalias/internal/drivergen"
+	"localalias/internal/qual"
 )
 
 func stackSources(leaves int) []Source {
@@ -17,12 +18,54 @@ func stackSources(leaves int) []Source {
 	return srcs
 }
 
-func triple(o *Outcome) drivergen.Triple {
-	return drivergen.Triple{
-		NoConfine: o.Errors(core.VariantNoConfine),
-		Confine:   o.Errors(core.VariantWithConfine),
-		AllStrong: o.Errors(core.VariantAllStrong),
+// reports returns a module's three reports indexed by core.Variant*.
+func reports(lr *core.LockingResult) [core.NumVariants]*qual.Report {
+	return [core.NumVariants]*qual.Report{
+		core.VariantNoConfine:   lr.NoConfine,
+		core.VariantWithConfine: lr.WithConfine,
+		core.VariantAllStrong:   lr.AllStrong,
 	}
+}
+
+func triple(lr *core.LockingResult) drivergen.Triple {
+	return drivergen.Triple{
+		NoConfine: lr.NoConfine.NumErrors(),
+		Confine:   lr.WithConfine.NumErrors(),
+		AllStrong: lr.AllStrong.NumErrors(),
+	}
+}
+
+// columnErrors sums one variant column over all analyzed modules.
+func columnErrors(r *Result, v int) int {
+	n := 0
+	for _, mr := range r.Modules {
+		if mr.Locking != nil {
+			n += reports(mr.Locking)[v].NumErrors()
+		}
+	}
+	return n
+}
+
+// position renders where a qualifier error is reported in mr's source.
+func position(mr *ModuleResult, e qual.SiteError) string {
+	return mr.Module.Prog.File.Position(e.Site.Start).String()
+}
+
+// render flattens a module's outcome to comparable text: the counts,
+// then every variant's errors with their positions.
+func render(mr *ModuleResult) string {
+	lr := mr.Locking
+	if lr == nil {
+		return fmt.Sprintf("failed: %v", mr.Err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "sites=%d planted=%d kept=%d\n", lr.NoConfine.NumSites, lr.Confine.Planted, len(lr.Confine.Kept))
+	for v, rep := range reports(lr) {
+		for _, e := range rep.Errors {
+			fmt.Fprintf(&b, "%d %s %s\n", v, position(mr, e), e.String())
+		}
+	}
+	return b.String()
 }
 
 // TestXStackExpectations runs the multi-module stack under both
@@ -42,8 +85,8 @@ func TestXStackExpectations(t *testing.T) {
 	}
 
 	for _, m := range mods {
-		h := triple(havoc.Modules[m.Name].Outcome)
-		s := triple(summary.Modules[m.Name].Outcome)
+		h := triple(havoc.Modules[m.Name].Locking)
+		s := triple(summary.Modules[m.Name].Locking)
 		if h != m.ExpHavoc {
 			t.Errorf("%s havoc: got %+v, want %+v", m.Name, h, m.ExpHavoc)
 		}
@@ -55,9 +98,9 @@ func TestXStackExpectations(t *testing.T) {
 	// The acceptance property: the summary pass eliminates strictly
 	// more errors than havoc in every mode column.
 	for v := 0; v < core.NumVariants; v++ {
-		if summary.Errors(v) >= havoc.Errors(v) {
+		if columnErrors(summary, v) >= columnErrors(havoc, v) {
 			t.Errorf("variant %d: summary %d errors, havoc %d — want strictly fewer",
-				v, summary.Errors(v), havoc.Errors(v))
+				v, columnErrors(summary, v), columnErrors(havoc, v))
 		}
 	}
 }
@@ -68,16 +111,15 @@ func TestXStackExpectations(t *testing.T) {
 // precondition.
 func TestCrossModuleBugFinding(t *testing.T) {
 	res := Analyze(stackSources(3), Options{})
-	out := res.Modules["xdrv00"].Outcome
+	rep := res.Modules["xdrv00"].Locking.WithConfine
 	found := false
-	for _, e := range out.Modes[core.VariantWithConfine].Errors {
-		if strings.Contains(e.Msg, "xio.pulse") && strings.Contains(e.Msg, "must be unlocked") {
+	for _, e := range rep.Errors {
+		if msg := e.String(); strings.Contains(msg, "xio.pulse") && strings.Contains(msg, "must be unlocked") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("missing call-site finding for cross-module double acquire; got %+v",
-			out.Modes[core.VariantWithConfine].Errors)
+		t.Fatalf("missing call-site finding for cross-module double acquire; got %+v", rep.Errors)
 	}
 }
 
@@ -92,21 +134,23 @@ func TestCrossModuleDifferential(t *testing.T) {
 	summary := Analyze(srcs, Options{})
 	for name, hm := range havoc.Modules {
 		sm := summary.Modules[name]
-		if hm.Outcome == nil || sm == nil || sm.Outcome == nil {
+		if hm.Locking == nil || sm == nil || sm.Locking == nil {
 			t.Fatalf("%s: missing outcome", name)
 		}
+		hreps, sreps := reports(hm.Locking), reports(sm.Locking)
 		for v := 0; v < core.NumVariants; v++ {
 			bad := map[string]bool{}
-			for _, e := range hm.Outcome.Modes[v].Errors {
-				bad[e.Pos] = true
+			for _, e := range hreps[v].Errors {
+				bad[position(hm, e)] = true
 			}
-			for _, e := range sm.Outcome.Modes[v].Errors {
-				if strings.Contains(e.Msg, ".") && !strings.HasPrefix(e.Msg, "spin_") {
+			for _, e := range sreps[v].Errors {
+				msg, pos := e.String(), position(sm, e)
+				if strings.Contains(msg, ".") && !strings.HasPrefix(msg, "spin_") {
 					continue // imported-call precondition: havoc never checked it
 				}
-				if !bad[e.Pos] {
+				if !bad[pos] {
 					t.Errorf("%s v%d: summary error at %s where havoc proved absence: %s",
-						name, v, e.Pos, e.Msg)
+						name, v, pos, msg)
 				}
 			}
 		}
@@ -164,8 +208,8 @@ func TestImportCycle(t *testing.T) {
 	if top.Failed() {
 		t.Fatalf("top should analyze despite cyclic dep: %v", top.Err)
 	}
-	if top.Outcome == nil || triple(top.Outcome) != (drivergen.Triple{}) {
-		t.Fatalf("top outcome = %+v, want clean", top.Outcome)
+	if triple(top.Locking) != (drivergen.Triple{}) {
+		t.Fatalf("top outcome = %+v, want clean", triple(top.Locking))
 	}
 }
 
@@ -215,9 +259,9 @@ func TestSingleModuleUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := distill(m, lr)
-	if !reflect.DeepEqual(mr.Outcome, want) {
-		t.Fatalf("modgraph outcome %+v != direct outcome %+v", mr.Outcome, want)
+	got, want := render(mr), render(&ModuleResult{Module: m, Locking: lr})
+	if got != want {
+		t.Fatalf("modgraph outcome\n%s!= direct outcome\n%s", got, want)
 	}
 }
 
@@ -234,7 +278,7 @@ func TestRerunAndCommentEditStable(t *testing.T) {
 
 	second := Analyze(srcs, Options{})
 	for name, mr := range second.Modules {
-		if !reflect.DeepEqual(mr.Outcome, first.Modules[name].Outcome) {
+		if render(mr) != render(first.Modules[name]) {
 			t.Fatalf("%s: rerun outcome differs", name)
 		}
 	}
@@ -253,7 +297,7 @@ func TestRerunAndCommentEditStable(t *testing.T) {
 	}
 	third := Analyze(edited, Options{})
 	for name, mr := range third.Modules {
-		if !reflect.DeepEqual(mr.Outcome, first.Modules[name].Outcome) {
+		if render(mr) != render(first.Modules[name]) {
 			t.Errorf("%s: outcome changed after a comment-only edit", name)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"localalias/internal/ast"
 	"localalias/internal/core"
 	"localalias/internal/effects"
+	"localalias/internal/obs"
 	"localalias/internal/qual"
 	"localalias/internal/types"
 )
@@ -23,8 +24,8 @@ type runner struct {
 // depAPI returns the published API of dependency d, or nil when d is
 // missing, failed, or summaries are disabled.
 func (r *runner) depAPI(d string) *core.PackageAPI {
-	if mr := r.res.Modules[d]; mr != nil {
-		return mr.API
+	if mr := r.res.Modules[d]; mr != nil && mr.Locking != nil {
+		return mr.Locking.API
 	}
 	return nil
 }
@@ -42,25 +43,41 @@ func (r *runner) depSigs(d string) *types.PkgSig {
 	if mr != nil && !mr.Failed() && mr.Module != nil && mr.Module.TInfo != nil {
 		return mr.Module.TInfo.Exports(d)
 	}
-	return sigsFromParse(d, p.prog)
+	return sigsFromParse(d, p.mod.Prog)
 }
 
 // analyze runs one module with its dependencies' summaries in scope
 // and publishes the result.
 func (r *runner) analyze(name string) {
 	p := r.mods[name]
-	mr := &ModuleResult{Name: name, Deps: p.deps}
+	mr := &ModuleResult{Name: name, Deps: p.deps, Module: p.mod}
 
 	// Per-module span, parented explicitly under the request's
-	// analyze span rather than the trace's default-parent stack.
-	span := r.opts.Trace.StartChild(r.opts.TraceParent, "module:"+name, "modgraph")
+	// analyze span rather than the trace's default-parent stack. A
+	// deadline abort unwinds through here with no result: "failed".
+	spans, parent := obs.SpanFromContext(r.opts.Ctx)
+	span := spans.StartChild(parent, "module:"+name, "modgraph")
 	defer func() {
 		outcome := "analyzed"
-		if mr.Err != nil {
+		if mr.Locking == nil {
 			outcome = "failed"
 		}
 		span.End("module", name, "deps", fmt.Sprintf("%d", len(p.deps)), "outcome", outcome)
 	}()
+
+	mr.Locking, mr.Err = r.step(p)
+	r.res.Modules[name] = mr
+}
+
+// step is a single-module request's step over the tree Analyze
+// parsed: type check against the dependencies' exports, then the
+// three analysis modes with their summaries applied.
+func (r *runner) step(p *parsed) (*core.LockingResult, error) {
+	m := p.mod
+	if m.Diags.HasErrors() {
+		// Lexical or syntax errors from the parse in Analyze.
+		return nil, fmt.Errorf("%s: %w", m.Name, m.Diags.Err())
+	}
 
 	// Build the import environment from the (sorted) dependency list.
 	sigs := make(types.ImportSigs)
@@ -86,34 +103,19 @@ func (r *runner) analyze(name string) {
 		}
 	}
 
-	m, err := core.LoadModuleWith(name, p.src.Text, sigs, nil)
-	mr.Module = m
-	if err != nil {
-		mr.Err = err
-		r.publish(mr)
-		return
+	if err := m.Check(sigs, r.opts.Phases); err != nil {
+		return nil, err
 	}
-	lr, err := m.AnalyzeLocking(core.LockingOptions{
+	lr, err := m.AnalyzeLockingCtx(r.opts.Ctx, core.LockingOptions{
 		General:         r.opts.General,
-		NoParams:        r.opts.NoParams,
-		NoLets:          r.opts.NoLets,
 		ImportEffects:   importEffects(effs, r.opts.Havoc),
 		ImportTransfers: importTransfers(trans, r.opts.Havoc),
 		ExportAPI:       !r.opts.Havoc,
-	})
+	}, r.opts.Phases)
 	if err != nil {
-		mr.Err = fmt.Errorf("%s: %w", name, err)
-		r.publish(mr)
-		return
+		return nil, fmt.Errorf("%s: %w", m.Name, err)
 	}
-	mr.Locking = lr
-	mr.API = lr.API
-	mr.Outcome = distill(m, lr)
-	r.publish(mr)
-}
-
-func (r *runner) publish(mr *ModuleResult) {
-	r.res.Modules[mr.Name] = mr
+	return lr, nil
 }
 
 // importEffects returns nil (full havoc) in havoc mode, and an empty
@@ -133,32 +135,6 @@ func importTransfers(trans [core.NumVariants]qual.Transfers, havoc bool) [core.N
 	return trans
 }
 
-// distill reduces a full locking result to its reportable form:
-// counts plus rendered findings per experiment variant.
-func distill(m *core.Module, lr *core.LockingResult) *Outcome {
-	out := &Outcome{
-		Sites:   lr.NoConfine.NumSites,
-		Planted: lr.Confine.Planted,
-		Kept:    len(lr.Confine.Kept),
-	}
-	reports := [core.NumVariants]*qual.Report{
-		core.VariantNoConfine:   lr.NoConfine,
-		core.VariantWithConfine: lr.WithConfine,
-		core.VariantAllStrong:   lr.AllStrong,
-	}
-	for v, rep := range reports {
-		mo := ModeOutcome{Errors: []Finding{}}
-		for _, e := range rep.Errors {
-			mo.Errors = append(mo.Errors, Finding{
-				Pos: m.Prog.File.Position(e.Site.Start).String(),
-				Msg: e.String(),
-			})
-		}
-		out.Modes[v] = mo
-	}
-	return out
-}
-
 // sigsFromParse extracts the exportable function surface of a module
 // from its parse tree alone, without type checking: enough for
 // importers of a failed module (cycle member, type error) to resolve
@@ -166,7 +142,7 @@ func distill(m *core.Module, lr *core.LockingResult) *Outcome {
 // themselves. Portable types mention no module-local struct names, so
 // parse-level resolution agrees with the checker's on every function
 // it admits.
-func sigsFromParse(name string, prog *ast.Program) *PkgSigFromParse {
+func sigsFromParse(name string, prog *ast.Program) *types.PkgSig {
 	ps := &types.PkgSig{Name: name, Funs: make(map[string]*types.FunSig)}
 	for _, f := range prog.Funs {
 		sig := &types.FunSig{Decl: f, Name: f.Name}
@@ -191,10 +167,6 @@ func sigsFromParse(name string, prog *ast.Program) *PkgSigFromParse {
 	}
 	return ps
 }
-
-// PkgSigFromParse aliases types.PkgSig; the separate name documents
-// call sites that run on unchecked surfaces.
-type PkgSigFromParse = types.PkgSig
 
 // portableType resolves a parse-level type expression to a checked
 // type if it is portable (prim/ref/array only); nil result means

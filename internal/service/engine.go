@@ -101,7 +101,7 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 		}
 		if req.Options.MultiModule {
 			var err error
-			mod, locking, program, stats, xmodule, err = analyzeMultiModule(ctx, req, name, src, mode)
+			mod, locking, program, stats, xmodule, err = analyzeMultiModule(ctx, tr, req, name, src, mode)
 			return err
 		}
 		m, err := core.LoadModuleTraced(name, src, tr)
@@ -152,9 +152,6 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 			if mode == ModeConfine {
 				program = formatProgram(m.Prog)
 			}
-			// As in infer mode: the report above is all the engine
-			// needs from the confine solution.
-			lr.Confine.Solution.Release()
 		}
 		return nil
 	})

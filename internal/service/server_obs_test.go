@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"localalias/internal/client"
+	"localalias/internal/drivergen"
 	"localalias/internal/obs"
 	"localalias/internal/service"
 )
@@ -315,32 +316,62 @@ func TestAccessLogFormats(t *testing.T) {
 
 // TestEngineTracePhases: a traced request collects one span per
 // executed phase plus the enclosing request span, all under one ID —
-// and the trace is exportable as Chrome JSON.
+// and the trace is exportable as Chrome JSON. A multi_module request
+// records the same phases, summed over its modules.
 func TestEngineTracePhases(t *testing.T) {
-	ot := obs.NewTrace("traced.mc")
-	resp := service.Analyze(t.Context(), &service.AnalyzeRequest{
-		Module: "traced.mc", Source: service.CleanCheckSrc,
-		Options: service.AnalyzeOptions{Mode: service.ModeQual},
-		Obs:     ot,
-	})
-	if resp.Failure != nil {
-		t.Fatalf("analysis failed: %v", resp.Failure)
+	mods := drivergen.XStack(2)
+	leaf := mods[len(mods)-1]
+	var libs []service.LibrarySource
+	for _, m := range mods[:len(mods)-1] {
+		libs = append(libs, service.LibrarySource{Name: m.Name, Source: m.Source})
 	}
-	spans := ot.Spans()
-	names := make(map[string]bool)
-	for _, sp := range spans {
-		names[sp.Name] = true
+	reqs := map[string]*service.AnalyzeRequest{
+		"single": {
+			Module: "traced.mc", Source: service.CleanCheckSrc,
+			Options: service.AnalyzeOptions{Mode: service.ModeQual},
+		},
+		"multi_module": {
+			Module: leaf.Name, Source: leaf.Source,
+			Options: service.AnalyzeOptions{Mode: service.ModeQual, MultiModule: true, Libraries: libs},
+		},
 	}
-	for _, want := range []string{"parse", "typecheck", "infer", "solve", "qual", "analyze"} {
-		if !names[want] {
-			t.Errorf("trace missing %q span (got %v)", want, names)
-		}
+	phases := make(map[string]string)
+	for label, req := range reqs {
+		t.Run(label, func(t *testing.T) {
+			ot := obs.NewTrace(req.Module)
+			req.Obs = ot
+			resp := service.Analyze(t.Context(), req)
+			if resp.Failure != nil {
+				t.Fatalf("analysis failed: %v", resp.Failure)
+			}
+			var timed []string
+			for _, pt := range resp.PhaseTimings {
+				timed = append(timed, string(pt.Phase))
+			}
+			if len(timed) == 0 {
+				t.Fatal("no phase timings")
+			}
+			phases[label] = strings.Join(timed, ",")
+			spans := ot.Spans()
+			names := make(map[string]bool)
+			for _, sp := range spans {
+				names[sp.Name] = true
+			}
+			for _, want := range []string{"parse", "typecheck", "infer", "solve", "qual", "analyze"} {
+				if !names[want] {
+					t.Errorf("trace missing %q span (got %v)", want, names)
+				}
+			}
+			var buf bytes.Buffer
+			if err := ot.WriteChrome(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), ot.ID()) {
+				t.Error("chrome export does not carry the trace ID")
+			}
+		})
 	}
-	var buf bytes.Buffer
-	if err := ot.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), ot.ID()) {
-		t.Error("chrome export does not carry the trace ID")
+	if phases["single"] != phases["multi_module"] {
+		t.Errorf("phase timings: single request %q, multi_module %q", phases["single"], phases["multi_module"])
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"localalias/internal/core"
+	"localalias/internal/faults"
 	"localalias/internal/modgraph"
-	"localalias/internal/obs"
 	"localalias/internal/solve"
 	"localalias/internal/source"
 )
@@ -16,24 +16,25 @@ import (
 // the import DAG and analyzed bottom-up with package summaries
 // (internal/modgraph). The response reports the request module;
 // library failures surface as diagnostics on it, positioned in the
-// failing library's source.
+// failing library's source. The pass runs under ctx and records its
+// phases on tr, as a single-module request does.
 //
 // Returns the request module (for diagnostics rendering), its locking
 // report, the transformed program (confine mode), the aggregated
 // solver stats, and the X-Lna-Xmodule summary value.
-func analyzeMultiModule(ctx context.Context, req *AnalyzeRequest, name, src, mode string) (*core.Module, *LockingReport, string, solve.Stats, string, error) {
+func analyzeMultiModule(ctx context.Context, tr *faults.Trace, req *AnalyzeRequest, name, src, mode string) (*core.Module, *LockingReport, string, solve.Stats, string, error) {
 	sources := make([]modgraph.Source, 0, len(req.Options.Libraries)+1)
 	for _, lib := range req.Options.Libraries {
 		sources = append(sources, modgraph.Source{Name: lib.Name, Text: lib.Source})
 	}
 	sources = append(sources, modgraph.Source{Name: name, Text: src})
 
-	// Every per-module span parents under the request's analyze span.
-	trace, parent := obs.SpanFromContext(ctx)
+	// Every per-module span parents under the request's analyze span,
+	// which ctx carries.
 	xres := modgraph.Analyze(sources, modgraph.Options{
-		General:     req.Options.General,
-		Trace:       trace,
-		TraceParent: parent,
+		General: req.Options.General,
+		Ctx:     ctx,
+		Phases:  tr,
 	})
 
 	var stats solve.Stats

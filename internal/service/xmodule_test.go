@@ -2,10 +2,13 @@ package service
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"localalias/internal/drivergen"
+	"localalias/internal/obs"
 )
 
 func xstackRequest(mode string) *AnalyzeRequest {
@@ -51,6 +54,50 @@ func TestMultiModuleRequest(t *testing.T) {
 	}
 	if !strings.HasPrefix(resp.Xmodule, "modules=5;analyzed=5;failed=0") {
 		t.Errorf("Xmodule = %q", resp.Xmodule)
+	}
+}
+
+// TestMultiModuleDeadline checks that a multi_module request stays
+// inside its deadline: the pass checks the request's context between
+// modules and bounds every solve with it, so the analysis goroutine
+// itself reports the timeout, in a named pipeline phase, before the
+// guard's grace period runs out and it would be abandoned. The
+// request is a 48-leaf stack, every other leaf shipped as a library
+// (about 10 ms of analysis on one CPU), either already past its
+// deadline or given 2 ms.
+func TestMultiModuleDeadline(t *testing.T) {
+	mods := drivergen.XStack(48)
+	leaf := mods[len(mods)-1]
+	var libs []LibrarySource
+	for _, m := range mods[:len(mods)-1] {
+		libs = append(libs, LibrarySource{Name: m.Name, Source: m.Source})
+	}
+	req := &AnalyzeRequest{
+		Module: leaf.Name, Source: leaf.Source,
+		Options: AnalyzeOptions{Mode: ModeQual, MultiModule: true, Libraries: libs},
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		timeout time.Duration
+	}{
+		{"expired", expired, 0},
+		{"mid-analysis", context.Background(), 2 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := AnalyzeBounded(tc.ctx, req, tc.timeout).Failure
+			if f == nil || f.Kind != obs.KindTimeout {
+				t.Fatalf("failure = %+v, want a timeout", f)
+			}
+			if !slices.Contains(obs.Phases(), f.Phase) {
+				t.Errorf("timeout in phase %q, want a pipeline phase", f.Phase)
+			}
+			if strings.Contains(f.Message, "abandoned") {
+				t.Errorf("the analysis goroutine was abandoned: %s", f.Message)
+			}
+		})
 	}
 }
 
