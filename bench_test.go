@@ -8,7 +8,6 @@
 //	E6 BenchmarkRestrictInferScaling — O(n²) inference
 //	E7 BenchmarkConfineBackwardSearch— the Section 6.2 backward search
 //	   BenchmarkAblationNoDown       — cost/effect of removing (Down)
-//	   BenchmarkScopeHeuristic       — syntactic heuristic vs general search
 //	   BenchmarkSolverPropagation    — inference + solve throughput
 //	   BenchmarkSolverSteadyState    — one pooled solve, as a daemon pays it
 //
@@ -291,37 +290,6 @@ fun rec%d(n: int): int {
 			b.Fatal("ablation must produce spurious violations (Section 3.1)")
 		}
 	})
-}
-
-func BenchmarkScopeHeuristic(b *testing.B) {
-	var spec *drivergen.ModuleSpec
-	for _, m := range drivergen.Corpus() {
-		if m.Name == "emu10k1" {
-			spec = m
-		}
-	}
-	src := spec.Source()
-	for _, general := range []bool{false, true} {
-		name := "heuristic"
-		if general {
-			name = "general"
-		}
-		b.Run(name, func(b *testing.B) {
-			var errs int
-			for i := 0; i < b.N; i++ {
-				mod, err := core.LoadModule("emu10k1.mc", src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lr, err := mod.AnalyzeLocking(core.LockingOptions{General: general})
-				if err != nil {
-					b.Fatal(err)
-				}
-				errs = lr.WithConfine.NumErrors()
-			}
-			b.ReportMetric(float64(errs), "errors")
-		})
-	}
 }
 
 // ---------------------------------------------------------------------

@@ -101,6 +101,7 @@ func TestExitPolicyAgreement(t *testing.T) {
 		{"experiments retired -bench-parallel-json", "experiments", []string{"-bench-parallel-json", "-"}, service.ExitUsage},
 		{"experiments retired -bench-gateway-json", "experiments", []string{"-bench-gateway-json", "-"}, service.ExitUsage},
 		{"experiments retired -bench-xmodule-json", "experiments", []string{"-bench-xmodule-json", "-"}, service.ExitUsage},
+		{"lna retired -general", "lna", []string{"qual", "-general", clean}, service.ExitUsage},
 		{"lna gateway retired -hedge-after", "lna", []string{"gateway", "-hedge-after", "50ms", "-backends", "http://127.0.0.1:1"}, service.ExitUsage},
 		{"lna serve unknown -log-format", "lna", []string{"serve", "-log-format", "xml", "-addr", "127.0.0.1:0"}, service.ExitUsage},
 		{"lna gateway unknown -log-format", "lna", []string{"gateway", "-log-format", "xml", "-backends", "http://127.0.0.1:1"}, service.ExitUsage},

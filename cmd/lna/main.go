@@ -28,7 +28,6 @@
 // f.mc` and `lna qual -json f.mc` are equivalent):
 //
 //	-params    also infer restrict on ref-typed parameters
-//	-general   exhaustive confine scope search instead of the heuristic
 //	-liberal   check with the liberal §5 restrict-effect semantics
 //	-json      emit the canonical service.AnalyzeResponse as JSON
 //	           (check/infer/confine/qual)
@@ -164,9 +163,9 @@ func (l *libList) Set(v string) error { *l = append(*l, v); return nil }
 
 // options carries the parsed flags into the subcommand bodies.
 type options struct {
-	params, general, liberal, asJSON bool
-	traceOut                         string
-	libs                             libList
+	params, liberal, asJSON bool
+	traceOut                string
+	libs                    libList
 
 	addr           string
 	workers        int
@@ -212,7 +211,6 @@ func main() {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	var opt options
 	fs.BoolVar(&opt.params, "params", false, "also infer restrict on ref-typed parameters")
-	fs.BoolVar(&opt.general, "general", false, "exhaustive confine scope search")
 	fs.BoolVar(&opt.liberal, "liberal", false, "check with the liberal §5 restrict-effect semantics")
 	fs.BoolVar(&opt.asJSON, "json", false, "emit the canonical AnalyzeResponse as JSON")
 	fs.StringVar(&opt.traceOut, "trace-out", "", "write a Chrome trace_event JSON file of the request's phase spans")
@@ -339,7 +337,6 @@ func runAnalysis(cmd, file, src string, opt options) int {
 		Source: src,
 		Options: service.AnalyzeOptions{
 			Mode:    cmd,
-			General: opt.general,
 			Params:  opt.params,
 			Liberal: opt.liberal,
 		},

@@ -15,7 +15,7 @@ func TestSplitCommand(t *testing.T) {
 	}{
 		{"flags after", []string{"qual", "-json", "f.mc"}, "qual", []string{"-json", "f.mc"}},
 		{"flags before", []string{"-json", "qual", "f.mc"}, "qual", []string{"-json", "f.mc"}},
-		{"flags both sides", []string{"-json", "qual", "-general", "f.mc"}, "qual", []string{"-json", "-general", "f.mc"}},
+		{"flags both sides", []string{"-json", "qual", "-params", "f.mc"}, "qual", []string{"-json", "-params", "f.mc"}},
 		{"no flags", []string{"fmt", "f.mc"}, "fmt", []string{"f.mc"}},
 		{"run with negative arg", []string{"run", "f.mc", "-3"}, "run", []string{"f.mc", "-3"}},
 		{"value flag before", []string{"-trace-out", "t.json", "check", "f.mc"}, "check", []string{"-trace-out", "t.json", "f.mc"}},

@@ -36,7 +36,6 @@ func runRemoteAnalysis(cmd, file, src string, opt options) int {
 		Source: src,
 		Options: service.AnalyzeOptions{
 			Mode:    cmd,
-			General: opt.general,
 			Params:  opt.params,
 			Liberal: opt.liberal,
 		},

@@ -5,19 +5,18 @@
 //
 // The pipeline is the one the paper's Section 7 describes:
 //
-//  1. Plant confine? candidates. The default planter is the paper's
+//  1. Plant confine? candidates. The planter is the paper's
 //     syntactic heuristic: for every block, when two or more
 //     statements contain change_type calls (spin_lock/spin_unlock)
 //     whose arguments match syntactically, wrap the smallest
 //     sub-block covering them in a confine? of that argument, and
-//     report that the new sub-block contains no change_type. The
-//     General option keeps planted scopes transparent so enclosing
-//     blocks are also tried, approximating the Section 6.2 algorithm
-//     of inserting confine? at every possible scope and keeping the
-//     outermost success. A wrap is planted only if it stays well
-//     scoped: the clone's identifiers denote, at the wrap point, the
-//     symbols of the occurrence it copies, and no let among the
-//     wrapped statements is used after them.
+//     report that the new sub-block contains no change_type. This is
+//     the scope inference the paper's implementation uses; the
+//     Section 6.2 search over every possible scope is not attempted.
+//     A wrap is planted only if it stays well scoped: the clone's
+//     identifiers denote, at the wrap point, the symbols of the
+//     occurrence it copies, and no let among the wrapped statements
+//     is used after them.
 //  2. Run alias-and-effect inference with the planted nodes marked
 //     optional, and solve. The planted program is not checked again:
 //     each clone takes the standard types, place flags and resolved
@@ -49,10 +48,6 @@ import (
 
 // Options configures inference.
 type Options struct {
-	// General keeps planted scopes transparent to enclosing blocks,
-	// approximating the exhaustive Section 6.2 scope search. The
-	// default is the paper's (weaker, faster) syntactic heuristic.
-	General bool
 	// Params additionally runs restrict inference over ref-typed
 	// parameters. This is how the pipeline recovers strong updates
 	// across helper-function boundaries (the paper's Figure 1
@@ -120,7 +115,7 @@ func InferAndApplyOver(base *infer.Result, prog *ast.Program, diags *source.Diag
 
 	// 1. Plant.
 	opts.Trace.Enter(obs.PhaseInfer)
-	planter := plant(prog, res.TInfo, opts.General)
+	planter := plant(prog, res.TInfo)
 	res.Planted = len(planter.planted)
 
 	// 2. Infer and solve.
@@ -217,12 +212,10 @@ type scope struct {
 
 // planter inserts confine? candidates, bottom-up: each statement's
 // lock arguments are summarized once, after its nested blocks are
-// planted. Planted candidates are opaque under the heuristic ("the
-// new sub-block does not contain a change_type") and transparent in
-// general mode.
+// planted. Planted candidates are opaque: per the heuristic, "the new
+// sub-block does not contain a change_type".
 type planter struct {
 	info    *types.Info
-	general bool
 	planted []*ast.ConfineStmt
 	// refused counts the wraps skipped because they would not stay
 	// well scoped (see wellScoped).
@@ -231,8 +224,8 @@ type planter struct {
 
 // plant plants candidates in every function of prog and records the
 // clones' standard-checking entries in info, prog's checking.
-func plant(prog *ast.Program, info *types.Info, general bool) *planter {
-	p := &planter{info: info, general: general}
+func plant(prog *ast.Program, info *types.Info) *planter {
+	p := &planter{info: info}
 	for _, f := range prog.Funs {
 		var sc *scope
 		for _, prm := range f.Params {
@@ -448,7 +441,8 @@ func (p *planter) resolve(sc *scope, name string) *types.Symbol {
 
 // wrap replaces b.Stmts[first..last] with a single confine? of a
 // clone of expr, plants inside it with key masked, and returns the
-// updated statement summaries.
+// updated statement summaries, in which the confine has no lock
+// arguments.
 func (p *planter) wrap(b *ast.Block, sums []lockArgs, first, last int, expr ast.Expr, key string, sc *scope, masked map[string]bool) []lockArgs {
 	span := b.Stmts[first].Span().Union(b.Stmts[last].Span())
 	inner := &ast.Block{
@@ -469,17 +463,11 @@ func (p *planter) wrap(b *ast.Block, sums []lockArgs, first, last int, expr ast.
 
 	// The wrapped statements' nested blocks are already planted; only
 	// their own level may pair other expressions.
-	innerSums := p.pair(inner, append([]lockArgs(nil), sums[first:last+1]...),
+	p.pair(inner, append([]lockArgs(nil), sums[first:last+1]...),
 		&scope{up: sc, stmts: b.Stmts[:first]}, maskWith(masked, key))
-	var sum lockArgs
-	if p.general {
-		for _, s := range innerSums {
-			sum = sum.merge(s)
-		}
-	}
 
 	b.Stmts = append(append(b.Stmts[:first:first], cs), b.Stmts[last+1:]...)
-	return append(append(sums[:first:first], sum), sums[last+1:]...)
+	return append(append(sums[:first:first], nil), sums[last+1:]...)
 }
 
 // copyEntries gives every node of c, a clone of orig planted in a

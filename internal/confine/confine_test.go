@@ -286,10 +286,11 @@ fun f() {
 	}
 }
 
-func TestGeneralModeOutermost(t *testing.T) {
-	// In general mode, enclosing scopes are also tried and the
-	// outermost success wins: the pair sits inside an if, but the
-	// enclosing function block is also a valid (larger) scope.
+func TestPlantedScopesAreOpaque(t *testing.T) {
+	// A planted confine hides its change_types from the enclosing
+	// block (the paper's heuristic), so a pair inside an if and a
+	// following pair on the same lock get a confine each; no confine
+	// is tried around both.
 	prog, res := runInfer(t, `
 global locks: lock[4];
 fun f(i: int, c: int) {
@@ -297,11 +298,38 @@ fun f(i: int, c: int) {
         spin_lock(&locks[i]);
         spin_unlock(&locks[i]);
     }
-    work();
+    spin_lock(&locks[i]);
+    spin_unlock(&locks[i]);
 }
-`, Options{General: true})
-	if len(res.Kept) == 0 {
-		t.Fatalf("general mode must keep a confine:\n%s", ast.String(prog))
+`, Options{})
+	if res.Planted != 2 || len(res.Kept) != 2 || countConfines(prog) != 2 {
+		t.Errorf("planted %d, kept %d, %d confine(s) in the program; want 2 of each:\n%s",
+			res.Planted, len(res.Kept), countConfines(prog), ast.String(prog))
+	}
+	if _, outer := prog.Funs[0].Body.Stmts[0].(*ast.ConfineStmt); outer {
+		t.Errorf("a confine encloses the if:\n%s", ast.String(prog))
+	}
+}
+
+func TestNestedConfinesPruneToOutermost(t *testing.T) {
+	// The inner pair is wrapped first; the lock left over in the outer
+	// if pairs with the unlock after it, so the second wrap encloses
+	// the first. Both succeed, and the nested one is redundant.
+	prog, res := runInfer(t, `
+global locks: lock[4];
+fun f(i: int, c: int) {
+    if (c > 0) {
+        if (c > 1) {
+            spin_lock(&locks[i]);
+            spin_unlock(&locks[i]);
+        }
+        spin_lock(&locks[i]);
+    }
+    spin_unlock(&locks[i]);
+}
+`, Options{})
+	if res.Planted != 2 || len(res.Kept) != 2 {
+		t.Fatalf("planted %d, kept %d; want 2 and 2:\n%s", res.Planted, len(res.Kept), ast.String(prog))
 	}
 	if countConfines(prog) != 1 {
 		t.Errorf("nested same-expression confines must prune to the outermost:\n%s",

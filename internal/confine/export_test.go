@@ -7,7 +7,7 @@ import (
 
 // Plant runs the planter alone over prog, extending info, and reports
 // how many candidates it planted and how many wraps it refused.
-func Plant(prog *ast.Program, info *types.Info, general bool) (planted, refused int) {
-	p := plant(prog, info, general)
+func Plant(prog *ast.Program, info *types.Info) (planted, refused int) {
+	p := plant(prog, info)
 	return len(p.planted), p.refused
 }

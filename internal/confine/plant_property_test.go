@@ -20,14 +20,14 @@ import (
 // index by index — the clones' copied entries and the originals'
 // alike. Symbols are compared by their defining node, types
 // structurally and by rendering.
-func plantAndRecheck(name, src string, general bool) (planted, refused int, err error) {
+func plantAndRecheck(name, src string) (planted, refused int, err error) {
 	var diags source.Diagnostics
 	prog := parser.Parse(name, src, &diags)
 	info := types.Check(prog, &diags)
 	if diags.HasErrors() {
 		return 0, 0, fmt.Errorf("input fails checking: %s", diags.String())
 	}
-	planted, refused = confine.Plant(prog, info, general)
+	planted, refused = confine.Plant(prog, info)
 
 	nodes := make(map[ast.NodeID]ast.Numbered)
 	ast.Inspect(prog, func(n ast.Node) bool {
@@ -91,46 +91,44 @@ func plantAndRecheck(name, src string, general bool) (planted, refused int, err 
 }
 
 func TestPlantedEntriesMatchFreshCheck(t *testing.T) {
-	for _, general := range []bool{false, true} {
-		corpusPlanted := 0
-		for _, spec := range drivergen.Corpus() {
-			planted, refused, err := plantAndRecheck(spec.Name+".mc", spec.Source(), general)
-			if err != nil {
-				t.Fatalf("%s (general=%v): %v", spec.Name, general, err)
-			}
-			if refused > 0 {
-				t.Errorf("%s (general=%v): %d wrap(s) refused; no corpus module needs one", spec.Name, general, refused)
-			}
-			corpusPlanted += planted
+	corpusPlanted := 0
+	for _, spec := range drivergen.Corpus() {
+		planted, refused, err := plantAndRecheck(spec.Name+".mc", spec.Source())
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if corpusPlanted == 0 {
-			t.Errorf("general=%v: nothing planted across the corpus", general)
+		if refused > 0 {
+			t.Errorf("%s: %d wrap(s) refused; no corpus module needs one", spec.Name, refused)
 		}
+		corpusPlanted += planted
+	}
+	if corpusPlanted == 0 {
+		t.Error("nothing planted across the corpus")
+	}
 
-		const seeds = 500
-		plantedSeeds, refusedSeeds := 0, 0
-		for seed := int64(0); seed < seeds; seed++ {
-			src := progen.Locking(seed)
-			planted, refused, err := plantAndRecheck("lock.mc", src, general)
-			if err != nil {
-				t.Fatalf("seed %d (general=%v): %v\n%s", seed, general, err, src)
-			}
-			if planted > 0 {
-				plantedSeeds++
-			}
-			if refused > 0 {
-				refusedSeeds++
-			}
+	const seeds = 500
+	plantedSeeds, refusedSeeds := 0, 0
+	for seed := int64(0); seed < seeds; seed++ {
+		src := progen.Locking(seed)
+		planted, refused, err := plantAndRecheck("lock.mc", src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
-		t.Logf("general=%v: corpus planted %d; %d/%d seeds planted, %d refused a wrap",
-			general, corpusPlanted, plantedSeeds, seeds, refusedSeeds)
-		// The property must not hold vacuously: most seeds plant, and
-		// the scoping shapes do make the planter refuse wraps.
-		if plantedSeeds < seeds/2 {
-			t.Errorf("general=%v: only %d/%d seeds planted a candidate", general, plantedSeeds, seeds)
+		if planted > 0 {
+			plantedSeeds++
 		}
-		if refusedSeeds == 0 {
-			t.Errorf("general=%v: no seed made the planter refuse a wrap", general)
+		if refused > 0 {
+			refusedSeeds++
 		}
+	}
+	t.Logf("corpus planted %d; %d/%d seeds planted, %d refused a wrap",
+		corpusPlanted, plantedSeeds, seeds, refusedSeeds)
+	// The property must not hold vacuously: most seeds plant, and
+	// the scoping shapes do make the planter refuse wraps.
+	if plantedSeeds < seeds/2 {
+		t.Errorf("only %d/%d seeds planted a candidate", plantedSeeds, seeds)
+	}
+	if refusedSeeds == 0 {
+		t.Error("no seed made the planter refuse a wrap")
 	}
 }

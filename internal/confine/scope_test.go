@@ -33,23 +33,21 @@ fun f(a: ref S) {
 `},
 	} {
 		name := tc.name
-		for _, general := range []bool{false, true} {
-			prog := parse(t, tc.src)
-			var diags source.Diagnostics
-			res, err := InferAndApply(prog, &diags, Options{General: general, Params: true, Lets: true})
-			if err != nil {
-				t.Errorf("%s (general=%v): %v\n%s", name, general, err, diags.String())
-				continue
-			}
-			if res.Planted != 0 {
-				t.Errorf("%s (general=%v): planted %d candidate(s) that break scope:\n%s",
-					name, general, res.Planted, ast.String(prog))
-			}
-			var again source.Diagnostics
-			types.Check(prog, &again)
-			if again.HasErrors() {
-				t.Errorf("%s (general=%v): rewritten program fails checking: %s", name, general, again.String())
-			}
+		prog := parse(t, tc.src)
+		var diags source.Diagnostics
+		res, err := InferAndApply(prog, &diags, Options{Params: true, Lets: true})
+		if err != nil {
+			t.Errorf("%s: %v\n%s", name, err, diags.String())
+			continue
+		}
+		if res.Planted != 0 {
+			t.Errorf("%s: planted %d candidate(s) that break scope:\n%s",
+				name, res.Planted, ast.String(prog))
+		}
+		var again source.Diagnostics
+		types.Check(prog, &again)
+		if again.HasErrors() {
+			t.Errorf("%s: rewritten program fails checking: %s", name, again.String())
 		}
 	}
 }

@@ -102,9 +102,6 @@ func (m *Module) InferRestrictWith(opts restrict.Options) *restrict.InferResult 
 
 // LockingOptions configures the three-mode locking experiment.
 type LockingOptions struct {
-	// General selects the exhaustive scope search instead of the
-	// paper's syntactic heuristic (Section 7).
-	General bool
 	// ImportEffects supplies per-formal effect masks for imported
 	// functions ("pkg.fn"), applied at the solver level; nil havocs
 	// every imported call's arguments.
@@ -234,7 +231,6 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	// Confine inference (mutates the AST and extends m.TInfo to
 	// match), then the qualifier analysis over the surviving bindings.
 	cres, err := confine.InferAndApplyOver(spent, m.Prog, m.Diags, confine.Options{
-		General:       opts.General,
 		Params:        true,
 		Lets:          true,
 		Ctx:           ctx,

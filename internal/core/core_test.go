@@ -539,14 +539,3 @@ func TestAnalyzeLockingReleasesSolutions(t *testing.T) {
 		}
 	}
 }
-
-func TestLockingGeneralMode(t *testing.T) {
-	r := load(t, arrayPairSrc)
-	res, err := r.AnalyzeLocking(LockingOptions{General: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WithConfine.NumErrors() != 0 {
-		t.Errorf("general mode must also recover: %d", res.WithConfine.NumErrors())
-	}
-}

@@ -27,9 +27,9 @@ const (
 	// walks along the ring (so a request touches at most 1+DefaultRetries
 	// replicas).
 	DefaultRetries = 2
-	// DefaultRequestTimeout bounds one forwarded request, mirroring the
+	// requestTimeout bounds one forwarded request, mirroring the
 	// daemon's analysis deadline.
-	DefaultRequestTimeout = 2 * time.Minute
+	requestTimeout = 2 * time.Minute
 )
 
 // Options configures a Gateway.
@@ -37,23 +37,15 @@ type Options struct {
 	// Backends are the replica base URLs (e.g. "http://127.0.0.1:8347").
 	// At least one is required.
 	Backends []string
-	// Vnodes is the virtual-node count per backend on the hash ring
-	// (0 = DefaultVnodes).
-	Vnodes int
 	// HealthInterval is the period between health sweeps
 	// (0 = DefaultHealthInterval).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe (0 = DefaultHealthTimeout).
-	HealthTimeout time.Duration
 	// MaxInflight bounds admitted single-module requests
 	// (0 = DefaultMaxInflight).
 	MaxInflight int
 	// Retries is how many ring successors a failed request tries after
 	// its owner (0 = DefaultRetries; negative = no retries).
 	Retries int
-	// RequestTimeout bounds one forwarded request
-	// (0 = DefaultRequestTimeout).
-	RequestTimeout time.Duration
 	// AccessLog, when non-nil, logs one line per proxied request.
 	AccessLog *service.AccessLogger
 	// TraceEntries sizes the ring of recently-completed request traces
@@ -63,14 +55,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Vnodes <= 0 {
-		o.Vnodes = DefaultVnodes
-	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = DefaultHealthInterval
-	}
-	if o.HealthTimeout <= 0 {
-		o.HealthTimeout = DefaultHealthTimeout
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = DefaultMaxInflight
@@ -79,9 +65,6 @@ func (o Options) withDefaults() Options {
 		o.Retries = DefaultRetries
 	} else if o.Retries < 0 {
 		o.Retries = 0
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = DefaultRequestTimeout
 	}
 	if o.TraceEntries == 0 {
 		o.TraceEntries = service.DefaultTraceEntries
@@ -123,7 +106,7 @@ func New(opts Options) (*Gateway, error) {
 	}
 	g := &Gateway{
 		opts:     o,
-		pool:     newPool(o.Backends, o.Vnodes, o.HealthInterval, o.HealthTimeout),
+		pool:     newPool(o.Backends, o.HealthInterval),
 		inflight: make(chan struct{}, o.MaxInflight),
 		traces:   obs.NewTraceRing(o.TraceEntries),
 	}
@@ -276,7 +259,7 @@ func attemptOutcome(f fwdResult, ctxErr error) string {
 // header names it — the replica's whole trace fragment hangs off
 // exactly the attempt that produced it.
 func (g *Gateway) tryOne(ctx context.Context, path string, body []byte, b *Backend) fwdResult {
-	reqCtx, cancel := context.WithTimeout(ctx, g.opts.RequestTimeout)
+	reqCtx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	tr, parent := obs.SpanFromContext(ctx)
 	att := tr.StartChild(parent, "attempt", "gateway")

@@ -9,14 +9,14 @@ import (
 	"localalias/internal/client"
 )
 
-// Health-check defaults.
+// Health-check settings.
 const (
 	// DefaultHealthInterval is the period between health sweeps.
 	DefaultHealthInterval = 2 * time.Second
-	// DefaultHealthTimeout bounds one health probe: a backend that
-	// cannot answer /v1/health in this long is not healthy, whatever it
-	// would eventually have said.
-	DefaultHealthTimeout = 1 * time.Second
+	// healthTimeout bounds one health probe: a backend that cannot
+	// answer /v1/health in this long is not healthy, whatever it would
+	// eventually have said.
+	healthTimeout = 1 * time.Second
 )
 
 // Backend is one `lna serve` replica in the pool.
@@ -55,9 +55,7 @@ type BackendState struct {
 type pool struct {
 	backends []*Backend // fixed membership, stable order
 	byURL    map[string]*Backend
-	vnodes   int
 	interval time.Duration
-	timeout  time.Duration
 
 	ring atomic.Pointer[ring]
 
@@ -80,18 +78,10 @@ type sweepProbe struct {
 	dur     time.Duration
 }
 
-func newPool(urls []string, vnodes int, interval, timeout time.Duration) *pool {
-	if interval <= 0 {
-		interval = DefaultHealthInterval
-	}
-	if timeout <= 0 {
-		timeout = DefaultHealthTimeout
-	}
+func newPool(urls []string, interval time.Duration) *pool {
 	p := &pool{
 		byURL:    make(map[string]*Backend, len(urls)),
-		vnodes:   vnodes,
 		interval: interval,
-		timeout:  timeout,
 		stop:     make(chan struct{}),
 	}
 	for _, u := range urls {
@@ -152,7 +142,7 @@ func (p *pool) CheckNow(ctx context.Context) {
 	changed := false
 	for _, b := range p.backends {
 		probeStart := time.Now()
-		probeCtx, cancel := context.WithTimeout(ctx, p.timeout)
+		probeCtx, cancel := context.WithTimeout(ctx, healthTimeout)
 		hs, err := b.client.Health(probeCtx)
 		cancel()
 		healthy := err == nil && hs.Status == "ok"
@@ -209,7 +199,7 @@ func (p *pool) rebuildLocked() {
 			ids = append(ids, b.URL)
 		}
 	}
-	p.ring.Store(newRing(ids, p.vnodes))
+	p.ring.Store(newRing(ids))
 }
 
 // candidates returns up to n distinct healthy backends for key in ring

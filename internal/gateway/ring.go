@@ -20,10 +20,10 @@ import (
 	"strconv"
 )
 
-// DefaultVnodes is the virtual-node count per backend: enough points
-// that removing one backend of four moves only ~1/4 of the keyspace
-// and the per-backend load imbalance stays within a few percent.
-const DefaultVnodes = 64
+// vnodes is the virtual-node count per backend: enough points that
+// removing one backend of four moves only ~1/4 of the keyspace and the
+// per-backend load imbalance stays within a few percent.
+const vnodes = 64
 
 // ring is an immutable consistent-hash ring over backend IDs. Lookups
 // are lock-free; membership changes build a new ring (the pool swaps
@@ -48,10 +48,7 @@ func ringHash(s string) uint64 {
 
 // newRing builds a ring with vnodes points per id. An empty id list
 // yields an empty ring (Owner and Sequence return nothing).
-func newRing(ids []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
+func newRing(ids []string) *ring {
 	r := &ring{
 		points: make([]ringPoint, 0, len(ids)*vnodes),
 		ids:    append([]string(nil), ids...),

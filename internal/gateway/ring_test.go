@@ -10,7 +10,7 @@ import (
 // restarted gateway) route identically with no coordination.
 func TestRingDeterminism(t *testing.T) {
 	ids := []string{"http://a", "http://b", "http://c", "http://d"}
-	r1, r2 := newRing(ids, 64), newRing(ids, 64)
+	r1, r2 := newRing(ids), newRing(ids)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%03d", i)
 		if r1.owner(key) != r2.owner(key) {
@@ -18,7 +18,7 @@ func TestRingDeterminism(t *testing.T) {
 		}
 	}
 	// Member order must not matter either.
-	r3 := newRing([]string{"http://d", "http://b", "http://a", "http://c"}, 64)
+	r3 := newRing([]string{"http://d", "http://b", "http://a", "http://c"})
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%03d", i)
 		if r1.owner(key) != r3.owner(key) {
@@ -31,7 +31,7 @@ func TestRingDeterminism(t *testing.T) {
 // share of 4000 keys (no backend starves or hogs the keyspace).
 func TestRingBalance(t *testing.T) {
 	ids := []string{"http://a", "http://b", "http://c", "http://d"}
-	r := newRing(ids, 64)
+	r := newRing(ids)
 	counts := make(map[string]int)
 	const n = 4000
 	for i := 0; i < n; i++ {
@@ -51,7 +51,7 @@ func TestRingBalance(t *testing.T) {
 func TestRingMinimalDisruption(t *testing.T) {
 	all := []string{"http://a", "http://b", "http://c", "http://d"}
 	without := []string{"http://a", "http://b", "http://d"} // c removed
-	rAll, rLess := newRing(all, 64), newRing(without, 64)
+	rAll, rLess := newRing(all), newRing(without)
 	moved := 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("key-%04d", i)
@@ -76,7 +76,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 // a backend, and is capped by the member count.
 func TestRingSequence(t *testing.T) {
 	ids := []string{"http://a", "http://b", "http://c"}
-	r := newRing(ids, 64)
+	r := newRing(ids)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("key-%03d", i)
 		seq := r.sequence(key, 5)
@@ -94,10 +94,10 @@ func TestRingSequence(t *testing.T) {
 			seen[id] = true
 		}
 	}
-	if got := newRing(nil, 64).sequence("k", 3); got != nil {
+	if got := newRing(nil).sequence("k", 3); got != nil {
 		t.Errorf("empty ring sequence = %v, want nil", got)
 	}
-	if got := newRing(nil, 64).owner("k"); got != "" {
+	if got := newRing(nil).owner("k"); got != "" {
 		t.Errorf("empty ring owner = %q, want empty", got)
 	}
 }

@@ -50,9 +50,6 @@ type Options struct {
 	// worst-case effects, reproducing per-module analysis in
 	// isolation. The differential baseline for the summary pass.
 	Havoc bool
-	// General selects the exhaustive confine scope search (see
-	// core.LockingOptions).
-	General bool
 	// Ctx, when non-nil, bounds the pass: it is checked before each
 	// module's parse and analysis, and it bounds each module's
 	// solves. A Ctx that can expire needs the pass to run under a

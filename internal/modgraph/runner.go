@@ -107,7 +107,6 @@ func (r *runner) step(p *parsed) (*core.LockingResult, error) {
 		return nil, err
 	}
 	lr, err := m.AnalyzeLockingCtx(r.opts.Ctx, core.LockingOptions{
-		General:         r.opts.General,
 		ImportEffects:   importEffects(effs, r.opts.Havoc),
 		ImportTransfers: importTransfers(trans, r.opts.Havoc),
 		ExportAPI:       !r.opts.Havoc,

@@ -75,9 +75,6 @@ func ValidMode(m string) bool {
 type AnalyzeOptions struct {
 	// Mode is one of check|infer|confine|qual ("" = qual).
 	Mode string `json:"mode"`
-	// General selects the exhaustive confine scope search instead of
-	// the paper's syntactic heuristic (confine/qual modes).
-	General bool `json:"general,omitempty"`
 	// Params also infers restrict on ref-typed parameters (infer mode).
 	Params bool `json:"params,omitempty"`
 	// Liberal checks with the liberal §5 restrict-effect semantics

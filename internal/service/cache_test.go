@@ -28,7 +28,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"module":  {Module: "other.mc", Source: base.Source, Options: base.Options},
 		"source":  {Module: base.Module, Source: base.Source + " ", Options: base.Options},
 		"mode":    {Module: base.Module, Source: base.Source, Options: AnalyzeOptions{Mode: ModeInfer}},
-		"general": {Module: base.Module, Source: base.Source, Options: AnalyzeOptions{Mode: ModeCheck, General: true}},
 		"params":  {Module: base.Module, Source: base.Source, Options: AnalyzeOptions{Mode: ModeCheck, Params: true}},
 		"liberal": {Module: base.Module, Source: base.Source, Options: AnalyzeOptions{Mode: ModeCheck, Liberal: true}},
 	}

@@ -24,10 +24,9 @@ type digestConfig struct {
 }
 
 // digestConfigs lists the configurations: the 589 corpus modules in
-// every mode, the confine and qual modes with the general scope
-// search, and the leaves of a 12-leaf XStack as multi_module requests
-// (the three libraries shipped with each) in confine and qual mode,
-// with the general search off and on.
+// every mode, and the leaves of a 12-leaf XStack as multi_module
+// requests (the three libraries shipped with each) in confine and
+// qual mode.
 func digestConfigs() []digestConfig {
 	type module struct{ name, src string }
 	var corpus []module
@@ -55,18 +54,7 @@ func digestConfigs() []digestConfig {
 		add("corpus/"+mode, corpus, AnalyzeOptions{Mode: mode})
 	}
 	for _, mode := range []string{ModeConfine, ModeQual} {
-		add("corpus/"+mode+"/general", corpus, AnalyzeOptions{Mode: mode, General: true})
-	}
-	for _, mode := range []string{ModeConfine, ModeQual} {
-		for _, general := range []bool{false, true} {
-			name := "xstack/" + mode
-			if general {
-				name += "/general"
-			}
-			add(name, leaves, AnalyzeOptions{
-				Mode: mode, General: general, MultiModule: true, Libraries: libs,
-			})
-		}
+		add("xstack/"+mode, leaves, AnalyzeOptions{Mode: mode, MultiModule: true, Libraries: libs})
 	}
 	return out
 }

@@ -141,9 +141,7 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 			// above; recycle its pooled storage for the next request.
 			r.Solution.Release()
 		case ModeConfine, ModeQual:
-			lr, err := m.AnalyzeLockingCtx(ctx, core.LockingOptions{
-				General: req.Options.General,
-			}, tr)
+			lr, err := m.AnalyzeLockingCtx(ctx, core.LockingOptions{}, tr)
 			if err != nil {
 				return err
 			}

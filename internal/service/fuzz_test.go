@@ -91,7 +91,9 @@ func serveAnalyze(t *testing.T, h http.Handler, req *AnalyzeRequest) []byte {
 // input that parses, the daemon path — byte cache and two request
 // workers, with each input sent twice at once so one request may
 // coalesce onto the other — answers bytes identical to a bare
-// AnalyzeBounded run with no cache and one worker.
+// AnalyzeBounded run with no cache and one worker. Property 3: the
+// program of a healthy infer or confine response re-parses and
+// passes standard checking.
 func FuzzAnalyzeBounded(f *testing.F) {
 	for _, src := range fuzzSeeds(f) {
 		f.Add(src)
@@ -112,6 +114,11 @@ func FuzzAnalyzeBounded(f *testing.F) {
 		for _, mode := range []string{ModeCheck, ModeInfer, ModeConfine, ModeQual} {
 			req := AnalyzeRequest{Module: "fuzz.mc", Source: src, Options: AnalyzeOptions{Mode: mode}}
 			bare := AnalyzeBounded(context.Background(), &req, fuzzTimeout)
+			if bare.Failure == nil && bare.Program != "" {
+				if err := recheckProgram("fuzz.mc", bare.Program); err != nil {
+					t.Errorf("mode %s: program does not re-check:\n%v\n%s", mode, err, bare.Program)
+				}
+			}
 			if !parses {
 				continue
 			}

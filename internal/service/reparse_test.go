@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,17 +50,27 @@ func TestInferredProgramReparses(t *testing.T) {
 			if mode == ModeInfer && resp.Infer.Restricted > 0 {
 				restricted++
 			}
-			var diags source.Diagnostics
-			prog := parser.Parse(in.name, resp.Program, &diags)
-			if !diags.HasErrors() {
-				types.Check(prog, &diags)
-			}
-			if diags.HasErrors() {
-				t.Fatalf("%s %s: program does not re-check:\n%s\n%s", in.name, mode, diags.String(), resp.Program)
+			if err := recheckProgram(in.name, resp.Program); err != nil {
+				t.Fatalf("%s %s: program does not re-check:\n%v\n%s", in.name, mode, err, resp.Program)
 			}
 		}
 	}
 	if restricted == 0 {
 		t.Fatal("no input had an inferred restrict: the test checks nothing")
 	}
+}
+
+// recheckProgram parses program, the rewritten module an infer or
+// confine response carries, and checks it; the error lists every
+// diagnostic of whichever step failed.
+func recheckProgram(name, program string) error {
+	var diags source.Diagnostics
+	prog := parser.Parse(name, program, &diags)
+	if !diags.HasErrors() {
+		types.Check(prog, &diags)
+	}
+	if diags.HasErrors() {
+		return errors.New(diags.String())
+	}
+	return nil
 }

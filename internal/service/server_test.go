@@ -112,6 +112,38 @@ func TestServerAnalyzeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServerIgnoresUnknownOptions: an option field the daemon does not
+// know — here "general", the scope-search switch older clients sent —
+// is ignored on input. The request is served with the same bytes and
+// under the same cache key as the request without it, so the two share
+// one cache entry.
+func TestServerIgnoresUnknownOptions(t *testing.T) {
+	_, c := newTestServer(t, service.ServerOptions{})
+	spec := drivergen.Corpus()[0]
+	src, err := json.Marshal(spec.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(opts string) string {
+		return fmt.Sprintf(`{"module":%q,"options":{%s},"source":%s}`, spec.Name+".mc", opts, src)
+	}
+	withResp, withBody := rawPost(t, c.BaseURL()+"/v1/analyze", body(`"mode":"qual","general":true`))
+	plainResp, plainBody := rawPost(t, c.BaseURL()+"/v1/analyze", body(`"mode":"qual"`))
+	if withResp.StatusCode != http.StatusOK || plainResp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d and %d, want 200:\n%s\n%s", withResp.StatusCode, plainResp.StatusCode, withBody, plainBody)
+	}
+	if !bytes.Equal(withBody, plainBody) {
+		t.Errorf("bytes differ with the unknown field:\n--- with\n%s\n--- without\n%s", withBody, plainBody)
+	}
+	withKey, plainKey := withResp.Header.Get("X-Lna-Cache-Key"), plainResp.Header.Get("X-Lna-Cache-Key")
+	if withKey == "" || withKey != plainKey {
+		t.Errorf("X-Lna-Cache-Key %q with the unknown field, %q without", withKey, plainKey)
+	}
+	if got := plainResp.Header.Get("X-Lna-Cache"); got != "hit" {
+		t.Errorf("X-Lna-Cache = %q without the unknown field, want hit", got)
+	}
+}
+
 // TestServerValidation: malformed submissions are refused before they
 // cost a worker slot, each with its canonical error code.
 func TestServerValidation(t *testing.T) {

@@ -32,9 +32,8 @@ func analyzeMultiModule(ctx context.Context, tr *faults.Trace, req *AnalyzeReque
 	// Every per-module span parents under the request's analyze span,
 	// which ctx carries.
 	xres := modgraph.Analyze(sources, modgraph.Options{
-		General: req.Options.General,
-		Ctx:     ctx,
-		Phases:  tr,
+		Ctx:    ctx,
+		Phases: tr,
 	})
 
 	var stats solve.Stats
