@@ -295,11 +295,15 @@ type BindStmt struct {
 	Sp   source.Span
 }
 
-// ConfineStmt is "confine e { body }" (Section 6). Inference inserts
-// these with Inferred set.
+// ConfineStmt is "confine e { body }" (Section 6). Scope inference
+// plants candidates as confine? (Optional), which inference treats as
+// conditional constraints rather than hard annotations; each is then
+// either spliced back out or kept as a plain confine with Inferred
+// set.
 type ConfineStmt struct {
 	Expr     Expr
 	Body     *Block
+	Optional bool
 	Inferred bool
 	ID       NodeID
 	Sp       source.Span

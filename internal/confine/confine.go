@@ -35,6 +35,7 @@ package confine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"localalias/internal/ast"
 	"localalias/internal/effects"
@@ -119,14 +120,9 @@ func InferAndApplyOver(base *infer.Result, prog *ast.Program, diags *source.Diag
 	res.Planted = len(planter.planted)
 
 	// 2. Infer and solve.
-	optional := make(map[*ast.ConfineStmt]bool, len(planter.planted))
-	for _, c := range planter.planted {
-		optional[c] = true
-	}
 	res.Infer = infer.RunOver(base, res.TInfo, diags, infer.Options{
 		InferRestrictLets:     opts.Lets,
 		InferRestrictParams:   opts.Params,
-		OptionalConfines:      optional,
 		ImportEffects:         opts.ImportEffects,
 		LiberalRestrictEffect: true, // inference uses the §5 semantics
 	})
@@ -143,28 +139,26 @@ func InferAndApplyOver(base *infer.Result, prog *ast.Program, diags *source.Diag
 		diags.Errorf(prog.File, v.Site, "confine", "%s", v.String())
 	}
 
-	// 3. Apply verdicts.
-	verdict := make(map[*ast.ConfineStmt]bool)
+	// 3. Apply verdicts: every confine candidate is a planted
+	// confine?, marked Inferred on success; successful let candidates
+	// become restricts, as in restrict inference.
 	for _, c := range res.Infer.Candidates {
-		if cs, ok := c.Node.(*ast.ConfineStmt); ok && optional[cs] {
-			ok := res.Infer.Succeeded(c)
-			verdict[cs] = ok
-			if ok {
-				cs.Inferred = true
+		switch n := c.Node.(type) {
+		case *ast.ConfineStmt:
+			if res.Infer.Succeeded(c) {
+				n.Inferred = true
 				res.Kept = append(res.Kept, c)
 			} else {
 				res.Removed++
 			}
+		case *ast.DeclStmt:
+			if res.Infer.Succeeded(c) {
+				n.Restrict = true
+			}
 		}
 	}
 	for _, f := range prog.Funs {
-		applyVerdicts(f.Body, verdict, nil)
-	}
-	// Mark successful let candidates as in restrict inference.
-	for _, c := range res.Infer.Candidates {
-		if d, ok := c.Node.(*ast.DeclStmt); ok && res.Infer.Succeeded(c) {
-			d.Restrict = true
-		}
+		applyVerdicts(f.Body, nil)
 	}
 	return res, nil
 }
@@ -172,11 +166,11 @@ func InferAndApplyOver(base *infer.Result, prog *ast.Program, diags *source.Diag
 // ---------------------------------------------------------------------
 // Planting
 
-// lockArg is one confinable change_type argument: its syntactic key
-// and the occurrence a planted clone copies (the last one in source
-// order).
+// lockArg is one confinable change_type argument: its key (see
+// planter.keyOf) and the occurrence a planted clone copies (the last
+// one in source order).
 type lockArg struct {
-	key  string
+	key  int
 	expr ast.Expr
 }
 
@@ -184,14 +178,14 @@ type lockArg struct {
 // each key once, in order of first appearance.
 type lockArgs []lockArg
 
-func (s lockArgs) add(key string, e ast.Expr) lockArgs {
+func (s lockArgs) add(k int, e ast.Expr) lockArgs {
 	for i := range s {
-		if s[i].key == key {
+		if s[i].key == k {
 			s[i].expr = e
 			return s
 		}
 	}
-	return append(s, lockArg{key, e})
+	return append(s, lockArg{k, e})
 }
 
 func (s lockArgs) merge(t lockArgs) lockArgs {
@@ -220,6 +214,34 @@ type planter struct {
 	// refused counts the wraps skipped because they would not stay
 	// well scoped (see wellScoped).
 	refused int
+
+	// keys are the distinct expressions the function being planted
+	// locks or confines, in order of first sight; a lock argument is
+	// known by its index here. occ is pair's table of occurrences by
+	// key, all zero between rounds, and seen lists the keys a round
+	// filled in.
+	keys []key
+	occ  []occurrence
+	seen []int
+}
+
+// key is one distinct expression a function locks or confines.
+type key struct {
+	expr  ast.Expr
+	print uint64 // fingerprint(fnvOffset, expr)
+	// masked counts the confines of expr enclosing the current
+	// point: their bodies do not wrap expr again.
+	masked int
+	// name is expr's rendering, made when a tie needs it (see before).
+	name string
+}
+
+// occurrence records where a key's lock arguments fall among a
+// block's statements: the first and last statement, how many
+// statements hold one, and the last occurrence.
+type occurrence struct {
+	first, last, n int
+	expr           ast.Expr
 }
 
 // plant plants candidates in every function of prog and records the
@@ -227,27 +249,92 @@ type planter struct {
 func plant(prog *ast.Program, info *types.Info) *planter {
 	p := &planter{info: info}
 	for _, f := range prog.Funs {
+		p.keys = p.keys[:0]
 		var sc *scope
 		for _, prm := range f.Params {
 			sc = &scope{up: sc, sym: info.BinderOf(prm)}
 		}
-		p.block(f.Body, sc, nil)
+		p.block(f.Body, sc)
 	}
 	return p
 }
 
+// keyOf returns the key of e: expressions that match syntactically
+// (ast.EqualExpr) share one. A function locks only a few distinct
+// expressions, so keyOf scans the keys so far rather than rendering
+// and hashing e; it compares fingerprints first, so a function that
+// locks thousands of expressions pays one word compare per key, not
+// one tree comparison.
+func (p *planter) keyOf(e ast.Expr) int {
+	fp := fingerprint(fnvOffset, e)
+	for k := range p.keys {
+		if p.keys[k].print == fp && ast.EqualExpr(p.keys[k].expr, e) {
+			return k
+		}
+	}
+	p.keys = append(p.keys, key{expr: e, print: fp})
+	return len(p.keys) - 1
+}
+
+// FNV-1a parameters for fingerprint.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fingerprint mixes into h every field of e that ast.EqualExpr
+// compares, so matching expressions get equal fingerprints. Distinct
+// ones may collide; keyOf confirms with EqualExpr.
+func fingerprint(h uint64, e ast.Expr) uint64 {
+	mix := func(h, x uint64) uint64 { return (h ^ x) * fnvPrime }
+	name := func(h uint64, s string) uint64 {
+		for i := 0; i < len(s); i++ {
+			h = mix(h, uint64(s[i]))
+		}
+		return h
+	}
+	switch e := e.(type) {
+	case *ast.IntLit:
+		return mix(mix(h, 1), uint64(e.Value))
+	case *ast.VarExpr:
+		return name(mix(h, 2), e.Name)
+	case *ast.NewExpr:
+		return fingerprint(mix(h, 3), e.Init)
+	case *ast.DerefExpr:
+		return fingerprint(mix(h, 4), e.X)
+	case *ast.AddrExpr:
+		return fingerprint(mix(h, 5), e.X)
+	case *ast.IndexExpr:
+		return fingerprint(fingerprint(mix(h, 6), e.X), e.Index)
+	case *ast.FieldExpr:
+		tag := uint64(7)
+		if e.Arrow {
+			tag = 8
+		}
+		return fingerprint(name(mix(h, tag), e.Name), e.X)
+	case *ast.BinExpr:
+		return fingerprint(fingerprint(mix(mix(h, 9), uint64(e.Op)), e.X), e.Y)
+	case *ast.UnExpr:
+		return fingerprint(mix(mix(h, 10), uint64(e.Op)), e.X)
+	case *ast.CallExpr:
+		h = mix(name(mix(h, 11), e.Fun), uint64(len(e.Args)))
+		for _, a := range e.Args {
+			h = fingerprint(h, a)
+		}
+	}
+	return h
+}
+
 // block plants candidates in b, nested blocks first (the smallest
 // scopes get the tightest confines), and returns the lock arguments
-// of b's final statements. sc is the scope at b's entry; masked holds
-// the expressions confined by enclosing confines, which are not
-// wrapped again.
-func (p *planter) block(b *ast.Block, sc *scope, masked map[string]bool) lockArgs {
+// of b's final statements. sc is the scope at b's entry.
+func (p *planter) block(b *ast.Block, sc *scope) lockArgs {
 	sums := make([]lockArgs, len(b.Stmts))
 	for i, s := range b.Stmts {
-		sums[i] = p.stmt(s, sc, b.Stmts[:i], masked)
+		sums[i] = p.stmt(s, sc, b.Stmts[:i])
 	}
 	var out lockArgs
-	for _, sum := range p.pair(b, sums, sc, masked) {
+	for _, sum := range p.pair(b, sums, sc) {
 		out = out.merge(sum)
 	}
 	return out
@@ -255,49 +342,71 @@ func (p *planter) block(b *ast.Block, sc *scope, masked map[string]bool) lockArg
 
 // stmt plants in the blocks nested in s, which follows the statements
 // before in its block, and returns s's lock arguments.
-func (p *planter) stmt(s ast.Stmt, sc *scope, before []ast.Stmt, masked map[string]bool) lockArgs {
+func (p *planter) stmt(s ast.Stmt, sc *scope, before []ast.Stmt) lockArgs {
 	in := func() *scope { return &scope{up: sc, stmts: before} }
 	switch s := s.(type) {
 	case *ast.DeclStmt:
-		return exprArgs(nil, s.Init)
+		return p.exprArgs(nil, s.Init)
 	case *ast.BindStmt:
 		body := &scope{up: in(), sym: p.info.BinderOf(s)}
-		return exprArgs(nil, s.Init).merge(p.block(s.Body, body, masked))
+		return p.exprArgs(nil, s.Init).merge(p.block(s.Body, body))
 	case *ast.ConfineStmt:
-		sub := maskWith(masked, ast.ExprString(s.Expr))
-		return exprArgs(nil, s.Expr).merge(p.block(s.Body, in(), sub))
+		out := p.exprArgs(nil, s.Expr)
+		k := p.keyOf(s.Expr)
+		p.keys[k].masked++
+		out = out.merge(p.block(s.Body, in()))
+		p.keys[k].masked--
+		return out
 	case *ast.AssignStmt:
-		return exprArgs(exprArgs(nil, s.LHS), s.RHS)
+		return p.exprArgs(p.exprArgs(nil, s.LHS), s.RHS)
 	case *ast.ExprStmt:
-		return exprArgs(nil, s.X)
+		return p.exprArgs(nil, s.X)
 	case *ast.IfStmt:
-		out := exprArgs(nil, s.Cond).merge(p.block(s.Then, in(), masked))
+		out := p.exprArgs(nil, s.Cond).merge(p.block(s.Then, in()))
 		if s.Else != nil {
-			out = out.merge(p.block(s.Else, in(), masked))
+			out = out.merge(p.block(s.Else, in()))
 		}
 		return out
 	case *ast.WhileStmt:
-		return exprArgs(nil, s.Cond).merge(p.block(s.Body, in(), masked))
+		return p.exprArgs(nil, s.Cond).merge(p.block(s.Body, in()))
 	case *ast.ReturnStmt:
 		if s.X != nil {
-			return exprArgs(nil, s.X)
+			return p.exprArgs(nil, s.X)
 		}
 	case *ast.Block:
-		return p.block(s, in(), masked)
+		return p.block(s, in())
 	}
 	return nil
 }
 
 // exprArgs adds to out the confinable arguments of the spin_lock/
-// spin_unlock calls in e.
-func exprArgs(out lockArgs, e ast.Expr) lockArgs {
-	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if ok && types.IsLockOp(call.Fun) && len(call.Args) == 1 && confinable(call.Args[0]) {
-			out = out.add(ast.ExprString(call.Args[0]), call.Args[0])
+// spin_unlock calls in e, in pre-order. It runs on every expression
+// of the program, so it recurses directly rather than through
+// ast.Inspect's callback.
+func (p *planter) exprArgs(out lockArgs, e ast.Expr) lockArgs {
+	switch e := e.(type) {
+	case *ast.CallExpr:
+		if types.IsLockOp(e.Fun) && len(e.Args) == 1 && confinable(e.Args[0]) {
+			out = out.add(p.keyOf(e.Args[0]), e.Args[0])
 		}
-		return true
-	})
+		for _, a := range e.Args {
+			out = p.exprArgs(out, a)
+		}
+	case *ast.NewExpr:
+		out = p.exprArgs(out, e.Init)
+	case *ast.DerefExpr:
+		out = p.exprArgs(out, e.X)
+	case *ast.AddrExpr:
+		out = p.exprArgs(out, e.X)
+	case *ast.IndexExpr:
+		out = p.exprArgs(p.exprArgs(out, e.X), e.Index)
+	case *ast.FieldExpr:
+		out = p.exprArgs(out, e.X)
+	case *ast.BinExpr:
+		out = p.exprArgs(p.exprArgs(out, e.X), e.Y)
+	case *ast.UnExpr:
+		out = p.exprArgs(out, e.X)
+	}
 	return out
 }
 
@@ -318,64 +427,85 @@ func confinable(e ast.Expr) bool {
 	return ok
 }
 
-func maskWith(masked map[string]bool, key string) map[string]bool {
-	sub := map[string]bool{key: true}
-	for k := range masked {
-		sub[k] = true
-	}
-	return sub
-}
-
 // pair plants at b's own level, to a fixpoint: while some unmasked
 // expression has change_types in two or more statements, it wraps the
 // smallest range covering them (ties go to the leftmost range, then
-// the smaller key) in a confine? of that expression. sums holds the
-// statements' lock arguments; pair returns them for the final
-// statements.
-func (p *planter) pair(b *ast.Block, sums []lockArgs, sc *scope, masked map[string]bool) []lockArgs {
-	type occurrence struct {
-		first, last, n int
-		expr           ast.Expr
+// the expression whose rendering sorts first) in a confine? of that
+// expression. sums holds the statements' lock arguments; pair returns
+// them for the final statements.
+func (p *planter) pair(b *ast.Block, sums []lockArgs, sc *scope) []lockArgs {
+	if n := len(p.keys) - len(p.occ); n > 0 {
+		p.occ = append(p.occ, make([]occurrence, n)...)
 	}
-	var refused map[string]bool
-	occ := map[string]occurrence{}
+	var refused map[int]bool // rare: no corpus module refuses a wrap
 	for {
-		clear(occ)
+		// Each round fills in only the keys b's statements hold and
+		// zeroes them again before wrap, whose nested pair reuses
+		// the table.
+		seen := p.seen[:0]
 		for i, sum := range sums {
 			for _, a := range sum {
-				o, seen := occ[a.key]
-				if !seen {
+				o := &p.occ[a.key]
+				if o.n == 0 {
 					o.first = i
+					seen = append(seen, a.key)
 				}
 				o.last, o.n, o.expr = i, o.n+1, a.expr
-				occ[a.key] = o
 			}
 		}
-		bestKey := ""
-		var best occurrence
-		for k, o := range occ {
-			if masked[k] || refused[k] || o.n < 2 {
+		best := -1
+		for _, k := range seen {
+			if p.occ[k].n < 2 || p.keys[k].masked > 0 || refused[k] {
 				continue
 			}
-			if bestKey == "" ||
-				(o.last-o.first) < (best.last-best.first) ||
-				((o.last-o.first) == (best.last-best.first) && (o.first < best.first || (o.first == best.first && k < bestKey))) {
-				bestKey, best = k, o
+			if best < 0 || p.before(k, best) {
+				best = k
 			}
 		}
-		if bestKey == "" {
+		var o occurrence
+		if best >= 0 {
+			o = p.occ[best]
+		}
+		for _, k := range seen {
+			p.occ[k] = occurrence{}
+		}
+		p.seen = seen
+		switch {
+		case best < 0:
 			return sums
-		}
-		if !p.wellScoped(b, best.first, best.last, best.expr, sc) {
+		case !p.wellScoped(b, o.first, o.last, o.expr, sc):
 			if refused == nil {
-				refused = map[string]bool{}
+				refused = map[int]bool{}
 			}
-			refused[bestKey] = true
+			refused[best] = true
 			p.refused++
-			continue
+		default:
+			sums = p.wrap(b, sums, o.first, o.last, o.expr, best, sc)
 		}
-		sums = p.wrap(b, sums, best.first, best.last, best.expr, bestKey, sc, masked)
 	}
+}
+
+// before reports whether key k is wrapped before key j: its range is
+// smaller, or as small and further left, or the same range and its
+// expression's rendering sorts first. Only that last tie renders
+// expressions.
+func (p *planter) before(k, j int) bool {
+	a, b := p.occ[k], p.occ[j]
+	if a.last-a.first != b.last-b.first {
+		return a.last-a.first < b.last-b.first
+	}
+	if a.first != b.first {
+		return a.first < b.first
+	}
+	return p.name(k) < p.name(j)
+}
+
+// name returns the rendering of key k, made once per function.
+func (p *planter) name(k int) string {
+	if p.keys[k].name == "" {
+		p.keys[k].name = ast.ExprString(p.keys[k].expr)
+	}
+	return p.keys[k].name
 }
 
 // wellScoped reports whether wrapping b.Stmts[first..last] in a
@@ -440,10 +570,10 @@ func (p *planter) resolve(sc *scope, name string) *types.Symbol {
 }
 
 // wrap replaces b.Stmts[first..last] with a single confine? of a
-// clone of expr, plants inside it with key masked, and returns the
+// clone of expr, plants inside it with key k masked, and returns the
 // updated statement summaries, in which the confine has no lock
 // arguments.
-func (p *planter) wrap(b *ast.Block, sums []lockArgs, first, last int, expr ast.Expr, key string, sc *scope, masked map[string]bool) []lockArgs {
+func (p *planter) wrap(b *ast.Block, sums []lockArgs, first, last int, expr ast.Expr, k int, sc *scope) []lockArgs {
 	span := b.Stmts[first].Span().Union(b.Stmts[last].Span())
 	inner := &ast.Block{
 		Stmts: append([]ast.Stmt(nil), b.Stmts[first:last+1]...),
@@ -454,6 +584,7 @@ func (p *planter) wrap(b *ast.Block, sums []lockArgs, first, last int, expr ast.
 		ID:       prog.NewID(),
 		Expr:     ast.CloneExpr(prog, expr),
 		Body:     inner,
+		Optional: true,
 		Inferred: false, // set on success
 		Sp:       span,
 	}
@@ -463,11 +594,13 @@ func (p *planter) wrap(b *ast.Block, sums []lockArgs, first, last int, expr ast.
 
 	// The wrapped statements' nested blocks are already planted; only
 	// their own level may pair other expressions.
+	p.keys[k].masked++
 	p.pair(inner, append([]lockArgs(nil), sums[first:last+1]...),
-		&scope{up: sc, stmts: b.Stmts[:first]}, maskWith(masked, key))
+		&scope{up: sc, stmts: b.Stmts[:first]})
+	p.keys[k].masked--
 
-	b.Stmts = append(append(b.Stmts[:first:first], cs), b.Stmts[last+1:]...)
-	return append(append(sums[:first:first], nil), sums[last+1:]...)
+	b.Stmts = slices.Replace(b.Stmts, first, last+1, ast.Stmt(cs))
+	return slices.Replace(sums, first, last+1, nil)
 }
 
 // copyEntries gives every node of c, a clone of orig planted in a
@@ -505,37 +638,33 @@ func copyEntries(in *types.Info, orig, c ast.Expr) {
 // Applying verdicts
 
 // applyVerdicts rewrites b: failed planted confines are spliced out
-// (their body statements inlined), successful ones kept; directly
-// nested successful confines of an expression already confined by an
-// enclosing kept confine are redundant and spliced; and adjacent kept
-// confines of the same expression merge.
-func applyVerdicts(b *ast.Block, verdict map[*ast.ConfineStmt]bool, active map[string]bool) {
-	var out []ast.Stmt
+// (their body statements inlined), successful ones kept as plain
+// confines; directly nested successful confines of an expression
+// already confined by an enclosing kept confine are redundant and
+// spliced; and adjacent kept confines of the same expression merge.
+// active holds the expressions of the kept confines enclosing b.
+func applyVerdicts(b *ast.Block, active []ast.Expr) {
+	out := make([]ast.Stmt, 0, len(b.Stmts))
 	for _, s := range b.Stmts {
 		cs, isConfine := s.(*ast.ConfineStmt)
 		if !isConfine {
-			applyVerdictsStmt(s, verdict, active)
+			applyVerdictsStmt(s, active)
 			out = append(out, s)
 			continue
 		}
-		ok, wasPlanted := verdict[cs]
-		key := ast.ExprString(cs.Expr)
 		switch {
-		case wasPlanted && !ok:
+		case cs.Optional && !cs.Inferred:
 			// Failed: splice the body statements inline.
-			applyVerdicts(cs.Body, verdict, active)
+			applyVerdicts(cs.Body, active)
 			out = append(out, cs.Body.Stmts...)
-		case wasPlanted && active[key]:
+		case cs.Optional && slices.ContainsFunc(active, func(e ast.Expr) bool { return ast.EqualExpr(e, cs.Expr) }):
 			// Redundant nesting under an enclosing confine of the
 			// same expression: keep only the outermost.
-			applyVerdicts(cs.Body, verdict, active)
+			applyVerdicts(cs.Body, active)
 			out = append(out, cs.Body.Stmts...)
 		default:
-			sub := map[string]bool{key: true}
-			for k := range active {
-				sub[k] = true
-			}
-			applyVerdicts(cs.Body, verdict, sub)
+			cs.Optional = false
+			applyVerdicts(cs.Body, append(active, cs.Expr))
 			// Adjacent merge: (confine e {s1}; confine e {s2}) =
 			// confine e {s1; s2}.
 			if len(out) > 0 {
@@ -552,18 +681,18 @@ func applyVerdicts(b *ast.Block, verdict map[*ast.ConfineStmt]bool, active map[s
 	b.Stmts = out
 }
 
-func applyVerdictsStmt(s ast.Stmt, verdict map[*ast.ConfineStmt]bool, active map[string]bool) {
+func applyVerdictsStmt(s ast.Stmt, active []ast.Expr) {
 	switch s := s.(type) {
 	case *ast.BindStmt:
-		applyVerdicts(s.Body, verdict, active)
+		applyVerdicts(s.Body, active)
 	case *ast.IfStmt:
-		applyVerdicts(s.Then, verdict, active)
+		applyVerdicts(s.Then, active)
 		if s.Else != nil {
-			applyVerdicts(s.Else, verdict, active)
+			applyVerdicts(s.Else, active)
 		}
 	case *ast.WhileStmt:
-		applyVerdicts(s.Body, verdict, active)
+		applyVerdicts(s.Body, active)
 	case *ast.Block:
-		applyVerdicts(s, verdict, active)
+		applyVerdicts(s, active)
 	}
 }

@@ -58,7 +58,6 @@ func plantAndRecheck(name, src string) (planted, refused int, err error) {
 	for _, tables := range [][2]int{
 		{len(fresh.ExprTypes), len(info.ExprTypes)}, {len(fresh.IsPlace), len(info.IsPlace)},
 		{len(fresh.Uses), len(info.Uses)}, {len(fresh.Binders), len(info.Binders)},
-		{len(fresh.StructAllocs), len(info.StructAllocs)},
 	} {
 		if tables[0] != prog.NumNodes || tables[1] != prog.NumNodes {
 			return planted, refused, fmt.Errorf("table lengths %d (fresh) and %d (planted), want NumNodes %d", tables[0], tables[1], prog.NumNodes)
@@ -82,9 +81,6 @@ func plantAndRecheck(name, src string) (planted, refused int, err error) {
 		}
 		if !sameSym(info.Binders[id], fresh.Binders[id]) {
 			return planted, refused, fmt.Errorf("%s binds a different symbol than a fresh check finds", at)
-		}
-		if info.StructAllocs[id] != fresh.StructAllocs[id] {
-			return planted, refused, fmt.Errorf("%s: struct allocation differs from a fresh check", at)
 		}
 	}
 	return planted, refused, nil

@@ -14,6 +14,10 @@ const NoID ID = -1
 // sequence produce identical numberings — which keeps solver
 // statistics and diagnostics deterministic.
 //
+// Locations are dense indices into their store, so an atom's ID lives
+// in a slot of a flat table indexed by Loc×4+Kind rather than in a
+// hash map: Intern is one bounds check and one load.
+//
 // The interner does not canonicalize locations itself: callers intern
 // atoms whose Loc they have already resolved via locs.Store.Find, and
 // after a later unification the same kind×class may legitimately be
@@ -22,21 +26,34 @@ const NoID ID = -1
 // them in place and only re-examines the intersection gates that hold
 // one (see solve.recanonicalize).
 type Interner struct {
-	ids   map[Atom]ID
+	// slots holds ID+1 for every interned atom at slot(a); zero marks
+	// a slot never filled since the last Reset.
+	slots []ID
 	atoms []Atom
 }
 
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{ids: make(map[Atom]ID)}
+// numKinds is the number of atom kinds, the stride of a location's
+// slots.
+const numKinds = int(Alloc) + 1
+
+// slot returns a's index in the slot table. A kind outside the four
+// atom kinds would alias the next location's slots, so it is a bug.
+func slot(a Atom) int {
+	if int(a.Kind) >= numKinds {
+		panic("effects: interning an atom of unknown kind")
+	}
+	return int(a.Loc)*numKinds + int(a.Kind)
 }
 
-// NewInternerSized returns an empty interner pre-sized for about n
-// atoms, avoiding map rehashing when the caller can bound the count
-// (the solver uses the location-store size).
+// NewInterner returns an empty interner.
+func NewInterner() *Interner { return &Interner{} }
+
+// NewInternerSized returns an empty interner with slots for n
+// locations (the solver passes the location-store size), so the slot
+// table does not grow while the solve interns.
 func NewInternerSized(n int) *Interner {
 	return &Interner{
-		ids:   make(map[Atom]ID, n),
+		slots: make([]ID, n*numKinds),
 		atoms: make([]Atom, 0, n),
 	}
 }
@@ -44,32 +61,45 @@ func NewInternerSized(n int) *Interner {
 // Intern returns the ID of a, assigning the next dense ID on first
 // sight.
 func (in *Interner) Intern(a Atom) ID {
-	if id, ok := in.ids[a]; ok {
+	if id, ok := in.Lookup(a); ok {
 		return id
 	}
+	return in.add(a)
+}
+
+// add assigns a, never interned, the next ID, growing the slot table
+// to cover a's location.
+func (in *Interner) add(a Atom) ID {
+	i := slot(a)
+	if i >= len(in.slots) {
+		in.slots = append(in.slots, make([]ID, i+1-len(in.slots))...)
+	}
 	id := ID(len(in.atoms))
-	in.ids[a] = id
+	in.slots[i] = id + 1
 	in.atoms = append(in.atoms, a)
 	return id
 }
 
 // Lookup returns the ID of a, or NoID if a has never been interned.
 func (in *Interner) Lookup(a Atom) (ID, bool) {
-	id, ok := in.ids[a]
-	if !ok {
-		return NoID, false
+	if i := slot(a); i < len(in.slots) && in.slots[i] != 0 {
+		return in.slots[i] - 1, true
 	}
-	return id, true
+	return NoID, false
 }
 
 // Atom returns the atom with the given ID.
 func (in *Interner) Atom(id ID) Atom { return in.atoms[id] }
 
-// Reset empties the interner while keeping its table and slice
-// capacity, so a pooled solver can reuse one interner across solves
-// without re-growing the map. IDs restart from zero.
+// Reset empties the interner while keeping its slot table and atom
+// slice, so a pooled solver can reuse one interner across solves. It
+// clears only the slots the interned atoms filled, not the whole
+// table, which stays as large as the largest store seen. IDs restart
+// from zero.
 func (in *Interner) Reset() {
-	clear(in.ids)
+	for _, a := range in.atoms {
+		in.slots[slot(a)] = 0
+	}
 	in.atoms = in.atoms[:0]
 }
 

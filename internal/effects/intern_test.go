@@ -1,6 +1,7 @@
 package effects
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"localalias/internal/locs"
@@ -47,5 +48,56 @@ func TestInternerDistinguishesKindAndLoc(t *testing.T) {
 			t.Fatalf("kind %v collided", k)
 		}
 		seen[id] = true
+	}
+}
+
+// TestInternerMatchesMap drives the slot-table interner and a
+// map-based reference with the same random atom sequences, resetting
+// and reusing one interner across rounds whose location counts go up
+// and down, and requires the same ID for every atom, the same atoms
+// in the same order, and the same Lookup answers.
+func TestInternerMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 1))
+	sized := NewInternerSized(8)
+	grown := NewInterner()
+	for round := 0; round < 200; round++ {
+		nlocs := 1 + rng.IntN(4)
+		if round%3 == 0 {
+			nlocs = 1 + rng.IntN(3000)
+		}
+		in := sized
+		if round%2 == 1 {
+			in = grown
+		}
+		in.Reset()
+		ref := map[Atom]ID{}
+		var order []Atom
+		for range 1 + rng.IntN(4*nlocs) {
+			a := Atom{Kind: Kind(rng.IntN(4)), Loc: locs.Loc(rng.IntN(nlocs))}
+			want, seen := ref[a]
+			if !seen {
+				want = ID(len(order))
+				ref[a] = want
+				order = append(order, a)
+			}
+			if got := in.Intern(a); got != want {
+				t.Fatalf("round %d (%d locations): Intern(%v) = %d, want %d", round, nlocs, a, got, want)
+			}
+		}
+		if in.Len() != len(order) {
+			t.Fatalf("round %d: Len = %d, want %d", round, in.Len(), len(order))
+		}
+		for id, a := range order {
+			if in.Atom(ID(id)) != a {
+				t.Fatalf("round %d: Atom(%d) = %v, want %v", round, id, in.Atom(ID(id)), a)
+			}
+		}
+		for range 20 {
+			a := Atom{Kind: Kind(rng.IntN(4)), Loc: locs.Loc(rng.IntN(2 * nlocs))}
+			want, seen := ref[a]
+			if got, ok := in.Lookup(a); ok != seen || (seen && got != want) {
+				t.Fatalf("round %d: Lookup(%v) = %d, %v; want %d, %v", round, a, got, ok, want, seen)
+			}
+		}
 	}
 }

@@ -17,10 +17,6 @@ type Options struct {
 	// restrict candidate (the C99 "restrict parameter" usage of the
 	// paper's introduction).
 	InferRestrictParams bool
-	// OptionalConfines marks ConfineStmt nodes to be treated as
-	// confine? candidates (conditional constraints) rather than hard
-	// annotations. Scope inference (package confine) populates it.
-	OptionalConfines map[*ast.ConfineStmt]bool
 	// NoDown disables the (Down) rule at function boundaries — the
 	// ablation discussed in Section 3.1, where effects on dead
 	// temporary storage leak into latent effects and spuriously
@@ -722,8 +718,7 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 	inf.confines = inf.confines[:len(inf.confines)-1]
 	inf.sys.AddVarIncl(l2, sink)
 
-	optional := inf.opts.OptionalConfines[s]
-	if optional {
+	if s.Optional {
 		cand := &Candidate{
 			Kind: CandConfine,
 			Node: s,

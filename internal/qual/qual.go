@@ -143,7 +143,7 @@ func Analyze(res *infer.Result, sol *solve.Result, mode Mode) *Report {
 }
 
 func (a *analyzer) report() *Report {
-	rep := &Report{Mode: a.mode, NumSites: a.numSites, Errors: a.failed}
+	rep := &Report{Mode: a.mode, NumSites: a.res.TInfo.LockSites, Errors: a.failed}
 	sort.Slice(rep.Errors, func(i, j int) bool {
 		return rep.Errors[i].Site.Start < rep.Errors[j].Site.Start
 	})
@@ -152,18 +152,12 @@ func (a *analyzer) report() *Report {
 
 // roots returns the functions not called from within the module, in
 // declaration order; if every function is called (cycles), all
-// functions are roots.
+// functions are roots. The check recorded which signatures a call
+// resolves to (types.FunSig.Called).
 func roots(res *infer.Result) []*ast.FunDecl {
-	called := map[string]bool{}
-	ast.Inspect(res.Prog, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok {
-			called[c.Fun] = true
-		}
-		return true
-	})
 	var out []*ast.FunDecl
 	for _, f := range res.Prog.Funs {
-		if !called[f.Name] {
+		if sig := res.TInfo.Funs[f.Name]; sig == nil || !sig.Called {
 			out = append(out, f)
 		}
 	}
@@ -234,10 +228,9 @@ func equalStores(a, b store) bool {
 }
 
 type analyzer struct {
-	res      *infer.Result
-	sol      *solve.Result
-	mode     Mode
-	numSites int
+	res  *infer.Result
+	sol  *solve.Result
+	mode Mode
 	// failed lists the failing sites in the order they were found,
 	// each once; failedAt marks their calls by NodeID.
 	failed   []SiteError
@@ -254,15 +247,6 @@ type analyzer struct {
 	// Scope entry propagates watchedness from ρ to ρ′.
 	watch     map[locs.Loc]bool
 	watchErrs int
-}
-
-func (a *analyzer) countSites() {
-	ast.Inspect(a.res.Prog, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok && types.IsLockOp(c.Fun) {
-			a.numSites++
-		}
-		return true
-	})
 }
 
 func (a *analyzer) strongOK(l locs.Loc) bool {

@@ -64,8 +64,6 @@ func AnalyzeWith(res *infer.Result, sol *solve.Result, mode Mode, sums Transfers
 		mode: mode,
 		sums: sums,
 	}
-	a.countSites()
-
 	for _, f := range roots(res) {
 		sigma := store{}
 		a.fun(f, sigma, nil)

@@ -10,12 +10,14 @@ import (
 )
 
 // qualAllocBudget bounds the bytes one qual analysis of corpus module
-// driver_063 allocates: 1.10 × the 175 KB measured when the parser
+// driver_063 allocates: 1.10 × the 166 KB measured once the checker
+// dropped its struct-allocation table and the confine planter its
+// string-keyed maps (175 KB before that; 267 KB before the parser
 // stopped building a token slice and each request began recycling its
-// solver arena and inference tables (267 KB before). Each of those
-// three savings alone is worth 14–24% of the figure, so a looser
-// bound would let any one of them regress unnoticed.
-const qualAllocBudget = 175_304 * 11 / 10
+// solver arena and inference tables). Each of those last three savings
+// alone is worth 14–24% of the figure, so a looser bound would let any
+// one of them regress unnoticed.
+const qualAllocBudget = 165_648 * 11 / 10
 
 // TestQualAllocationBudget guards the per-request garbage of a cold
 // analysis: the median TotalAlloc delta of several qual runs of one

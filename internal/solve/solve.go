@@ -339,8 +339,8 @@ func SolveCtx(ctx context.Context, sys *effects.System) *Result {
 	}
 
 	// Pre-intern every seed atom so the ID space is known before the
-	// solution bitsets are carved; the seeding loop below then hits
-	// the interner map without growing it.
+	// solution bitsets are carved; the seeding loop below then finds
+	// every seed's ID already assigned.
 	s.preInternSeeds()
 
 	// Conditionals and unifications intern more IDs later (canonical

@@ -145,32 +145,46 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Keywords maps keyword spellings to their kinds.
-var Keywords = map[string]Kind{
-	"let":      KwLet,
-	"restrict": KwRestrict,
-	"confine":  KwConfine,
-	"in":       KwIn,
-	"new":      KwNew,
-	"fun":      KwFun,
-	"return":   KwReturn,
-	"if":       KwIf,
-	"else":     KwElse,
-	"while":    KwWhile,
-	"global":   KwGlobal,
-	"struct":   KwStruct,
-	"int":      KwInt,
-	"unit":     KwUnit,
-	"lock":     KwLock,
-	"ref":      KwRef,
-	"import":   KwImport,
-}
-
 // LookupIdent classifies an identifier spelling, returning the keyword
-// kind when the spelling is reserved and Ident otherwise.
+// kind when the spelling is reserved and Ident otherwise. The lexer
+// calls it for every identifier, so it compiles to a string switch
+// rather than hashing into a map.
 func LookupIdent(s string) Kind {
-	if k, ok := Keywords[s]; ok {
-		return k
+	switch s {
+	case "let":
+		return KwLet
+	case "restrict":
+		return KwRestrict
+	case "confine":
+		return KwConfine
+	case "in":
+		return KwIn
+	case "new":
+		return KwNew
+	case "fun":
+		return KwFun
+	case "return":
+		return KwReturn
+	case "if":
+		return KwIf
+	case "else":
+		return KwElse
+	case "while":
+		return KwWhile
+	case "global":
+		return KwGlobal
+	case "struct":
+		return KwStruct
+	case "int":
+		return KwInt
+	case "unit":
+		return KwUnit
+	case "lock":
+		return KwLock
+	case "ref":
+		return KwRef
+	case "import":
+		return KwImport
 	}
 	return Ident
 }

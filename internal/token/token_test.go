@@ -20,6 +20,7 @@ func TestLookupIdent(t *testing.T) {
 		"unit":     KwUnit,
 		"lock":     KwLock,
 		"ref":      KwRef,
+		"import":   KwImport,
 		"foo":      Ident,
 		"Restrict": Ident, // keywords are case-sensitive
 		"":         Ident,
@@ -32,10 +33,11 @@ func TestLookupIdent(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	// Every keyword's String must equal its spelling.
-	for s, k := range Keywords {
-		if k.String() != s {
-			t.Errorf("%v.String() = %q, want %q", k, k.String(), s)
+	// Every keyword's String must be its spelling, which LookupIdent
+	// maps back to the keyword.
+	for k := KwLet; k < kindCount; k++ {
+		if got := LookupIdent(k.String()); got != k {
+			t.Errorf("LookupIdent(%q) = %v, want %v", k.String(), got, k)
 		}
 	}
 	cases := map[Kind]string{

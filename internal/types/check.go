@@ -27,16 +27,15 @@ func CheckWith(prog *ast.Program, diags *source.Diagnostics, imports ImportSigs)
 	n := prog.NumNodes
 	c := &checker{
 		info: &Info{
-			Prog:         prog,
-			ExprTypes:    make([]Type, n, n+n/4),
-			IsPlace:      make([]bool, n, n+n/4),
-			Uses:         make([]*Symbol, n, n+n/4),
-			Binders:      make([]*Symbol, n, n+n/4),
-			StructAllocs: make([]*ast.StructDecl, n, n+n/4),
-			Funs:         Builtins(),
-			Structs:      make(map[string]*ast.StructDecl),
-			Globals:      make(map[string]*Symbol),
-			Imports:      make(map[string]*PkgSig),
+			Prog:      prog,
+			ExprTypes: make([]Type, n, n+n/4),
+			IsPlace:   make([]bool, n, n+n/4),
+			Uses:      make([]*Symbol, n, n+n/4),
+			Binders:   make([]*Symbol, n, n+n/4),
+			Funs:      Builtins(),
+			Structs:   make(map[string]*ast.StructDecl),
+			Globals:   make(map[string]*Symbol),
+			Imports:   make(map[string]*PkgSig),
 		},
 		diags:   diags,
 		file:    prog.File,
@@ -228,7 +227,15 @@ func (c *checker) lookup(name string) *Symbol {
 func (c *checker) checkFun(f *ast.FunDecl) {
 	sig := c.info.Funs[f.Name]
 	if sig == nil || sig.Decl != f {
-		return // redeclared; already reported
+		// Redeclared, which is already reported: the body is not
+		// checked, but its calls still count in the lock facts.
+		ast.Inspect(f.Body, func(n ast.Node) bool {
+			if e, ok := n.(*ast.CallExpr); ok {
+				c.recordCall(e)
+			}
+			return true
+		})
+		return
 	}
 	c.cur = sig
 	c.push()
@@ -453,7 +460,6 @@ func (c *checker) exprOrPlace1(e ast.Expr, asPlace bool) Type {
 		// "new S" where S names a struct allocates an instance.
 		if v, ok := e.Init.(*ast.VarExpr); ok {
 			if sd := c.info.Structs[v.Name]; sd != nil {
-				c.info.StructAllocs[e.ID] = sd
 				c.setType(v.ID, &Named{Decl: sd})
 				return &Ref{Elem: &Named{Decl: sd}}
 			}
@@ -573,7 +579,7 @@ func (c *checker) exprOrPlace1(e ast.Expr, asPlace bool) Type {
 		if pkg, name, ok := ast.SplitQualified(e.Fun); ok {
 			sig = c.importedSig(e, pkg, name)
 		} else {
-			sig = c.info.Funs[e.Fun]
+			sig = c.recordCall(e)
 			if sig == nil {
 				c.errorf(e.Sp, "call to undefined function %q", e.Fun)
 			}
@@ -600,6 +606,20 @@ func (c *checker) exprOrPlace1(e ast.Expr, asPlace bool) Type {
 		c.errorf(e.Span(), "unsupported expression %T", e)
 		return IntType
 	}
+}
+
+// recordCall adds the unqualified call e to the lock facts
+// (Info.LockSites, FunSig.Called) and returns the signature it
+// resolves to, or nil.
+func (c *checker) recordCall(e *ast.CallExpr) *FunSig {
+	if IsLockOp(e.Fun) {
+		c.info.LockSites++
+	}
+	sig := c.info.Funs[e.Fun]
+	if sig != nil {
+		sig.Called = true
+	}
+	return sig
 }
 
 // importedSig resolves a qualified call pkg.name against the declared

@@ -136,11 +136,14 @@ fun f(): int {
 }
 `)
 	found := false
-	for _, sd := range info.StructAllocs {
-		if sd != nil && sd.Name == "dev" {
-			found = true
+	ast.Inspect(info.Prog, func(n ast.Node) bool {
+		if e, ok := n.(*ast.NewExpr); ok {
+			if sd := info.StructAllocOf(e); sd != nil && sd.Name == "dev" {
+				found = true
+			}
 		}
-	}
+		return true
+	})
 	if !found {
 		t.Error("struct allocation not recorded")
 	}

@@ -9,27 +9,41 @@ import "localalias/internal/ast"
 // all variables are renamed apart; resolving through symbols makes
 // the test shadowing-proof instead.
 func (in *Info) EqualResolved(a, b ast.Expr) bool {
-	if !ast.EqualExpr(a, b) {
-		return false
-	}
-	var avs, bvs []*ast.VarExpr
-	collect := func(x ast.Expr, out *[]*ast.VarExpr) {
-		ast.Inspect(x, func(n ast.Node) bool {
-			if v, ok := n.(*ast.VarExpr); ok {
-				*out = append(*out, v)
+	return ast.EqualExpr(a, b) && in.sameSymbols(a, b)
+}
+
+// sameSymbols reports whether every variable of a, which is
+// syntactically identical to b, resolves to a symbol, the one its
+// counterpart in b resolves to. Inference asks this of every
+// expression inside a confine, so it walks both trees in step rather
+// than collecting their variables.
+func (in *Info) sameSymbols(a, b ast.Expr) bool {
+	switch a := a.(type) {
+	case *ast.VarExpr:
+		sym := in.UseOf(a)
+		return sym != nil && sym == in.UseOf(b.(*ast.VarExpr))
+	case *ast.NewExpr:
+		return in.sameSymbols(a.Init, b.(*ast.NewExpr).Init)
+	case *ast.DerefExpr:
+		return in.sameSymbols(a.X, b.(*ast.DerefExpr).X)
+	case *ast.AddrExpr:
+		return in.sameSymbols(a.X, b.(*ast.AddrExpr).X)
+	case *ast.IndexExpr:
+		b := b.(*ast.IndexExpr)
+		return in.sameSymbols(a.X, b.X) && in.sameSymbols(a.Index, b.Index)
+	case *ast.FieldExpr:
+		return in.sameSymbols(a.X, b.(*ast.FieldExpr).X)
+	case *ast.BinExpr:
+		b := b.(*ast.BinExpr)
+		return in.sameSymbols(a.X, b.X) && in.sameSymbols(a.Y, b.Y)
+	case *ast.UnExpr:
+		return in.sameSymbols(a.X, b.(*ast.UnExpr).X)
+	case *ast.CallExpr:
+		b := b.(*ast.CallExpr)
+		for i := range a.Args {
+			if !in.sameSymbols(a.Args[i], b.Args[i]) {
+				return false
 			}
-			return true
-		})
-	}
-	collect(a, &avs)
-	collect(b, &bvs)
-	if len(avs) != len(bvs) {
-		return false
-	}
-	for i := range avs {
-		sa, sb := in.UseOf(avs[i]), in.UseOf(bvs[i])
-		if sa == nil || sb == nil || sa != sb {
-			return false
 		}
 	}
 	return true

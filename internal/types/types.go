@@ -158,6 +158,10 @@ type FunSig struct {
 	Params  []Type
 	Result  Type
 	Builtin bool
+	// Called records that some call in the checked module resolves to
+	// this signature (see Info.LockSites). Imported signatures are
+	// never marked.
+	Called bool
 }
 
 // PkgSig is the exported type surface of a separately-checked module:
@@ -215,12 +219,11 @@ func (in *Info) Exports(name string) *PkgSig {
 // Info holds everything the checker learned. Its node tables are
 // slices indexed by ast.NodeID, sized to Prog.NumNodes by the check;
 // later phases build their own tables the same way. Read them through
-// TypeOf, IsPlaceExpr, UseOf, BinderOf and StructAllocOf, which treat
-// an ID past the end of a table as absent. Planting confines adds
-// nodes to the program after the check and extends these tables in
-// place (Extend); tables another phase built before planting stay
-// shorter, and the accessors report the planted nodes as absent from
-// them.
+// TypeOf, IsPlaceExpr, UseOf and BinderOf, which treat an ID past the
+// end of a table as absent. Planting confines adds nodes to the
+// program after the check and extends these tables in place (Extend);
+// tables another phase built before planting stay shorter, and the
+// accessors report the planted nodes as absent from them.
 type Info struct {
 	Prog *ast.Program
 	// ExprTypes holds every checked expression's standard type. For
@@ -234,12 +237,17 @@ type Info struct {
 	// Binders holds the symbol each binding node (GlobalDecl, Param,
 	// DeclStmt, BindStmt) introduces.
 	Binders []*Symbol
-	// StructAllocs marks NewExpr nodes that allocate a struct (their
-	// Init is a type name, not an expression).
-	StructAllocs []*ast.StructDecl
 	// Typed counts the expressions with a type in ExprTypes, and
 	// NumBinders the nodes with a symbol in Binders.
 	Typed, NumBinders int
+	// LockSites counts the calls to state-changing builtins
+	// (IsLockOp) in the program, and each signature in Funs records
+	// in Called whether a call resolves to it. The check sees every
+	// call while resolving it, so the qualifier analysis reads these
+	// facts instead of walking the program again. Planting confines
+	// adds no calls (a confinable expression has none), so the facts
+	// hold for the planted program too.
+	LockSites int
 	// Funs maps function names to signatures (including builtins).
 	Funs map[string]*FunSig
 	// Structs maps struct names to declarations.
@@ -265,9 +273,16 @@ func (in *Info) UseOf(v *ast.VarExpr) *Symbol { return ast.Lookup(in.Uses, v.ID)
 func (in *Info) BinderOf(n ast.Numbered) *Symbol { return ast.Lookup(in.Binders, n.NodeID()) }
 
 // StructAllocOf returns the struct e allocates, or nil when e is not
-// a struct allocation.
+// a struct allocation ("new S" where S names a struct, which the
+// check types ref S; an initializer is always scalar, so no other new
+// has that type).
 func (in *Info) StructAllocOf(e *ast.NewExpr) *ast.StructDecl {
-	return ast.Lookup(in.StructAllocs, e.ID)
+	if r, ok := in.TypeOf(e).(*Ref); ok {
+		if n, ok := r.Elem.(*Named); ok {
+			return n.Decl
+		}
+	}
+	return nil
 }
 
 // Extend grows the node tables to cover every ID of Prog, so that
@@ -278,7 +293,6 @@ func (in *Info) Extend() {
 	in.IsPlace = extend(in.IsPlace, n)
 	in.Uses = extend(in.Uses, n)
 	in.Binders = extend(in.Binders, n)
-	in.StructAllocs = extend(in.StructAllocs, n)
 }
 
 func extend[T any](s []T, n int) []T {
@@ -300,20 +314,32 @@ type ChangeOp struct {
 	Counterpart string
 }
 
-// ChangeOps lists the change_type instances: the spin-lock pair of
+// changeOps lists the change_type instances: the spin-lock pair of
 // the Section 7 experiment plus an interrupt-flag pair, showing the
 // framework is protocol-generic.
-func ChangeOps() map[string]ChangeOp {
-	return map[string]ChangeOp{
-		"spin_lock":   {Name: "spin_lock", Acquire: true, Counterpart: "spin_unlock"},
-		"spin_unlock": {Name: "spin_unlock", Acquire: false, Counterpart: "spin_lock"},
-		"irq_save":    {Name: "irq_save", Acquire: true, Counterpart: "irq_restore"},
-		"irq_restore": {Name: "irq_restore", Acquire: false, Counterpart: "irq_save"},
-	}
+var changeOps = [...]ChangeOp{
+	{Name: "spin_lock", Acquire: true, Counterpart: "spin_unlock"},
+	{Name: "spin_unlock", Acquire: false, Counterpart: "spin_lock"},
+	{Name: "irq_save", Acquire: true, Counterpart: "irq_restore"},
+	{Name: "irq_restore", Acquire: false, Counterpart: "irq_save"},
 }
 
-// changeOps is the shared instance used by the predicates below.
-var changeOps = ChangeOps()
+// changeOpIndex returns name's index in changeOps, or -1. The checker
+// and the analyses ask this of every call, so it is a string switch
+// rather than a map lookup.
+func changeOpIndex(name string) int {
+	switch name {
+	case "spin_lock":
+		return 0
+	case "spin_unlock":
+		return 1
+	case "irq_save":
+		return 2
+	case "irq_restore":
+		return 3
+	}
+	return -1
+}
 
 // Builtins returns the builtin function signatures shared by every
 // module: the change_type instances, the opaque work() routine, and
@@ -333,9 +359,9 @@ func Builtins() map[string]*FunSig {
 			Builtin: true,
 		},
 	}
-	for name := range changeOps {
-		out[name] = &FunSig{
-			Name:    name,
+	for _, op := range changeOps {
+		out[op.Name] = &FunSig{
+			Name:    op.Name,
 			Params:  []Type{&Ref{Elem: LockType}},
 			Result:  UnitType,
 			Builtin: true,
@@ -346,13 +372,12 @@ func Builtins() map[string]*FunSig {
 
 // IsLockOp reports whether name is a state-changing builtin (a
 // change_type call in the experiment's terminology).
-func IsLockOp(name string) bool {
-	_, ok := changeOps[name]
-	return ok
-}
+func IsLockOp(name string) bool { return changeOpIndex(name) >= 0 }
 
 // LookupChangeOp returns the ChangeOp for name.
 func LookupChangeOp(name string) (ChangeOp, bool) {
-	op, ok := changeOps[name]
-	return op, ok
+	if i := changeOpIndex(name); i >= 0 {
+		return changeOps[i], true
+	}
+	return ChangeOp{}, false
 }
