@@ -184,6 +184,16 @@ func ExprString(e Expr) string {
 	return exprString(e, 0)
 }
 
+// Operand precedences above every binary operator's: a prefix
+// operator (*, &, -, !, new) prints its operand at precPrefix and a
+// postfix one ([i], .f, ->f) at precPostfix. A prefix expression
+// under a postfix one is parenthesized, so (*p).f does not print as
+// *p.f, which reads back as *(p.f).
+const (
+	precPrefix  = 10
+	precPostfix = 11
+)
+
 func exprString(e Expr, parentPrec int) string {
 	switch e := e.(type) {
 	case *IntLit:
@@ -191,19 +201,19 @@ func exprString(e Expr, parentPrec int) string {
 	case *VarExpr:
 		return e.Name
 	case *NewExpr:
-		return "new " + exprString(e.Init, 10)
+		return prefixString("new ", e.Init, parentPrec)
 	case *DerefExpr:
-		return "*" + exprString(e.X, 10)
+		return prefixString("*", e.X, parentPrec)
 	case *AddrExpr:
-		return "&" + exprString(e.X, 10)
+		return prefixString("&", e.X, parentPrec)
 	case *IndexExpr:
-		return exprString(e.X, 10) + "[" + exprString(e.Index, 0) + "]"
+		return exprString(e.X, precPostfix) + "[" + exprString(e.Index, 0) + "]"
 	case *FieldExpr:
 		sep := "."
 		if e.Arrow {
 			sep = "->"
 		}
-		return exprString(e.X, 10) + sep + e.Name
+		return exprString(e.X, precPostfix) + sep + e.Name
 	case *BinExpr:
 		prec := e.Op.Precedence()
 		s := exprString(e.X, prec) + " " + e.Op.String() + " " + exprString(e.Y, prec+1)
@@ -216,7 +226,7 @@ func exprString(e Expr, parentPrec int) string {
 		if e.Op == token.Minus {
 			op = "-"
 		}
-		return op + exprString(e.X, 10)
+		return prefixString(op, e.X, parentPrec)
 	case *CallExpr:
 		var args []string
 		for _, a := range e.Args {
@@ -226,6 +236,16 @@ func exprString(e Expr, parentPrec int) string {
 	default:
 		return fmt.Sprintf("?expr(%T)", e)
 	}
+}
+
+// prefixString renders op applied to x, parenthesized when it is the
+// operand of a postfix operator.
+func prefixString(op string, x Expr, parentPrec int) string {
+	s := op + exprString(x, precPrefix)
+	if parentPrec > precPrefix {
+		return "(" + s + ")"
+	}
+	return s
 }
 
 // EqualExpr reports whether two expressions are syntactically

@@ -5,11 +5,16 @@ package ast_test
 // cycle).
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"localalias/internal/ast"
+	"localalias/internal/drivergen"
 	"localalias/internal/parser"
+	"localalias/internal/progen"
 	"localalias/internal/source"
 )
 
@@ -191,4 +196,81 @@ func TestPrintStandaloneNodes(t *testing.T) {
 	if !strings.Contains(ast.String(prog.Fun("helper")), "fun helper") {
 		t.Error("fun rendering")
 	}
+}
+
+// exprRoundTrips checks that every expression of prog reads back from
+// its rendering as an equal tree.
+func exprRoundTrips(t *testing.T, label string, prog *ast.Program) int {
+	t.Helper()
+	n := 0
+	ast.Inspect(prog, func(nd ast.Node) bool {
+		e, ok := nd.(ast.Expr)
+		if !ok {
+			return true
+		}
+		n++
+		s := ast.ExprString(e)
+		var diags source.Diagnostics
+		back := parser.ParseExpr(s, &diags)
+		if diags.HasErrors() || !ast.EqualExpr(back, e) {
+			t.Errorf("%s: %q does not read back as the expression it renders:\n%s", label, s, diags.String())
+		}
+		return true
+	})
+	return n
+}
+
+// TestExprStringRoundTrip: parse(ExprString(e)) is EqualExpr to e for
+// every expression of the golden files, the corpus, generated
+// programs, and hand-built prefix operands of postfix operators.
+func TestExprStringRoundTrip(t *testing.T) {
+	for src, want := range map[string]string{
+		"(*p).f": "(*p).f", "(*p)->f": "(*p)->f", "*(p.f)": "*p.f",
+		"(&x)[i]": "(&x)[i]", "&(x[i])": "&x[i]", "(-x)[0]": "(-x)[0]",
+		"(!x).f": "(!x).f", "(new s).l": "(new s).l", "new (s.l)": "new s.l",
+		"*(*p)": "**p", "-(-x)": "--x", "&(*p).l": "&(*p).l",
+		"-(a - b)": "-(a - b)", "((*p)[i]).f": "(*p)[i].f",
+	} {
+		var diags source.Diagnostics
+		e := parser.ParseExpr(src, &diags)
+		if diags.HasErrors() {
+			t.Fatalf("%q: %s", src, diags.String())
+		}
+		if got := ast.ExprString(e); got != want {
+			t.Errorf("ExprString(%q) = %q, want %q", src, got, want)
+		}
+		back := parser.ParseExpr(want, &diags)
+		if diags.HasErrors() || !ast.EqualExpr(back, e) {
+			t.Errorf("%q does not read back as %q: %s", want, src, diags.String())
+		}
+	}
+
+	parse := func(name, src string) *ast.Program {
+		var diags source.Diagnostics
+		prog := parser.Parse(name, src, &diags)
+		if diags.HasErrors() {
+			t.Fatalf("%s: %s", name, diags.String())
+		}
+		return prog
+	}
+	n := exprRoundTrips(t, "kitchen sink", parseSink(t))
+	files, err := filepath.Glob("../golden/testdata/*.mc")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("golden files: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += exprRoundTrips(t, f, parse(f, string(b)))
+	}
+	for _, m := range drivergen.Corpus() {
+		n += exprRoundTrips(t, m.Name, parse(m.Name, m.Source()))
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		n += exprRoundTrips(t, fmt.Sprintf("progen %d", seed), parse("gen.mc", progen.Generate(seed)))
+		n += exprRoundTrips(t, fmt.Sprintf("locking %d", seed), parse("lock.mc", progen.Locking(seed)))
+	}
+	t.Logf("%d expressions round-tripped", n)
 }

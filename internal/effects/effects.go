@@ -314,6 +314,13 @@ type System struct {
 	PairNotIns []PairNotIn
 	Conds      []*Cond
 
+	// Shared names the one variable every intersection reads by
+	// membership (NoVar for none): L ∩ R ⊆ ε then means
+	// L ∩ (R ∪ Shared) ⊆ ε. Inference points it at Γ(globals), the
+	// locations every function's (Down) keeps, so that no function
+	// needs its own copy of them.
+	Shared Var
+
 	// Malformed records inclusion constraints Normalize could not
 	// decompose (an Expr implementation outside the five grammar
 	// forms). The constraints are dropped rather than panicking, so
@@ -363,7 +370,7 @@ type AtomIncl struct {
 
 // NewSystem returns an empty system over the given location store.
 func NewSystem(ls *locs.Store) *System {
-	return &System{Locs: ls}
+	return &System{Locs: ls, Shared: NoVar}
 }
 
 // Reset empties s, keeping the capacity of every table and its
@@ -380,6 +387,7 @@ func (s *System) Reset() {
 		KindNotIns: emptied(s.KindNotIns),
 		PairNotIns: emptied(s.PairNotIns),
 		Conds:      emptied(s.Conds),
+		Shared:     NoVar,
 	}
 }
 

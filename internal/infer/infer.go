@@ -272,7 +272,7 @@ type funLInfo struct {
 	result *LType
 	eff    effects.Var // latent effect (post-Down)
 	body   effects.Var // body effect (pre-Down)
-	keep   effects.Var // locs(Γ_f, τ_result) for (Down)
+	keep   effects.Var // parameters ∪ result; (Down) adds Γ(globals) by membership
 }
 
 type globalLInfo struct {
@@ -303,7 +303,10 @@ type inferencer struct {
 	globals  map[string]*globalLInfo
 	funs     map[string]*funLInfo
 	imported map[string]*LType // shared result type per imported callee
-	envG     effects.Var       // ε of the global environment
+	// envG is ε of the global environment, the system's shared
+	// variable: kept once, never copied into a function's keep set,
+	// environment chain or a candidate's escape set.
+	envG effects.Var
 
 	cur      *funLInfo
 	confines []*confCtx
@@ -320,6 +323,7 @@ func (inf *inferencer) run() {
 	inf.globals = make(map[string]*globalLInfo, len(prog.Globals))
 	inf.imported = make(map[string]*LType)
 	inf.envG = inf.sys.Fresh("Γ(globals)")
+	inf.sys.Shared = inf.envG
 	for _, g := range prog.Globals {
 		sym := inf.tinfo.Globals[g.Name]
 		if sym == nil {
@@ -357,8 +361,8 @@ func (inf *inferencer) run() {
 			fi.params = append(fi.params, inf.b.build(pt, modePlaceholder, f.Name+"."+f.Params[i].Name, nil))
 		}
 		fi.result = inf.b.build(sig.Result, modePlaceholder, f.Name+".ret", nil)
-		// keep = ε_Γf ∪ ε_τresult: globals, parameters, result.
-		inf.sys.AddVarIncl(inf.envG, fi.keep)
+		// keep = parameters ∪ result. The globals, the rest of ε_Γf,
+		// pass the (Down) gate by membership in the shared Γ(globals).
 		for _, p := range fi.params {
 			inf.sys.AddVarIncl(p.TVar(), fi.keep)
 		}
@@ -390,17 +394,20 @@ func (inf *inferencer) run() {
 }
 
 // extendEnv returns a fresh ε_Γ variable covering env plus t, per the
-// incremental ε_Γ scheme of Section 4.
+// incremental ε_Γ scheme of Section 4. A function's chain starts
+// empty (NoVar): it covers the function's binders, not the globals.
 func (inf *inferencer) extendEnv(env effects.Var, t *LType, what string) effects.Var {
 	nv := inf.sys.FreshN("Γ+", what, "")
-	inf.sys.AddVarIncl(env, nv)
+	if env != effects.NoVar {
+		inf.sys.AddVarIncl(env, nv)
+	}
 	inf.sys.AddVarIncl(t.TVar(), nv)
 	return nv
 }
 
 func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 	inf.cur = fi
-	env := inf.envG
+	env := effects.NoVar
 
 	// Bind parameters: explicitly restrict-qualified ones get hard
 	// checks; otherwise they are optionally restrict candidates.
@@ -416,6 +423,7 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 			rhoP := inf.ls.FreshRestricted(p.Name + "'")
 			xT := inf.b.mkRef(rhoP, orig.Elem(), p.Name+"'")
 			esc := inf.paramEscapeVar(fi, i, orig, p.Name)
+			inf.sys.AddVarIncl(inf.envG, esc)
 			inf.sys.AddNotIn(rho, fi.body, p.Sp,
 				effects.Reason{Kind: "restrict parameter", Name: p.Name, Why: "an alias of the restricted location is used in the body"})
 			inf.sys.AddNotIn(rhoP, esc, p.Sp,
@@ -455,12 +463,13 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 	inf.cur = nil
 }
 
-// paramEscapeVar builds the escape set for a (restricted) parameter:
-// globals, the other parameters' original types, the content type,
-// and the result type.
+// paramEscapeVar builds the escape set for a (restricted) parameter
+// without the globals: the other parameters' original types, the
+// content type, and the result type. An explicit restrict adds
+// Γ(globals) to it; a candidate watches Γ(globals) with a trigger of
+// its own.
 func (inf *inferencer) paramEscapeVar(fi *funLInfo, i int, orig *LType, name string) effects.Var {
 	esc := inf.sys.FreshN("esc(", name, ")")
-	inf.sys.AddVarIncl(inf.envG, esc)
 	for j, q := range fi.params {
 		if j != i {
 			inf.sys.AddVarIncl(q.TVar(), esc)
@@ -501,7 +510,7 @@ func (inf *inferencer) restrictEffect(name string, rho, rhoP locs.Loc, l2, sink 
 
 // addCandidateConds emits the let-or-restrict conditional constraints
 // of Section 5 for a candidate with body effect l2 and escape set
-// esc; relayed effects land in out.
+// esc, which leaves out the globals; relayed effects land in out.
 func (inf *inferencer) addCandidateConds(c *Candidate, l2 effects.Var, esc effects.Var, out effects.Var) {
 	fail := []effects.Action{effects.ActUnify{A: c.Rho, B: c.RhoP}}
 	kind := c.Kind.String()
@@ -510,11 +519,9 @@ func (inf *inferencer) addCandidateConds(c *Candidate, l2 effects.Var, esc effec
 		Actions: fail,
 		Reason:  effects.Reason{Kind: kind, Name: c.Name, Why: "outer location accessed within the scope"},
 	})
-	inf.sys.AddCond(&effects.Cond{
-		Trigger: effects.LocIn{Loc: c.RhoP, V: esc},
-		Actions: fail,
-		Reason:  effects.Reason{Kind: kind, Name: c.Name, Why: "restricted pointer escapes its scope"},
-	})
+	escapes := effects.Reason{Kind: kind, Name: c.Name, Why: "restricted pointer escapes its scope"}
+	inf.sys.AddCond(&effects.Cond{Trigger: effects.LocIn{Loc: c.RhoP, V: esc}, Actions: fail, Reason: escapes})
+	inf.sys.AddCond(&effects.Cond{Trigger: effects.LocIn{Loc: c.RhoP, V: inf.envG}, Actions: fail, Reason: escapes})
 	// (ρ′ ∈ L₂) ⇒ {X(ρ)} ⊆ ε: the conditional restrict effect.
 	inf.addRelayConds(kind, c.Name, c.RhoP, l2, c.Rho, out)
 }
@@ -559,6 +566,7 @@ func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effe
 
 		l2 := inf.sys.FreshN("L2(", s.Name, ")")
 		esc := inf.escapeVar(env, initT, s.Name)
+		inf.sys.AddVarIncl(inf.envG, esc)
 		env2 := inf.extendEnv(env, xT, s.Name)
 		inf.walkStmts(rest, l2, env2)
 		inf.sys.AddVarIncl(l2, sink)
@@ -598,11 +606,15 @@ func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effe
 	}
 }
 
-// escapeVar builds locs(Γ, τ₁, τ₂): the environment at the binder,
-// the content type of the bound pointer, and the function result.
+// escapeVar builds locs(Γ, τ₁, τ₂) without the globals: the
+// function's binders in scope, the content type of the bound pointer,
+// and the function result. An explicit binder adds Γ(globals) to it;
+// a candidate watches Γ(globals) with a trigger of its own.
 func (inf *inferencer) escapeVar(env effects.Var, refT *LType, name string) effects.Var {
 	esc := inf.sys.FreshN("esc(", name, ")")
-	inf.sys.AddVarIncl(env, esc)
+	if env != effects.NoVar {
+		inf.sys.AddVarIncl(env, esc)
+	}
 	inf.sys.AddVarIncl(refT.Elem().TVar(), esc)
 	if inf.cur != nil {
 		inf.sys.AddVarIncl(inf.cur.result.TVar(), esc)
@@ -677,6 +689,7 @@ func (inf *inferencer) bindStmt(s *ast.BindStmt, sink, env effects.Var) {
 
 	l2 := inf.sys.FreshN("L2(", s.Name, ")")
 	esc := inf.escapeVar(env, initT, s.Name)
+	inf.sys.AddVarIncl(inf.envG, esc)
 	env2 := inf.extendEnv(env, xT, s.Name)
 	inf.walkStmts(s.Body.Stmts, l2, env2)
 	inf.sys.AddVarIncl(l2, sink)
@@ -737,6 +750,7 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 		}
 		mk(effects.LocIn{Loc: rho, V: l2}, "outer location accessed within the scope")
 		mk(effects.LocIn{Loc: rhoP, V: esc}, "confined pointer escapes its scope")
+		mk(effects.LocIn{Loc: rhoP, V: inf.envG}, "confined pointer escapes its scope")
 		mk(effects.KindIn{Kind: effects.Write, V: l1}, "confined expression has a write effect")
 		mk(effects.KindIn{Kind: effects.Alloc, V: l1}, "confined expression has an alloc effect")
 		mk(effects.PairIn{KindA: effects.Read, VA: l1, KindB: effects.Write, VB: l2},
@@ -752,6 +766,7 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 	// Explicit confine: hard checks (the confine rule derived from
 	// confine? by requiring ρ ≠ ρ′, Section 6.1).
 	inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
+	inf.sys.AddVarIncl(inf.envG, esc)
 	inf.sys.AddNotIn(rho, l2, s.Sp,
 		effects.Reason{Kind: "confine", Name: name, Why: "an alias of the confined location is used within its scope"})
 	inf.sys.AddNotIn(rhoP, esc, s.Sp,

@@ -261,10 +261,11 @@ fun f(q: ref int, n: int): int {
 	if len(res.Candidates) != 1 || res.Candidates[0].Kind != CandLet || res.Candidates[0].Name != "p" {
 		t.Fatalf("candidates: %+v", res.Candidates)
 	}
-	// Each let-or-restrict candidate generates 5 conditionals: two
-	// failure conditions and three relays.
-	if got := len(res.Sys.Conds); got != 5 {
-		t.Errorf("conds = %d, want 5", got)
+	// Each let-or-restrict candidate generates 6 conditionals: two
+	// failure conditions, the twin of the escape failure that watches
+	// Γ(globals), and three relays.
+	if got := len(res.Sys.Conds); got != 6 {
+		t.Errorf("conds = %d, want 6", got)
 	}
 }
 
@@ -523,5 +524,80 @@ fun f(q: ref int): int {
 			}()
 			use()
 		}()
+	}
+}
+
+// TestGlobalEscapeRejectsCandidates: a let, a parameter and a confine?
+// candidate whose pointer escapes only through a global are rejected
+// by the twin trigger that watches Γ(globals) (escape sets no longer
+// hold the globals), and each is accepted without that escape.
+func TestGlobalEscapeRejectsCandidates(t *testing.T) {
+	cases := []struct {
+		name     string
+		src      string
+		escape   string // the statement through which the pointer escapes
+		opts     Options
+		optional bool // mark the confine as confine?
+	}{
+		{"let", `
+global x: ref int;
+fun f(q: ref int): int {
+    let p = q;
+    ESCAPE
+    return *p;
+}
+`, "x = p;", Options{InferRestrictLets: true}, false},
+		{"param", `
+global x: ref int;
+fun f(q: ref int): int {
+    ESCAPE
+    return *q;
+}
+`, "x = q;", Options{InferRestrictParams: true}, false},
+		{"confine", `
+global locks: lock[4];
+global held: ref lock;
+fun f(i: int) {
+    confine &locks[i] {
+        spin_lock(&locks[i]);
+        ESCAPE
+        spin_unlock(&locks[i]);
+    }
+}
+`, "held = &locks[i];", Options{}, true},
+	}
+	for _, c := range cases {
+		for _, escapes := range []bool{true, false} {
+			stmt := ""
+			if escapes {
+				stmt = c.escape
+			}
+			var diags source.Diagnostics
+			prog := parser.Parse("t.mc", strings.Replace(c.src, "ESCAPE", stmt, 1), &diags)
+			tinfo := types.Check(prog, &diags)
+			if diags.HasErrors() {
+				t.Fatalf("%s: %s", c.name, diags.String())
+			}
+			if c.optional {
+				firstConfine(prog).Optional = true
+			}
+			res := Run(tinfo, &diags, c.opts)
+			sol := solve.Solve(res.Sys)
+			if len(res.Candidates) != 1 {
+				t.Fatalf("%s: %d candidates, want 1", c.name, len(res.Candidates))
+			}
+			if got := res.Succeeded(res.Candidates[0]); got == escapes {
+				t.Errorf("%s (escape %v): succeeded = %v", c.name, escapes, got)
+			}
+			twin := false
+			for _, f := range sol.Fired {
+				if tr, ok := f.Trigger.(effects.LocIn); ok && tr.V == res.Sys.Shared {
+					twin = true
+				}
+			}
+			if twin != escapes {
+				t.Errorf("%s (escape %v): the Γ(globals) trigger fired = %v", c.name, escapes, twin)
+			}
+		}
 	}
 }

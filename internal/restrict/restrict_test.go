@@ -1,6 +1,7 @@
 package restrict
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -527,5 +528,58 @@ fun f(q: ref int, w: ref int): int {
 	r2, _ := inferSrc(t, src, false)
 	if len(r1.Restricted) != len(r2.Restricted) {
 		t.Fatalf("nondeterministic inference: %d vs %d", len(r1.Restricted), len(r2.Restricted))
+	}
+}
+
+// TestEscapeViaGlobalMessages pins the diagnostics of explicit
+// restricts whose pointer escapes only through a global, in both the
+// Figure 5 checker and the solver that inference runs. An explicit
+// binder's escape set holds Γ(globals) itself, so the messages name
+// it, as they did when every escape set held a copy of the globals.
+func TestEscapeViaGlobalMessages(t *testing.T) {
+	const src = `
+global x: ref int;
+
+fun f(q: ref int) {
+    restrict p = q {
+        x = p;
+    }
+}
+
+fun g(q: restrict ref int) {
+    x = q;
+}
+
+fun h(r: ref int) {
+    restrict s = r;
+    x = s;
+}
+`
+	want := []string{
+		`restrict "p": the restricted pointer escapes its scope (ρ5 (p') %s esc(p))`,
+		`restrict parameter "q": the restricted pointer escapes the function (ρ6 (p') %s esc(q))`,
+		`restrict "s": the restricted pointer escapes its scope (ρ7 (p') %s esc(s))`,
+	}
+	for _, path := range []struct {
+		name, verb string
+		run        func(*types.Info, *source.Diagnostics)
+	}{
+		{"check", "reaches", func(ti *types.Info, ds *source.Diagnostics) { Check(ti, ds) }},
+		{"infer", "is in", func(ti *types.Info, ds *source.Diagnostics) { Infer(ti, ds, Options{}) }},
+	} {
+		tinfo, diags := compile(t, src)
+		path.run(tinfo, diags)
+		var got []string
+		for _, d := range diags.List {
+			got = append(got, d.Message)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d diagnostics, want %d:\n%s", path.name, len(got), len(want), diags.String())
+		}
+		for i, w := range want {
+			if w = fmt.Sprintf(w, path.verb); got[i] != w {
+				t.Errorf("%s: diagnostic %d:\n got %s\nwant %s", path.name, i, got[i], w)
+			}
+		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 // TestInferredProgramReparses requires the program that infer and
 // confine responses carry — the module rewritten with the restricts
 // and confines inference kept, let-inference on — to parse and pass
-// standard checking again, for every golden file and corpus module.
+// standard checking again, for every golden file and corpus module
+// and for one module that dereferences under a field access.
 // An inferred let prints as the restricted let "restrict x = e;".
 func TestInferredProgramReparses(t *testing.T) {
 	files, err := filepath.Glob("../golden/testdata/*.mc")
@@ -35,6 +36,18 @@ func TestInferredProgramReparses(t *testing.T) {
 	for _, s := range drivergen.Corpus() {
 		inputs = append(inputs, input{s.Name, s.Source()})
 	}
+	// A dereference under a field access, which no other input has:
+	// (*p).l must not print as *p.l, which reads back as *(p.l).
+	inputs = append(inputs, input{"deref_field.mc", `
+struct s {
+    l: lock;
+}
+
+fun f(p: ref s) {
+    spin_lock(&(*p).l);
+    spin_unlock(&(*p).l);
+}
+`})
 	restricted := 0
 	for _, in := range inputs {
 		for _, mode := range []string{ModeInfer, ModeConfine} {

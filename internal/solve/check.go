@@ -43,7 +43,7 @@ type Checker struct {
 // interpreted here — checking per Section 4 applies to fully
 // annotated programs; use Solve for inference.
 func NewChecker(sys *effects.System) *Checker {
-	g := newGraph(sys, nil)
+	g := newGraph(sys, nil, true)
 	return &Checker{
 		g:        g,
 		varMark:  make([]int, g.nvar),

@@ -151,6 +151,24 @@ func TestDenseMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
+// TestDenseMatchesReferenceShared cross-checks the shared gate: random
+// systems in which one shared variable is the implicit right operand
+// of many intersections, with conditionals that unify locations and
+// share them late. The dense solver reads the shared variable by
+// membership and holds gate atoms back on waiting lists; the reference
+// reads it through ordinary edges. Both must reach the same least
+// solution and fire the same conditionals.
+func TestDenseMatchesReferenceShared(t *testing.T) {
+	for seed := int64(0); seed < 1000; seed++ {
+		denseSys := solve.RandomSharedSystem(seed)
+		refSys := solve.RandomSharedSystem(seed)
+		dense := solve.Solve(denseSys)
+		ref := solve.SolveReference(refSys)
+		compareSolutions(t, fmt.Sprintf("shared seed %d", seed), denseSys, dense, refSys, ref)
+		dense.Release()
+	}
+}
+
 // TestDenseMatchesReferenceProgen runs both solvers over the full
 // inference pipeline on random well-typed programs (restrict-let
 // inference on, so the systems carry the paper's conditional

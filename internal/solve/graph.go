@@ -81,7 +81,12 @@ type inode struct {
 // forms, seed rows, CSR arrays, intersection nodes); the Checker and
 // the reference solver pass nil, since they retain the graph beyond
 // the scratch's checkout.
-func newGraph(sys *effects.System, sc *scratch) *graph {
+//
+// sharedEdges materializes the system's shared variable as ordinary
+// edges: one from it into the right side of every intersection node.
+// The Checker and the reference solver read it that way; the dense
+// solver leaves the edges out and tests membership instead.
+func newGraph(sys *effects.System, sc *scratch, sharedEdges bool) *graph {
 	g := &graph{ls: sys.Locs}
 	var norms []effects.Norm
 	if sc == nil {
@@ -104,6 +109,10 @@ func newGraph(sys *effects.System, sc *scratch) *graph {
 
 	// CSR in two passes: count each variable's out-degree, prefix-sum
 	// into edgeStart, then fill slots in norm order.
+	shared := effects.NoVar
+	if sharedEdges {
+		shared = sys.Shared
+	}
 	for _, n := range norms {
 		if !n.Inter {
 			if !n.Left.IsAtom {
@@ -116,6 +125,9 @@ func newGraph(sys *effects.System, sc *scratch) *graph {
 		}
 		if !n.Right.IsAtom {
 			degree[n.Right.V]++
+		}
+		if shared != effects.NoVar {
+			degree[shared]++
 		}
 	}
 	if sc == nil {
@@ -161,6 +173,9 @@ func newGraph(sys *effects.System, sc *scratch) *graph {
 			in.rightSeeds = append(in.rightSeeds, n.Right.A)
 		} else {
 			addEdge(n.Right.V, target{kind: toRight, idx: i})
+		}
+		if shared != effects.NoVar {
+			addEdge(shared, target{kind: toRight, idx: i})
 		}
 	}
 	if sc != nil {

@@ -50,6 +50,8 @@ type scratch struct {
 	watch      [][]int32
 	leftBuf    bitset.ArenaBuf
 	right      []bitset.Set
+	sharedLocs bitset.Set
+	waiting    [][]gateAtom
 }
 
 // retained is the storage a Result keeps until Release.
@@ -132,6 +134,16 @@ func (sc *scratch) takeRight(n int) []bitset.Set {
 	return s
 }
 
+// takeSharedLocs returns the shared-location set emptied in place.
+func (sc *scratch) takeSharedLocs() bitset.Set {
+	sc.sharedLocs.Clear()
+	return sc.sharedLocs
+}
+
+func (sc *scratch) takeWaiting(n int) [][]gateAtom {
+	return takeRows(&sc.waiting, n)
+}
+
 func (sc *scratch) takeIDsByLoc(n int) [][]effects.ID {
 	return takeRows(&sc.idsByLoc, n)
 }
@@ -156,4 +168,8 @@ func (sc *scratch) reclaim(s *solver) {
 	sc.watch = s.watch
 	sc.pending = s.pending
 	sc.right = s.right
+	if s.shared != effects.NoVar {
+		sc.sharedLocs = s.sharedLocs
+		sc.waiting = s.waiting
+	}
 }

@@ -77,7 +77,7 @@ type refQitem struct {
 // map-based worklist algorithm. It is the reference implementation
 // for differential testing; production callers use Solve.
 func SolveReference(sys *effects.System) *RefResult {
-	g := newGraph(sys, nil)
+	g := newGraph(sys, nil, true)
 	s := &refSolver{g: g, ls: sys.Locs}
 	s.res = &RefResult{sys: sys, ls: sys.Locs}
 	s.sets = make([]map[effects.Atom]bool, g.nvar)

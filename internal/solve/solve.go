@@ -222,6 +222,12 @@ func (r *Result) hasKindLocResult(v effects.Var, k effects.Kind, loc locs.Loc) b
 // the graph's CSR rows. Only two structures can grow mid-solve: the
 // interner (a unification creates the canonical successor of a stale
 // atom) and the `extra` edge overlay (an ActIncl adds an inclusion).
+//
+// The system's shared variable (effects.System.Shared) has no edges
+// into the gates' right sides. The solver keeps the canonical
+// locations of its solution in one bitset that every gate consults,
+// and parks a left atom no gate admits yet on its location's waiting
+// list until that location becomes shared.
 
 type solver struct {
 	g  *graph
@@ -242,6 +248,16 @@ type solver struct {
 	sets  []bitset.Set // per variable: atom IDs
 	left  []bitset.Set // per inode: atom IDs buffered on the left
 	right []bitset.Set // per inode: canonical locations seen on the right
+
+	// shared is the system's shared variable (NoVar for none) and
+	// sharedLocs the canonical locations of its solution: a gate
+	// admits a left atom whose location is in its right set or in
+	// sharedLocs. waiting[rho] lists the left atoms a gate held back
+	// at rho; they pass when rho becomes shared, and a unification
+	// moves the loser's list to the winner.
+	shared     effects.Var
+	sharedLocs bitset.Set
+	waiting    [][]gateAtom
 
 	// queue of pending insertions.
 	queue []qitem
@@ -283,6 +299,12 @@ type qitem struct {
 	id effects.ID
 }
 
+// gateAtom is a left atom held back at intersection node inode.
+type gateAtom struct {
+	inode int32
+	id    effects.ID
+}
+
 // Solve computes the least solution of sys, firing conditional
 // constraints as their triggers become true. The algorithm is the
 // paper's worklist scheme: initial propagation costs O(n·|locs|); each
@@ -319,7 +341,7 @@ const deadlineStride = 4096
 // until Result.Release.
 func SolveCtx(ctx context.Context, sys *effects.System) *Result {
 	sc := getScratch()
-	g := newGraph(sys, sc)
+	g := newGraph(sys, sc, false)
 	ret := getRetained(sys.Locs.Len())
 	s := &solver{
 		g:        g,
@@ -358,6 +380,11 @@ func SolveCtx(ctx context.Context, sys *effects.System) *Result {
 	}
 	s.left = sc.leftBuf.Carve(len(g.inter), idWords)
 	s.right = sc.takeRight(len(g.inter))
+	s.shared = sys.Shared
+	if s.shared != effects.NoVar {
+		s.sharedLocs = sc.takeSharedLocs()
+		s.waiting = sc.takeWaiting(sys.Locs.Len())
+	}
 
 	s.conds = sys.Conds
 	s.pending = sc.takePending(len(sys.Conds))
@@ -516,6 +543,9 @@ func (s *solver) propagate(v effects.Var, id effects.ID) {
 			s.follow(t, id)
 		}
 	}
+	if v == s.shared {
+		s.share(s.ls.Find(s.in.Atom(id).Loc))
+	}
 	s.checkTriggersFor(v, id)
 }
 
@@ -536,8 +566,12 @@ func (s *solver) arriveLeft(i int32, id effects.ID) {
 		return
 	}
 	s.stats.IntersectionArrivals++
-	if s.right[i].Has(int(s.in.Atom(id).Loc)) {
+	rho := s.in.Atom(id).Loc
+	switch {
+	case s.right[i].Has(int(rho)) || s.sharedLocs.Has(int(rho)):
 		s.insert(s.g.inter[i].Out, id)
+	case s.shared != effects.NoVar:
+		s.waiting[rho] = append(s.waiting[rho], gateAtom{inode: i, id: id})
 	}
 }
 
@@ -554,6 +588,24 @@ func (s *solver) arriveRight(i int32, id effects.ID) {
 			s.insert(out, bid)
 		}
 	})
+}
+
+// share records that the canonical location rho is in the shared
+// variable's solution, letting through every left atom held back at
+// it.
+func (s *solver) share(rho locs.Loc) {
+	if s.sharedLocs.Add(int(rho)) {
+		s.release(rho)
+	}
+}
+
+// release passes the left atoms waiting at rho through their gates.
+func (s *solver) release(rho locs.Loc) {
+	w := s.waiting[rho]
+	s.waiting[rho] = w[:0]
+	for _, g := range w {
+		s.insert(s.g.inter[g.inode].Out, g.id)
+	}
 }
 
 // recanonicalize restores the solver's invariants after location
@@ -599,6 +651,28 @@ func (s *solver) recanonicalize() {
 			s.idsByLoc = append(s.idsByLoc, nil)
 		}
 		s.idsByLoc[c] = append(s.idsByLoc[c], id)
+	}
+
+	// The shared locations and the waiting lists are kept by canonical
+	// location too: a loser's membership and its list pass to the
+	// winner, and a list whose location is now shared is let through.
+	if s.shared != effects.NoVar {
+		for _, l := range losers {
+			w := s.ls.Find(l)
+			if s.sharedLocs.Has(int(l)) {
+				s.sharedLocs.Remove(int(l))
+				s.sharedLocs.Add(int(w))
+			}
+			if len(s.waiting[l]) > 0 {
+				s.waiting[w] = append(s.waiting[w], s.waiting[l]...)
+				s.waiting[l] = s.waiting[l][:0]
+			}
+		}
+		for _, l := range losers {
+			if w := s.ls.Find(l); s.sharedLocs.Has(int(w)) {
+				s.release(w)
+			}
+		}
 	}
 
 	for i := range s.g.inter {

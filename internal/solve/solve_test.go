@@ -384,6 +384,82 @@ func TestSolveUnifyMergesAtomsAcrossSets(t *testing.T) {
 	}
 }
 
+// TestDownAdmitsSharedLocations: a (Down) gate whose right operand
+// lacks the globals admits a body effect on a location in the shared
+// variable, including one that becomes shared only late in the solve,
+// after the effect was held back at the gate: through a unification
+// with a global (either orientation) or an atom added to the shared
+// variable. The Checker and the reference solver read the shared
+// variable through ordinary edges and must agree.
+func TestDownAdmitsSharedLocations(t *testing.T) {
+	cases := []struct {
+		name string
+		late func(a, g locs.Loc, shared effects.Var) effects.Action
+	}{
+		{"already shared", nil},
+		{"unify local into global", func(a, g locs.Loc, _ effects.Var) effects.Action {
+			return effects.ActUnify{A: a, B: g}
+		}},
+		{"unify global into local", func(a, g locs.Loc, _ effects.Var) effects.Action {
+			return effects.ActUnify{A: g, B: a}
+		}},
+		{"added to the shared variable", func(a, _ locs.Loc, shared effects.Var) effects.Action {
+			return effects.ActAddAtom{A: atom(effects.LocAtom, a), V: shared}
+		}},
+	}
+	for _, c := range cases {
+		build := func() (*effects.System, locs.Loc, locs.Loc, effects.Var) {
+			ls := locs.NewStore()
+			s := effects.NewSystem(ls)
+			g, a, other := ls.Fresh("g"), ls.Fresh("a"), ls.Fresh("other")
+			body, keep, eff := s.Fresh("body"), s.Fresh("keep"), s.Fresh("eff")
+			v1, v2 := s.Fresh("v1"), s.Fresh("v2")
+			// The shared variable is made last so that the solver
+			// propagates its seed first: g is shared before any body
+			// effect reaches the gate.
+			envG := s.Fresh("Γ(globals)")
+			s.Shared = envG
+			s.AddAtom(atom(effects.LocAtom, g), envG)
+			s.AddAtom(atom(effects.LocAtom, other), keep)
+			s.AddIncl(effects.Inter{L: effects.VarRef{V: body}, R: effects.VarRef{V: keep}}, eff)
+			if c.late == nil {
+				s.AddAtom(atom(effects.Write, g), body)
+				return s, g, g, eff
+			}
+			// The write on a reaches the gate first; the trigger sits
+			// two hops further on, so the action runs after the gate
+			// has held write(a) back.
+			s.AddAtom(atom(effects.Write, a), body)
+			s.AddVarIncl(body, v1)
+			s.AddVarIncl(v1, v2)
+			s.AddCond(&effects.Cond{
+				Trigger: effects.AtomIn{Kind: effects.Write, Loc: a, V: v2},
+				Actions: []effects.Action{c.late(a, g, envG)},
+			})
+			return s, g, a, eff
+		}
+		s, g, a, eff := build()
+		r := Solve(s)
+		if !r.ContainsAtom(eff, atom(effects.Write, a)) {
+			t.Errorf("%s: (Down) dropped write(%s) on a shared location", c.name, s.Locs.Name(a))
+		}
+		if r.ContainsAtom(eff, atom(effects.LocAtom, g)) {
+			t.Errorf("%s: the shared variable's own atoms leaked through the gate", c.name)
+		}
+		refSys, _, _, refEff := build()
+		ref := SolveReference(refSys)
+		if got, want := fmt.Sprint(r.Atoms(eff)), fmt.Sprint(ref.Atoms(refEff)); got != want {
+			t.Errorf("%s: dense %s, reference %s", c.name, got, want)
+		}
+		if c.late == nil {
+			chkSys, g, _, chkEff := build()
+			if NewChecker(chkSys).Sat(effects.NotIn{Loc: g, V: chkEff}) {
+				t.Errorf("%s: the Checker does not see the global through the shared edge", c.name)
+			}
+		}
+	}
+}
+
 func TestSolveBackwardPrefilter(t *testing.T) {
 	ls := locs.NewStore()
 	s := effects.NewSystem(ls)
@@ -537,6 +613,48 @@ func buildRandomCondInto(sys *effects.System, r *rand.Rand) {
 	}
 }
 
+// RandomSharedSystem is RandomCondSystem plus a shared variable
+// (effects.System.Shared) that is the implicit right operand of many
+// added intersections, with conditionals that share locations late:
+// unifications, atoms and inclusions added to the shared variable.
+// Like RandomCondSystem it is exported only to this package's tests.
+func RandomSharedSystem(seed int64) *effects.System {
+	r := rand.New(rand.NewSource(seed))
+	sys := effects.NewSystem(locs.NewStore())
+	buildRandomCondInto(sys, r)
+	nv, nl := sys.NumVars(), sys.Locs.Len()
+	v := func() effects.Var { return effects.Var(r.Intn(nv)) }
+	rho := func() locs.Loc { return locs.Loc(r.Intn(nl)) }
+	sys.Shared = v()
+	for i, n := 0, 4+r.Intn(12); i < n; i++ {
+		var right effects.Expr = effects.VarRef{V: v()}
+		if r.Intn(4) == 0 {
+			right = effects.AtomExpr{A: effects.Atom{Kind: effects.LocAtom, Loc: rho()}}
+		}
+		sys.AddIncl(effects.Inter{L: effects.VarRef{V: v()}, R: right}, v())
+	}
+	for i, n := 0, r.Intn(3); i < n; i++ {
+		sys.AddAtom(effects.Atom{Kind: effects.LocAtom, Loc: rho()}, sys.Shared)
+	}
+	for i, n := 0, 1+r.Intn(4); i < n; i++ {
+		var act effects.Action
+		switch r.Intn(3) {
+		case 0:
+			act = effects.ActUnify{A: rho(), B: rho()}
+		case 1:
+			act = effects.ActAddAtom{A: effects.Atom{Kind: effects.LocAtom, Loc: rho()}, V: sys.Shared}
+		case 2:
+			act = effects.ActIncl{From: v(), To: sys.Shared}
+		}
+		sys.AddCond(&effects.Cond{
+			Trigger: effects.AtomIn{Kind: effects.Kind(r.Intn(4)), Loc: rho(), V: v()},
+			Actions: []effects.Action{act},
+			Reason:  effects.Reason{Why: fmt.Sprintf("shared cond %d", i)},
+		})
+	}
+	return sys
+}
+
 // TestPooledSolveReuse runs many solves back to back with Release, so
 // every pooled buffer is recycled, and requires each round to
 // reproduce the first round's answers — stale state leaking through
@@ -552,11 +670,14 @@ func TestPooledSolveReuse(t *testing.T) {
 		}
 		out = append(out, res.Stats.String())
 
-		// Interleave a pooled solve of a different system so the
-		// scratch comes back dirty.
-		other := Solve(randomClusterSystem(13, 2))
-		out = append(out, other.Stats.String())
-		other.Release()
+		// Interleave pooled solves of different systems, one with a
+		// shared variable, so the scratch (waiting lists included)
+		// comes back dirty.
+		for _, sys := range []*effects.System{randomClusterSystem(13, 2), RandomSharedSystem(17)} {
+			other := Solve(sys)
+			out = append(out, other.Stats.String())
+			other.Release()
+		}
 		return out
 	}
 	want := snapshot()
