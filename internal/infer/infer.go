@@ -422,8 +422,7 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 			rho := orig.Cell()
 			rhoP := inf.ls.FreshRestricted(p.Name + "'")
 			xT := inf.b.mkRef(rhoP, orig.Elem(), p.Name+"'")
-			esc := inf.paramEscapeVar(fi, i, orig, p.Name)
-			inf.sys.AddVarIncl(inf.envG, esc)
+			esc := inf.paramEscapeVar(fi, i, orig, p.Name, true)
 			inf.sys.AddNotIn(rho, fi.body, p.Sp,
 				effects.Reason{Kind: "restrict parameter", Name: p.Name, Why: "an alias of the restricted location is used in the body"})
 			inf.sys.AddNotIn(rhoP, esc, p.Sp,
@@ -449,7 +448,7 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 				Rho:  rho,
 				RhoP: rhoP,
 			}
-			esc := inf.paramEscapeVar(fi, i, orig, p.Name)
+			esc := inf.paramEscapeVar(fi, i, orig, p.Name, false)
 			inf.addCandidateConds(cand, fi.body, esc, fi.eff)
 			inf.res.Candidates = append(inf.res.Candidates, cand)
 			inf.res.Bindings[p.ID] = &Binding{Node: p, Rho: rho, RhoP: rhoP, Cand: cand}
@@ -463,13 +462,15 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 	inf.cur = nil
 }
 
-// paramEscapeVar builds the escape set for a (restricted) parameter
-// without the globals: the other parameters' original types, the
-// content type, and the result type. An explicit restrict adds
-// Γ(globals) to it; a candidate watches Γ(globals) with a trigger of
-// its own.
-func (inf *inferencer) paramEscapeVar(fi *funLInfo, i int, orig *LType, name string) effects.Var {
+// paramEscapeVar builds the escape set for a (restricted) parameter:
+// the other parameters' original types, the content type, and the
+// result type, plus Γ(globals) for an explicit restrict (see
+// escapeVar).
+func (inf *inferencer) paramEscapeVar(fi *funLInfo, i int, orig *LType, name string, explicit bool) effects.Var {
 	esc := inf.sys.FreshN("esc(", name, ")")
+	if explicit {
+		inf.sys.AddVarIncl(inf.envG, esc)
+	}
 	for j, q := range fi.params {
 		if j != i {
 			inf.sys.AddVarIncl(q.TVar(), esc)
@@ -565,8 +566,7 @@ func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effe
 		inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
 
 		l2 := inf.sys.FreshN("L2(", s.Name, ")")
-		esc := inf.escapeVar(env, initT, s.Name)
-		inf.sys.AddVarIncl(inf.envG, esc)
+		esc := inf.escapeVar(env, initT, s.Name, true)
 		env2 := inf.extendEnv(env, xT, s.Name)
 		inf.walkStmts(rest, l2, env2)
 		inf.sys.AddVarIncl(l2, sink)
@@ -590,7 +590,7 @@ func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effe
 			RhoP: rhoP,
 		}
 		l2 := inf.sys.FreshN("L2(", s.Name, ")")
-		esc := inf.escapeVar(env, initT, s.Name)
+		esc := inf.escapeVar(env, initT, s.Name, false)
 		env2 := inf.extendEnv(env, xT, s.Name)
 		inf.walkStmts(rest, l2, env2)
 		inf.sys.AddVarIncl(l2, sink)
@@ -606,12 +606,16 @@ func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effe
 	}
 }
 
-// escapeVar builds locs(Γ, τ₁, τ₂) without the globals: the
-// function's binders in scope, the content type of the bound pointer,
-// and the function result. An explicit binder adds Γ(globals) to it;
-// a candidate watches Γ(globals) with a trigger of its own.
-func (inf *inferencer) escapeVar(env effects.Var, refT *LType, name string) effects.Var {
+// escapeVar builds locs(Γ, τ₁, τ₂): the function's binders in scope,
+// the content type of the bound pointer, and the function result, plus
+// Γ(globals) for an explicit binder, whose checks and diagnostics name
+// this set. A candidate's escape set leaves the globals out: it
+// watches Γ(globals) with a trigger of its own (addCandidateConds).
+func (inf *inferencer) escapeVar(env effects.Var, refT *LType, name string, explicit bool) effects.Var {
 	esc := inf.sys.FreshN("esc(", name, ")")
+	if explicit {
+		inf.sys.AddVarIncl(inf.envG, esc)
+	}
 	if env != effects.NoVar {
 		inf.sys.AddVarIncl(env, esc)
 	}
@@ -688,8 +692,7 @@ func (inf *inferencer) bindStmt(s *ast.BindStmt, sink, env effects.Var) {
 	inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
 
 	l2 := inf.sys.FreshN("L2(", s.Name, ")")
-	esc := inf.escapeVar(env, initT, s.Name)
-	inf.sys.AddVarIncl(inf.envG, esc)
+	esc := inf.escapeVar(env, initT, s.Name, true)
 	env2 := inf.extendEnv(env, xT, s.Name)
 	inf.walkStmts(s.Body.Stmts, l2, env2)
 	inf.sys.AddVarIncl(l2, sink)
@@ -724,7 +727,7 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 	xT := inf.b.mkRef(rhoP, e1T.Elem(), name+"'")
 	pi := inf.sys.FreshN("π'(", name, ")")
 	l2 := inf.sys.FreshN("L2(", name, ")")
-	esc := inf.escapeVar(env, e1T, name)
+	esc := inf.escapeVar(env, e1T, name, !s.Optional)
 
 	inf.confines = append(inf.confines, &confCtx{expr: s.Expr, xT: xT, pi: pi})
 	inf.walkStmts(s.Body.Stmts, l2, env)
@@ -766,7 +769,6 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 	// Explicit confine: hard checks (the confine rule derived from
 	// confine? by requiring ρ ≠ ρ′, Section 6.1).
 	inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
-	inf.sys.AddVarIncl(inf.envG, esc)
 	inf.sys.AddNotIn(rho, l2, s.Sp,
 		effects.Reason{Kind: "confine", Name: name, Why: "an alias of the confined location is used within its scope"})
 	inf.sys.AddNotIn(rhoP, esc, s.Sp,

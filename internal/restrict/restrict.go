@@ -19,6 +19,7 @@ package restrict
 
 import (
 	"fmt"
+	"slices"
 
 	"localalias/internal/ast"
 	"localalias/internal/effects"
@@ -126,7 +127,10 @@ func Infer(tinfo *types.Info, diags *source.Diagnostics, opts Options) *InferRes
 	// merges, once, instead of scanning all of sol.Fired per rejected
 	// candidate (O(rejected × fired) on large modules). Reasons keep
 	// firing order, and a conditional contributes one reason per pair
-	// even if it carries both orientations.
+	// even if it carries both orientations. A reason already listed
+	// for the pair is not listed again: a candidate whose pointer
+	// escapes both through a global and otherwise fires its escape
+	// trigger and the twin that watches Γ(globals), with one reason.
 	firedUnifies := make(map[[2]locs.Loc][]string)
 	for _, f := range sol.Fired {
 		var done [][2]locs.Loc
@@ -146,7 +150,9 @@ func Infer(tinfo *types.Info, diags *source.Diagnostics, opts Options) *InferRes
 				}
 			}
 			done = append(done, key)
-			firedUnifies[key] = append(firedUnifies[key], f.Reason.String())
+			if why := f.Reason.String(); !slices.Contains(firedUnifies[key], why) {
+				firedUnifies[key] = append(firedUnifies[key], why)
+			}
 		}
 	}
 

@@ -406,6 +406,22 @@ fun f(q: ref int) {
 	if len(r.Restricted) != 0 {
 		t.Fatalf("escaping let must stay let\n%s", r.Summary())
 	}
+	// Escaping through a global and through the result fires both the
+	// escape trigger and its Γ(globals) twin; the reason is listed once.
+	r, _ = inferSrc(t, `
+global x: ref int;
+fun f(q: ref int): ref int {
+    let p = q;
+    x = p;
+    return p;
+}
+`, false)
+	if len(r.Rejected) != 1 {
+		t.Fatalf("escaping let must stay let\n%s", r.Summary())
+	}
+	if got := r.Rejected[0].Reasons; len(got) != 1 || !strings.Contains(got[0], "escapes its scope") {
+		t.Errorf("reasons: %q, want the escape reason once", got)
+	}
 }
 
 func TestInferMixedCandidates(t *testing.T) {

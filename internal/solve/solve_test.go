@@ -633,21 +633,21 @@ func RandomSharedSystem(seed int64) *effects.System {
 		}
 		sys.AddIncl(effects.Inter{L: effects.VarRef{V: v()}, R: right}, v())
 	}
-	for i, n := 0, r.Intn(3); i < n; i++ {
+	for i, n := 0, 1+r.Intn(2); i < n; i++ {
 		sys.AddAtom(effects.Atom{Kind: effects.LocAtom, Loc: rho()}, sys.Shared)
 	}
-	for i, n := 0, 1+r.Intn(4); i < n; i++ {
+	for i, n := 0, 2+r.Intn(4); i < n; i++ {
 		var act effects.Action
-		switch r.Intn(3) {
-		case 0:
+		switch r.Intn(4) {
+		case 0, 1:
 			act = effects.ActUnify{A: rho(), B: rho()}
-		case 1:
-			act = effects.ActAddAtom{A: effects.Atom{Kind: effects.LocAtom, Loc: rho()}, V: sys.Shared}
 		case 2:
+			act = effects.ActAddAtom{A: effects.Atom{Kind: effects.LocAtom, Loc: rho()}, V: sys.Shared}
+		case 3:
 			act = effects.ActIncl{From: v(), To: sys.Shared}
 		}
 		sys.AddCond(&effects.Cond{
-			Trigger: effects.AtomIn{Kind: effects.Kind(r.Intn(4)), Loc: rho(), V: v()},
+			Trigger: effects.KindIn{Kind: effects.Kind(r.Intn(4)), V: v()},
 			Actions: []effects.Action{act},
 			Reason:  effects.Reason{Why: fmt.Sprintf("shared cond %d", i)},
 		})
