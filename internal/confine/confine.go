@@ -131,9 +131,6 @@ func InferAndApplyOver(base *infer.Result, prog *ast.Program, diags *source.Diag
 	}
 	opts.Trace.Enter(obs.PhaseSolve)
 	res.Solution = solve.SolveCtx(opts.Ctx, res.Infer.Sys)
-	if effects.ReportMalformed(diags, prog.File, res.Solution.Malformed()) {
-		return res, fmt.Errorf("confine: %w", diags.Err())
-	}
 	res.Violations = res.Solution.Violations()
 	for _, v := range res.Violations {
 		diags.Errorf(prog.File, v.Site, "confine", "%s", v.String())

@@ -191,11 +191,10 @@ func (m *Module) AnalyzeLocking(opts LockingOptions) (*LockingResult, error) {
 // per-module deadline can abort a pathological system cooperatively,
 // and tr (when non-nil) records which phase is executing so a panic
 // or timeout is attributed to infer/solve/qual rather than to the
-// whole module. Internal inconsistencies (unification mismatches,
-// malformed effect expressions) become positioned diagnostics on
-// m.Diags and an error — never a panic. Both solutions it makes are
-// released before it returns: the reports and the package summary
-// hold all a caller reads.
+// whole module. Internal inconsistencies (unification mismatches)
+// become positioned diagnostics on m.Diags and an error — never a
+// panic. Both solutions it makes are released before it returns: the
+// reports and the package summary hold all a caller reads.
 func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr *faults.Trace) (*LockingResult, error) {
 	out := &LockingResult{Module: m}
 
@@ -209,28 +208,24 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	}
 	tr.Enter(obs.PhaseSolve)
 	baseSol := solve.SolveCtx(ctx, baseInfer.Sys)
-	if err := m.reportMalformed(baseSol.Malformed()); err != nil {
-		return nil, err
-	}
 	tr.Enter(obs.PhaseQual)
 	out.NoConfine = qual.AnalyzeWith(baseInfer, baseSol, qual.ModePlain,
 		opts.ImportTransfers[VariantNoConfine])
 	out.AllStrong = qual.AnalyzeWith(baseInfer, baseSol, qual.ModeAllStrong,
 		opts.ImportTransfers[VariantAllStrong])
 
-	// Without a package summary to export, the baseline run is done:
-	// its solution's pooled arena serves the confine solve, and its
-	// inference tables the confine run.
-	out.SolveStats.Add(baseSol.Stats)
-	var spent *infer.Result
-	if !opts.ExportAPI {
-		releaseSolution(baseSol)
-		spent = baseInfer
+	if opts.ExportAPI {
+		out.API = exportBaseAPI(m, baseInfer, baseSol, opts)
 	}
+
+	// The baseline run is done: its solution's pooled arena serves the
+	// confine solve, and its inference tables the confine run.
+	out.SolveStats.Add(baseSol.Stats)
+	releaseSolution(baseSol)
 
 	// Confine inference (mutates the AST and extends m.TInfo to
 	// match), then the qualifier analysis over the surviving bindings.
-	cres, err := confine.InferAndApplyOver(spent, m.Prog, m.Diags, confine.Options{
+	cres, err := confine.InferAndApplyOver(baseInfer, m.Prog, m.Diags, confine.Options{
 		Params:        true,
 		Lets:          true,
 		Ctx:           ctx,
@@ -247,8 +242,8 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 		opts.ImportTransfers[VariantWithConfine])
 	out.SolveStats.Add(cres.Solution.Stats)
 	if opts.ExportAPI {
-		out.API = exportAPI(m, baseInfer, baseSol, cres, opts)
-		releaseSolution(baseSol)
+		out.API.Transfers[VariantWithConfine] = qual.ComputeTransfers(
+			cres.Infer, cres.Solution, qual.ModePlain, opts.ImportTransfers[VariantWithConfine])
 	}
 	releaseSolution(cres.Solution)
 	return out, nil
@@ -258,14 +253,16 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 // with; tests replace it to see which solutions are released.
 var releaseSolution = (*solve.Result).Release
 
-// exportAPI computes the module's package summary from the three
-// analysis runs: transfer tables are probed under exactly the
-// (inference result, solution, mode) triples the experiment's columns
-// use, so a caller applying variant V sees the callee as variant V
-// analyzed it. Effect masks come from the baseline solve's latent
-// effects, restricted to the cells each formal exposes.
-func exportAPI(m *Module, baseInfer *infer.Result, baseSol *solve.Result,
-	cres *confine.Result, opts LockingOptions) *PackageAPI {
+// exportBaseAPI computes the part of the module's package summary
+// that the baseline run determines, before that run is released:
+// signatures, effect masks from the baseline solve's latent effects
+// (restricted to the cells each formal exposes), and the no-confine
+// and all-strong transfer tables. Transfer tables are probed under
+// exactly the (inference result, solution, mode) triples the
+// experiment's columns use, so a caller applying variant V sees the
+// callee as variant V analyzed it; AnalyzeLockingCtx adds the
+// with-confine table after the confine run.
+func exportBaseAPI(m *Module, baseInfer *infer.Result, baseSol *solve.Result, opts LockingOptions) *PackageAPI {
 	api := &PackageAPI{
 		Name:    m.Name,
 		Sigs:    m.TInfo.Exports(m.Name),
@@ -275,8 +272,6 @@ func exportAPI(m *Module, baseInfer *infer.Result, baseSol *solve.Result,
 		baseInfer, baseSol, qual.ModePlain, opts.ImportTransfers[VariantNoConfine])
 	api.Transfers[VariantAllStrong] = qual.ComputeTransfers(
 		baseInfer, baseSol, qual.ModeAllStrong, opts.ImportTransfers[VariantAllStrong])
-	api.Transfers[VariantWithConfine] = qual.ComputeTransfers(
-		cres.Infer, cres.Solution, qual.ModePlain, opts.ImportTransfers[VariantWithConfine])
 	for name, sig := range api.Sigs.Funs {
 		api.Effects[name] = effectMasks(baseInfer, baseSol, sig)
 	}
@@ -314,17 +309,4 @@ func effectMasks(res *infer.Result, sol *solve.Result, sig *types.FunSig) []effe
 		}
 	})
 	return masks
-}
-
-// reportMalformed converts constraints dropped during normalization
-// into positioned internal-error diagnostics and a module-failing
-// error. A healthy build never reaches this path; it exists so an
-// effects-language extension missing a Normalize case degrades to one
-// failed module instead of a crashed corpus run. The diagnostic
-// wording is shared with confine via effects.ReportMalformed.
-func (m *Module) reportMalformed(mal []effects.MalformedExpr) error {
-	if !effects.ReportMalformed(m.Diags, m.Prog.File, mal) {
-		return nil
-	}
-	return fmt.Errorf("%s: %w", m.Name, m.Diags.Err())
 }

@@ -512,8 +512,8 @@ fun handle(i: int) {
 }
 
 // TestAnalyzeLockingReleasesSolutions checks that AnalyzeLockingCtx
-// releases both solutions it makes, also when it exports a package
-// summary (which reads the baseline solution after the confine run).
+// releases both solutions it makes, baseline first, also when it
+// exports a package summary.
 func TestAnalyzeLockingReleasesSolutions(t *testing.T) {
 	var released []*solve.Result
 	defer func(orig func(*solve.Result)) { releaseSolution = orig }(releaseSolution)

@@ -1,11 +1,18 @@
 // Package effects defines the effect constraint language of the paper
-// (Sections 4–6): effect atoms, effect expressions, and the three
-// constraint forms produced by alias-and-effect inference —
+// (Sections 4–6): effect atoms and the three constraint forms
+// produced by alias-and-effect inference —
 //
-//	L ⊆ ε    inclusion of an effect expression in an effect variable
+//	L ⊆ ε    inclusion, in the normal form of Figure 4b:
+//	         {a} ⊆ ε, ε₁ ⊆ ε₂ or ε₁ ∩ ε₂ ⊆ ε
 //	ρ ∉ ε    disinclusion of a location from an effect variable
 //	cond     conditional constraints (Sections 5 and 6), used by
 //	         restrict and confine inference
+//
+// Constraints are born normal: inference states an effect union as
+// one inclusion per operand (AddAtom, AddVarIncl), and the only
+// intersection it generates, (Down)'s, has variable operands
+// (AddInter). So Figure 4b's rewriting has nothing to do and no pass
+// runs between inference and the solver.
 //
 // Type equality constraints (Figure 4a) are solved eagerly during
 // inference by unification on located types; the location equalities
@@ -112,50 +119,8 @@ type Var int32
 // NoVar is the absent variable.
 const NoVar Var = -1
 
-// Expr is an effect expression per the paper's grammar
-//
-//	L ::= ∅ | {a} | ε | L₁ ∪ L₂ | L₁ ∩ L₂
-type Expr interface {
-	effString() string
-}
-
-// Empty is ∅.
-type Empty struct{}
-
-// AtomExpr is the singleton {a}.
-type AtomExpr struct{ A Atom }
-
-// VarRef is an effect variable occurrence.
-type VarRef struct{ V Var }
-
-// Union is L₁ ∪ L₂.
-type Union struct{ L, R Expr }
-
-// Inter is L₁ ∩ L₂ (see the package comment for its reading on mixed
-// atom kinds).
-type Inter struct{ L, R Expr }
-
-func (Empty) effString() string      { return "∅" }
-func (e AtomExpr) effString() string { return e.A.String() }
-func (e VarRef) effString() string   { return fmt.Sprintf("ε%d", e.V) }
-func (e Union) effString() string    { return "(" + e.L.effString() + " ∪ " + e.R.effString() + ")" }
-func (e Inter) effString() string    { return "(" + e.L.effString() + " ∩ " + e.R.effString() + ")" }
-
-// String renders an effect expression.
-func String(e Expr) string { return e.effString() }
-
 // ---------------------------------------------------------------------
 // Constraints
-
-// Incl is the inclusion constraint L ⊆ ε. Site optionally records the
-// source construct that generated the constraint, so a malformed
-// expression discovered during normalization can be reported as a
-// positioned diagnostic.
-type Incl struct {
-	L    Expr
-	V    Var
-	Site source.Span
-}
 
 // NotIn is the disinclusion check ρ ∉ ε. Site and What carry
 // diagnostic context (which restrict/confine and which side
@@ -301,14 +266,11 @@ type System struct {
 
 	varNames []varName
 
-	// Incls holds general inclusion constraints (unions,
-	// intersections). The two overwhelmingly common forms — ε₁ ⊆ ε₂
-	// and {a} ⊆ ε — are kept in dense side-lists instead, so the
-	// builder hot path appends a small struct rather than boxing an
-	// Expr, and Normalize emits their norms directly.
-	Incls      []Incl
+	// The three inclusion forms, each in its own dense list: inference
+	// builds every inclusion in the normal form the solver reads.
 	VarIncls   []VarIncl
 	AtomIncls  []AtomIncl
+	InterIncls []InterIncl
 	NotIns     []NotIn
 	KindNotIns []KindNotIn
 	PairNotIns []PairNotIn
@@ -320,41 +282,6 @@ type System struct {
 	// locations every function's (Down) keeps, so that no function
 	// needs its own copy of them.
 	Shared Var
-
-	// Malformed records inclusion constraints Normalize could not
-	// decompose (an Expr implementation outside the five grammar
-	// forms). The constraints are dropped rather than panicking, so
-	// one broken module cannot take down a corpus run; callers that
-	// own a Diagnostics should surface these as positioned
-	// internal-error diagnostics and fail the module.
-	Malformed []MalformedExpr
-}
-
-// MalformedExpr describes one undecomposable inclusion constraint.
-type MalformedExpr struct {
-	// Desc is the dynamic type of the offending expression node.
-	Desc string
-	// V is the constraint's right-hand effect variable.
-	V Var
-	// Site is the source construct that generated the constraint
-	// (NoSpan when the constraint was added without one).
-	Site source.Span
-}
-
-// ReportMalformed records one positioned internal-error diagnostic
-// per dropped constraint. It is the single rendering of this failure
-// shared by every pipeline driver (core, confine): a healthy build
-// never produces malformed constraints, so when one appears the
-// wording — and the phase it is filed under — must not depend on
-// which entry point noticed it. It reports whether anything was
-// recorded.
-func ReportMalformed(ds *source.Diagnostics, f *source.File, mal []MalformedExpr) bool {
-	for _, x := range mal {
-		ds.Errorf(f, x.Site, "effects",
-			"internal error: unknown effect expression %s in a constraint on ε%d (constraint dropped)",
-			x.Desc, int(x.V))
-	}
-	return len(mal) > 0
 }
 
 // VarIncl is the dense representation of From ⊆ To.
@@ -366,6 +293,12 @@ type VarIncl struct {
 type AtomIncl struct {
 	A Atom
 	V Var
+}
+
+// InterIncl is the dense representation of L ∩ R ⊆ V (see the package
+// comment for the reading of ∩ on mixed atom kinds).
+type InterIncl struct {
+	L, R, V Var
 }
 
 // NewSystem returns an empty system over the given location store.
@@ -380,9 +313,9 @@ func (s *System) Reset() {
 	*s = System{
 		Locs:       s.Locs,
 		varNames:   emptied(s.varNames),
-		Incls:      emptied(s.Incls),
 		VarIncls:   s.VarIncls[:0],
 		AtomIncls:  s.AtomIncls[:0],
+		InterIncls: s.InterIncls[:0],
 		NotIns:     emptied(s.NotIns),
 		KindNotIns: emptied(s.KindNotIns),
 		PairNotIns: emptied(s.PairNotIns),
@@ -455,27 +388,6 @@ func (s *System) FreshN(pre, mid, suf string) Var {
 	return v
 }
 
-// AddIncl records L ⊆ v. The common single-variable and single-atom
-// forms are routed to their dense lists.
-func (s *System) AddIncl(l Expr, v Var) {
-	s.AddInclAt(l, v, source.NoSpan)
-}
-
-// AddInclAt records L ⊆ v tagged with the source span that generated
-// the constraint (used to position internal-error diagnostics).
-func (s *System) AddInclAt(l Expr, v Var, site source.Span) {
-	switch l := l.(type) {
-	case Empty:
-		return
-	case VarRef:
-		s.AddVarIncl(l.V, v)
-	case AtomExpr:
-		s.AddAtom(l.A, v)
-	default:
-		s.Incls = append(s.Incls, Incl{L: l, V: v, Site: site})
-	}
-}
-
 // AddAtom records {a} ⊆ v.
 func (s *System) AddAtom(a Atom, v Var) {
 	s.AtomIncls = append(s.AtomIncls, AtomIncl{A: a, V: v})
@@ -487,6 +399,11 @@ func (s *System) AddVarIncl(from, to Var) {
 		return
 	}
 	s.VarIncls = append(s.VarIncls, VarIncl{From: from, To: to})
+}
+
+// AddInter records l ∩ r ⊆ v.
+func (s *System) AddInter(l, r, v Var) {
+	s.InterIncls = append(s.InterIncls, InterIncl{L: l, R: r, V: v})
 }
 
 // AddNotIn records the check ρ ∉ v.
@@ -508,141 +425,4 @@ func (s *System) AddPairNotIn(ka Kind, va Var, kb Kind, vb Var, site source.Span
 // AddCond records a conditional constraint.
 func (s *System) AddCond(c *Cond) {
 	s.Conds = append(s.Conds, c)
-}
-
-// ---------------------------------------------------------------------
-// Normalization (Figure 4b)
-
-// Norm is a normal-form inclusion constraint: either M ⊆ ε or
-// M₁ ∩ M₂ ⊆ ε where M is an atom or a variable.
-type Norm struct {
-	// Left is the sole operand (Inter == false) or the left operand.
-	Left M
-	// Right is the right ∩ operand when Inter is set.
-	Right M
-	Inter bool
-	V     Var
-}
-
-// M is an atom-or-variable operand of a normal-form constraint.
-type M struct {
-	IsAtom bool
-	A      Atom
-	V      Var
-}
-
-// AtomM wraps an atom operand.
-func AtomM(a Atom) M { return M{IsAtom: true, A: a} }
-
-// VarM wraps a variable operand.
-func VarM(v Var) M { return M{V: v} }
-
-func (m M) String() string {
-	if m.IsAtom {
-		return m.A.String()
-	}
-	return fmt.Sprintf("ε%d", m.V)
-}
-
-// Normalize rewrites the system's inclusion constraints into normal
-// form following Figure 4b:
-//
-//	∅ ⊆ ε                 → (drop)
-//	(L₁ ∪ L₂) ⊆ ε         → L₁ ⊆ ε, L₂ ⊆ ε
-//	(∅ ∩ L) ⊆ ε           → (drop)          (and symmetrically)
-//	((L₁ ∪ L₂) ∩ L) ⊆ ε   → ε′ ∩ L ⊆ ε, L₁ ∪ L₂ ⊆ ε′   (ε′ fresh)
-//	(L ∩ (L₁ ∪ L₂)) ⊆ ε   → L ∩ ε′ ⊆ ε, L₁ ∪ L₂ ⊆ ε′   (ε′ fresh)
-//
-// Nested intersections ((L₁∩L₂)∩L ⊆ ε) are likewise hoisted through a
-// fresh variable; the paper notes they never arise once (Down) is
-// merged into the function rule, but handling them keeps Normalize
-// total. The rules preserve least solutions (not arbitrary
-// solutions), which is all satisfiability testing needs.
-func (s *System) Normalize() []Norm {
-	out, _ := s.NormalizeInto(nil, nil)
-	return out
-}
-
-// NormalizeInto is Normalize writing into caller-owned buffers: norms
-// receives the normal form (truncated first) and work is the
-// decomposition worklist. Both are returned with their final
-// capacity so a pooled solver can reuse them across solves instead of
-// reallocating per call.
-func (s *System) NormalizeInto(norms []Norm, work []Incl) ([]Norm, []Incl) {
-	// Nearly every inclusion yields exactly one norm; unions add a few
-	// more. Sizing to the input avoids repeated regrowth on big systems.
-	out := norms[:0]
-	if cap(out) == 0 {
-		out = make([]Norm, 0, len(s.Incls)+len(s.VarIncls)+len(s.AtomIncls))
-	}
-	s.Malformed = s.Malformed[:0] // Normalize may run more than once (e.g. differential tests)
-	work = append(work[:0], s.Incls...)
-	for len(work) > 0 {
-		in := work[len(work)-1]
-		work = work[:len(work)-1]
-		switch l := in.L.(type) {
-		case Empty:
-			// drop
-		case AtomExpr:
-			out = append(out, Norm{Left: AtomM(l.A), V: in.V})
-		case VarRef:
-			if l.V != in.V {
-				out = append(out, Norm{Left: VarM(l.V), V: in.V})
-			}
-		case Union:
-			work = append(work,
-				Incl{L: l.L, V: in.V, Site: in.Site},
-				Incl{L: l.R, V: in.V, Site: in.Site})
-		case Inter:
-			lm, lok := s.asM(l.L, &work, in.Site)
-			rm, rok := s.asM(l.R, &work, in.Site)
-			if !lok || !rok {
-				// One side was ∅: the whole intersection is empty.
-				continue
-			}
-			out = append(out, Norm{Left: lm, Right: rm, Inter: true, V: in.V})
-		default:
-			// An expression form outside the grammar is an internal
-			// invariant breach (inference only builds the five forms
-			// above). Drop the constraint and record it so the caller
-			// can fail this module with a positioned diagnostic —
-			// panicking here used to kill a whole 589-module run.
-			s.Malformed = append(s.Malformed, MalformedExpr{
-				Desc: fmt.Sprintf("%T", in.L),
-				V:    in.V,
-				Site: in.Site,
-			})
-		}
-	}
-	// The dense lists are already in M ⊆ ε form. Reverse creation
-	// order matches the LIFO decomposition above, preserving the edge
-	// layout (and so the propagation schedule) of the pre-split
-	// builder.
-	for i := len(s.VarIncls) - 1; i >= 0; i-- {
-		vi := s.VarIncls[i]
-		out = append(out, Norm{Left: VarM(vi.From), V: vi.To})
-	}
-	for i := len(s.AtomIncls) - 1; i >= 0; i-- {
-		ai := s.AtomIncls[i]
-		out = append(out, Norm{Left: AtomM(ai.A), V: ai.V})
-	}
-	return out, work
-}
-
-// asM reduces an intersection operand to atom-or-variable form,
-// hoisting unions and nested intersections through a fresh variable
-// (second-to-last rules of Figure 4b). The bool is false for ∅.
-func (s *System) asM(e Expr, work *[]Incl, site source.Span) (M, bool) {
-	switch e := e.(type) {
-	case Empty:
-		return M{}, false
-	case AtomExpr:
-		return AtomM(e.A), true
-	case VarRef:
-		return VarM(e.V), true
-	default: // Union, Inter, or a malformed node caught on the next pop
-		fresh := s.Fresh("norm")
-		*work = append(*work, Incl{L: e, V: fresh, Site: site})
-		return VarM(fresh), true
-	}
 }

@@ -6,148 +6,6 @@ import (
 	"localalias/internal/locs"
 )
 
-func TestNormalizeAtomAndVar(t *testing.T) {
-	ls := locs.NewStore()
-	s := NewSystem(ls)
-	rho := ls.Fresh("r")
-	e1 := s.Fresh("e1")
-	e2 := s.Fresh("e2")
-	s.AddAtom(Atom{Kind: Read, Loc: rho}, e1)
-	s.AddVarIncl(e1, e2)
-	norms := s.Normalize()
-	if len(norms) != 2 {
-		t.Fatalf("norms: %v", norms)
-	}
-	for _, n := range norms {
-		if n.Inter {
-			t.Errorf("unexpected intersection: %+v", n)
-		}
-	}
-}
-
-func TestNormalizeDropsEmptyAndSelf(t *testing.T) {
-	ls := locs.NewStore()
-	s := NewSystem(ls)
-	e := s.Fresh("e")
-	s.AddIncl(Empty{}, e)
-	s.AddVarIncl(e, e)
-	if len(s.Normalize()) != 0 {
-		t.Error("empty and self inclusions must normalize away")
-	}
-}
-
-func TestNormalizeUnionSplits(t *testing.T) {
-	ls := locs.NewStore()
-	s := NewSystem(ls)
-	a := Atom{Kind: LocAtom, Loc: ls.Fresh("a")}
-	b := Atom{Kind: LocAtom, Loc: ls.Fresh("b")}
-	c := Atom{Kind: LocAtom, Loc: ls.Fresh("c")}
-	e := s.Fresh("e")
-	// ((a ∪ b) ∪ c) ⊆ e → three singleton constraints.
-	s.AddIncl(Union{L: Union{L: AtomExpr{a}, R: AtomExpr{b}}, R: AtomExpr{c}}, e)
-	norms := s.Normalize()
-	if len(norms) != 3 {
-		t.Fatalf("want 3 norms, got %v", norms)
-	}
-	seen := map[locs.Loc]bool{}
-	for _, n := range norms {
-		if n.Inter || !n.Left.IsAtom || n.V != e {
-			t.Fatalf("bad norm %+v", n)
-		}
-		seen[n.Left.A.Loc] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("atoms lost: %v", seen)
-	}
-}
-
-func TestNormalizeSimpleInter(t *testing.T) {
-	ls := locs.NewStore()
-	s := NewSystem(ls)
-	e1 := s.Fresh("e1")
-	e2 := s.Fresh("e2")
-	e3 := s.Fresh("e3")
-	s.AddIncl(Inter{L: VarRef{e1}, R: VarRef{e2}}, e3)
-	norms := s.Normalize()
-	if len(norms) != 1 || !norms[0].Inter {
-		t.Fatalf("want one intersection norm, got %v", norms)
-	}
-	if norms[0].Left.V != e1 || norms[0].Right.V != e2 || norms[0].V != e3 {
-		t.Errorf("wrong operands: %+v", norms[0])
-	}
-}
-
-func TestNormalizeInterOverUnionHoists(t *testing.T) {
-	// ((L1 ∪ L2) ∩ L) ⊆ ε must introduce a fresh variable per
-	// Figure 4b.
-	ls := locs.NewStore()
-	s := NewSystem(ls)
-	a := Atom{Kind: LocAtom, Loc: ls.Fresh("a")}
-	b := Atom{Kind: LocAtom, Loc: ls.Fresh("b")}
-	eL := s.Fresh("L")
-	e := s.Fresh("e")
-	before := s.NumVars()
-	s.AddIncl(Inter{L: Union{L: AtomExpr{a}, R: AtomExpr{b}}, R: VarRef{eL}}, e)
-	norms := s.Normalize()
-	if s.NumVars() != before+1 {
-		t.Fatalf("expected exactly one fresh variable, got %d new", s.NumVars()-before)
-	}
-	var inters, plains int
-	for _, n := range norms {
-		if n.Inter {
-			inters++
-			if n.Left.IsAtom {
-				t.Errorf("left of hoisted inter should be the fresh var: %+v", n)
-			}
-		} else {
-			plains++
-		}
-	}
-	if inters != 1 || plains != 2 {
-		t.Errorf("want 1 inter + 2 plain, got %d + %d", inters, plains)
-	}
-}
-
-func TestNormalizeInterWithEmptyDrops(t *testing.T) {
-	ls := locs.NewStore()
-	s := NewSystem(ls)
-	e1 := s.Fresh("e1")
-	e2 := s.Fresh("e2")
-	s.AddIncl(Inter{L: Empty{}, R: VarRef{e1}}, e2)
-	s.AddIncl(Inter{L: VarRef{e1}, R: Empty{}}, e2)
-	if n := s.Normalize(); len(n) != 0 {
-		t.Errorf("∅ ∩ L and L ∩ ∅ must drop, got %v", n)
-	}
-}
-
-func TestNormalizeNestedInterHoists(t *testing.T) {
-	ls := locs.NewStore()
-	s := NewSystem(ls)
-	e1, e2, e3, e4 := s.Fresh("e1"), s.Fresh("e2"), s.Fresh("e3"), s.Fresh("e4")
-	s.AddIncl(Inter{L: Inter{L: VarRef{e1}, R: VarRef{e2}}, R: VarRef{e3}}, e4)
-	norms := s.Normalize()
-	inters := 0
-	for _, n := range norms {
-		if n.Inter {
-			inters++
-		}
-	}
-	if inters != 2 {
-		t.Errorf("nested inter must hoist into two inters, got %v", norms)
-	}
-}
-
-func TestExprString(t *testing.T) {
-	ls := locs.NewStore()
-	a := Atom{Kind: Write, Loc: ls.Fresh("x")}
-	e := Union{L: AtomExpr{a}, R: Inter{L: Empty{}, R: VarRef{3}}}
-	got := String(e)
-	want := "(write(ρ0) ∪ (∅ ∩ ε3))"
-	if got != want {
-		t.Errorf("String = %q, want %q", got, want)
-	}
-}
-
 func TestVarNames(t *testing.T) {
 	ls := locs.NewStore()
 	s := NewSystem(ls)
@@ -157,5 +15,28 @@ func TestVarNames(t *testing.T) {
 	}
 	if s.VarName(Var(99)) == "" {
 		t.Error("out-of-range VarName must still render")
+	}
+}
+
+// TestInclusionsBornNormal: each builder appends to its own list, a
+// self-inclusion ε ⊆ ε is dropped, and Reset empties all three lists.
+func TestInclusionsBornNormal(t *testing.T) {
+	ls := locs.NewStore()
+	s := NewSystem(ls)
+	rho := ls.Fresh("r")
+	e1, e2, e3 := s.Fresh("e1"), s.Fresh("e2"), s.Fresh("e3")
+	s.AddAtom(Atom{Kind: Read, Loc: rho}, e1)
+	s.AddVarIncl(e1, e2)
+	s.AddVarIncl(e2, e2)
+	s.AddInter(e1, e2, e3)
+	if len(s.AtomIncls) != 1 || len(s.VarIncls) != 1 || len(s.InterIncls) != 1 {
+		t.Fatalf("lists: atom %v, var %v, inter %v", s.AtomIncls, s.VarIncls, s.InterIncls)
+	}
+	if got := s.InterIncls[0]; got != (InterIncl{L: e1, R: e2, V: e3}) {
+		t.Errorf("AddInter recorded %+v", got)
+	}
+	s.Reset()
+	if len(s.AtomIncls)+len(s.VarIncls)+len(s.InterIncls) != 0 {
+		t.Error("Reset left inclusions behind")
 	}
 }

@@ -376,10 +376,7 @@ func (inf *inferencer) run() {
 		if inf.opts.NoDown {
 			inf.sys.AddVarIncl(fi.body, fi.eff)
 		} else {
-			inf.sys.AddInclAt(effects.Inter{
-				L: effects.VarRef{V: fi.body},
-				R: effects.VarRef{V: fi.keep},
-			}, fi.eff, f.Span())
+			inf.sys.AddInter(fi.body, fi.keep, fi.eff)
 		}
 	}
 

@@ -488,7 +488,7 @@ fun f(q: ref int): int {
 
 	shape := func(r *Result) [7]int {
 		s := r.Sys
-		return [7]int{s.NumVars(), len(s.Incls), len(s.VarIncls), len(s.AtomIncls), len(s.NotIns), len(s.Conds), r.Locs.Len()}
+		return [7]int{s.NumVars(), len(s.InterIncls), len(s.VarIncls), len(s.AtomIncls), len(s.NotIns), len(s.Conds), r.Locs.Len()}
 	}
 	if shape(over) != shape(fresh) {
 		t.Fatalf("system shape: RunOver %v, Run %v", shape(over), shape(fresh))

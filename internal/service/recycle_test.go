@@ -7,21 +7,19 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"localalias/internal/drivergen"
 )
 
-// recycleRequests is the corpus in confine and qual mode: the two
-// modes in which one request hands the baseline run's storage to the
-// confine run and releases both solutions.
+// recycleRequests is the corpus, and the leaves of a 12-leaf XStack as
+// multi_module requests, in confine and qual mode (the digest test's
+// requests in those modes): the two modes in which one request hands
+// the baseline run's storage to the confine run and releases both
+// solutions.
 func recycleRequests() []*AnalyzeRequest {
 	var reqs []*AnalyzeRequest
-	for _, s := range drivergen.Corpus() {
-		src := s.Source()
-		for _, mode := range []string{ModeConfine, ModeQual} {
-			reqs = append(reqs, &AnalyzeRequest{
-				Module: s.Name, Source: src, Options: AnalyzeOptions{Mode: mode},
-			})
+	for _, c := range digestConfigs() {
+		mode := c.reqs[0].Options.Mode
+		if mode == ModeConfine || mode == ModeQual {
+			reqs = append(reqs, c.reqs...)
 		}
 	}
 	return reqs

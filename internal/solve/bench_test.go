@@ -33,10 +33,7 @@ func buildLayered(width, depth int) (*effects.System, []effects.Var, []locs.Loc)
 			sys.AddVarIncl(prev[i], cur[i])
 			sys.AddVarIncl(prev[(i+1)%width], cur[i])
 			if i%5 == 0 {
-				sys.AddIncl(effects.Inter{
-					L: effects.VarRef{V: prev[i]},
-					R: effects.VarRef{V: prev[(i+2)%width]},
-				}, cur[i])
+				sys.AddInter(prev[i], prev[(i+2)%width], cur[i])
 			}
 		}
 		prev = cur

@@ -38,12 +38,13 @@ type Checker struct {
 	reverseAdj // built on demand for the backward search
 }
 
-// NewChecker builds the constraint graph for sys (normalizing its
-// inclusions) and returns a Checker. Conditional constraints are not
-// interpreted here — checking per Section 4 applies to fully
-// annotated programs; use Solve for inference.
+// NewChecker builds the constraint graph for sys and returns a
+// Checker. Conditional constraints are not interpreted here — checking
+// per Section 4 applies to fully annotated programs; use Solve for
+// inference. The graph lives as long as the Checker, so its buffers
+// come from a scratch of its own rather than the solver's pool.
 func NewChecker(sys *effects.System) *Checker {
-	g := newGraph(sys, nil, true)
+	g := newGraph(sys, new(scratch), true)
 	return &Checker{
 		g:        g,
 		varMark:  make([]int, g.nvar),
@@ -109,26 +110,12 @@ func (c *Checker) Sat(ni effects.NotIn) bool {
 		}
 	}
 
-	// Seed: every constraint {a} ⊆ ε (or wired into an inode side)
-	// with loc(a) = ρ is an initial reach.
+	// Seed: every constraint {a} ⊆ ε with loc(a) = ρ is an initial
+	// reach.
 	for v := 0; v < g.nvar; v++ {
 		for _, a := range g.seeds[v] {
 			if g.ls.Find(a.Loc) == rho {
 				pushVar(effects.Var(v))
-				break
-			}
-		}
-	}
-	for i := range g.inter {
-		for _, a := range g.inter[i].leftSeeds {
-			if g.ls.Find(a.Loc) == rho {
-				reachInode(int32(i), true)
-				break
-			}
-		}
-		for _, a := range g.inter[i].rightSeeds {
-			if g.ls.Find(a.Loc) == rho {
-				reachInode(int32(i), false)
 				break
 			}
 		}
@@ -186,12 +173,6 @@ func (c *Checker) ReachableLocs(v effects.Var) *bitset.Set {
 		for _, i := range c.revInode[n] {
 			if !iseen.Add(int(i)) {
 				continue
-			}
-			for _, a := range g.inter[i].leftSeeds {
-				out.Add(int(g.ls.Find(a.Loc)))
-			}
-			for _, a := range g.inter[i].rightSeeds {
-				out.Add(int(g.ls.Find(a.Loc)))
 			}
 			for _, p := range c.revIntoInode[i] {
 				if seen.Add(int(p)) {

@@ -2,7 +2,7 @@ package solve_test
 
 // Differential tests: the dense-index solver (solve.Solve) against the
 // retained map-based reference implementation (solve.SolveReference).
-// The two solvers share nothing beyond the normalized constraint form,
+// The two solvers share nothing beyond the constraint graph they walk,
 // so agreement over random systems and random full-pipeline programs
 // is strong evidence the interner/bitset/CSR rework preserved the
 // least-solution semantics.

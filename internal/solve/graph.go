@@ -3,10 +3,11 @@
 // It provides the two algorithms of the paper:
 //
 //   - Check: the O(kn) satisfiability test of Section 4. The
-//     normal-form constraints are viewed as a directed graph
-//     (location sources, effect-variable nodes, and in-degree-2
-//     intersection nodes); each disinclusion ρ ∉ ε is tested with the
-//     marked depth-first search of Figure 5 (CheckSat).
+//     inclusion constraints, which inference builds in Figure 4b's
+//     normal form, are viewed as a directed graph (location sources,
+//     effect-variable nodes, and in-degree-2 intersection nodes);
+//     each disinclusion ρ ∉ ε is tested with the marked depth-first
+//     search of Figure 5 (CheckSat).
 //
 //   - Solve: the least-solution worklist algorithm with conditional
 //     constraints used by restrict inference (Section 5, O(n²)) and
@@ -47,10 +48,9 @@ const (
 	toRight
 )
 
-// graph is the shared constraint-graph skeleton built from a
-// normalized system. Out-edges are in CSR form: the edges of variable
-// v are edges[edgeStart[v]:edgeStart[v+1]], in the order the
-// normalized constraints produced them (per-variable edge order is
+// graph is the shared constraint-graph skeleton built from a system's
+// inclusion lists. Out-edges are in CSR form: the edges of variable v
+// are edges[edgeStart[v]:edgeStart[v+1]] (per-variable edge order is
 // what keeps propagation — and hence conditional firing order —
 // deterministic).
 type graph struct {
@@ -71,141 +71,73 @@ type graph struct {
 // Count(I)==2 behaviour of Figure 5.)
 type inode struct {
 	Out effects.Var
-	// leftSeeds/rightSeeds are atoms wired directly into a side.
-	leftSeeds  []effects.Atom
-	rightSeeds []effects.Atom
 }
 
-// newGraph normalizes sys and builds the skeleton. A non-nil scratch
-// supplies recycled buffers for every build-time structure (normal
-// forms, seed rows, CSR arrays, intersection nodes); the Checker and
-// the reference solver pass nil, since they retain the graph beyond
-// the scratch's checkout.
+// newGraph builds the skeleton from sys's three inclusion lists in
+// buffers recycled through sc. The layout is the propagation schedule,
+// which the solver's work counters observe: a variable's edges list
+// its intersections, then its variable inclusions, each newest first;
+// intersection node i is the i-th newest intersection; and each seed
+// row lists its atoms newest first.
 //
 // sharedEdges materializes the system's shared variable as ordinary
 // edges: one from it into the right side of every intersection node.
 // The Checker and the reference solver read it that way; the dense
 // solver leaves the edges out and tests membership instead.
 func newGraph(sys *effects.System, sc *scratch, sharedEdges bool) *graph {
-	g := &graph{ls: sys.Locs}
-	var norms []effects.Norm
-	if sc == nil {
-		norms = sys.Normalize()
-	} else {
-		norms, sc.normWork = sys.NormalizeInto(sc.norms, sc.normWork)
-	}
-	// Normalize may create fresh variables, so size after.
-	g.nvar = sys.NumVars()
-
-	var degree, next []int32
-	if sc == nil {
-		g.seeds = make([][]effects.Atom, g.nvar)
-		degree = make([]int32, g.nvar+1)
-	} else {
-		g.seeds = takeRows(&sc.seeds, g.nvar)
-		degree = takeSlice(&sc.degree, g.nvar+1)
-		g.inter = sc.takeInter()
-	}
+	inters, vincls, aincls := sys.InterIncls, sys.VarIncls, sys.AtomIncls
+	g := &graph{ls: sys.Locs, nvar: sys.NumVars()}
+	g.seeds = takeRows(&sc.seeds, g.nvar)
+	g.inter = takeSlice(&sc.inter, len(inters))
 
 	// CSR in two passes: count each variable's out-degree, prefix-sum
-	// into edgeStart, then fill slots in norm order.
+	// into edgeStart, then fill slots in layout order.
 	shared := effects.NoVar
 	if sharedEdges {
 		shared = sys.Shared
 	}
-	for _, n := range norms {
-		if !n.Inter {
-			if !n.Left.IsAtom {
-				degree[n.Left.V]++
-			}
-			continue
-		}
-		if !n.Left.IsAtom {
-			degree[n.Left.V]++
-		}
-		if !n.Right.IsAtom {
-			degree[n.Right.V]++
-		}
+	degree := takeSlice(&sc.degree, g.nvar)
+	for _, ic := range inters {
+		degree[ic.L]++
+		degree[ic.R]++
 		if shared != effects.NoVar {
 			degree[shared]++
 		}
 	}
-	if sc == nil {
-		g.edgeStart = make([]int32, g.nvar+1)
-	} else {
-		g.edgeStart = takeSlice(&sc.edgeStart, g.nvar+1)
+	for _, vi := range vincls {
+		degree[vi.From]++
 	}
+	g.edgeStart = takeSlice(&sc.edgeStart, g.nvar+1)
 	var total int32
 	for v := 0; v < g.nvar; v++ {
 		g.edgeStart[v] = total
 		total += degree[v]
 	}
 	g.edgeStart[g.nvar] = total
-	if sc == nil {
-		g.edges = make([]target, total)
-		next = make([]int32, g.nvar)
-	} else {
-		g.edges = takeSlice(&sc.edges, int(total))
-		next = takeSlice(&sc.next, g.nvar)
-	}
+	g.edges = takeSlice(&sc.edges, int(total))
+	next := takeSlice(&sc.next, g.nvar)
 	copy(next, g.edgeStart[:g.nvar])
 	addEdge := func(from effects.Var, t target) {
 		g.edges[next[from]] = t
 		next[from]++
 	}
-	for _, n := range norms {
-		if !n.Inter {
-			if n.Left.IsAtom {
-				g.seeds[n.V] = append(g.seeds[n.V], n.Left.A)
-			} else {
-				addEdge(n.Left.V, target{kind: toVar, idx: int32(n.V)})
-			}
-			continue
-		}
-		i := int32(len(g.inter))
-		in := g.addInode(n.V)
-		if n.Left.IsAtom {
-			in.leftSeeds = append(in.leftSeeds, n.Left.A)
-		} else {
-			addEdge(n.Left.V, target{kind: toLeft, idx: i})
-		}
-		if n.Right.IsAtom {
-			in.rightSeeds = append(in.rightSeeds, n.Right.A)
-		} else {
-			addEdge(n.Right.V, target{kind: toRight, idx: i})
-		}
+	for i := range g.inter {
+		ic := inters[len(inters)-1-i]
+		g.inter[i].Out = ic.V
+		addEdge(ic.L, target{kind: toLeft, idx: int32(i)})
+		addEdge(ic.R, target{kind: toRight, idx: int32(i)})
 		if shared != effects.NoVar {
-			addEdge(shared, target{kind: toRight, idx: i})
+			addEdge(shared, target{kind: toRight, idx: int32(i)})
 		}
 	}
-	if sc != nil {
-		// Capture append growth so the scratch keeps the high-water
-		// backing for the next solve.
-		sc.norms = norms
-		sc.inter = g.inter
+	for i := len(vincls) - 1; i >= 0; i-- {
+		addEdge(vincls[i].From, target{kind: toVar, idx: int32(vincls[i].To)})
+	}
+	for i := len(aincls) - 1; i >= 0; i-- {
+		ai := aincls[i]
+		g.seeds[ai.V] = append(g.seeds[ai.V], ai.A)
 	}
 	return g
-}
-
-// addInode appends an intersection node, reusing a previously carved
-// slot — and its seed rows' capacity — when the backing allows.
-func (g *graph) addInode(out effects.Var) *inode {
-	if len(g.inter) < cap(g.inter) {
-		g.inter = g.inter[:len(g.inter)+1]
-		in := &g.inter[len(g.inter)-1]
-		in.Out = out
-		in.leftSeeds = in.leftSeeds[:0]
-		in.rightSeeds = in.rightSeeds[:0]
-		return in
-	}
-	g.inter = append(g.inter, inode{Out: out})
-	return &g.inter[len(g.inter)-1]
-}
-
-// takeInter hands out the recycled inode backing, truncated; addInode
-// re-extends it in place so each node's seed rows keep their caps.
-func (sc *scratch) takeInter() []inode {
-	return sc.inter[:0]
 }
 
 // outEdges returns v's static out-edges (CSR row). Edges added by

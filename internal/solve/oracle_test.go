@@ -15,48 +15,40 @@ import (
 	"localalias/internal/source"
 )
 
-// bruteForce computes the least solution by iterating the normalized
-// constraints until fixpoint, entirely independently of the solver's
-// graph machinery.
+// bruteForce computes the least solution by iterating the system's
+// three inclusion lists until fixpoint, entirely independently of the
+// solver's graph machinery.
 func bruteForce(sys *effects.System) []map[effects.Atom]bool {
-	norms := sys.Normalize()
 	sets := make([]map[effects.Atom]bool, sys.NumVars())
 	for i := range sets {
 		sets[i] = map[effects.Atom]bool{}
 	}
-	canon := func(a effects.Atom) effects.Atom {
+	changed := true
+	add := func(v effects.Var, a effects.Atom) {
 		a.Loc = sys.Locs.Find(a.Loc)
-		return a
-	}
-	evalM := func(m effects.M) map[effects.Atom]bool {
-		if m.IsAtom {
-			return map[effects.Atom]bool{canon(m.A): true}
+		if !sets[v][a] {
+			sets[v][a] = true
+			changed = true
 		}
-		return sets[m.V]
 	}
-	for changed := true; changed; {
+	for changed {
 		changed = false
-		for _, n := range norms {
-			add := func(a effects.Atom) {
-				a = canon(a)
-				if !sets[n.V][a] {
-					sets[n.V][a] = true
-					changed = true
-				}
+		for _, ai := range sys.AtomIncls {
+			add(ai.V, ai.A)
+		}
+		for _, vi := range sys.VarIncls {
+			for a := range sets[vi.From] {
+				add(vi.To, a)
 			}
-			if !n.Inter {
-				for a := range evalM(n.Left) {
-					add(a)
-				}
-				continue
-			}
+		}
+		for _, ic := range sys.InterIncls {
 			right := map[locs.Loc]bool{}
-			for a := range evalM(n.Right) {
+			for a := range sets[ic.R] {
 				right[sys.Locs.Find(a.Loc)] = true
 			}
-			for a := range evalM(n.Left) {
+			for a := range sets[ic.L] {
 				if right[sys.Locs.Find(a.Loc)] {
-					add(a)
+					add(ic.V, a)
 				}
 			}
 		}
@@ -91,15 +83,13 @@ func randomSystem(seed int64) (*effects.System, *locs.Store) {
 		case 1: // var edge
 			sys.AddVarIncl(vars[r.Intn(nv)], vars[r.Intn(nv)])
 		case 2: // intersection of two vars
-			sys.AddIncl(effects.Inter{
-				L: effects.VarRef{V: vars[r.Intn(nv)]},
-				R: effects.VarRef{V: vars[r.Intn(nv)]},
-			}, vars[r.Intn(nv)])
-		case 3: // union feeding a var
-			sys.AddIncl(effects.Union{
-				L: effects.AtomExpr{A: effects.Atom{Kind: effects.Read, Loc: rhos[r.Intn(nl)]}},
-				R: effects.VarRef{V: vars[r.Intn(nv)]},
-			}, vars[r.Intn(nv)])
+			l, rt := vars[r.Intn(nv)], vars[r.Intn(nv)]
+			sys.AddInter(l, rt, vars[r.Intn(nv)])
+		case 3: // union feeding a var: {read(ρ)} ∪ ε′ ⊆ ε
+			a := effects.Atom{Kind: effects.Read, Loc: rhos[r.Intn(nl)]}
+			from, to := vars[r.Intn(nv)], vars[r.Intn(nv)]
+			sys.AddAtom(a, to)
+			sys.AddVarIncl(from, to)
 		}
 	}
 	// A couple of location unifications before solving.

@@ -12,7 +12,7 @@ import (
 // two lifetimes:
 //
 //   - scratch: everything dead the moment Solve returns — the graph
-//     build's buffers (normal forms, CSR arrays, seed rows), the
+//     build's buffers (CSR arrays, seed rows, intersection nodes), the
 //     worklist, the watch index, intersection gate sets, and the
 //     re-canonicalization buffers. One scratch is checked out per
 //     Solve and returned before it exits.
@@ -31,8 +31,6 @@ import (
 // lazily grown and retained at their high-water capacity.
 type scratch struct {
 	// Graph-build buffers (see newGraph).
-	norms     []effects.Norm
-	normWork  []effects.Incl
 	seeds     [][]effects.Atom
 	degree    []int32
 	edgeStart []int32

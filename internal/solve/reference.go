@@ -77,7 +77,7 @@ type refQitem struct {
 // map-based worklist algorithm. It is the reference implementation
 // for differential testing; production callers use Solve.
 func SolveReference(sys *effects.System) *RefResult {
-	g := newGraph(sys, nil, true)
+	g := newGraph(sys, new(scratch), true)
 	s := &refSolver{g: g, ls: sys.Locs}
 	s.res = &RefResult{sys: sys, ls: sys.Locs}
 	s.sets = make([]map[effects.Atom]bool, g.nvar)
@@ -105,14 +105,6 @@ func SolveReference(sys *effects.System) *RefResult {
 	for v := range g.seeds {
 		for _, a := range g.seeds[v] {
 			s.insert(effects.Var(v), a)
-		}
-	}
-	for i := range g.inter {
-		for _, a := range g.inter[i].leftSeeds {
-			s.arriveLeft(int32(i), a)
-		}
-		for _, a := range g.inter[i].rightSeeds {
-			s.arriveRight(int32(i), a)
 		}
 	}
 

@@ -64,15 +64,10 @@ func (r *Result) Release() {
 	r.sys, r.ls, r.in, r.sets = nil, nil, nil, nil
 }
 
-// Malformed returns the undecomposable inclusion constraints the
-// pre-solve normalization dropped (see effects.System.Malformed).
-// Non-empty means the least solution is computed over an incomplete
-// system; pipeline callers must surface these as internal-error
-// diagnostics and fail the module.
-func (r *Result) Malformed() []effects.MalformedExpr {
-	r.check()
-	return r.sys.Malformed
-}
+// Malformed is always empty: inference builds every constraint in
+// normal form, so nothing is dropped before solving. It remains only
+// because the steady-state benchmark calls it; it goes with that call.
+func (r *Result) Malformed() []struct{} { return nil }
 
 // Atoms returns the canonical atoms of v's solution, sorted.
 func (r *Result) Atoms(v effects.Var) []effects.Atom {
@@ -417,15 +412,6 @@ func (s *solver) preInternSeeds() {
 			s.internCanon(a)
 		}
 	}
-	for i := range s.g.inter {
-		in := &s.g.inter[i]
-		for _, a := range in.leftSeeds {
-			s.internCanon(a)
-		}
-		for _, a := range in.rightSeeds {
-			s.internCanon(a)
-		}
-	}
 }
 
 // buildWatch marks every cond pending and indexes conds by the
@@ -445,15 +431,6 @@ func (s *solver) seed() {
 	for v, seeds := range s.g.seeds {
 		for _, a := range seeds {
 			s.insert(effects.Var(v), s.internCanon(a))
-		}
-	}
-	for i := range s.g.inter {
-		in := &s.g.inter[i]
-		for _, a := range in.leftSeeds {
-			s.arriveLeft(int32(i), s.internCanon(a))
-		}
-		for _, a := range in.rightSeeds {
-			s.arriveRight(int32(i), s.internCanon(a))
 		}
 	}
 }

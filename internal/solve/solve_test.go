@@ -62,7 +62,7 @@ func TestCheckSatIntersectionGate(t *testing.T) {
 	eL := s.Fresh("L")
 	eR := s.Fresh("R")
 	out := s.Fresh("out")
-	s.AddIncl(effects.Inter{L: effects.VarRef{V: eL}, R: effects.VarRef{V: eR}}, out)
+	s.AddInter(eL, eR, out)
 	s.AddAtom(atom(effects.Write, rho), eL)
 	// Only the left side sees rho: the Count(I)==2 condition of
 	// Figure 5 must block it.
@@ -162,7 +162,7 @@ func TestSolveIntersectionKinds(t *testing.T) {
 	s.AddAtom(atom(effects.Write, kept), body)
 	s.AddAtom(atom(effects.Read, dropped), body)
 	s.AddAtom(atom(effects.LocAtom, kept), live)
-	s.AddIncl(effects.Inter{L: effects.VarRef{V: body}, R: effects.VarRef{V: live}}, out)
+	s.AddInter(body, live, out)
 	r := Solve(s)
 	if !r.ContainsAtom(out, atom(effects.Write, kept)) {
 		t.Error("write(kept) must survive (Down)")
@@ -372,7 +372,7 @@ func TestSolveUnifyMergesAtomsAcrossSets(t *testing.T) {
 	body, live, out, e := s.Fresh("body"), s.Fresh("live"), s.Fresh("out"), s.Fresh("e")
 	s.AddAtom(atom(effects.Write, r1), body)
 	s.AddAtom(atom(effects.LocAtom, r2), live)
-	s.AddIncl(effects.Inter{L: effects.VarRef{V: body}, R: effects.VarRef{V: live}}, out)
+	s.AddInter(body, live, out)
 	s.AddAtom(atom(effects.Read, trig), e)
 	s.AddCond(&effects.Cond{
 		Trigger: effects.LocIn{Loc: trig, V: e},
@@ -421,7 +421,7 @@ func TestDownAdmitsSharedLocations(t *testing.T) {
 			s.Shared = envG
 			s.AddAtom(atom(effects.LocAtom, g), envG)
 			s.AddAtom(atom(effects.LocAtom, other), keep)
-			s.AddIncl(effects.Inter{L: effects.VarRef{V: body}, R: effects.VarRef{V: keep}}, eff)
+			s.AddInter(body, keep, eff)
 			if c.late == nil {
 				s.AddAtom(atom(effects.Write, g), body)
 				return s, g, g, eff
@@ -569,15 +569,12 @@ func buildRandomCondInto(sys *effects.System, r *rand.Rand) {
 		case 1:
 			sys.AddVarIncl(v(), v())
 		case 2:
-			sys.AddIncl(effects.Inter{
-				L: effects.VarRef{V: v()},
-				R: effects.VarRef{V: v()},
-			}, v())
-		case 3:
-			sys.AddIncl(effects.Union{
-				L: effects.AtomExpr{A: atom()},
-				R: effects.VarRef{V: v()},
-			}, v())
+			l, rt := v(), v()
+			sys.AddInter(l, rt, v())
+		case 3: // {a} ∪ ε′ ⊆ ε
+			a, from, to := atom(), v(), v()
+			sys.AddAtom(a, to)
+			sys.AddVarIncl(from, to)
 		}
 	}
 	ncond := 1 + r.Intn(5)
@@ -627,11 +624,15 @@ func RandomSharedSystem(seed int64) *effects.System {
 	rho := func() locs.Loc { return locs.Loc(r.Intn(nl)) }
 	sys.Shared = v()
 	for i, n := 0, 4+r.Intn(12); i < n; i++ {
-		var right effects.Expr = effects.VarRef{V: v()}
+		right := v()
 		if r.Intn(4) == 0 {
-			right = effects.AtomExpr{A: effects.Atom{Kind: effects.LocAtom, Loc: rho()}}
+			// An atom right operand, hoisted into a fresh variable
+			// as Figure 4b does.
+			right = sys.Fresh("hoist")
+			sys.AddAtom(effects.Atom{Kind: effects.LocAtom, Loc: rho()}, right)
 		}
-		sys.AddIncl(effects.Inter{L: effects.VarRef{V: v()}, R: right}, v())
+		l := v()
+		sys.AddInter(l, right, v())
 	}
 	for i, n := 0, 1+r.Intn(2); i < n; i++ {
 		sys.AddAtom(effects.Atom{Kind: effects.LocAtom, Loc: rho()}, sys.Shared)

@@ -12,8 +12,7 @@ import "fmt"
 // Stats is part of the service wire contract (it rides in every
 // AnalyzeResponse), hence the JSON tags.
 type Stats struct {
-	// Vars is the number of effect variables in the solved system
-	// (after normalization introduced fresh ones).
+	// Vars is the number of effect variables in the solved system.
 	Vars int `json:"vars"`
 	// Atoms is the number of distinct atoms interned (kind × location
 	// class, counting pre- and post-unification identities).
