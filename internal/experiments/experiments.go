@@ -622,8 +622,10 @@ func (t *TimingResult) String() string {
 }
 
 // Timing measures the analysis of the named module (default ide_tape,
-// as in the paper) with and without confine inference, averaged over
-// rounds.
+// as in the paper) with and without confine inference. The two sides
+// alternate within each round, and the result is the round with the
+// median overhead ratio, so one stalled round (a descheduled process,
+// a host busy elsewhere) cannot move the ratio.
 func Timing(moduleName string, rounds int) (*TimingResult, error) {
 	if moduleName == "" {
 		moduleName = "ide_tape"
@@ -636,9 +638,9 @@ func Timing(moduleName string, rounds int) (*TimingResult, error) {
 	return nil, fmt.Errorf("no module %q in the corpus", moduleName)
 }
 
-// TimingCorpus is Timing over the whole corpus: each side is the sum
-// over all modules of one round, averaged over rounds, so the ratio is
-// the corpus-wide overhead of confine inference.
+// TimingCorpus is Timing over the whole corpus: each side of a round is
+// the sum over all modules, so the ratio is the corpus-wide overhead of
+// confine inference.
 func TimingCorpus(rounds int) (*TimingResult, error) {
 	specs := drivergen.Corpus()
 	return timeModules(fmt.Sprintf("corpus, %d modules", len(specs)), specs, rounds)
@@ -653,8 +655,12 @@ func timeModules(label string, specs []*drivergen.ModuleSpec, rounds int) (*Timi
 		srcs[i] = spec.Source()
 	}
 
-	var withC, withoutC time.Duration
-	for i := 0; i < rounds; i++ {
+	// Each round's two sides, summed over the modules. The sides
+	// alternate module by module, so a round's ratio compares times
+	// taken on the same host at the same time.
+	sides := make([]TimingResult, rounds)
+	for i := range sides {
+		r := &sides[i]
 		for j, spec := range specs {
 			// Without confine inference: plain inference + solve + the
 			// flow-sensitive qualifier analysis (CQUAL's baseline run).
@@ -666,7 +672,7 @@ func timeModules(label string, specs []*drivergen.ModuleSpec, rounds int) (*Timi
 			res := infer.Run(mod.TInfo, mod.Diags, infer.Options{})
 			sol := solve.Solve(res.Sys)
 			qual.Analyze(res, sol, qual.ModePlain)
-			withoutC += time.Since(t0)
+			r.WithoutCfine += time.Since(t0)
 
 			// With confine inference: plant candidates, infer with the
 			// conditional constraints, solve, apply, and run the same
@@ -685,16 +691,15 @@ func timeModules(label string, specs []*drivergen.ModuleSpec, rounds int) (*Timi
 				return nil, err
 			}
 			qual.Analyze(cres.Infer, cres.Solution, qual.ModePlain)
-			withC += time.Since(t1)
+			r.WithConfine += time.Since(t1)
+		}
+		if r.WithoutCfine > 0 {
+			r.OverheadRatio = float64(r.WithConfine) / float64(r.WithoutCfine)
 		}
 	}
-	out := &TimingResult{
-		Module:       label,
-		WithConfine:  withC / time.Duration(rounds),
-		WithoutCfine: withoutC / time.Duration(rounds),
-	}
-	if out.WithoutCfine > 0 {
-		out.OverheadRatio = float64(out.WithConfine) / float64(out.WithoutCfine)
-	}
-	return out, nil
+	// The median round (the lower one of an even count).
+	sort.Slice(sides, func(a, b int) bool { return sides[a].OverheadRatio < sides[b].OverheadRatio })
+	out := sides[(rounds-1)/2]
+	out.Module = label
+	return &out, nil
 }

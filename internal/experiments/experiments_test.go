@@ -107,8 +107,12 @@ func TestRenderings(t *testing.T) {
 	}
 }
 
+// TestTiming bounds the E4 overhead ratio. The ratio is the median of
+// three rounds whose sides alternate, so a single stalled round on a
+// busy host cannot trip the bound; a confine side that really got
+// several times costlier still does.
 func TestTiming(t *testing.T) {
-	tr, err := Timing("ide_tape", 2)
+	tr, err := Timing("ide_tape", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestTiming(t *testing.T) {
 		t.Errorf("render: %s", tr)
 	}
 
-	ct, err := TimingCorpus(1)
+	ct, err := TimingCorpus(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -384,7 +384,10 @@ func (g *Gateway) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 	entry.Trace = tr.ID()
 	span := tr.StartSpan("relay", "request")
 	defer func() {
-		span.End("module", req.Module, "status", strconv.Itoa(w.Status()))
+		// The backend's cache disposition rides the relay span, so the
+		// gateway's own trace explains why a request was cheap.
+		span.End("module", req.Module, "status", strconv.Itoa(w.Status()),
+			"cache", w.Header().Get("X-Lna-Cache"))
 		g.traces.Put(tr)
 	}()
 

@@ -44,11 +44,22 @@ func spanByName(ex *obs.TraceExport, name string) *obs.SpanExport {
 	return nil
 }
 
+// spanArg returns the value recorded under key in a span's args.
+func spanArg(s *obs.SpanExport, key string) string {
+	for i := 0; i+1 < len(s.Args); i += 2 {
+		if s.Args[i] == key {
+			return s.Args[i+1]
+		}
+	}
+	return ""
+}
+
 // TestGatewayDistributedTraceAssembly: one request through a
 // two-replica fleet yields a gateway fragment and a replica fragment
 // under the same trace ID, with the replica's root span parented under
 // the gateway's attempt span — and the merged Chrome trace carries
-// both processes with the cross-process link intact.
+// both processes with the cross-process link intact. The relay span
+// names the backend's cache disposition.
 func TestGatewayDistributedTraceAssembly(t *testing.T) {
 	g, c, reps := newCluster(t, 2, gateway.Options{})
 	req := service.AnalyzeRequest{
@@ -86,6 +97,19 @@ func TestGatewayDistributedTraceAssembly(t *testing.T) {
 	}
 	if spanByName(gwFrag, "admission") == nil || spanByName(gwFrag, "route") == nil {
 		t.Fatalf("gateway fragment missing admission/route spans: %+v", gwFrag.Spans)
+	}
+	// The relay span carries the backend's cache disposition: a cold
+	// run here, and a hit for the same body sent again.
+	if got := spanArg(relay, "cache"); got != "miss" {
+		t.Errorf("first relay span cache = %q, want miss (args %v)", got, relay.Args)
+	}
+	_, meta2, err := c.AnalyzeRaw(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwFrag2, _ := fragmentsFor(t, g, reps, meta2.TraceID)
+	if relay2 := spanByName(gwFrag2, "relay"); relay2 == nil || spanArg(relay2, "cache") != "hit" {
+		t.Errorf("resubmission's relay span = %+v, want cache hit", relay2)
 	}
 
 	// The cross-process link: the replica's request-level span must

@@ -305,10 +305,12 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value for the text exposition. It is
+// built once: a Replacer is safe for concurrent use, and series lookups
+// sit on hot paths (one per gateway forward attempt).
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // lookup finds or creates the series for family name + labels.
 func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *series {
@@ -423,12 +425,14 @@ func labelMap(kv []string) map[string]string {
 	return out
 }
 
-// snapshotLocked copies the family/series structure under r.mu so the
-// (lock-free) instrument reads happen outside the registry lock.
+// snapshot copies the family/series structure under r.mu so the
+// (lock-free) instrument reads happen outside the registry lock. Each
+// series is copied by value: Counter, Gauge, GaugeFunc and Histogram
+// set its instrument fields under r.mu after lookup has published it.
 func (r *Registry) snapshot() []metricJSON {
 	type seriesRef struct {
 		kv []string
-		s  *series
+		s  series
 	}
 	type familyRef struct {
 		name, help string
@@ -441,7 +445,7 @@ func (r *Registry) snapshot() []metricJSON {
 		f := r.families[name]
 		fr := familyRef{name: f.name, help: f.help, kind: f.kind}
 		for _, l := range f.order {
-			fr.series = append(fr.series, seriesRef{kv: f.series[l].kv, s: f.series[l]})
+			fr.series = append(fr.series, seriesRef{kv: f.series[l].kv, s: *f.series[l]})
 		}
 		fams = append(fams, fr)
 	}

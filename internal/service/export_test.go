@@ -27,3 +27,15 @@ func CacheWaiting(s *Server) int {
 	defer s.cache.mu.Unlock()
 	return s.cache.waiting
 }
+
+// DecodeSeeds returns the one-pass decoder's seed requests (the corpus
+// in every mode and the XStack multi_module leaves) and one batch
+// holding both kinds.
+func DecodeSeeds() ([]AnalyzeRequest, BatchRequest) {
+	reqs := decodeSeedRequests()
+	return reqs, decodeSeedBatch(reqs)
+}
+
+// DecodesInOnePass decodes body into dst on the one-pass path and
+// reports whether that path took it (false leaves dst untouched).
+func DecodesInOnePass(body []byte, dst any) bool { return decodeOnePass(body, dst) }

@@ -21,18 +21,20 @@ import (
 // fits comfortably; a runaway upload does not).
 const maxRequestBytes = 64 << 20
 
-// ReadRequest reads one bounded POST body and decodes it into dst. The
-// body must be exactly one JSON value; whitespace around it is fine,
-// anything else after it is a 400. It returns the raw bytes, which a
-// gateway forwards verbatim. On false the canonical error has been
-// written.
+// ReadRequest reads one bounded POST body and decodes it into dst:
+// in one pass when dst is an *AnalyzeRequest or *BatchRequest and the
+// body has the shape encoding/json writes (decodeOnePass), otherwise
+// with json.Unmarshal, whose errors are the wire's. The body must be
+// exactly one JSON value; whitespace around it is fine, anything else
+// after it is a 400. It returns the raw bytes, which a gateway
+// forwards verbatim. On false the canonical error has been written.
 func ReadRequest(w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		WriteWireError(w, CodeMethodNotAllowed, "use POST")
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err == nil {
+	body, err := readBody(w, r)
+	if err == nil && !decodeOnePass(body, dst) {
 		err = json.Unmarshal(body, dst)
 	}
 	if err != nil {
@@ -40,6 +42,21 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool)
 		return nil, false
 	}
 	return body, true
+}
+
+// readBody reads r's body, bounded by maxRequestBytes. A body of
+// declared length within the bound is read into one buffer of that
+// size; the server delivers exactly that many bytes, or an error.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(body)
 }
 
 // ReadBatch reads a /v1/batch body and checks its envelope: one to
