@@ -103,21 +103,13 @@ func (s *Set) Clear() {
 	}
 }
 
-// Arena returns n sets each pre-sized to hold members below words×64,
-// carved from a single backing allocation — one make instead of n
-// (plus growth churn) when the caller can bound the index space up
-// front. A set that outgrows its slice reallocates independently;
-// growth copies into a fresh slice, so the shared backing is never
-// written past a set's own window.
-func Arena(n, words int) []Set {
-	var b ArenaBuf
-	return b.Carve(n, words)
-}
-
-// ArenaBuf is a reusable backing for Arena carvings: a pooled solver
-// checks one out per solve and calls Carve instead of Arena, so the
-// steady state re-zeroes one retained allocation instead of making a
-// fresh one. The zero value is ready for use.
+// ArenaBuf is a reusable backing for sets carved from one allocation:
+// a pooled solver checks one out per solve and calls Carve, so the
+// steady state re-zeroes one retained allocation instead of making n
+// sets. A carved set that outgrows its window reallocates
+// independently; growth copies into a fresh slice, so the shared
+// backing is never written past a set's own window. The zero value
+// is ready for use.
 type ArenaBuf struct {
 	words []uint64
 	sets  []Set

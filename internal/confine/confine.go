@@ -84,7 +84,7 @@ type Result struct {
 	// candidates that succeeded and remain in the AST; Removed the
 	// count spliced back out.
 	Planted int
-	Kept    []*infer.Candidate
+	Kept    []*infer.Binding
 	Removed int
 	// Violations report failures of explicit (hand-written)
 	// annotations encountered along the way.
@@ -155,7 +155,7 @@ func InferAndApplyOver(base *infer.Result, prog *ast.Program, diags *source.Diag
 		}
 	}
 	for _, f := range prog.Funs {
-		applyVerdicts(f.Body, nil)
+		applyVerdicts(res.Infer, f.Body, nil)
 	}
 	return res, nil
 }
@@ -639,34 +639,39 @@ func copyEntries(in *types.Info, orig, c ast.Expr) {
 // confines; directly nested successful confines of an expression
 // already confined by an enclosing kept confine are redundant and
 // spliced; and adjacent kept confines of the same expression merge.
-// active holds the expressions of the kept confines enclosing b.
-func applyVerdicts(b *ast.Block, active []ast.Expr) {
+// A confine that pruning or merging folds into a survivor hands it
+// its scope, so its copy ρ′ joins the survivor's (absorb). active
+// holds the kept confines enclosing b.
+func applyVerdicts(res *infer.Result, b *ast.Block, active []*ast.ConfineStmt) {
 	out := make([]ast.Stmt, 0, len(b.Stmts))
 	for _, s := range b.Stmts {
 		cs, isConfine := s.(*ast.ConfineStmt)
 		if !isConfine {
-			applyVerdictsStmt(s, active)
+			applyVerdictsStmt(res, s, active)
 			out = append(out, s)
 			continue
 		}
+		outer := slices.IndexFunc(active, func(a *ast.ConfineStmt) bool { return ast.EqualExpr(a.Expr, cs.Expr) })
 		switch {
 		case cs.Optional && !cs.Inferred:
 			// Failed: splice the body statements inline.
-			applyVerdicts(cs.Body, active)
+			applyVerdicts(res, cs.Body, active)
 			out = append(out, cs.Body.Stmts...)
-		case cs.Optional && slices.ContainsFunc(active, func(e ast.Expr) bool { return ast.EqualExpr(e, cs.Expr) }):
+		case cs.Optional && outer >= 0:
 			// Redundant nesting under an enclosing confine of the
 			// same expression: keep only the outermost.
-			applyVerdicts(cs.Body, active)
+			absorb(res, active[outer], cs)
+			applyVerdicts(res, cs.Body, active)
 			out = append(out, cs.Body.Stmts...)
 		default:
 			cs.Optional = false
-			applyVerdicts(cs.Body, append(active, cs.Expr))
+			applyVerdicts(res, cs.Body, append(active, cs))
 			// Adjacent merge: (confine e {s1}; confine e {s2}) =
 			// confine e {s1; s2}.
 			if len(out) > 0 {
 				if prev, okPrev := out[len(out)-1].(*ast.ConfineStmt); okPrev &&
 					prev.Inferred && cs.Inferred && ast.EqualExpr(prev.Expr, cs.Expr) {
+					absorb(res, prev, cs)
 					prev.Body.Stmts = append(prev.Body.Stmts, cs.Body.Stmts...)
 					prev.Sp = prev.Sp.Union(cs.Sp)
 					continue
@@ -678,18 +683,27 @@ func applyVerdicts(b *ast.Block, active []ast.Expr) {
 	b.Stmts = out
 }
 
-func applyVerdictsStmt(s ast.Stmt, active []ast.Expr) {
+// absorb merges the copy ρ′ of gone, a kept confine folded into
+// survivor, into survivor's copy: the lock operations of gone's body
+// then act on the scope qual enters, and the merged copy stays linear.
+func absorb(res *infer.Result, survivor, gone *ast.ConfineStmt) {
+	if s, g := res.BindingOf(survivor), res.BindingOf(gone); s != nil && g != nil {
+		res.Locs.Absorb(s.RhoP, g.RhoP, nil)
+	}
+}
+
+func applyVerdictsStmt(res *infer.Result, s ast.Stmt, active []*ast.ConfineStmt) {
 	switch s := s.(type) {
 	case *ast.BindStmt:
-		applyVerdicts(s.Body, active)
+		applyVerdicts(res, s.Body, active)
 	case *ast.IfStmt:
-		applyVerdicts(s.Then, active)
+		applyVerdicts(res, s.Then, active)
 		if s.Else != nil {
-			applyVerdicts(s.Else, active)
+			applyVerdicts(res, s.Else, active)
 		}
 	case *ast.WhileStmt:
-		applyVerdicts(s.Body, active)
+		applyVerdicts(res, s.Body, active)
 	case *ast.Block:
-		applyVerdicts(s, active)
+		applyVerdicts(res, s, active)
 	}
 }

@@ -195,7 +195,8 @@ func (PairIn) trigger() {}
 // Action is the consequent of a conditional constraint.
 type Action interface{ action() }
 
-// ActUnify unifies two locations (the "then ρ = ρ′" consequents).
+// ActUnify merges the fresh copy B into the location A it copies (the
+// "then ρ = ρ′" consequents; see locs.Store.Absorb).
 type ActUnify struct {
 	A, B locs.Loc
 }

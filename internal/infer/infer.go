@@ -40,10 +40,11 @@ type Options struct {
 	LiberalRestrictEffect bool
 }
 
-// CandKind classifies an inference candidate.
+// CandKind classifies a restrict or confine scope, explicit or a
+// candidate: a let or bind restrict, a parameter, or a confine.
 type CandKind int
 
-// The candidate kinds.
+// The scope kinds.
 const (
 	CandLet CandKind = iota
 	CandParam
@@ -63,26 +64,18 @@ func (k CandKind) String() string {
 	}
 }
 
-// Candidate is one let-or-restrict or confine? candidate. After
-// solving, Succeeded reports the verdict.
-type Candidate struct {
-	Kind CandKind
-	Node ast.Node // *ast.DeclStmt, *ast.Param or *ast.ConfineStmt
-	Name string   // binder name or confined expression rendering
-	Site source.Span
-	Rho  locs.Loc // the outer location ρ
-	RhoP locs.Loc // the fresh location ρ′
-}
-
-// Binding records a restrict/confine scope (explicit or candidate)
-// for the flow-sensitive qualifier analysis: within Node's scope the
-// location RhoP is a linear copy of Rho.
+// Binding is one restrict or confine scope, explicit or an inference
+// candidate (a let-or-restrict or confine?): within Node's scope the
+// fresh location RhoP is a linear copy of Rho. After solving, a
+// candidate's verdict is Result.Succeeded.
 type Binding struct {
-	Node     ast.Node
-	Rho      locs.Loc
-	RhoP     locs.Loc
+	Kind     CandKind
+	Node     ast.Node // *ast.DeclStmt, *ast.BindStmt, *ast.Param or *ast.ConfineStmt
+	Name     string   // binder name or confined expression rendering
+	Site     source.Span
+	Rho      locs.Loc // the outer location ρ
+	RhoP     locs.Loc // the fresh location ρ′
 	Explicit bool
-	Cand     *Candidate // nil when Explicit
 }
 
 // Result carries everything later phases need.
@@ -99,8 +92,9 @@ type Result struct {
 	// candidate param and let, indexed by ast.NodeID (read it through
 	// BindingOf).
 	Bindings []*Binding
-	// Candidates lists inference candidates in source order.
-	Candidates []*Candidate
+	// Candidates lists the bindings that are inference candidates: a
+	// parameter before its body's, a let or confine? after its scope's.
+	Candidates []*Binding
 	// FunEff is each function's latent (post-Down) effect variable;
 	// FunBody is the pre-Down body effect.
 	FunEff  map[string]effects.Var
@@ -156,7 +150,7 @@ func (r *Result) BindingOf(n ast.Numbered) *Binding {
 
 // Succeeded reports a candidate's post-solve verdict: the candidate
 // became a restrict/confine iff its two locations stayed distinct.
-func (r *Result) Succeeded(c *Candidate) bool {
+func (r *Result) Succeeded(c *Binding) bool {
 	r.check()
 	return !r.Locs.Same(c.Rho, c.RhoP)
 }
@@ -406,49 +400,19 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 	inf.cur = fi
 	env := effects.NoVar
 
-	// Bind parameters: explicitly restrict-qualified ones get hard
-	// checks; otherwise they are optionally restrict candidates.
+	// Bind parameters: a ref-typed parameter opens a restrict scope
+	// over the body when it is restrict-qualified (hard checks) or,
+	// under InferRestrictParams, as a candidate.
 	for i, p := range f.Params {
 		sym := inf.tinfo.BinderOf(p)
 		if sym == nil {
 			continue
 		}
-		orig := fi.params[i]
-		bound := orig
-		if p.Restrict && orig.Kind() == LRef {
-			rho := orig.Cell()
-			rhoP := inf.ls.FreshRestricted(p.Name + "'")
-			xT := inf.b.mkRef(rhoP, orig.Elem(), p.Name+"'")
-			esc := inf.paramEscapeVar(fi, i, orig, p.Name, true)
-			inf.sys.AddNotIn(rho, fi.body, p.Sp,
-				effects.Reason{Kind: "restrict parameter", Name: p.Name, Why: "an alias of the restricted location is used in the body"})
-			inf.sys.AddNotIn(rhoP, esc, p.Sp,
-				effects.Reason{Kind: "restrict parameter", Name: p.Name, Why: "the restricted pointer escapes the function"})
-			// Restricting the caller's location is itself an effect;
-			// in strict mode the kind-agnostic write(ρ) in the latent
-			// effect also conservatively covers every access made
-			// through the restricted copy, so callers' own checks see
-			// it without conditional relays (keeping restrict-only
-			// systems on the Figure 5 fast path).
-			inf.restrictEffect(p.Name, rho, rhoP, fi.body, fi.eff)
-			inf.res.Bindings[p.ID] = &Binding{Node: p, Rho: rho, RhoP: rhoP, Explicit: true}
-			bound = xT
-		} else if inf.opts.InferRestrictParams && orig.Kind() == LRef {
-			rho := orig.Cell()
-			rhoP := inf.ls.FreshRestricted(p.Name + "'")
-			xT := inf.b.mkRef(rhoP, orig.Elem(), p.Name+"'")
-			cand := &Candidate{
-				Kind: CandParam,
-				Node: p,
-				Name: p.Name,
-				Site: p.Sp,
-				Rho:  rho,
-				RhoP: rhoP,
-			}
-			esc := inf.paramEscapeVar(fi, i, orig, p.Name, false)
-			inf.addCandidateConds(cand, fi.body, esc, fi.eff)
-			inf.res.Candidates = append(inf.res.Candidates, cand)
-			inf.res.Bindings[p.ID] = &Binding{Node: p, Rho: rho, RhoP: rhoP, Cand: cand}
+		bound := fi.params[i]
+		if bound.Kind() == LRef && (p.Restrict || inf.opts.InferRestrictParams) {
+			b, xT := inf.bind(p, CandParam, p.Name, bound, p.Restrict)
+			esc := inf.escapeVar(effects.NoVar, fi.params, i, bound, p.Name, b.Explicit)
+			inf.scopeChecks(b, fi.body, esc, fi.eff)
 			bound = xT
 		}
 		inf.res.SymLTypes[sym] = bound
@@ -459,23 +423,99 @@ func (inf *inferencer) inferFun(f *ast.FunDecl, fi *funLInfo) {
 	inf.cur = nil
 }
 
-// paramEscapeVar builds the escape set for a (restricted) parameter:
-// the other parameters' original types, the content type, and the
-// result type, plus Γ(globals) for an explicit restrict (see
-// escapeVar).
-func (inf *inferencer) paramEscapeVar(fi *funLInfo, i int, orig *LType, name string, explicit bool) effects.Var {
+// bind mints the fresh ρ′ of the scope n opens over the cell ρ of
+// refT and records the binding. It returns the binding and the type
+// of the bound copy: a reference to ρ′ with refT's content.
+func (inf *inferencer) bind(n ast.Numbered, kind CandKind, name string, refT *LType, explicit bool) (*Binding, *LType) {
+	copyName := name + "'"
+	b := &Binding{
+		Kind:     kind,
+		Node:     n,
+		Name:     name,
+		Site:     n.Span(),
+		Rho:      refT.Cell(),
+		RhoP:     inf.ls.FreshRestricted(copyName),
+		Explicit: explicit,
+	}
+	inf.res.Bindings[n.NodeID()] = b
+	return b, inf.b.mkRef(b.RhoP, refT.Elem(), copyName)
+}
+
+// escapeVar builds locs(Γ, τ₁, τ₂), the escape set of a scope binding
+// a copy of refT: the function's binders in scope (env's chain, or
+// for a parameter the function's other parameters, params without
+// params[skip]), the content type of refT, and the function result,
+// plus Γ(globals) for an explicit binder, whose checks and diagnostics
+// name this set. A candidate's escape set leaves the globals out: it
+// watches Γ(globals) with a trigger of its own (candidateConds).
+func (inf *inferencer) escapeVar(env effects.Var, params []*LType, skip int, refT *LType, name string, explicit bool) effects.Var {
 	esc := inf.sys.FreshN("esc(", name, ")")
 	if explicit {
 		inf.sys.AddVarIncl(inf.envG, esc)
 	}
-	for j, q := range fi.params {
-		if j != i {
+	if env != effects.NoVar {
+		inf.sys.AddVarIncl(env, esc)
+	}
+	for j, q := range params {
+		if j != skip {
 			inf.sys.AddVarIncl(q.TVar(), esc)
 		}
 	}
-	inf.sys.AddVarIncl(orig.Elem().TVar(), esc)
-	inf.sys.AddVarIncl(fi.result.TVar(), esc)
+	inf.sys.AddVarIncl(refT.Elem().TVar(), esc)
+	if inf.cur != nil {
+		inf.sys.AddVarIncl(inf.cur.result.TVar(), esc)
+	}
 	return esc
+}
+
+// checkWords are the reasons a scope's checks give, by kind: the
+// explicit alias and escape checks, and a candidate's escape triggers.
+var checkWords = [...]struct{ kind, alias, escape, candEscape string }{
+	CandLet: {"restrict",
+		"an alias of the restricted location is used within its scope",
+		"the restricted pointer escapes its scope",
+		"restricted pointer escapes its scope"},
+	CandParam: {"restrict parameter",
+		"an alias of the restricted location is used in the body",
+		"the restricted pointer escapes the function",
+		"restricted pointer escapes its scope"},
+	CandConfine: {"confine",
+		"an alias of the confined location is used within its scope",
+		"the confined pointer escapes its scope",
+		"confined pointer escapes its scope"},
+}
+
+// scopeChecks emits the side conditions of the restrict scope b,
+// whose body has effect l2 and escape set esc, with the scope's own
+// effect landing in sink: hard checks for an explicit scope, the
+// let-or-restrict conditionals for a candidate.
+func (inf *inferencer) scopeChecks(b *Binding, l2, esc, sink effects.Var) {
+	if b.Explicit {
+		inf.restrictChecks(b, l2, esc, sink)
+		return
+	}
+	inf.candidateConds(b, l2, esc, sink, []effects.Action{effects.ActUnify{A: b.Rho, B: b.RhoP}})
+}
+
+// restrictChecks emits the hard checks of the explicit scope b: ρ is
+// not accessed within the scope (ρ ∉ L₂) and ρ′ does not escape it
+// (ρ′ ∉ esc). Restricting ρ is itself an effect, which lands in sink:
+// strict mode (Figure 2) adds {ρ} unconditionally; liberal mode
+// (Section 5, matching C99 and the inference rule) adds it only when
+// the restricted copy is used. For a parameter, the strict write(ρ) in
+// the latent effect also conservatively covers every access made
+// through the restricted copy, so callers' own checks see it without
+// conditional relays (keeping restrict-only systems on the Figure 5
+// fast path).
+func (inf *inferencer) restrictChecks(b *Binding, l2, esc, sink effects.Var) {
+	w := checkWords[b.Kind]
+	inf.sys.AddNotIn(b.Rho, l2, b.Site, effects.Reason{Kind: w.kind, Name: b.Name, Why: w.alias})
+	inf.sys.AddNotIn(b.RhoP, esc, b.Site, effects.Reason{Kind: w.kind, Name: b.Name, Why: w.escape})
+	if inf.opts.LiberalRestrictEffect {
+		inf.addRelayConds("restrict", b.Name, b.RhoP, l2, b.Rho, sink)
+		return
+	}
+	inf.sys.AddAtom(effects.Atom{Kind: effects.Write, Loc: b.Rho}, sink)
 }
 
 // addRelayConds surfaces effects on a restricted copy ρ′ as effects
@@ -494,34 +534,34 @@ func (inf *inferencer) addRelayConds(kind, name string, rhoP locs.Loc, l2 effect
 	}
 }
 
-// restrictEffect emits the "restricting ρ is itself an effect" part
-// of an explicit annotation's conclusion. Strict mode (Figure 2) adds
-// {ρ} unconditionally; liberal mode (Section 5, matching C99 and the
-// inference rule) adds it only when the restricted copy is used.
-func (inf *inferencer) restrictEffect(name string, rho, rhoP locs.Loc, l2, sink effects.Var) {
-	if inf.opts.LiberalRestrictEffect {
-		inf.addRelayConds("restrict", name, rhoP, l2, rho, sink)
-		return
-	}
-	inf.sys.AddAtom(effects.Atom{Kind: effects.Write, Loc: rho}, sink)
+// guard is a candidate trigger with the reason it gives on firing.
+type guard struct {
+	t   effects.Trigger
+	why string
 }
 
-// addCandidateConds emits the let-or-restrict conditional constraints
-// of Section 5 for a candidate with body effect l2 and escape set
-// esc, which leaves out the globals; relayed effects land in out.
-func (inf *inferencer) addCandidateConds(c *Candidate, l2 effects.Var, esc effects.Var, out effects.Var) {
-	fail := []effects.Action{effects.ActUnify{A: c.Rho, B: c.RhoP}}
-	kind := c.Kind.String()
-	inf.sys.AddCond(&effects.Cond{
-		Trigger: effects.LocIn{Loc: c.Rho, V: l2},
-		Actions: fail,
-		Reason:  effects.Reason{Kind: kind, Name: c.Name, Why: "outer location accessed within the scope"},
-	})
-	escapes := effects.Reason{Kind: kind, Name: c.Name, Why: "restricted pointer escapes its scope"}
-	inf.sys.AddCond(&effects.Cond{Trigger: effects.LocIn{Loc: c.RhoP, V: esc}, Actions: fail, Reason: escapes})
-	inf.sys.AddCond(&effects.Cond{Trigger: effects.LocIn{Loc: c.RhoP, V: inf.envG}, Actions: fail, Reason: escapes})
-	// (ρ′ ∈ L₂) ⇒ {X(ρ)} ⊆ ε: the conditional restrict effect.
-	inf.addRelayConds(kind, c.Name, c.RhoP, l2, c.Rho, out)
+// candidateConds emits the conditional constraints of the candidate b
+// (Section 5) and lists it among the candidates: when ρ is accessed
+// within the scope (L₂), or ρ′ escapes it through esc (which leaves
+// out the globals) or through Γ(globals), fail's actions unify ρ and
+// ρ′. A confine? adds its referential-transparency triggers in more
+// (Section 6.1). (ρ′ ∈ L₂) ⇒ {X(ρ)} ⊆ out is the conditional restrict
+// effect.
+func (inf *inferencer) candidateConds(b *Binding, l2, esc, out effects.Var, fail []effects.Action, more ...guard) {
+	kind := b.Kind.String()
+	cond := func(t effects.Trigger, why string) {
+		inf.sys.AddCond(&effects.Cond{Trigger: t, Actions: fail,
+			Reason: effects.Reason{Kind: kind, Name: b.Name, Why: why}})
+	}
+	escapes := checkWords[b.Kind].candEscape
+	cond(effects.LocIn{Loc: b.Rho, V: l2}, "outer location accessed within the scope")
+	cond(effects.LocIn{Loc: b.RhoP, V: esc}, escapes)
+	cond(effects.LocIn{Loc: b.RhoP, V: inf.envG}, escapes)
+	for _, g := range more {
+		cond(g.t, g.why)
+	}
+	inf.addRelayConds(kind, b.Name, b.RhoP, l2, b.Rho, out)
+	inf.res.Candidates = append(inf.res.Candidates, b)
 }
 
 // ---------------------------------------------------------------------
@@ -546,81 +586,39 @@ func (inf *inferencer) walkStmts(stmts []ast.Stmt, sink effects.Var, env effects
 // candidate (inference mode).
 func (inf *inferencer) declStmt(s *ast.DeclStmt, rest []ast.Stmt, sink, env effects.Var) {
 	initT := inf.expr(s.Init, sink, env)
-	sym := inf.tinfo.BinderOf(s)
-	if sym == nil {
-		return
-	}
-
-	isRef := initT.Kind() == LRef
-	switch {
-	case s.Restrict && isRef:
-		// Explicit (or previously inferred) restrict over the
-		// remainder scope: hard checks.
-		rho := initT.Cell()
-		rhoP := inf.ls.FreshRestricted(s.Name + "'")
-		xT := inf.b.mkRef(rhoP, initT.Elem(), s.Name+"'")
-		inf.res.SymLTypes[sym] = xT
-		inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
-
-		l2 := inf.sys.FreshN("L2(", s.Name, ")")
-		esc := inf.escapeVar(env, initT, s.Name, true)
-		env2 := inf.extendEnv(env, xT, s.Name)
-		inf.walkStmts(rest, l2, env2)
-		inf.sys.AddVarIncl(l2, sink)
-		inf.sys.AddNotIn(rho, l2, s.Sp,
-			effects.Reason{Kind: "restrict", Name: s.Name, Why: "an alias of the restricted location is used within its scope"})
-		inf.sys.AddNotIn(rhoP, esc, s.Sp,
-			effects.Reason{Kind: "restrict", Name: s.Name, Why: "the restricted pointer escapes its scope"})
-		inf.restrictEffect(s.Name, rho, rhoP, l2, sink)
-
-	case inf.opts.InferRestrictLets && isRef && !s.Restrict:
-		rho := initT.Cell()
-		rhoP := inf.ls.FreshRestricted(s.Name + "'")
-		xT := inf.b.mkRef(rhoP, initT.Elem(), s.Name+"'")
-		inf.res.SymLTypes[sym] = xT
-		cand := &Candidate{
-			Kind: CandLet,
-			Node: s,
-			Name: s.Name,
-			Site: s.Sp,
-			Rho:  rho,
-			RhoP: rhoP,
-		}
-		l2 := inf.sys.FreshN("L2(", s.Name, ")")
-		esc := inf.escapeVar(env, initT, s.Name, false)
-		env2 := inf.extendEnv(env, xT, s.Name)
-		inf.walkStmts(rest, l2, env2)
-		inf.sys.AddVarIncl(l2, sink)
-		inf.addCandidateConds(cand, l2, esc, sink)
-		inf.res.Candidates = append(inf.res.Candidates, cand)
-		inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Cand: cand}
-
-	default:
-		// Plain let.
-		inf.res.SymLTypes[sym] = initT
-		env2 := inf.extendEnv(env, initT, s.Name)
-		inf.walkStmts(rest, sink, env2)
+	if sym := inf.tinfo.BinderOf(s); sym != nil {
+		inf.binderScope(s, sym, s.Name, initT, rest, sink, env,
+			s.Restrict, s.Restrict || inf.opts.InferRestrictLets)
 	}
 }
 
-// escapeVar builds locs(Γ, τ₁, τ₂): the function's binders in scope,
-// the content type of the bound pointer, and the function result, plus
-// Γ(globals) for an explicit binder, whose checks and diagnostics name
-// this set. A candidate's escape set leaves the globals out: it
-// watches Γ(globals) with a trigger of its own (addCandidateConds).
-func (inf *inferencer) escapeVar(env effects.Var, refT *LType, name string, explicit bool) effects.Var {
-	esc := inf.sys.FreshN("esc(", name, ")")
-	if explicit {
-		inf.sys.AddVarIncl(inf.envG, esc)
+// bindStmt handles the explicitly scoped binders.
+func (inf *inferencer) bindStmt(s *ast.BindStmt, sink, env effects.Var) {
+	initT := inf.expr(s.Init, sink, env)
+	if sym := inf.tinfo.BinderOf(s); sym != nil {
+		restrict := s.Kind == ast.BindRestrict
+		inf.binderScope(s, sym, s.Name, initT, s.Body.Stmts, sink, env, restrict, restrict)
 	}
-	if env != effects.NoVar {
-		inf.sys.AddVarIncl(env, esc)
+}
+
+// binderScope infers body as the scope of the binder n of sym, bound
+// to initT. When initT is a reference and restrict holds, the scope is
+// the (Restrict) rule of Figure 2: with hard checks when explicit,
+// else as a let-or-restrict candidate (Section 5). Otherwise it is
+// (Let).
+func (inf *inferencer) binderScope(n ast.Numbered, sym *types.Symbol, name string, initT *LType, body []ast.Stmt, sink, env effects.Var, explicit, restrict bool) {
+	if !restrict || initT.Kind() != LRef {
+		inf.res.SymLTypes[sym] = initT
+		inf.walkStmts(body, sink, inf.extendEnv(env, initT, name))
+		return
 	}
-	inf.sys.AddVarIncl(refT.Elem().TVar(), esc)
-	if inf.cur != nil {
-		inf.sys.AddVarIncl(inf.cur.result.TVar(), esc)
-	}
-	return esc
+	b, xT := inf.bind(n, CandLet, name, initT, explicit)
+	inf.res.SymLTypes[sym] = xT
+	l2 := inf.sys.FreshN("L2(", name, ")")
+	esc := inf.escapeVar(env, nil, 0, initT, name, explicit)
+	inf.walkStmts(body, l2, inf.extendEnv(env, xT, name))
+	inf.sys.AddVarIncl(l2, sink)
+	inf.scopeChecks(b, l2, esc, sink)
 }
 
 // stmt infers one non-binder statement and returns the (possibly
@@ -667,39 +665,6 @@ func (inf *inferencer) stmt(s ast.Stmt, sink, env effects.Var) effects.Var {
 	return env
 }
 
-// bindStmt handles the explicitly scoped binders.
-func (inf *inferencer) bindStmt(s *ast.BindStmt, sink, env effects.Var) {
-	initT := inf.expr(s.Init, sink, env)
-	sym := inf.tinfo.BinderOf(s)
-	if sym == nil {
-		return
-	}
-	if s.Kind == ast.BindLet || initT.Kind() != LRef {
-		// (Let): evaluate body in the extended environment.
-		inf.res.SymLTypes[sym] = initT
-		env2 := inf.extendEnv(env, initT, s.Name)
-		inf.walkStmts(s.Body.Stmts, sink, env2)
-		return
-	}
-	// (Restrict), explicit: hard checks.
-	rho := initT.Cell()
-	rhoP := inf.ls.FreshRestricted(s.Name + "'")
-	xT := inf.b.mkRef(rhoP, initT.Elem(), s.Name+"'")
-	inf.res.SymLTypes[sym] = xT
-	inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
-
-	l2 := inf.sys.FreshN("L2(", s.Name, ")")
-	esc := inf.escapeVar(env, initT, s.Name, true)
-	env2 := inf.extendEnv(env, xT, s.Name)
-	inf.walkStmts(s.Body.Stmts, l2, env2)
-	inf.sys.AddVarIncl(l2, sink)
-	inf.sys.AddNotIn(rho, l2, s.Sp,
-		effects.Reason{Kind: "restrict", Name: s.Name, Why: "an alias of the restricted location is used within its scope"})
-	inf.sys.AddNotIn(rhoP, esc, s.Sp,
-		effects.Reason{Kind: "restrict", Name: s.Name, Why: "the restricted pointer escapes its scope"})
-	inf.restrictEffect(s.Name, rho, rhoP, l2, sink)
-}
-
 // confineStmt handles "confine e { ... }", explicit or optional
 // (confine?).
 func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
@@ -719,57 +684,33 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 		return
 	}
 
-	rho := e1T.Cell()
-	rhoP := inf.ls.FreshRestricted(name + "'")
-	xT := inf.b.mkRef(rhoP, e1T.Elem(), name+"'")
+	b, xT := inf.bind(s, CandConfine, name, e1T, !s.Optional)
 	pi := inf.sys.FreshN("π'(", name, ")")
 	l2 := inf.sys.FreshN("L2(", name, ")")
-	esc := inf.escapeVar(env, e1T, name, !s.Optional)
+	esc := inf.escapeVar(env, nil, 0, e1T, name, b.Explicit)
 
 	inf.confines = append(inf.confines, &confCtx{expr: s.Expr, xT: xT, pi: pi})
 	inf.walkStmts(s.Body.Stmts, l2, env)
 	inf.confines = inf.confines[:len(inf.confines)-1]
 	inf.sys.AddVarIncl(l2, sink)
 
-	if s.Optional {
-		cand := &Candidate{
-			Kind: CandConfine,
-			Node: s,
-			Name: name,
-			Site: s.Sp,
-			Rho:  rho,
-			RhoP: rhoP,
-		}
-		fail := []effects.Action{
-			effects.ActUnify{A: rho, B: rhoP},
-			effects.ActIncl{From: l1, To: pi},
-		}
-		mk := func(t effects.Trigger, why string) {
-			inf.sys.AddCond(&effects.Cond{Trigger: t, Actions: fail,
-				Reason: effects.Reason{Kind: "confine", Name: name, Why: why}})
-		}
-		mk(effects.LocIn{Loc: rho, V: l2}, "outer location accessed within the scope")
-		mk(effects.LocIn{Loc: rhoP, V: esc}, "confined pointer escapes its scope")
-		mk(effects.LocIn{Loc: rhoP, V: inf.envG}, "confined pointer escapes its scope")
-		mk(effects.KindIn{Kind: effects.Write, V: l1}, "confined expression has a write effect")
-		mk(effects.KindIn{Kind: effects.Alloc, V: l1}, "confined expression has an alloc effect")
-		mk(effects.PairIn{KindA: effects.Read, VA: l1, KindB: effects.Write, VB: l2},
-			"a location read by the confined expression is written in the scope")
-		mk(effects.PairIn{KindA: effects.Read, VA: l1, KindB: effects.Alloc, VB: l2},
-			"a location read by the confined expression is allocated in the scope")
-		inf.addRelayConds("confine", name, rhoP, l2, rho, sink)
-		inf.res.Candidates = append(inf.res.Candidates, cand)
-		inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Cand: cand}
+	if !b.Explicit {
+		// A failed confine? leaves e in place, so besides ρ = ρ′ each
+		// occurrence recovers e's own effect (L₁ ⊆ π′).
+		inf.candidateConds(b, l2, esc, sink,
+			[]effects.Action{effects.ActUnify{A: b.Rho, B: b.RhoP}, effects.ActIncl{From: l1, To: pi}},
+			guard{effects.KindIn{Kind: effects.Write, V: l1}, "confined expression has a write effect"},
+			guard{effects.KindIn{Kind: effects.Alloc, V: l1}, "confined expression has an alloc effect"},
+			guard{effects.PairIn{KindA: effects.Read, VA: l1, KindB: effects.Write, VB: l2},
+				"a location read by the confined expression is written in the scope"},
+			guard{effects.PairIn{KindA: effects.Read, VA: l1, KindB: effects.Alloc, VB: l2},
+				"a location read by the confined expression is allocated in the scope"})
 		return
 	}
 
 	// Explicit confine: hard checks (the confine rule derived from
 	// confine? by requiring ρ ≠ ρ′, Section 6.1).
-	inf.res.Bindings[s.ID] = &Binding{Node: s, Rho: rho, RhoP: rhoP, Explicit: true}
-	inf.sys.AddNotIn(rho, l2, s.Sp,
-		effects.Reason{Kind: "confine", Name: name, Why: "an alias of the confined location is used within its scope"})
-	inf.sys.AddNotIn(rhoP, esc, s.Sp,
-		effects.Reason{Kind: "confine", Name: name, Why: "the confined pointer escapes its scope"})
+	inf.restrictChecks(b, l2, esc, sink)
 	inf.sys.AddKindNotIn(effects.Write, l1, s.Sp,
 		effects.Reason{Kind: "confine", Name: name, Why: "the confined expression must have no write effects"})
 	inf.sys.AddKindNotIn(effects.Alloc, l1, s.Sp,
@@ -778,7 +719,6 @@ func (inf *inferencer) confineStmt(s *ast.ConfineStmt, sink, env effects.Var) {
 		effects.Reason{Kind: "confine", Name: name, Why: "a location it reads is written within the scope"})
 	inf.sys.AddPairNotIn(effects.Read, l1, effects.Alloc, l2, s.Sp,
 		effects.Reason{Kind: "confine", Name: name, Why: "a location it reads is allocated within the scope"})
-	inf.restrictEffect(name, rho, rhoP, l2, sink)
 }
 
 // findCall returns the first call expression within e, or nil.

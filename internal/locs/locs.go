@@ -150,8 +150,9 @@ func (s *Store) MarkMulti(l Loc) {
 // cell, which is what permits strong updates: at most one storage
 // origin and not an array-element class. The fresh ρ' of a successful
 // restrict/confine satisfies this by construction (one origin, merged
-// with nothing); a failed candidate's ρ' is unified with the outer
-// location and correctly inherits its multiplicity.
+// with nothing). A failed candidate's ρ' is merged into the outer
+// location by Absorb, which leaves the class's origins as they were,
+// so ρ stays as linear as it was.
 func (s *Store) Linear(l Loc) bool {
 	in := s.info[s.Find(l)]
 	return !in.Multi && in.Origins <= 1
@@ -177,6 +178,23 @@ func (s *Store) Unify(a, b Loc) Loc {
 // each solve observes exactly its own unifications, with no callback
 // left behind when the solve ends.
 func (s *Store) UnifyObserved(a, b Loc, observe func(winner, loser Loc)) Loc {
+	return s.merge(a, b, 0, observe)
+}
+
+// Absorb merges the class of cp, the fresh ρ' of a restrict/confine
+// binding, into the class of a, a location cp copies, and returns the
+// representative. It is UnifyObserved except that the copy's own
+// storage origin is not added: the copy stands for a cell a already
+// counts, so the merged class is as linear as a's was. Failed
+// candidates (the solver's ActUnify) and confines merged after
+// inference use it.
+func (s *Store) Absorb(a, cp Loc, observe func(winner, loser Loc)) Loc {
+	return s.merge(a, cp, 1, observe)
+}
+
+// merge unites the classes of a and b, counting drop fewer origins
+// than the two classes hold.
+func (s *Store) merge(a, b Loc, drop int, observe func(winner, loser Loc)) Loc {
 	ra, rb := s.Find(a), s.Find(b)
 	if ra == rb {
 		return ra
@@ -192,7 +210,7 @@ func (s *Store) UnifyObserved(a, b Loc, observe func(winner, loser Loc)) Loc {
 	wi, li := s.info[winner], s.info[loser]
 	merged := Info{
 		Name:       wi.Name,
-		Origins:    wi.Origins + li.Origins,
+		Origins:    wi.Origins + li.Origins - drop,
 		Multi:      wi.Multi || li.Multi,
 		Restricted: wi.Restricted || li.Restricted,
 	}

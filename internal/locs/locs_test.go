@@ -80,16 +80,24 @@ func TestRestrictedLinear(t *testing.T) {
 	if !s.Linear(rp) {
 		t.Error("a fresh restricted location is linear (one origin)")
 	}
-	// A FAILED restrict candidate is unified with the outer (array)
+	// A FAILED restrict candidate is merged into the outer (array)
 	// location; the merged class must NOT be linear, restricted flag
 	// notwithstanding.
 	arr := s.FreshArray("locks[]")
-	s.Unify(rp, arr)
+	s.Absorb(arr, rp, nil)
 	if s.Linear(rp) {
 		t.Error("restricted-merged-with-array must not be linear")
 	}
 	if !s.InfoOf(rp).Restricted {
 		t.Error("restricted flag survives for diagnostics")
+	}
+	// Merged into a single cell, the copy adds no origin: the cell
+	// stays linear, where a plain union would count two origins.
+	cell := s.FreshStorage("g")
+	rq := s.FreshRestricted("q'")
+	s.Absorb(cell, rq, nil)
+	if in := s.InfoOf(cell); !s.Linear(cell) || in.Origins != 1 {
+		t.Errorf("cell after absorbing a copy: origins %d, linear %v; want 1, true", in.Origins, s.Linear(cell))
 	}
 }
 

@@ -88,7 +88,8 @@ func (r *runner) step(p *parsed) (*core.LockingResult, error) {
 		if ps := r.depSigs(d); ps != nil {
 			sigs[d] = ps
 		}
-		if api := r.depAPI(d); api != nil && !r.opts.Havoc {
+		// In havoc mode no module exports an API, so none applies.
+		if api := r.depAPI(d); api != nil {
 			for fn, masks := range api.Effects {
 				effs[d+"."+fn] = masks
 			}
@@ -107,31 +108,14 @@ func (r *runner) step(p *parsed) (*core.LockingResult, error) {
 		return nil, err
 	}
 	lr, err := m.AnalyzeLockingCtx(r.opts.Ctx, core.LockingOptions{
-		ImportEffects:   importEffects(effs, r.opts.Havoc),
-		ImportTransfers: importTransfers(trans, r.opts.Havoc),
+		ImportEffects:   effs,
+		ImportTransfers: trans,
 		ExportAPI:       !r.opts.Havoc,
 	}, r.opts.Phases)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", m.Name, err)
 	}
 	return lr, nil
-}
-
-// importEffects returns nil (full havoc) in havoc mode, and an empty
-// non-nil map otherwise so that unknown callees still havoc while
-// known ones apply their masks.
-func importEffects(effs map[string][]effects.Mask, havoc bool) map[string][]effects.Mask {
-	if havoc {
-		return nil
-	}
-	return effs
-}
-
-func importTransfers(trans [core.NumVariants]qual.Transfers, havoc bool) [core.NumVariants]qual.Transfers {
-	if havoc {
-		return [core.NumVariants]qual.Transfers{}
-	}
-	return trans
 }
 
 // sigsFromParse extracts the exportable function surface of a module

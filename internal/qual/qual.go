@@ -260,12 +260,10 @@ func (a *analyzer) strongOK(l locs.Loc) bool {
 }
 
 // enterBinding models restrict/confine scope entry: the fresh ρ′
-// receives a copy of ρ's state.
+// receives a copy of ρ's state. It enters nothing for a nil binding, a
+// failed candidate, or an unreachable point.
 func (a *analyzer) enterBinding(b *infer.Binding, sigma store) (rho, rhoP locs.Loc, ok bool) {
-	if b == nil {
-		return 0, 0, false
-	}
-	if !b.Explicit && (b.Cand == nil || !a.res.Succeeded(b.Cand)) {
+	if b == nil || sigma == nil || !b.Explicit && !a.res.Succeeded(b) {
 		return 0, 0, false
 	}
 	rho = a.res.Locs.Find(b.Rho)
@@ -278,6 +276,21 @@ func (a *analyzer) enterBinding(b *infer.Binding, sigma store) (rho, rhoP locs.L
 		a.watch[rhoP] = true
 	}
 	return rho, rhoP, true
+}
+
+// scope analyzes body as the scope of the binder or confine n, from
+// sigma, which already holds the effects of n's initializer or
+// confined expression; a restrict/confine binding of n is entered
+// first and exited on every way out of body.
+func (a *analyzer) scope(n ast.Numbered, body []ast.Stmt, sigma store, stack []string) (store, store) {
+	rho, rhoP, ok := a.enterBinding(a.res.BindingOf(n), sigma)
+	out, rets := a.stmts(body, sigma, stack)
+	if ok {
+		a.exitBinding(rho, rhoP, out)
+		// Returned-through states also carry ρ′; fold it back there too.
+		a.exitBinding(rho, rhoP, rets)
+	}
+	return out, rets
 }
 
 // exitBinding models scope exit: ρ receives ρ′'s final state,
@@ -315,10 +328,8 @@ func (a *analyzer) fun(f *ast.FunDecl, sigma store, stack []string) store {
 	type opened struct{ rho, rhoP locs.Loc }
 	var open []opened
 	for _, p := range f.Params {
-		if b := a.res.BindingOf(p); b != nil {
-			if rho, rhoP, ok := a.enterBinding(b, sigma); ok {
-				open = append(open, opened{rho, rhoP})
-			}
+		if rho, rhoP, ok := a.enterBinding(a.res.BindingOf(p), sigma); ok {
+			open = append(open, opened{rho, rhoP})
 		}
 	}
 	out, rets := a.stmts(f.Body.Stmts, sigma, stack)
@@ -360,20 +371,10 @@ func (a *analyzer) stmts(list []ast.Stmt, sigma store, stack []string) (store, s
 		}
 		switch s := s.(type) {
 		case *ast.DeclStmt:
-			// Remainder-of-block binder; possibly a restrict scope.
-			if b := a.res.BindingOf(s); b != nil {
-				if rho, rhoP, ok := a.enterBinding(b, sigma); ok {
-					out, r2 := a.stmts(list[i+1:], sigma, stack)
-					a.exitBinding(rho, rhoP, out)
-					// Returned-through states also carry ρ′; fold it
-					// back there too.
-					a.exitBinding(rho, rhoP, r2)
-					return out, joinStores(rets, r2)
-				}
-			}
-			// Plain let: evaluate the initializer for lock ops inside
-			// (e.g. a call), then continue.
+			// The remainder of the block is the binder's scope.
 			sigma = a.expr(s.Init, sigma, stack)
+			out, r2 := a.scope(s, list[i+1:], sigma, stack)
+			return out, joinStores(rets, r2)
 		case *ast.ReturnStmt:
 			if s.X != nil {
 				sigma = a.expr(s.X, sigma, stack)
@@ -393,28 +394,10 @@ func (a *analyzer) stmts(list []ast.Stmt, sigma store, stack []string) (store, s
 func (a *analyzer) stmt(s ast.Stmt, sigma store, stack []string) (store, store) {
 	switch s := s.(type) {
 	case *ast.BindStmt:
-		sigma = a.expr(s.Init, sigma, stack)
-		if b := a.res.BindingOf(s); b != nil {
-			if rho, rhoP, ok := a.enterBinding(b, sigma); ok {
-				out, rets := a.stmts(s.Body.Stmts, sigma, stack)
-				a.exitBinding(rho, rhoP, out)
-				a.exitBinding(rho, rhoP, rets)
-				return out, rets
-			}
-		}
-		return a.stmts(s.Body.Stmts, sigma, stack)
+		return a.scope(s, s.Body.Stmts, a.expr(s.Init, sigma, stack), stack)
 
 	case *ast.ConfineStmt:
-		sigma = a.expr(s.Expr, sigma, stack)
-		if b := a.res.BindingOf(s); b != nil {
-			if rho, rhoP, ok := a.enterBinding(b, sigma); ok {
-				out, rets := a.stmts(s.Body.Stmts, sigma, stack)
-				a.exitBinding(rho, rhoP, out)
-				a.exitBinding(rho, rhoP, rets)
-				return out, rets
-			}
-		}
-		return a.stmts(s.Body.Stmts, sigma, stack)
+		return a.scope(s, s.Body.Stmts, a.expr(s.Expr, sigma, stack), stack)
 
 	case *ast.AssignStmt:
 		sigma = a.expr(s.LHS, sigma, stack)

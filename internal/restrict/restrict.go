@@ -87,7 +87,7 @@ type InferResult struct {
 	Solution *solve.Result
 	// Restricted lists the candidates that became restricts;
 	// Rejected the ones that stayed lets, with reasons.
-	Restricted []*infer.Candidate
+	Restricted []*infer.Binding
 	Rejected   []Rejection
 	// Violations are failures of explicit annotations present in the
 	// same program.
@@ -96,7 +96,7 @@ type InferResult struct {
 
 // Rejection explains why a candidate stayed a let.
 type Rejection struct {
-	Cand    *infer.Candidate
+	Cand    *infer.Binding
 	Reasons []string
 }
 

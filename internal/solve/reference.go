@@ -314,7 +314,7 @@ func (s *refSolver) fire(c *effects.Cond) {
 	for _, act := range c.Actions {
 		switch act := act.(type) {
 		case effects.ActUnify:
-			s.ls.Unify(act.A, act.B)
+			s.ls.Absorb(act.A, act.B, nil)
 		case effects.ActIncl:
 			if s.extra == nil {
 				s.extra = make([][]target, s.g.nvar)

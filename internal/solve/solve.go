@@ -268,7 +268,7 @@ type solver struct {
 	unified bool // set by the unify observer
 
 	// obsUnify is the per-solver unification observer passed to
-	// locs.Store.UnifyObserved: unlike a registered OnUnify callback
+	// locs.Store.Absorb: unlike a registered OnUnify callback
 	// it lives exactly as long as the solve.
 	obsUnify func(winner, loser locs.Loc)
 
@@ -813,7 +813,7 @@ func (s *solver) fire(ci int) {
 	for _, act := range c.Actions {
 		switch act := act.(type) {
 		case effects.ActUnify:
-			s.ls.UnifyObserved(act.A, act.B, s.obsUnify)
+			s.ls.Absorb(act.A, act.B, s.obsUnify)
 		case effects.ActIncl:
 			if s.extra == nil {
 				s.extra = make([][]target, s.g.nvar)
