@@ -14,8 +14,6 @@
 //	lna gateway             distributed front over N serve replicas:
 //	                        consistent-hash routing by cache key, health
 //	                        checks, retries, admission control
-//	lna bench               open-loop load generator against a daemon
-//	                        or gateway (-remote), reporting p50/p95/p99
 //	lna trace fetch ID      assemble one distributed trace: pull the
 //	                        fragment from -remote plus (via /v1/fleet)
 //	                        every replica's fragment, merged into one
@@ -51,14 +49,6 @@
 //	-health-interval period between backend health sweeps
 //	-retries         reroute attempts after the owning backend fails
 //	-max-inflight    admission cap on concurrently forwarded requests
-//
-// Bench flags (target set with -remote):
-//
-//	-rps       open-loop target arrival rate
-//	-duration  how long to schedule arrivals
-//	-replay    warm the target first; the run then measures cache hits
-//	-modules   corpus modules in the workload (0 = all 589)
-//	-json      emit the report as JSON instead of the summary
 //
 // Serve flags:
 //
@@ -108,7 +98,7 @@ import (
 
 // subcommands names every lna subcommand, for validation and the
 // misplaced-flag error.
-var subcommands = []string{"check", "infer", "confine", "qual", "fmt", "run", "timing", "serve", "gateway", "bench", "trace", "top"}
+var subcommands = []string{"check", "infer", "confine", "qual", "fmt", "run", "timing", "serve", "gateway", "trace", "top"}
 
 // analysisModes are the subcommands served by the shared service
 // engine (and therefore by `lna serve`).
@@ -183,11 +173,6 @@ type options struct {
 	retries        int
 	maxInflight    int
 
-	rps          float64
-	duration     time.Duration
-	replay       bool
-	benchModules int
-
 	out string
 }
 
@@ -223,15 +208,11 @@ func main() {
 	fs.StringVar(&opt.logFormat, "log-format", "text", "serve/gateway: access-log rendering (text|json|off)")
 	fs.StringVar(&opt.debugAddr, "debug-addr", "", "serve: optional pprof+metrics listener (empty = off)")
 	fs.IntVar(&opt.traceEntries, "trace-entries", 0, "serve/gateway: in-memory ring of completed traces for /v1/trace/{id} (0 = default 256; negative disables tracing)")
-	fs.StringVar(&opt.remote, "remote", "", "send the analysis to this daemon or gateway base URL instead of running in-process (check/infer/confine/qual; bench target)")
+	fs.StringVar(&opt.remote, "remote", "", "send the analysis to this daemon or gateway base URL instead of running in-process (check/infer/confine/qual)")
 	fs.StringVar(&opt.backends, "backends", "", "gateway: comma-separated backend base URLs (required)")
 	fs.DurationVar(&opt.healthInterval, "health-interval", gateway.DefaultHealthInterval, "gateway: period between backend health sweeps")
 	fs.IntVar(&opt.retries, "retries", gateway.DefaultRetries, "gateway: reroute attempts after the owning backend fails (per request)")
 	fs.IntVar(&opt.maxInflight, "max-inflight", gateway.DefaultMaxInflight, "gateway: admission-control cap on concurrently forwarded requests")
-	fs.Float64Var(&opt.rps, "rps", 50, "bench: open-loop target arrival rate")
-	fs.DurationVar(&opt.duration, "duration", benchDuration, "bench: how long to schedule arrivals")
-	fs.BoolVar(&opt.replay, "replay", false, "bench: warm the target with one untimed pass first, so the run measures replayed (cache-hit) traffic")
-	fs.IntVar(&opt.benchModules, "modules", 120, "bench: corpus modules in the replayed workload (0 = all)")
 	fs.StringVar(&opt.out, "o", "", "trace fetch: output file (default <id>.trace.json)")
 	if err := fs.Parse(rest); err != nil {
 		// The flag package has already printed the offending flag and
@@ -245,8 +226,6 @@ func main() {
 		os.Exit(runServe(opt))
 	case cmd == "gateway":
 		os.Exit(runGateway(opt))
-	case cmd == "bench":
-		os.Exit(runBench(opt))
 	case cmd == "trace":
 		os.Exit(runTraceFetch(opt, args))
 	case cmd == "top":
@@ -506,7 +485,7 @@ func accessLogger(format string) (*service.AccessLogger, error) {
 // analysis engine (fmt, run) under the fault guard, so a panic still
 // degrades to a structured report.
 func runLocal(cmd, file, src string, args []string) int {
-	tr := faults.NewTrace(file)
+	tr := faults.NewTrace()
 	var mod *core.Module
 	code := service.ExitClean
 	fail := faults.Run(file, tr, func() error {
@@ -560,5 +539,5 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: lna [flags] <check|infer|confine|qual|fmt|run|timing|serve|gateway|bench|trace|top> [flags] [FILE] [args...]`)
+	fmt.Fprintln(os.Stderr, `usage: lna [flags] <check|infer|confine|qual|fmt|run|timing|serve|gateway|trace|top> [flags] [FILE] [args...]`)
 }

@@ -24,7 +24,7 @@ func TestSplitCommand(t *testing.T) {
 		{"typo stays the subcommand", []string{"-trace-out", "t.json", "chek", "f.mc"}, "t.json", []string{"-trace-out", "chek", "f.mc"}},
 		{"gateway with backends", []string{"gateway", "-backends", "http://a,http://b"}, "gateway", []string{"-backends", "http://a,http://b"}},
 		{"remote flag before subcommand", []string{"-remote", "http://h:1", "check", "f.mc"}, "check", []string{"-remote", "http://h:1", "f.mc"}},
-		{"bench with flags", []string{"bench", "-remote", "http://h:1", "-rps", "50"}, "bench", []string{"-remote", "http://h:1", "-rps", "50"}},
+		{"top with flags", []string{"top", "-remote", "http://h:1", "-json"}, "top", []string{"-remote", "http://h:1", "-json"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,20 +7,15 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
-	"time"
 
-	"localalias/internal/bench"
 	"localalias/internal/client"
-	"localalias/internal/drivergen"
 	"localalias/internal/gateway"
 	"localalias/internal/service"
 )
 
-// remoteClient builds the shared v1 client for -remote / bench
-// targets.
+// remoteClient builds the shared v1 client for -remote targets.
 func remoteClient(url string) *client.Client {
 	return client.New(url, client.Options{})
 }
@@ -114,79 +109,3 @@ func runGateway(opt options) int {
 		st.Requests, st.BatchRequests, st.Rejected, st.Retries)
 	return service.ExitClean
 }
-
-// runBench drives the open-loop load generator against -remote (a
-// daemon or a gateway — the client cannot tell, which is the point)
-// and prints the latency/throughput report.
-func runBench(opt options) int {
-	if opt.remote == "" {
-		fmt.Fprintln(os.Stderr, "lna: bench: -remote URL is required (a daemon or gateway base URL)")
-		return service.ExitUsage
-	}
-	n := opt.benchModules
-	if n <= 0 || n > drivergen.NumModules {
-		n = drivergen.NumModules
-	}
-	reqs := make([]service.AnalyzeRequest, 0, n)
-	for _, spec := range drivergen.Corpus()[:n] {
-		reqs = append(reqs, service.AnalyzeRequest{
-			Module: spec.Name + ".mc", Source: spec.Source(),
-			Options: service.AnalyzeOptions{Mode: service.ModeCheck},
-		})
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	progress := func(line string) { fmt.Fprintln(os.Stderr, "lna: bench:", line) }
-	if opt.asJSON {
-		progress = nil
-	}
-	rep, err := bench.Run(ctx, bench.Options{
-		Client:   remoteClient(opt.remote),
-		RPS:      opt.rps,
-		Duration: opt.duration,
-		Requests: reqs,
-		Warm:     opt.replay,
-		Progress: progress,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lna: bench:", err)
-		return service.ExitUsage
-	}
-	if opt.asJSON {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lna: bench:", err)
-			return service.ExitUsage
-		}
-		os.Stdout.Write(append(data, '\n'))
-	} else {
-		fmt.Printf("bench %s: %d offered at %.0f rps over %.1fs (%d modules%s)\n",
-			opt.remote, rep.Offered, rep.TargetRPS, rep.DurationSeconds, n,
-			map[bool]string{true: ", warm replay", false: ""}[opt.replay])
-		fmt.Printf("  completed %d (%.1f rps)  rejected %d  errors %d  shed %d\n",
-			rep.Completed, rep.AchievedRPS, rep.Rejected, rep.Errors, rep.Shed)
-		if len(rep.ErrorsByCode) > 0 {
-			codes := make([]string, 0, len(rep.ErrorsByCode))
-			for code := range rep.ErrorsByCode {
-				codes = append(codes, code)
-			}
-			sort.Strings(codes)
-			parts := make([]string, 0, len(codes))
-			for _, code := range codes {
-				parts = append(parts, fmt.Sprintf("%s=%d", code, rep.ErrorsByCode[code]))
-			}
-			fmt.Printf("  errors by code: %s\n", strings.Join(parts, "  "))
-		}
-		fmt.Printf("  cache: %d hits / %d misses (hit rate %.2f)\n",
-			rep.CacheHits, rep.CacheMisses, rep.HitRate)
-		fmt.Printf("  latency ms: p50 %.3f  p95 %.3f  p99 %.3f  mean %.3f  max %.3f\n",
-			rep.LatencyMsP50, rep.LatencyMsP95, rep.LatencyMsP99, rep.LatencyMsMean, rep.LatencyMsMax)
-	}
-	if rep.Errors > 0 {
-		return service.ExitDegraded
-	}
-	return service.ExitClean
-}
-
-// benchDuration is the `lna bench` default run length.
-const benchDuration = 10 * time.Second

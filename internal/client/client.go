@@ -3,9 +3,9 @@
 // the X-Lna-* response headers, canonical error-body handling, and a
 // shared retry policy with exponential backoff. The gateway's backend
 // forwarding, the CLI's remote mode (`lna check -remote URL`), and the
-// `lna bench` load harness all speak HTTP through this package, so the
-// wire shape lives in exactly one place (package service defines the
-// types; this package defines how they travel).
+// open-loop load generators all speak HTTP through this package, so
+// the wire shape lives in exactly one place (package service defines
+// the types; this package defines how they travel).
 //
 // Retrying POST /v1/analyze and /v1/batch is safe by construction:
 // analysis is a pure function of the request (responses are canonical
@@ -18,7 +18,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -195,21 +194,7 @@ func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (*Resu
 	if sc, ok := obs.TraceContextFromContext(ctx); ok {
 		req.Header.Set(obs.TraceContextHeader, sc.String())
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("reading response body: %w", err)
-	}
-	return &Result{
-		Status: resp.StatusCode,
-		Header: resp.Header,
-		Body:   data,
-		Meta:   decodeMeta(resp.Header),
-	}, nil
+	return c.do(req)
 }
 
 // get performs one GET round trip (health, stats).
@@ -218,12 +203,19 @@ func (c *Client) get(ctx context.Context, path string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.do(req)
+}
+
+// do sends req and reads the whole response. A body of declared
+// length (both tiers set Content-Length on canonical bytes) is read
+// into one buffer of that size.
+func (c *Client) do(req *http.Request) (*Result, error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := service.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("reading response body: %w", err)
 	}

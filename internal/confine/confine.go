@@ -81,11 +81,10 @@ type Result struct {
 	Infer    *infer.Result
 	Solution *solve.Result
 	// Planted is the number of confine? candidates inserted; Kept the
-	// candidates that succeeded and remain in the AST; Removed the
-	// count spliced back out.
+	// candidates that succeeded and remain in the AST (the rest are
+	// spliced back out).
 	Planted int
 	Kept    []*infer.Binding
-	Removed int
 	// Violations report failures of explicit (hand-written)
 	// annotations encountered along the way.
 	Violations []solve.Violation
@@ -145,8 +144,6 @@ func InferAndApplyOver(base *infer.Result, prog *ast.Program, diags *source.Diag
 			if res.Infer.Succeeded(c) {
 				n.Inferred = true
 				res.Kept = append(res.Kept, c)
-			} else {
-				res.Removed++
 			}
 		case *ast.DeclStmt:
 			if res.Infer.Succeeded(c) {
@@ -611,7 +608,6 @@ func copyEntries(in *types.Info, orig, c ast.Expr) {
 		in.ExprTypes[n] = t
 		in.Typed++
 	}
-	in.IsPlace[n] = in.IsPlace[o]
 	in.Uses[n] = in.Uses[o]
 	switch o := orig.(type) {
 	case *ast.DerefExpr:

@@ -168,8 +168,8 @@ fun f() {
 `
 	orig := ast.String(parse(t, src))
 	prog, res := runInfer(t, src, Options{})
-	if res.Planted != 1 || res.Removed != 1 || len(res.Kept) != 0 {
-		t.Fatalf("planted=%d removed=%d kept=%d", res.Planted, res.Removed, len(res.Kept))
+	if res.Planted != 1 || len(res.Kept) != 0 {
+		t.Fatalf("planted=%d kept=%d", res.Planted, len(res.Kept))
 	}
 	if got := ast.String(prog); got != orig {
 		t.Errorf("failed candidate must restore the tree:\n--- orig ---\n%s--- got ---\n%s", orig, got)

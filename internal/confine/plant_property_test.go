@@ -56,8 +56,8 @@ func plantAndRecheck(name, src string) (planted, refused int, err error) {
 			fresh.Typed, info.Typed, fresh.NumBinders, info.NumBinders)
 	}
 	for _, tables := range [][2]int{
-		{len(fresh.ExprTypes), len(info.ExprTypes)}, {len(fresh.IsPlace), len(info.IsPlace)},
-		{len(fresh.Uses), len(info.Uses)}, {len(fresh.Binders), len(info.Binders)},
+		{len(fresh.ExprTypes), len(info.ExprTypes)}, {len(fresh.Uses), len(info.Uses)},
+		{len(fresh.Binders), len(info.Binders)},
 	} {
 		if tables[0] != prog.NumNodes || tables[1] != prog.NumNodes {
 			return planted, refused, fmt.Errorf("table lengths %d (fresh) and %d (planted), want NumNodes %d", tables[0], tables[1], prog.NumNodes)
@@ -72,9 +72,6 @@ func plantAndRecheck(name, src string) (planted, refused int, err error) {
 		got, want := info.ExprTypes[id], fresh.ExprTypes[id]
 		if (got == nil) != (want == nil) || want != nil && (!types.Equal(got, want) || got.String() != want.String()) {
 			return planted, refused, fmt.Errorf("%s: type %v, a fresh check says %v", at, got, want)
-		}
-		if info.IsPlace[id] != fresh.IsPlace[id] {
-			return planted, refused, fmt.Errorf("%s: place flag %v, a fresh check says %v", at, info.IsPlace[id], fresh.IsPlace[id])
 		}
 		if !sameSym(info.Uses[id], fresh.Uses[id]) {
 			return planted, refused, fmt.Errorf("%s resolves to a different symbol than a fresh check finds", at)

@@ -228,9 +228,6 @@ type Cond struct {
 	Trigger Trigger
 	Actions []Action
 	Reason  Reason
-	// Tag optionally links the conditional to an inference candidate
-	// for reporting. Zero means untagged.
-	Tag int
 }
 
 // Reason is a lazily rendered constraint label, in the spirit of

@@ -52,7 +52,6 @@ type PhaseTiming struct {
 // Current from outside.
 type Trace struct {
 	mu      sync.Mutex
-	module  string
 	phase   obs.Phase
 	start   time.Time
 	order   []obs.Phase
@@ -63,9 +62,9 @@ type Trace struct {
 	spans *obs.Trace
 }
 
-// NewTrace starts a trace for the named module.
-func NewTrace(module string) *Trace {
-	return &Trace{module: module, elapsed: make(map[obs.Phase]time.Duration)}
+// NewTrace starts a trace for one module's analysis.
+func NewTrace() *Trace {
+	return &Trace{elapsed: make(map[obs.Phase]time.Duration)}
 }
 
 // SetSpans attaches an obs trace: every phase interval the trace
@@ -78,16 +77,6 @@ func (t *Trace) SetSpans(ot *obs.Trace) {
 	t.mu.Lock()
 	t.spans = ot
 	t.mu.Unlock()
-}
-
-// Spans returns the attached obs trace (nil when tracing is off).
-func (t *Trace) Spans() *obs.Trace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spans
 }
 
 // Enter marks the start of phase p, closing the timing of the phase

@@ -11,14 +11,14 @@ import (
 )
 
 func TestRunSuccess(t *testing.T) {
-	tr := NewTrace("m")
+	tr := NewTrace()
 	if f := Run("m", tr, func() error { return nil }); f != nil {
 		t.Fatalf("unexpected failure: %v", f)
 	}
 }
 
 func TestRunError(t *testing.T) {
-	tr := NewTrace("m")
+	tr := NewTrace()
 	tr.Enter(obs.PhaseParse)
 	f := Run("m", tr, func() error { return errors.New("boom") })
 	if f == nil {
@@ -33,7 +33,7 @@ func TestRunError(t *testing.T) {
 }
 
 func TestRunPanic(t *testing.T) {
-	tr := NewTrace("m")
+	tr := NewTrace()
 	tr.Enter(obs.PhaseInfer)
 	f := Run("m", tr, func() error {
 		tr.Enter(obs.PhaseSolve)
@@ -62,7 +62,7 @@ func TestRunPanic(t *testing.T) {
 func TestCheckDeadlineAbort(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tr := NewTrace("m")
+	tr := NewTrace()
 	tr.Enter(obs.PhaseSolve)
 	f := Run("m", tr, func() error {
 		CheckDeadline(ctx)
@@ -78,7 +78,7 @@ func TestCheckDeadlineAbort(t *testing.T) {
 }
 
 func TestRunBoundedTimeoutAbandons(t *testing.T) {
-	tr := NewTrace("m")
+	tr := NewTrace()
 	tr.Enter(obs.PhaseQual)
 	release := make(chan struct{})
 	defer close(release)
@@ -96,7 +96,7 @@ func TestRunBoundedTimeoutAbandons(t *testing.T) {
 }
 
 func TestRunBoundedCooperativeTimeout(t *testing.T) {
-	tr := NewTrace("m")
+	tr := NewTrace()
 	f := RunBounded(context.Background(), "m", 30*time.Millisecond, tr, func(ctx context.Context) error {
 		tr.Enter(obs.PhaseSolve)
 		for {
@@ -110,14 +110,14 @@ func TestRunBoundedCooperativeTimeout(t *testing.T) {
 }
 
 func TestRunBoundedNoTimeout(t *testing.T) {
-	tr := NewTrace("m")
+	tr := NewTrace()
 	if f := RunBounded(context.Background(), "m", 0, tr, func(ctx context.Context) error { return nil }); f != nil {
 		t.Fatalf("unexpected failure: %v", f)
 	}
 }
 
 func TestTraceTimings(t *testing.T) {
-	tr := NewTrace("m")
+	tr := NewTrace()
 	tr.Enter(obs.PhaseParse)
 	tr.Enter(obs.PhaseInfer)
 	tr.Enter(obs.PhaseQual)

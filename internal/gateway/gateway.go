@@ -354,6 +354,7 @@ func relay(w http.ResponseWriter, res *client.Result, b *Backend, attempts int) 
 	}
 	w.Header().Set("X-Lna-Backend", b.URL)
 	w.Header().Set("X-Lna-Attempts", strconv.Itoa(attempts))
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.Body)))
 	w.WriteHeader(res.Status)
 	_, _ = w.Write(res.Body)
 }

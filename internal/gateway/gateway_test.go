@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -262,6 +263,50 @@ func TestGatewayCacheAffinity(t *testing.T) {
 		}
 	}
 	_ = reps
+}
+
+// TestAnswersDeclareLength: a /v1/analyze answer carries a
+// Content-Length at both tiers, also when it is too large for the
+// HTTP server to set one by itself, so the client reads it into one
+// buffer; the gateway relays the daemon's bytes unchanged.
+func TestAnswersDeclareLength(t *testing.T) {
+	_, gc, reps := newCluster(t, 1, gateway.Options{})
+	var name, src string
+	for _, spec := range drivergen.Corpus() {
+		if s := spec.Source(); len(s) > len(src) {
+			name, src = spec.Name, s
+		}
+	}
+	body, err := json.Marshal(service.AnalyzeRequest{
+		Module: name + ".mc", Source: src,
+		Options: service.AnalyzeOptions{Mode: service.ModeInfer},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answers [][]byte
+	for _, base := range []string{reps[0].ts.URL, gc.BaseURL()} {
+		resp, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", base, resp.StatusCode, err)
+		}
+		if len(data) < 16<<10 {
+			t.Fatalf("%s: a %d-byte answer is too small to show the header", base, len(data))
+		}
+		if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v for a %d-byte answer",
+				base, resp.ContentLength, resp.TransferEncoding, len(data))
+		}
+		answers = append(answers, data)
+	}
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Error("the gateway relayed different bytes than the daemon answered")
+	}
 }
 
 // TestGatewayValidationAtEdge: inadmissible requests are refused by

@@ -261,7 +261,6 @@ func resized[T any](s []T, n int) []T {
 type effKey = string
 
 type funLInfo struct {
-	sig    *types.FunSig
 	params []*LType // original (pre-restrict) parameter types
 	result *LType
 	eff    effects.Var // latent effect (post-Down)
@@ -270,7 +269,6 @@ type funLInfo struct {
 }
 
 type globalLInfo struct {
-	sym *types.Symbol
 	// cell is the storage cell for scalar globals (NoLoc for
 	// aggregates, whose storage lives inside content).
 	cell    locs.Loc
@@ -323,7 +321,7 @@ func (inf *inferencer) run() {
 		if sym == nil {
 			continue
 		}
-		gi := &globalLInfo{sym: sym, cell: locs.NoLoc}
+		gi := &globalLInfo{cell: locs.NoLoc}
 		switch sym.Type.(type) {
 		case *types.Array, *types.Named:
 			gi.content = inf.b.build(sym.Type, modeGlobal, g.Name, nil)
@@ -346,7 +344,6 @@ func (inf *inferencer) run() {
 			continue
 		}
 		fi := &funLInfo{
-			sig:  sig,
 			eff:  inf.sys.FreshN("eff(", f.Name, ")"),
 			body: inf.sys.FreshN("body(", f.Name, ")"),
 			keep: inf.sys.FreshN("keep(", f.Name, ")"),
@@ -434,7 +431,7 @@ func (inf *inferencer) bind(n ast.Numbered, kind CandKind, name string, refT *LT
 		Name:     name,
 		Site:     n.Span(),
 		Rho:      refT.Cell(),
-		RhoP:     inf.ls.FreshRestricted(copyName),
+		RhoP:     inf.ls.FreshStorage(copyName),
 		Explicit: explicit,
 	}
 	inf.res.Bindings[n.NodeID()] = b

@@ -24,9 +24,8 @@ type Lexer struct {
 	file  *source.File
 	diags *source.Diagnostics
 
-	src  string
-	off  int // current reading offset
-	next int // offset after current rune (bytes; MiniC is ASCII)
+	src string
+	off int // current reading offset (bytes; MiniC is ASCII)
 }
 
 // New returns a Lexer over file, reporting malformed input to diags.

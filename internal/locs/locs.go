@@ -8,16 +8,13 @@
 // union-find; names whose types mention the same representative
 // location may alias.
 //
-// Each location carries two pieces of metadata used elsewhere:
-//
-//   - origins: how many distinct storage origins the representative
-//     stands for. A location standing for a single concrete cell
-//     ("linear") admits strong updates in the flow-sensitive
-//     qualifier analysis; array-element locations and unions of
-//     several origins do not.
-//   - restricted: whether the location is the fresh ρ' of a restrict
-//     or confine binding, which is linear within its scope by
-//     construction (the whole point of the constructs).
+// Each location counts how many distinct storage origins its
+// representative stands for, and whether it stands for many cells
+// (array elements). A location standing for a single concrete cell
+// ("linear") admits strong updates in the flow-sensitive qualifier
+// analysis; array-element locations and unions of several origins do
+// not. The fresh ρ' of a restrict or confine binding is one storage
+// origin, so it is linear within its scope by construction.
 package locs
 
 // Store owns all abstract locations of one analysis run. It is not
@@ -27,7 +24,6 @@ type Store struct {
 	rank       []int8
 	info       []Info
 	numUnifies int
-	onUnify    []func(winner, loser Loc)
 }
 
 // Loc names one abstract location. Use Store.Find to canonicalize
@@ -48,8 +44,6 @@ type Info struct {
 	// Multi marks locations that stand for several concrete cells
 	// even with a single origin (array elements).
 	Multi bool
-	// Restricted marks the fresh ρ' of a restrict/confine binding.
-	Restricted bool
 }
 
 // NewStore returns an empty location store.
@@ -71,8 +65,7 @@ func (s *Store) Len() int { return len(s.parent) }
 func (s *Store) NumUnifies() int { return s.numUnifies }
 
 // Fresh creates a new location with no storage origin (a type
-// placeholder). It becomes meaningful once storage is attached via
-// MarkStorage or by unification.
+// placeholder). It becomes meaningful once unified with storage.
 func (s *Store) Fresh(name string) Loc {
 	l := Loc(len(s.parent))
 	s.parent = append(s.parent, l)
@@ -82,26 +75,11 @@ func (s *Store) Fresh(name string) Loc {
 }
 
 // FreshStorage creates a location that is itself one storage origin
-// (a global cell, a new-site, a struct field).
+// (a global cell, a new-site, a struct field, the ρ' of a restrict or
+// confine binding; with MarkMulti, the elements of an array).
 func (s *Store) FreshStorage(name string) Loc {
 	l := s.Fresh(name)
 	s.info[l].Origins = 1
-	return l
-}
-
-// FreshArray creates a location for the elements of an array: one
-// origin, but standing for many cells, so never linear.
-func (s *Store) FreshArray(name string) Loc {
-	l := s.FreshStorage(name)
-	s.info[l].Multi = true
-	return l
-}
-
-// FreshRestricted creates the ρ' of a restrict/confine binding: it
-// stands for exactly one cell within its scope.
-func (s *Store) FreshRestricted(name string) Loc {
-	l := s.FreshStorage(name)
-	s.info[l].Restricted = true
 	return l
 }
 
@@ -136,11 +114,6 @@ func (s *Store) InfoOf(l Loc) Info { return s.info[s.Find(l)] }
 // Name returns the diagnostic label of l's class.
 func (s *Store) Name(l Loc) string { return s.info[s.Find(l)].Name }
 
-// MarkStorage records an additional storage origin for l's class.
-func (s *Store) MarkStorage(l Loc) {
-	s.info[s.Find(l)].Origins++
-}
-
 // MarkMulti records that l stands for several concrete cells.
 func (s *Store) MarkMulti(l Loc) {
 	s.info[s.Find(l)].Multi = true
@@ -158,36 +131,24 @@ func (s *Store) Linear(l Loc) bool {
 	return !in.Multi && in.Origins <= 1
 }
 
-// OnUnify registers a callback invoked after each union with the
-// surviving representative and the absorbed representative.
-func (s *Store) OnUnify(f func(winner, loser Loc)) {
-	s.onUnify = append(s.onUnify, f)
-}
-
 // Unify merges the classes of a and b and returns the representative.
-// Metadata is combined: origins add, multi or-s, restricted or-s, and
-// the name of the higher-origin side wins (ties prefer a's).
+// Metadata is combined: origins add, multi or-s, and the name of the
+// higher-origin side wins (ties prefer a's).
 func (s *Store) Unify(a, b Loc) Loc {
-	return s.UnifyObserved(a, b, nil)
-}
-
-// UnifyObserved is Unify with a per-call observer: if the classes
-// actually merge, observe (when non-nil) is invoked with the
-// surviving and absorbed representatives, after any registered
-// OnUnify callbacks. The solver uses this instead of OnUnify so that
-// each solve observes exactly its own unifications, with no callback
-// left behind when the solve ends.
-func (s *Store) UnifyObserved(a, b Loc, observe func(winner, loser Loc)) Loc {
-	return s.merge(a, b, 0, observe)
+	return s.merge(a, b, 0, nil)
 }
 
 // Absorb merges the class of cp, the fresh ρ' of a restrict/confine
 // binding, into the class of a, a location cp copies, and returns the
-// representative. It is UnifyObserved except that the copy's own
-// storage origin is not added: the copy stands for a cell a already
-// counts, so the merged class is as linear as a's was. Failed
-// candidates (the solver's ActUnify) and confines merged after
-// inference use it.
+// representative. It is Unify except that the copy's own storage
+// origin is not added: the copy stands for a cell a already counts,
+// so the merged class is as linear as a's was. Failed candidates (the
+// solver's ActUnify) and confines merged after inference use it.
+//
+// If the classes actually merge, observe (when non-nil) is invoked
+// with the surviving and absorbed representatives. The observer is
+// per call, not registered on the store, so each solve sees exactly
+// its own unifications and leaves nothing behind when it ends.
 func (s *Store) Absorb(a, cp Loc, observe func(winner, loser Loc)) Loc {
 	return s.merge(a, cp, 1, observe)
 }
@@ -209,19 +170,15 @@ func (s *Store) merge(a, b Loc, drop int, observe func(winner, loser Loc)) Loc {
 	}
 	wi, li := s.info[winner], s.info[loser]
 	merged := Info{
-		Name:       wi.Name,
-		Origins:    wi.Origins + li.Origins - drop,
-		Multi:      wi.Multi || li.Multi,
-		Restricted: wi.Restricted || li.Restricted,
+		Name:    wi.Name,
+		Origins: wi.Origins + li.Origins - drop,
+		Multi:   wi.Multi || li.Multi,
 	}
 	if wi.Name == "" || (li.Origins > wi.Origins && li.Name != "") {
 		merged.Name = li.Name
 	}
 	s.parent[loser] = winner
 	s.info[winner] = merged
-	for _, f := range s.onUnify {
-		f(winner, loser)
-	}
 	if observe != nil {
 		observe(winner, loser)
 	}

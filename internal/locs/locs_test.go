@@ -53,7 +53,8 @@ func TestLinearity(t *testing.T) {
 	if !s.Linear(g) {
 		t.Error("single-origin storage is linear")
 	}
-	arr := s.FreshArray("locks[]")
+	arr := s.FreshStorage("locks[]")
+	s.MarkMulti(arr)
 	if s.Linear(arr) {
 		t.Error("array elements are never linear")
 	}
@@ -76,25 +77,22 @@ func TestLinearity(t *testing.T) {
 
 func TestRestrictedLinear(t *testing.T) {
 	s := NewStore()
-	rp := s.FreshRestricted("p'")
+	rp := s.FreshStorage("p'")
 	if !s.Linear(rp) {
 		t.Error("a fresh restricted location is linear (one origin)")
 	}
 	// A FAILED restrict candidate is merged into the outer (array)
-	// location; the merged class must NOT be linear, restricted flag
-	// notwithstanding.
-	arr := s.FreshArray("locks[]")
+	// location; the merged class must NOT be linear.
+	arr := s.FreshStorage("locks[]")
+	s.MarkMulti(arr)
 	s.Absorb(arr, rp, nil)
 	if s.Linear(rp) {
 		t.Error("restricted-merged-with-array must not be linear")
 	}
-	if !s.InfoOf(rp).Restricted {
-		t.Error("restricted flag survives for diagnostics")
-	}
 	// Merged into a single cell, the copy adds no origin: the cell
 	// stays linear, where a plain union would count two origins.
 	cell := s.FreshStorage("g")
-	rq := s.FreshRestricted("q'")
+	rq := s.FreshStorage("q'")
 	s.Absorb(cell, rq, nil)
 	if in := s.InfoOf(cell); !s.Linear(cell) || in.Origins != 1 {
 		t.Errorf("cell after absorbing a copy: origins %d, linear %v; want 1, true", in.Origins, s.Linear(cell))
@@ -104,8 +102,9 @@ func TestRestrictedLinear(t *testing.T) {
 func TestUnifyMetadataMerge(t *testing.T) {
 	s := NewStore()
 	a := s.FreshStorage("a")
-	s.MarkStorage(a) // a now has 2 origins
-	b := s.FreshArray("b")
+	s.Unify(a, s.FreshStorage("a2")) // a now has 2 origins
+	b := s.FreshStorage("b")
+	s.MarkMulti(b)
 	r := s.Unify(a, b)
 	in := s.InfoOf(r)
 	if in.Origins != 3 {
@@ -116,18 +115,21 @@ func TestUnifyMetadataMerge(t *testing.T) {
 	}
 }
 
-func TestOnUnifyCallback(t *testing.T) {
+// TestAbsorbObserver: the observer given to one Absorb call sees that
+// call's merge and nothing else — not a redundant merge, and not a
+// later merge made without it.
+func TestAbsorbObserver(t *testing.T) {
 	s := NewStore()
-	a := s.Fresh("a")
-	b := s.Fresh("b")
+	a := s.FreshStorage("a")
+	b := s.FreshStorage("b'")
 	var wins, loses []Loc
-	s.OnUnify(func(w, l Loc) {
+	observe := func(w, l Loc) {
 		wins = append(wins, w)
 		loses = append(loses, l)
-	})
-	r := s.Unify(a, b)
+	}
+	r := s.Absorb(a, b, observe)
 	if len(wins) != 1 {
-		t.Fatalf("callback count = %d", len(wins))
+		t.Fatalf("observer count = %d", len(wins))
 	}
 	if wins[0] != r {
 		t.Errorf("winner %v != representative %v", wins[0], r)
@@ -135,10 +137,18 @@ func TestOnUnifyCallback(t *testing.T) {
 	if s.Find(loses[0]) != r {
 		t.Errorf("loser must now resolve to winner")
 	}
-	// No callback on redundant unify.
-	s.Unify(a, b)
+	// No call on a redundant merge.
+	s.Absorb(a, b, observe)
 	if len(wins) != 1 {
-		t.Error("redundant unify must not fire callbacks")
+		t.Error("redundant absorb must not call the observer")
+	}
+	// A merge made without the observer is not seen by it.
+	s.Unify(a, s.FreshStorage("c"))
+	if len(wins) != 1 {
+		t.Error("an observer must see only the merges of its own call")
+	}
+	if s.NumUnifies() != 2 {
+		t.Errorf("NumUnifies = %d, want 2", s.NumUnifies())
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency observability layer of the
-// toolkit: a process-wide metrics registry (atomic counters, gauges,
-// and fixed-bucket latency histograms), per-request span traces with
+// toolkit: a process-wide metrics registry (atomic counters, callback
+// gauges, and fixed-bucket latency histograms), per-request span traces with
 // unique trace IDs, and exporters for both — JSON and Prometheus text
 // exposition for metrics, Chrome trace_event JSON for traces.
 //
@@ -56,31 +56,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // DefaultLatencyBounds are the fixed histogram bucket upper bounds
@@ -245,7 +220,6 @@ type series struct {
 	labels  string   // rendered `k="v",k2="v2"` form, "" for unlabeled
 	kv      []string // raw key,value list the series was created with
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() int64 // callback gauges (queue depth, cache entries)
 	hist    *Histogram
 }
@@ -345,17 +319,6 @@ func (r *Registry) Counter(name, help string, kv ...string) *Counter {
 		s.counter = &Counter{}
 	}
 	return s.counter
-}
-
-// Gauge returns the gauge for name+labels, creating it on first use.
-func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	s := r.lookup(name, help, kindGauge, kv)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
 }
 
 // GaugeFunc registers (or replaces) a callback gauge: fn is invoked
@@ -461,12 +424,7 @@ func (r *Registry) snapshot() []metricJSON {
 				v := int64(sr.s.counter.Value())
 				sj.Value = &v
 			case kindGauge:
-				var v int64
-				if sr.s.gaugeFn != nil {
-					v = sr.s.gaugeFn()
-				} else {
-					v = sr.s.gauge.Value()
-				}
+				v := sr.s.gaugeFn()
 				sj.Value = &v
 			case kindHistogram:
 				hs := sr.s.hist.Snapshot()

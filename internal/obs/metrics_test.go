@@ -11,18 +11,12 @@ import (
 
 func TestNilSafeInstruments(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var tr *Trace
 	c.Inc()
 	c.Add(5)
 	if c.Value() != 0 {
 		t.Fatal("nil counter must read 0")
-	}
-	g.Set(3)
-	g.Add(-1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge must read 0")
 	}
 	h.Observe(time.Second)
 	if s := h.Snapshot(); s.Count != 0 {
@@ -115,7 +109,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge must panic")
 		}
 	}()
-	r.Gauge("x_total", "help")
+	r.GaugeFunc("x_total", "help", func() int64 { return 0 })
 }
 
 func TestGaugeFuncReplacement(t *testing.T) {
@@ -134,7 +128,7 @@ func TestGaugeFuncReplacement(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("lna_requests_total", "Requests by mode.", "mode", "qual").Add(7)
-	r.Gauge("lna_queue_depth", "Queue depth.").Set(3)
+	r.GaugeFunc("lna_queue_depth", "Queue depth.", func() int64 { return 3 })
 	h := r.Histogram("lna_phase_seconds", "Phase latency.", []time.Duration{time.Millisecond, time.Second}, "phase", "solve")
 	h.Observe(500 * time.Microsecond)
 	h.Observe(2 * time.Second)

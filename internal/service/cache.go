@@ -88,18 +88,20 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key string
-	val []byte
+	key      string
+	val      []byte
+	findings int
 }
 
-// flight is one cold run in progress. val and failed are written once,
-// under the cache mutex, before done closes; a nil val means the
-// leader abandoned the run without an answer.
+// flight is one cold run in progress. val, failed and findings are
+// written once, under the cache mutex, before done closes; a nil val
+// means the leader abandoned the run without an answer.
 type flight struct {
-	done   chan struct{}
-	leader string // the leader's trace ID
-	val    []byte
-	failed bool
+	done     chan struct{}
+	leader   string // the leader's trace ID
+	val      []byte
+	failed   bool
+	findings int
 }
 
 // NewCache builds a cache holding at most capacity entries (minimum 1).
@@ -127,6 +129,9 @@ type Hit struct {
 	// Failed reports that Data is the leader's failure response:
 	// shared with the callers that waited for it, never stored.
 	Failed bool
+	// Findings is the response's findings count, kept beside the bytes
+	// so a replay can be summarized without decoding them.
+	Findings int
 }
 
 // Claim is the right to run one key cold, held by exactly one caller,
@@ -153,10 +158,11 @@ func (c *Cache) Lookup(ctx context.Context, key, trace string) (Hit, *Claim, err
 		if el, ok := c.entries[key]; ok {
 			c.hits++
 			c.ll.MoveToFront(el)
-			data := bytes.Clone(el.Value.(*cacheEntry).val)
+			e := el.Value.(*cacheEntry)
+			data := bytes.Clone(e.val)
 			c.mu.Unlock()
 			obs.App().CacheHits.Inc()
-			return Hit{Data: data}, nil, nil
+			return Hit{Data: data, Findings: e.findings}, nil, nil
 		}
 		f, ok := c.flights[key]
 		if !ok {
@@ -189,25 +195,26 @@ func (c *Cache) Lookup(ctx context.Context, key, trace string) (Hit, *Claim, err
 		if answered {
 			obs.App().CacheHits.Inc()
 			obs.App().CacheCoalesced.Inc()
-			return Hit{Data: bytes.Clone(f.val), Coalesced: true, Leader: f.leader, Failed: f.failed}, nil, nil
+			return Hit{Data: bytes.Clone(f.val), Coalesced: true, Leader: f.leader, Failed: f.failed, Findings: f.findings}, nil, nil
 		}
 	}
 }
 
-// Finish hands val to the flight's followers. A healthy val (failed
-// false) is also stored, in the same critical section that retires the
-// flight, so no lookup can find neither; a failure is shared with the
-// followers already waiting and never stored, so the next submission
-// runs fresh. The stored bytes are a copy of val.
-func (cl *Claim) Finish(val []byte, failed bool) {
-	cl.settle(bytes.Clone(val), failed)
+// Finish hands val, with its findings count, to the flight's
+// followers. A healthy val (failed false) is also stored, in the same
+// critical section that retires the flight, so no lookup can find
+// neither; a failure is shared with the followers already waiting and
+// never stored, so the next submission runs fresh. The stored bytes
+// are a copy of val.
+func (cl *Claim) Finish(val []byte, failed bool, findings int) {
+	cl.settle(bytes.Clone(val), failed, findings)
 }
 
 // Abandon retires the flight without an answer: its followers look the
 // key up again, and one of them runs it instead.
-func (cl *Claim) Abandon() { cl.settle(nil, false) }
+func (cl *Claim) Abandon() { cl.settle(nil, false, 0) }
 
-func (cl *Claim) settle(val []byte, failed bool) {
+func (cl *Claim) settle(val []byte, failed bool, findings int) {
 	f := cl.f
 	if f == nil {
 		return
@@ -218,17 +225,17 @@ func (cl *Claim) settle(val []byte, failed bool) {
 	defer c.mu.Unlock()
 	delete(c.flights, cl.key)
 	if val != nil && !failed {
-		c.putLocked(cl.key, val)
+		c.putLocked(&cacheEntry{key: cl.key, val: val, findings: findings})
 	}
-	f.val, f.failed = val, failed
+	f.val, f.failed, f.findings = val, failed, findings
 	close(f.done)
 }
 
-// putLocked stores val under key, evicting the least recently used
-// entry if the cache is full. The key is never already present: only
-// its flight's leader stores it. Caller holds c.mu.
-func (c *Cache) putLocked(key string, val []byte) {
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
+// putLocked stores e, evicting the least recently used entry if the
+// cache is full. Its key is never already present: only the key's
+// flight leader stores it. Caller holds c.mu.
+func (c *Cache) putLocked(e *cacheEntry) {
+	c.entries[e.key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -77,7 +77,7 @@ func fill(t *testing.T, c *Cache, key string, val []byte) {
 	if claim == nil {
 		t.Fatalf("fill(%s): key already cached", key)
 	}
-	claim.Finish(val, false)
+	claim.Finish(val, false, 0)
 }
 
 // TestCacheHitMissAccounting: lookups and fills keep exact counters.

@@ -68,7 +68,7 @@ func AnalyzeBounded(ctx context.Context, req *AnalyzeRequest, timeout time.Durat
 	}
 
 	obs.App().Requests(mode).Inc()
-	tr := faults.NewTrace(name)
+	tr := faults.NewTrace()
 	tr.SetSpans(req.Obs)
 	// Open the request's root span and install it in the context: the
 	// fault guard derives its context from ctx, so the span reaches

@@ -44,12 +44,19 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool)
 	return body, true
 }
 
-// readBody reads r's body, bounded by maxRequestBytes. A body of
-// declared length within the bound is read into one buffer of that
-// size; the server delivers exactly that many bytes, or an error.
+// readBody reads r's body, bounded by maxRequestBytes.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
+	return ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
+}
+
+// ReadBody reads a request or response body whose declared length is
+// n (negative when unknown). A declared length of at most
+// maxRequestBytes is read into one buffer of that size, since HTTP
+// delivers exactly that many bytes or an error; any other body is
+// read by io.ReadAll. Both tiers read request bodies, and the client
+// reads response bodies, through it.
+func ReadBody(body io.Reader, n int64) ([]byte, error) {
+	if n > 0 && n <= maxRequestBytes {
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(body, buf); err != nil {
 			return nil, err

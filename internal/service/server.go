@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,9 +251,10 @@ type cachedRun struct {
 	// hit reports that the bytes came from the cache or from a
 	// concurrent cold run of the same key (see Cache.Lookup); resp is
 	// set only when this request ran the engine itself.
-	hit    bool
-	failed bool // the bytes carry a Failure record
-	resp   *AnalyzeResponse
+	hit      bool
+	failed   bool // the bytes carry a Failure record
+	findings int  // the response's findings count, hit or miss
+	resp     *AnalyzeResponse
 }
 
 // runCached answers req through the result cache. The lookup comes
@@ -280,7 +282,7 @@ func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (cachedRun,
 		if hit.Failed {
 			s.failures.Add(1)
 		}
-		run.data, run.hit, run.failed = hit.Data, true, hit.Failed
+		run.data, run.hit, run.failed, run.findings = hit.Data, true, hit.Failed, hit.Findings
 		return run, nil
 	}
 	defer claim.Abandon()
@@ -289,7 +291,7 @@ func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (cachedRun,
 	}
 	defer s.releaseSlot()
 	run.resp = AnalyzeBounded(ctx, req, s.opts.RequestTimeout)
-	run.failed = run.resp.Failure != nil
+	run.failed, run.findings = run.resp.Failure != nil, run.resp.Findings
 	if run.failed {
 		s.failures.Add(1)
 	}
@@ -298,7 +300,7 @@ func (s *Server) runCached(ctx context.Context, req *AnalyzeRequest) (cachedRun,
 		return run, err
 	}
 	if !run.failed || ctx.Err() == nil {
-		claim.Finish(run.data, run.failed)
+		claim.Finish(run.data, run.failed, run.findings)
 	}
 	return run, nil
 }
@@ -392,6 +394,7 @@ func (s *Server) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 		entry.Phases = resp.PhaseTimings
 		w.Header().Set("X-Lna-Phases", formatPhases(resp.PhaseTimings))
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(run.data)))
 	_, _ = w.Write(run.data)
 }
 
@@ -498,9 +501,7 @@ func (s *Server) handleBatch(rw http.ResponseWriter, r *http.Request) {
 			if run.failed {
 				out.Summary.Failures++
 			}
-			if run.resp != nil {
-				out.Summary.Findings += run.resp.Findings
-			}
+			out.Summary.Findings += run.findings
 		}(i)
 	}
 	wg.Wait()

@@ -281,6 +281,39 @@ func TestServerBatchCacheHitRate(t *testing.T) {
 	}
 }
 
+// TestBatchReplayKeepsSummary: a replayed batch reports the same
+// summary as its cold pass apart from the hit and miss counts. Every
+// answered entry adds its findings, whether it ran the engine or was
+// served from the cache; a rejected entry adds none either time.
+func TestBatchReplayKeepsSummary(t *testing.T) {
+	_, c := newTestServer(t, service.ServerOptions{Workers: 2})
+	// Corpus modules 340-379 straddle the first buggy modules (352 on),
+	// so the batch holds clean modules and modules with findings.
+	reqs := corpusBatch(380)[340:]
+	reqs = append(reqs, service.AnalyzeRequest{Module: "empty.mc"})
+
+	first, _, err := c.Batch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Summary.Findings == 0 || first.Summary.CacheMisses != 40 || first.Summary.Rejected != 1 {
+		t.Fatalf("cold summary = %+v; want findings, 40 misses and 1 rejected", first.Summary)
+	}
+	second, _, err := c.Batch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Summary.CacheHits != 40 {
+		t.Fatalf("replay summary = %+v; want 40 hits", second.Summary)
+	}
+	cold, replay := first.Summary, second.Summary
+	cold.CacheHits, cold.CacheMisses = 0, 0
+	replay.CacheHits, replay.CacheMisses = 0, 0
+	if replay != cold {
+		t.Errorf("replayed summary %+v, cold %+v; want equal apart from hits and misses", second.Summary, first.Summary)
+	}
+}
+
 // TestServerLargeBatch: the server sustains a 200-module submission —
 // every entry answered, none degraded, all distinct cache keys.
 func TestServerLargeBatch(t *testing.T) {

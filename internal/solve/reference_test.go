@@ -65,8 +65,13 @@ type refSolver struct {
 	condList []*effects.Cond
 	watch    map[effects.Var][]*effects.Cond
 
-	unified bool
+	unified bool // set by observeUnify
 }
+
+// observeUnify is the per-call observer passed to locs.Store.Absorb,
+// as the dense solver does, so a reference solve sees exactly its own
+// unifications and leaves nothing registered on the shared store.
+func (s *refSolver) observeUnify(winner, loser locs.Loc) { s.unified = true }
 
 type refQitem struct {
 	v effects.Var
@@ -99,8 +104,6 @@ func SolveReference(sys *effects.System) *RefResult {
 			s.watch[v] = append(s.watch[v], c)
 		})
 	}
-
-	sys.Locs.OnUnify(func(winner, loser locs.Loc) { s.unified = true })
 
 	for v := range g.seeds {
 		for _, a := range g.seeds[v] {
@@ -314,7 +317,7 @@ func (s *refSolver) fire(c *effects.Cond) {
 	for _, act := range c.Actions {
 		switch act := act.(type) {
 		case effects.ActUnify:
-			s.ls.Absorb(act.A, act.B, nil)
+			s.ls.Absorb(act.A, act.B, s.observeUnify)
 		case effects.ActIncl:
 			if s.extra == nil {
 				s.extra = make([][]target, s.g.nvar)

@@ -268,8 +268,7 @@ type solver struct {
 	unified bool // set by the unify observer
 
 	// obsUnify is the per-solver unification observer passed to
-	// locs.Store.Absorb: unlike a registered OnUnify callback
-	// it lives exactly as long as the solve.
+	// locs.Store.Absorb, so it lives exactly as long as the solve.
 	obsUnify func(winner, loser locs.Loc)
 
 	// idsByLoc[rho] lists the IDs interned under location rho (the

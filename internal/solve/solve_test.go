@@ -741,7 +741,7 @@ func TestParallelDeadlineAbort(t *testing.T) {
 		t.Fatalf("system too small: %d insertions never reach a drain check", nlocs*nvars)
 	}
 	ctx := &expiringCtx{Context: context.Background(), live: 1}
-	fail := faults.Run("m", faults.NewTrace("m"), func() error {
+	fail := faults.Run("m", faults.NewTrace(), func() error {
 		SolveCtx(ctx, sys)
 		return nil
 	})

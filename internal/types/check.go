@@ -29,7 +29,6 @@ func CheckWith(prog *ast.Program, diags *source.Diagnostics, imports ImportSigs)
 		info: &Info{
 			Prog:      prog,
 			ExprTypes: make([]Type, n, n+n/4),
-			IsPlace:   make([]bool, n, n+n/4),
 			Uses:      make([]*Symbol, n, n+n/4),
 			Binders:   make([]*Symbol, n, n+n/4),
 			Funs:      Builtins(),
@@ -397,18 +396,7 @@ func isPlaceForm(e ast.Expr, c *checker) bool {
 // are not rejected.
 func (c *checker) exprOrPlace(e ast.Expr, asPlace bool) Type {
 	t := c.exprOrPlace1(e, asPlace)
-	id := e.NodeID()
-	c.setType(id, t)
-	if asPlace {
-		c.info.IsPlace[id] = true
-	} else {
-		// Rvalue uses of place forms are still place reads; record
-		// them so effect inference can attribute read effects.
-		switch e.(type) {
-		case *ast.DerefExpr, *ast.IndexExpr, *ast.FieldExpr:
-			c.info.IsPlace[id] = true
-		}
-	}
+	c.setType(e.NodeID(), t)
 	return t
 }
 
@@ -443,7 +431,6 @@ func (c *checker) exprOrPlace1(e ast.Expr, asPlace bool) Type {
 		if sym.Kind == SymGlobal {
 			// A global is storage: as a value it is a read of the
 			// cell, which must hold a scalar.
-			c.info.IsPlace[e.ID] = true
 			if !asPlace && !IsScalar(sym.Type) {
 				c.errorf(e.Sp, "%s global %q can only be indexed, selected or addressed",
 					sym.Type, e.Name)

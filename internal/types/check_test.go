@@ -322,29 +322,6 @@ fun f(x: int): int {
 	}
 }
 
-func TestCheckPlaceClassification(t *testing.T) {
-	info := checkOK(t, `
-global a: int[4];
-fun f(p: ref int): int {
-    a[0] = *p;
-    return a[1] + *p;
-}
-`)
-	places := 0
-	ast.Inspect(info.Prog, func(n ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.IndexExpr, *ast.DerefExpr, *ast.VarExpr:
-			if info.IsPlaceExpr(e.(ast.Expr)) {
-				places++
-			}
-		}
-		return true
-	})
-	if places < 4 {
-		t.Errorf("place classification too sparse: %d", places)
-	}
-}
-
 func TestCheckNestedArrays(t *testing.T) {
 	checkOK(t, `
 global grid: int[3][4];

@@ -219,7 +219,7 @@ func (in *Info) Exports(name string) *PkgSig {
 // Info holds everything the checker learned. Its node tables are
 // slices indexed by ast.NodeID, sized to Prog.NumNodes by the check;
 // later phases build their own tables the same way. Read them through
-// TypeOf, IsPlaceExpr, UseOf and BinderOf, which treat an ID past the
+// TypeOf, UseOf and BinderOf, which treat an ID past the
 // end of a table as absent. Planting confines adds nodes to the
 // program after the check and extends these tables in place (Extend);
 // tables another phase built before planting stay shorter, and the
@@ -229,9 +229,6 @@ type Info struct {
 	// ExprTypes holds every checked expression's standard type. For
 	// place expressions this is the content type of the place.
 	ExprTypes []Type
-	// IsPlace records which expressions were checked as places
-	// (lvalues): globals, derefs, index and field expressions.
-	IsPlace []bool
 	// Uses resolves every variable occurrence to its symbol.
 	Uses []*Symbol
 	// Binders holds the symbol each binding node (GlobalDecl, Param,
@@ -263,9 +260,6 @@ type Info struct {
 // TypeOf returns the checked type of e, or nil.
 func (in *Info) TypeOf(e ast.Expr) Type { return ast.Lookup(in.ExprTypes, e.NodeID()) }
 
-// IsPlaceExpr reports whether e was checked as a place.
-func (in *Info) IsPlaceExpr(e ast.Expr) bool { return ast.Lookup(in.IsPlace, e.NodeID()) }
-
 // UseOf returns the symbol v resolves to, or nil.
 func (in *Info) UseOf(v *ast.VarExpr) *Symbol { return ast.Lookup(in.Uses, v.ID) }
 
@@ -290,7 +284,6 @@ func (in *Info) StructAllocOf(e *ast.NewExpr) *ast.StructDecl {
 func (in *Info) Extend() {
 	n := in.Prog.NumNodes
 	in.ExprTypes = extend(in.ExprTypes, n)
-	in.IsPlace = extend(in.IsPlace, n)
 	in.Uses = extend(in.Uses, n)
 	in.Binders = extend(in.Binders, n)
 }
