@@ -8,7 +8,6 @@
 //	E6 BenchmarkRestrictInferScaling — O(n²) inference
 //	E7 BenchmarkConfineBackwardSearch— the Section 6.2 backward search
 //	   BenchmarkAblationNoDown       — cost/effect of removing (Down)
-//	   BenchmarkSolverPropagation    — inference + solve throughput
 //	   BenchmarkSolverSteadyState    — one pooled solve, as a daemon pays it
 //
 // Reported custom metrics carry the experiment's headline quantity
@@ -22,13 +21,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
-	"localalias/internal/confine"
 	"localalias/internal/core"
 	"localalias/internal/drivergen"
 	"localalias/internal/experiments"
 	"localalias/internal/infer"
-	"localalias/internal/qual"
 	"localalias/internal/restrict"
 	"localalias/internal/solve"
 )
@@ -99,14 +97,10 @@ func BenchmarkFigure7(b *testing.B) {
 // ---------------------------------------------------------------------
 // E4: confine-inference overhead (paper: ide-tape, 28.5s vs 26.0s)
 
+// BenchmarkConfineOverhead analyzes ide_tape, the E4 module, and
+// reports the engine's own clocks on its two runs per op and their
+// ratio.
 func BenchmarkConfineOverhead(b *testing.B) {
-	b.Run("without-confine", func(b *testing.B) { benchConfineOverhead(b, false) })
-	b.Run("with-confine", func(b *testing.B) { benchConfineOverhead(b, true) })
-}
-
-// benchConfineOverhead measures one full analysis of ide_tape (the E4
-// module) with or without confine inference.
-func benchConfineOverhead(b *testing.B, withConfine bool) {
 	var spec *drivergen.ModuleSpec
 	for _, m := range drivergen.Corpus() {
 		if m.Name == "ide_tape" {
@@ -117,23 +111,22 @@ func benchConfineOverhead(b *testing.B, withConfine bool) {
 		b.Fatal("module ide_tape not found in the corpus")
 	}
 	src := spec.Source()
+	var without, with time.Duration
 	for i := 0; i < b.N; i++ {
 		mod, err := core.LoadModule("ide_tape.mc", src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if withConfine {
-			cres, err := confine.InferAndApply(mod.Prog, mod.Diags, confine.Options{Params: true, Lets: true, Info: mod.TInfo})
-			if err != nil {
-				b.Fatal(err)
-			}
-			qual.Analyze(cres.Infer, cres.Solution, qual.ModePlain)
-		} else {
-			res := infer.Run(mod.TInfo, mod.Diags, infer.Options{})
-			sol := solve.Solve(res.Sys)
-			qual.Analyze(res, sol, qual.ModePlain)
+		lr, err := mod.AnalyzeLocking(core.LockingOptions{})
+		if err != nil {
+			b.Fatal(err)
 		}
+		without += lr.BaselineTime
+		with += lr.ConfineTime
 	}
+	b.ReportMetric(float64(without.Nanoseconds())/float64(b.N), "without-confine-ns/op")
+	b.ReportMetric(float64(with.Nanoseconds())/float64(b.N), "with-confine-ns/op")
+	b.ReportMetric(float64(with)/float64(without), "overhead-ratio")
 }
 
 // ---------------------------------------------------------------------
@@ -294,22 +287,6 @@ fun rec%d(n: int): int {
 
 // ---------------------------------------------------------------------
 // Micro: solver throughput
-
-// BenchmarkSolverPropagation measures inference + solve throughput on
-// a 200-function program with let-or-restrict conditional constraints
-// (parsing and standard checking excluded).
-func BenchmarkSolverPropagation(b *testing.B) {
-	mod, err := core.LoadModule("scale.mc", scalingProgram(200, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		res := infer.Run(mod.TInfo, mod.Diags, infer.Options{InferRestrictLets: true})
-		if solve.Solve(res.Sys).Stats.AtomsPropagated == 0 {
-			b.Fatal("solver propagated no atoms on the scaling program")
-		}
-	}
-}
 
 // BenchmarkSolverSteadyState times exactly solve+Release per op (the
 // constraint system is rebuilt with the timer stopped) — the

@@ -194,7 +194,7 @@ func main() {
 		fmt.Println(res.Figure7())
 	}
 	if all || *timing {
-		tr, err := experiments.Timing("ide_tape", *rounds)
+		tr, err := experiments.Timing(*rounds)
 		if err == nil {
 			fmt.Println(tr.String())
 			tr, err = experiments.TimingCorpus(*rounds)

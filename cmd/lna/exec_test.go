@@ -103,6 +103,7 @@ func TestExitPolicyAgreement(t *testing.T) {
 		{"experiments retired -bench-xmodule-json", "experiments", []string{"-bench-xmodule-json", "-"}, service.ExitUsage},
 		{"lna retired -general", "lna", []string{"qual", "-general", clean}, service.ExitUsage},
 		{"lna retired bench", "lna", []string{"bench", "-remote", "http://127.0.0.1:1", "-rps", "10", "-duration", "100ms"}, service.ExitUsage},
+		{"lna retired timing", "lna", []string{"timing", "ide_tape"}, service.ExitUsage},
 		{"lna gateway retired -hedge-after", "lna", []string{"gateway", "-hedge-after", "50ms", "-backends", "http://127.0.0.1:1"}, service.ExitUsage},
 		{"lna serve unknown -log-format", "lna", []string{"serve", "-log-format", "xml", "-addr", "127.0.0.1:0"}, service.ExitUsage},
 		{"lna gateway unknown -log-format", "lna", []string{"gateway", "-log-format", "xml", "-backends", "http://127.0.0.1:1"}, service.ExitUsage},

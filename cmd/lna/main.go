@@ -9,7 +9,6 @@
 //	lna qual FILE           three-mode locking analysis of one module (§7)
 //	lna fmt FILE            print the program in canonical form
 //	lna run FILE [ARGS...]  interpret FILE's main(int args...) (§3.2)
-//	lna timing MODULE       E4 timing comparison for one corpus module
 //	lna serve               long-running analysis daemon (HTTP/JSON)
 //	lna gateway             distributed front over N serve replicas:
 //	                        consistent-hash routing by cache key, health
@@ -88,7 +87,6 @@ import (
 
 	"localalias/internal/ast"
 	"localalias/internal/core"
-	"localalias/internal/experiments"
 	"localalias/internal/faults"
 	"localalias/internal/gateway"
 	"localalias/internal/interp"
@@ -98,7 +96,7 @@ import (
 
 // subcommands names every lna subcommand, for validation and the
 // misplaced-flag error.
-var subcommands = []string{"check", "infer", "confine", "qual", "fmt", "run", "timing", "serve", "gateway", "trace", "top"}
+var subcommands = []string{"check", "infer", "confine", "qual", "fmt", "run", "serve", "gateway", "trace", "top"}
 
 // analysisModes are the subcommands served by the shared service
 // engine (and therefore by `lna serve`).
@@ -230,17 +228,6 @@ func main() {
 		os.Exit(runTraceFetch(opt, args))
 	case cmd == "top":
 		os.Exit(runTop(opt))
-	case cmd == "timing":
-		if len(args) < 1 {
-			usage()
-			os.Exit(service.ExitUsage)
-		}
-		tr, err := experiments.Timing(args[0], 5)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(tr.String())
-		return
 	}
 
 	if len(args) < 1 {
@@ -539,5 +526,5 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: lna [flags] <check|infer|confine|qual|fmt|run|timing|serve|gateway|trace|top> [flags] [FILE] [args...]`)
+	fmt.Fprintln(os.Stderr, `usage: lna [flags] <check|infer|confine|qual|fmt|run|serve|gateway|trace|top> [flags] [FILE] [args...]`)
 }

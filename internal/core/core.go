@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"localalias/internal/ast"
 	"localalias/internal/confine"
@@ -162,6 +163,13 @@ type LockingResult struct {
 	// all-strong modes, and the confine-inference solve).
 	SolveStats solve.Stats
 
+	// BaselineTime is the wall time of the baseline run: inference,
+	// solve and the no-confine walk. ConfineTime is the wall time of
+	// the confine run: confine inference over the baseline run and the
+	// with-confine walk. Neither covers the all-strong walk or the
+	// package summary. Together they are the paper's E4 comparison.
+	BaselineTime, ConfineTime time.Duration
+
 	// API is the module's package summary for downstream modules,
 	// computed when LockingOptions.ExportAPI is set.
 	API *PackageAPI
@@ -199,6 +207,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	out := &LockingResult{Module: m}
 
 	// Baseline and upper bound on the pristine AST.
+	start := time.Now()
 	tr.Enter(obs.PhaseInfer)
 	baseInfer := infer.Run(m.TInfo, m.Diags, infer.Options{
 		ImportEffects: opts.ImportEffects,
@@ -211,6 +220,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	tr.Enter(obs.PhaseQual)
 	out.NoConfine = qual.AnalyzeWith(baseInfer, baseSol, qual.ModePlain,
 		opts.ImportTransfers[VariantNoConfine])
+	out.BaselineTime = time.Since(start)
 	out.AllStrong = qual.AnalyzeWith(baseInfer, baseSol, qual.ModeAllStrong,
 		opts.ImportTransfers[VariantAllStrong])
 
@@ -225,6 +235,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 
 	// Confine inference (mutates the AST and extends m.TInfo to
 	// match), then the qualifier analysis over the surviving bindings.
+	start = time.Now()
 	cres, err := confine.InferAndApplyOver(baseInfer, m.Prog, m.Diags, confine.Options{
 		Params:        true,
 		Lets:          true,
@@ -240,6 +251,7 @@ func (m *Module) AnalyzeLockingCtx(ctx context.Context, opts LockingOptions, tr 
 	tr.Enter(obs.PhaseQual)
 	out.WithConfine = qual.AnalyzeWith(cres.Infer, cres.Solution, qual.ModePlain,
 		opts.ImportTransfers[VariantWithConfine])
+	out.ConfineTime = time.Since(start)
 	out.SolveStats.Add(cres.Solution.Stats)
 	if opts.ExportAPI {
 		out.API.Transfers[VariantWithConfine] = qual.ComputeTransfers(

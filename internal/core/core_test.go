@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"localalias/internal/ast"
 	"localalias/internal/confine"
@@ -537,5 +538,23 @@ func TestAnalyzeLockingReleasesSolutions(t *testing.T) {
 		if released[1] != lr.Confine.Solution {
 			t.Errorf("ExportAPI=%v: the confine solution was not released", export)
 		}
+	}
+}
+
+// TestAnalyzeLockingRunTimes checks the clocks E4 reads: both runs
+// take time, and together they fit inside the call that made them.
+func TestAnalyzeLockingRunTimes(t *testing.T) {
+	m := load(t, arrayPairSrc)
+	start := time.Now()
+	lr, err := m.AnalyzeLocking(LockingOptions{})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr.BaselineTime <= 0 || lr.ConfineTime <= 0 {
+		t.Fatalf("run times baseline %v, confine %v; want both positive", lr.BaselineTime, lr.ConfineTime)
+	}
+	if sum := lr.BaselineTime + lr.ConfineTime; sum > wall {
+		t.Errorf("run times sum to %v, more than the call's %v", sum, wall)
 	}
 }

@@ -29,13 +29,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"localalias/internal/confine"
 	"localalias/internal/core"
 	"localalias/internal/drivergen"
 	"localalias/internal/faults"
-	"localalias/internal/infer"
 	"localalias/internal/obs"
-	"localalias/internal/qual"
 	"localalias/internal/service"
 	"localalias/internal/solve"
 )
@@ -606,36 +603,34 @@ func (r *CorpusResult) CSV() string {
 // ---------------------------------------------------------------------
 // E4: confine-inference overhead timing
 
-// TimingResult is the E4 measurement.
+// TimingResult is the E4 measurement: the engine's own clocks on its
+// two runs (core.LockingResult's ConfineTime and BaselineTime).
 type TimingResult struct {
-	Module        string
-	WithConfine   time.Duration // full pipeline incl. confine inference
-	WithoutCfine  time.Duration // baseline analysis only
-	OverheadRatio float64
+	Module         string
+	WithConfine    time.Duration // the confine run
+	WithoutConfine time.Duration // the baseline run
+	OverheadRatio  float64
 }
 
 func (t *TimingResult) String() string {
 	return fmt.Sprintf(
 		"Timing (%s): with confine inference %v, without %v (ratio %.2fx; paper: 28.5s vs 26.0s = 1.10x)",
 		t.Module, t.WithConfine.Round(time.Microsecond),
-		t.WithoutCfine.Round(time.Microsecond), t.OverheadRatio)
+		t.WithoutConfine.Round(time.Microsecond), t.OverheadRatio)
 }
 
-// Timing measures the analysis of the named module (default ide_tape,
-// as in the paper) with and without confine inference. The two sides
-// alternate within each round, and the result is the round with the
-// median overhead ratio, so one stalled round (a descheduled process,
-// a host busy elsewhere) cannot move the ratio.
-func Timing(moduleName string, rounds int) (*TimingResult, error) {
-	if moduleName == "" {
-		moduleName = "ide_tape"
-	}
+// Timing measures the analysis of ide_tape, the paper's module, with
+// and without confine inference. Each round analyzes the module once;
+// the result is the round with the median overhead ratio, so one
+// stalled round (a descheduled process, a host busy elsewhere) cannot
+// move the ratio.
+func Timing(rounds int) (*TimingResult, error) {
 	for _, m := range drivergen.Corpus() {
-		if m.Name == moduleName {
-			return timeModules(moduleName, []*drivergen.ModuleSpec{m}, rounds)
+		if m.Name == "ide_tape" {
+			return timeModules(m.Name, []*drivergen.ModuleSpec{m}, rounds)
 		}
 	}
-	return nil, fmt.Errorf("no module %q in the corpus", moduleName)
+	return nil, fmt.Errorf("no module ide_tape in the corpus")
 }
 
 // TimingCorpus is Timing over the whole corpus: each side of a round is
@@ -655,46 +650,26 @@ func timeModules(label string, specs []*drivergen.ModuleSpec, rounds int) (*Timi
 		srcs[i] = spec.Source()
 	}
 
-	// Each round's two sides, summed over the modules. The sides
-	// alternate module by module, so a round's ratio compares times
-	// taken on the same host at the same time.
+	// Each round's two sides, summed over the modules. Both sides of a
+	// module come from one engine call, so a round's ratio compares
+	// times taken on the same host at the same time.
 	sides := make([]TimingResult, rounds)
 	for i := range sides {
 		r := &sides[i]
 		for j, spec := range specs {
-			// Without confine inference: plain inference + solve + the
-			// flow-sensitive qualifier analysis (CQUAL's baseline run).
 			mod, err := core.LoadModule(spec.Name+".mc", srcs[j])
 			if err != nil {
 				return nil, err
 			}
-			t0 := time.Now()
-			res := infer.Run(mod.TInfo, mod.Diags, infer.Options{})
-			sol := solve.Solve(res.Sys)
-			qual.Analyze(res, sol, qual.ModePlain)
-			r.WithoutCfine += time.Since(t0)
-
-			// With confine inference: plant candidates, infer with the
-			// conditional constraints, solve, apply, and run the same
-			// qualifier analysis once (re-load: inference mutates the
-			// AST). The module's own check is passed in and parameter
-			// and let inference are on, as in the engine. This matches
-			// the paper's measurement, which compares one CQUAL run
-			// with inference against one without.
-			mod2, err := core.LoadModule(spec.Name+".mc", srcs[j])
+			lr, err := mod.AnalyzeLocking(core.LockingOptions{})
 			if err != nil {
 				return nil, err
 			}
-			t1 := time.Now()
-			cres, err := confine.InferAndApply(mod2.Prog, mod2.Diags, confine.Options{Params: true, Lets: true, Info: mod2.TInfo})
-			if err != nil {
-				return nil, err
-			}
-			qual.Analyze(cres.Infer, cres.Solution, qual.ModePlain)
-			r.WithConfine += time.Since(t1)
+			r.WithoutConfine += lr.BaselineTime
+			r.WithConfine += lr.ConfineTime
 		}
-		if r.WithoutCfine > 0 {
-			r.OverheadRatio = float64(r.WithConfine) / float64(r.WithoutCfine)
+		if r.WithoutConfine > 0 {
+			r.OverheadRatio = float64(r.WithConfine) / float64(r.WithoutConfine)
 		}
 	}
 	// The median round (the lower one of an even count).

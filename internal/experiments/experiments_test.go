@@ -108,15 +108,15 @@ func TestRenderings(t *testing.T) {
 }
 
 // TestTiming bounds the E4 overhead ratio. The ratio is the median of
-// three rounds whose sides alternate, so a single stalled round on a
-// busy host cannot trip the bound; a confine side that really got
-// several times costlier still does.
+// three rounds, so a single stalled round on a busy host cannot trip
+// the bound; a confine side that really got several times costlier
+// still does.
 func TestTiming(t *testing.T) {
-	tr, err := Timing("ide_tape", 3)
+	tr, err := Timing(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.WithConfine <= 0 || tr.WithoutCfine <= 0 {
+	if tr.WithConfine <= 0 || tr.WithoutConfine <= 0 {
 		t.Fatalf("degenerate timing: %+v", tr)
 	}
 	// Confine inference costs something but must stay modest — the
@@ -133,7 +133,7 @@ func TestTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct.WithConfine <= 0 || ct.WithoutCfine <= 0 || ct.OverheadRatio > 6 {
+	if ct.WithConfine <= 0 || ct.WithoutConfine <= 0 || ct.OverheadRatio > 6 {
 		t.Errorf("corpus-wide timing: %+v", ct)
 	}
 	if !strings.Contains(ct.String(), "corpus, 589 modules") {

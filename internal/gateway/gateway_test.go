@@ -265,10 +265,11 @@ func TestGatewayCacheAffinity(t *testing.T) {
 	_ = reps
 }
 
-// TestAnswersDeclareLength: a /v1/analyze answer carries a
-// Content-Length at both tiers, also when it is too large for the
-// HTTP server to set one by itself, so the client reads it into one
-// buffer; the gateway relays the daemon's bytes unchanged.
+// TestAnswersDeclareLength: /v1/analyze and /v1/batch answers carry
+// a Content-Length at both tiers, also when they are too large for the
+// HTTP server to set one by itself, so the client reads them into one
+// buffer. The gateway relays the daemon's analyze bytes unchanged, and
+// a batch answer is the bytes a two-space json.Encoder writes.
 func TestAnswersDeclareLength(t *testing.T) {
 	_, gc, reps := newCluster(t, 1, gateway.Options{})
 	var name, src string
@@ -277,36 +278,62 @@ func TestAnswersDeclareLength(t *testing.T) {
 			name, src = spec.Name, s
 		}
 	}
-	body, err := json.Marshal(service.AnalyzeRequest{
+	analyze, err := json.Marshal(service.AnalyzeRequest{
 		Module: name + ".mc", Source: src,
 		Options: service.AnalyzeOptions{Mode: service.ModeInfer},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	batch, err := json.Marshal(service.BatchRequest{Requests: corpusRequests(40)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var answers [][]byte
 	for _, base := range []string{reps[0].ts.URL, gc.BaseURL()} {
-		resp, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(body))
-		if err != nil {
+		answers = append(answers, postDeclared(t, base+"/v1/analyze", analyze))
+
+		data := postDeclared(t, base+"/v1/batch", batch)
+		var out service.BatchResponse
+		if err := json.Unmarshal(data, &out); err != nil {
 			t.Fatal(err)
 		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d, %v", base, resp.StatusCode, err)
+		var enc bytes.Buffer
+		e := json.NewEncoder(&enc)
+		e.SetIndent("", "  ")
+		if err := e.Encode(&out); err != nil {
+			t.Fatal(err)
 		}
-		if len(data) < 16<<10 {
-			t.Fatalf("%s: a %d-byte answer is too small to show the header", base, len(data))
+		if !bytes.Equal(data, enc.Bytes()) {
+			t.Errorf("%s: the batch answer differs from its json.Encoder copy", base)
 		}
-		if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
-			t.Errorf("%s: Content-Length %d, transfer encoding %v for a %d-byte answer",
-				base, resp.ContentLength, resp.TransferEncoding, len(data))
-		}
-		answers = append(answers, data)
 	}
 	if !bytes.Equal(answers[0], answers[1]) {
 		t.Error("the gateway relayed different bytes than the daemon answered")
 	}
+}
+
+// postDeclared posts body to url and returns the answer, failing
+// unless it is a 200 whose Content-Length equals its size.
+func postDeclared(t *testing.T, url string, body []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d, %v", url, resp.StatusCode, err)
+	}
+	if len(data) < 16<<10 {
+		t.Fatalf("%s: a %d-byte answer is too small to show the header", url, len(data))
+	}
+	if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("%s: Content-Length %d, transfer encoding %v for a %d-byte answer",
+			url, resp.ContentLength, resp.TransferEncoding, len(data))
+	}
+	return data
 }
 
 // TestGatewayValidationAtEdge: inadmissible requests are refused by

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"localalias/internal/obs"
@@ -108,7 +109,10 @@ func (b *BatchRequest) Admit() (*BatchResponse, []int) {
 // WriteBatch writes a batch answer. The X-Lna-Cache header lists each
 // entry's disposition (hit|miss|error), index-aligned with the
 // submitted requests, so clients can spot cold entries without parsing
-// the body (see the header table in DESIGN.md).
+// the body (see the header table in DESIGN.md). The body is the
+// answer indented by two spaces with a trailing newline, the bytes a
+// json.Encoder with that indent writes, and its length is declared so
+// that readers take ReadBody's one-buffer path.
 func WriteBatch(w http.ResponseWriter, out *BatchResponse) {
 	dispositions := make([]string, len(out.Results))
 	for i, res := range out.Results {
@@ -121,11 +125,16 @@ func WriteBatch(w http.ResponseWriter, out *BatchResponse) {
 			dispositions[i] = "miss"
 		}
 	}
+	data, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		WriteWireError(w, CodeInternal, "encoding the batch answer: %v", err)
+		return
+	}
+	data = append(data, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Lna-Cache", strings.Join(dispositions, ","))
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	_, _ = w.Write(data)
 }
 
 // HandleMetrics serves the process-wide metrics registry: JSON by
