@@ -87,8 +87,8 @@ func BenchmarkFigure7(b *testing.B) {
 	}
 	b.StopTimer()
 	for _, m := range res.Modules {
-		if m.Err != nil || m.Measured != m.Spec.Expected {
-			b.Fatalf("%s: %+v vs %+v (err %v)", m.Spec.Name, m.Measured, m.Spec.Expected, m.Err)
+		if m.Failure != nil || m.Measured != m.Spec.Expected {
+			b.Fatalf("%s: %+v vs %+v (err %v)", m.Spec.Name, m.Measured, m.Spec.Expected, m.Failure)
 		}
 	}
 	b.ReportMetric(float64(len(specs)), "modules")

@@ -35,14 +35,14 @@ func main() {
 	fmt.Printf("%-16s %-14s %8s %8s %8s %9s %6s\n",
 		"module", "category", "no-inf", "confine", "strong", "eliminated", "kept")
 	for _, m := range res.Modules {
-		if m.Err != nil {
-			fmt.Printf("%-16s ERROR: %v\n", m.Spec.Name, m.Err)
+		if m.Failure != nil {
+			fmt.Printf("%-16s ERROR: %v\n", m.Spec.Name, m.Failure)
 			continue
 		}
 		fmt.Printf("%-16s %-14s %8d %8d %8d %9d %6d\n",
 			m.Spec.Name, m.Spec.Category,
 			m.Measured.NoConfine, m.Measured.Confine, m.Measured.AllStrong,
-			m.Eliminated(), m.Kept)
+			m.Eliminated(), m.Response.Locking.Kept)
 	}
 	fmt.Printf("\naggregate over this sample: eliminated %d of %d potential spurious errors\n",
 		res.Eliminated, res.Potential)

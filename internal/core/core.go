@@ -126,13 +126,12 @@ const (
 	NumVariants
 )
 
-// PackageAPI is everything a downstream module needs to compile and
-// analyze against this module without re-analyzing its source: the
-// exported function signatures, the per-variant qualifier transfer
-// tables, and the per-formal effect masks.
+// PackageAPI is everything a downstream module needs to analyze
+// against this module without re-analyzing its source: the
+// per-variant qualifier transfer tables and the per-formal effect
+// masks. Importers take the exported signatures from the type
+// checker (types.Info.Exports).
 type PackageAPI struct {
-	Name string
-	Sigs *types.PkgSig
 	// Transfers holds each exported function's transfer tables per
 	// experiment variant, keyed by unqualified function name.
 	Transfers [NumVariants]qual.Transfers
@@ -267,7 +266,7 @@ var releaseSolution = (*solve.Result).Release
 
 // exportBaseAPI computes the part of the module's package summary
 // that the baseline run determines, before that run is released:
-// signatures, effect masks from the baseline solve's latent effects
+// effect masks from the baseline solve's latent effects
 // (restricted to the cells each formal exposes), and the no-confine
 // and all-strong transfer tables. Transfer tables are probed under
 // exactly the (inference result, solution, mode) triples the
@@ -275,16 +274,12 @@ var releaseSolution = (*solve.Result).Release
 // callee as variant V analyzed it; AnalyzeLockingCtx adds the
 // with-confine table after the confine run.
 func exportBaseAPI(m *Module, baseInfer *infer.Result, baseSol *solve.Result, opts LockingOptions) *PackageAPI {
-	api := &PackageAPI{
-		Name:    m.Name,
-		Sigs:    m.TInfo.Exports(m.Name),
-		Effects: make(map[string][]effects.Mask),
-	}
+	api := &PackageAPI{Effects: make(map[string][]effects.Mask)}
 	api.Transfers[VariantNoConfine] = qual.ComputeTransfers(
 		baseInfer, baseSol, qual.ModePlain, opts.ImportTransfers[VariantNoConfine])
 	api.Transfers[VariantAllStrong] = qual.ComputeTransfers(
 		baseInfer, baseSol, qual.ModeAllStrong, opts.ImportTransfers[VariantAllStrong])
-	for name, sig := range api.Sigs.Funs {
+	for name, sig := range m.TInfo.Exports(m.Name).Funs {
 		api.Effects[name] = effectMasks(baseInfer, baseSol, sig)
 	}
 	return api

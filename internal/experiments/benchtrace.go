@@ -17,12 +17,14 @@ import (
 	"localalias/internal/service"
 )
 
-// This file measures what distributed tracing (PR 10) costs on the
-// gateway relay path: the same warm workload driven through a stack
-// with tracing disabled on both tiers (TraceEntries < 0, so no trace
-// ring exists and every span call is a nil no-op) and through a stack
-// with the default rings, interleaved off/on so shared-VM drift hits
-// both arms equally. The warm replay is the sensitive arm: a cache hit
+// This file measures what distributed tracing costs on the gateway
+// relay path: the same warm workload driven through a stack with
+// TraceEntries < 0 on both tiers and through a stack with the default
+// rings, interleaved off/on so shared-VM drift hits both arms equally.
+// The "off" gateway keeps no trace (every span call is a nil no-op),
+// but the "off" daemon still traces every request and only drops the
+// ring: the arms differ by the gateway's tracing and the daemon's ring
+// insert, not by the daemon's own spans. The warm replay is the sensitive arm: a cache hit
 // relays in well under a millisecond, so per-request span bookkeeping
 // is the largest fraction of the path it will ever be.
 
@@ -81,8 +83,8 @@ type TraceBenchReport struct {
 }
 
 // tracedStack boots a two-tier stack with the given TraceEntries
-// setting applied to the gateway and every replica (negative disables
-// tracing on both tiers).
+// setting applied to the gateway and every replica (negative turns
+// the gateway's tracing off and drops the replicas' trace rings).
 func tracedStack(n, traceEntries int) (*client.Client, func(), error) {
 	var closers []func()
 	shutdown := func() {

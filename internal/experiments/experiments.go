@@ -41,28 +41,18 @@ import (
 type ModuleResult struct {
 	Spec     *drivergen.ModuleSpec
 	Measured drivergen.Triple
-	// Response is the canonical service-layer result the measurement
-	// was read from — the same shape `lna check -json` and the daemon
-	// emit, so per-module corpus results can ship over the wire
-	// unchanged.
+	// Response is the engine's answer the measurement was read from —
+	// the same shape `lna check -json` and the daemon emit. It also
+	// carries the confine? candidates planted and kept (Locking), the
+	// solver work counters over the module's two solves
+	// (Diagnostics.Stats), the end-to-end time from generation through
+	// qualifier analysis (Elapsed) and its per-phase breakdown
+	// (PhaseTimings).
 	Response *service.AnalyzeResponse
-	// Planted/Kept count confine? candidates inserted and retained.
-	Planted, Kept int
-	// AnalyzeTime covers the module end to end (generation through
-	// qualifier analysis).
-	AnalyzeTime time.Duration
-	// SolveStats aggregates the solver work counters over the
-	// module's two solves.
-	SolveStats solve.Stats
-	// Err is non-nil if the module failed to compile or analyze.
-	Err error
-	// Failure is the structured record when the module's analysis
-	// panicked, timed out, or errored inside the containment guard
-	// (Err aliases it then).
+	// Failure is the structured record when the module failed to
+	// compile or its analysis panicked, timed out, or errored inside
+	// the containment guard; Measured is then zero.
 	Failure *core.ModuleFailure
-	// PhaseTimings is the per-phase wall-clock breakdown
-	// (generate/parse/typecheck/infer/solve/qual).
-	PhaseTimings []faults.PhaseTiming
 }
 
 // Potential is the number of spurious errors strong updates could
@@ -167,8 +157,6 @@ func analyzeSpec(ctx context.Context, spec *drivergen.ModuleSpec, timeout time.D
 	}
 	resp := service.AnalyzeBounded(ctx, req, timeout)
 	out.Response = resp
-	out.PhaseTimings = resp.PhaseTimings
-	out.AnalyzeTime = resp.Elapsed
 	if resp.Failure == nil && resp.Locking == nil {
 		// The generated source failed to parse or type check —
 		// impossible in a healthy generator, so degrade it like any
@@ -188,7 +176,6 @@ func analyzeSpec(ctx context.Context, spec *drivergen.ModuleSpec, timeout time.D
 		// suffix), as the degraded-run summaries always have.
 		resp.Failure.Module = spec.Name
 		out.Failure = resp.Failure
-		out.Err = resp.Failure
 		return out
 	}
 	out.Measured = drivergen.Triple{
@@ -196,9 +183,6 @@ func analyzeSpec(ctx context.Context, spec *drivergen.ModuleSpec, timeout time.D
 		Confine:   resp.Locking.WithConfine.NumErrors,
 		AllStrong: resp.Locking.AllStrong.NumErrors,
 	}
-	out.Planted = resp.Locking.Planted
-	out.Kept = resp.Locking.Kept
-	out.SolveStats = resp.Diagnostics.Stats
 	return out
 }
 
@@ -276,10 +260,6 @@ func aggregate(results []*ModuleResult) *CorpusResult {
 			r.Failures = append(r.Failures, m.Failure)
 			continue
 		}
-		if m.Err != nil {
-			r.Mismatches++
-			continue
-		}
 		if m.Measured != m.Spec.Expected {
 			r.Mismatches++
 		}
@@ -299,7 +279,7 @@ func aggregate(results []*ModuleResult) *CorpusResult {
 		}
 		r.Potential += m.Potential()
 		r.Eliminated += m.Eliminated()
-		r.SolveStats.Add(m.SolveStats)
+		r.SolveStats.Add(m.Response.Diagnostics.Stats)
 	}
 	return r
 }
@@ -356,7 +336,7 @@ func (r *CorpusResult) PhaseStats() []PhaseStat {
 		if m == nil || m.Failure != nil {
 			continue
 		}
-		for _, pt := range m.PhaseTimings {
+		for _, pt := range m.Response.PhaseTimings {
 			samples[pt.Phase] = append(samples[pt.Phase], pt.Elapsed)
 		}
 	}
@@ -452,13 +432,13 @@ func (r *CorpusResult) FailureReport(slowestN int) *FailureReport {
 	}
 	var ok []*ModuleResult
 	for _, m := range r.Modules {
-		if m != nil && m.Failure == nil && m.Err == nil {
+		if m != nil && m.Failure == nil {
 			ok = append(ok, m)
 		}
 	}
 	sort.Slice(ok, func(i, j int) bool {
-		if ok[i].AnalyzeTime != ok[j].AnalyzeTime {
-			return ok[i].AnalyzeTime > ok[j].AnalyzeTime
+		if ti, tj := ok[i].Response.Elapsed, ok[j].Response.Elapsed; ti != tj {
+			return ti > tj
 		}
 		return ok[i].Spec.Name < ok[j].Spec.Name
 	})
@@ -468,8 +448,8 @@ func (r *CorpusResult) FailureReport(slowestN int) *FailureReport {
 	for _, m := range ok[:slowestN] {
 		rep.Slowest = append(rep.Slowest, SlowModule{
 			Module:  m.Spec.Name,
-			Elapsed: m.AnalyzeTime,
-			Phases:  m.PhaseTimings,
+			Elapsed: m.Response.Elapsed,
+			Phases:  m.Response.PhaseTimings,
 		})
 	}
 	return rep
@@ -523,7 +503,7 @@ func (r *CorpusResult) Figure6() string {
 	bins := map[int]int{}
 	maxBin := 0
 	for _, m := range r.Modules {
-		if m.Err != nil || m.Potential() == 0 {
+		if m.Failure != nil || m.Potential() == 0 {
 			continue
 		}
 		bin := (m.Eliminated() - 1) / binWidth
@@ -589,13 +569,13 @@ func (r *CorpusResult) CSV() string {
 	var b strings.Builder
 	b.WriteString("module,category,no_confine,confine,all_strong,potential,eliminated,planted,kept\n")
 	for _, m := range r.Modules {
-		if m.Err != nil {
+		if m.Failure != nil {
 			continue
 		}
 		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%d,%d,%d\n",
 			m.Spec.Name, m.Spec.Category,
 			m.Measured.NoConfine, m.Measured.Confine, m.Measured.AllStrong,
-			m.Potential(), m.Eliminated(), m.Planted, m.Kept)
+			m.Potential(), m.Eliminated(), m.Response.Locking.Planted, m.Response.Locking.Kept)
 	}
 	return b.String()
 }

@@ -39,8 +39,8 @@ func TestSampleCorpusMatchesExpectations(t *testing.T) {
 	res := RunCorpus(context.Background(), CorpusOptions{Specs: specs})
 	if res.Mismatches != 0 {
 		for _, m := range res.Modules {
-			if m.Err != nil {
-				t.Errorf("%s: %v", m.Spec.Name, m.Err)
+			if m.Failure != nil {
+				t.Errorf("%s: %v", m.Spec.Name, m.Failure)
 			} else if m.Measured != m.Spec.Expected {
 				t.Errorf("%s (%s): measured %+v expected %+v",
 					m.Spec.Name, m.Spec.Category, m.Measured, m.Spec.Expected)
@@ -58,9 +58,9 @@ func TestFullCorpus(t *testing.T) {
 	if res.Mismatches != 0 {
 		n := 0
 		for _, m := range res.Modules {
-			if m.Err != nil || m.Measured != m.Spec.Expected {
+			if m.Failure != nil || m.Measured != m.Spec.Expected {
 				t.Errorf("%s: err=%v measured %+v expected %+v",
-					m.Spec.Name, m.Err, m.Measured, m.Spec.Expected)
+					m.Spec.Name, m.Failure, m.Measured, m.Spec.Expected)
 				n++
 				if n > 10 {
 					break

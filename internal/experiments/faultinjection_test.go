@@ -29,7 +29,7 @@ func TestCorpusFaultInjection(t *testing.T) {
 	}
 	baseStats := make(map[string]string)
 	for _, m := range baseline.Modules {
-		baseStats[m.Spec.Name] = m.SolveStats.String()
+		baseStats[m.Spec.Name] = m.Response.Diagnostics.Stats.String()
 	}
 
 	testFaultHook = func(ctx context.Context, spec *drivergen.ModuleSpec) {
@@ -99,7 +99,7 @@ func TestCorpusFaultInjection(t *testing.T) {
 		if m.Failure != nil {
 			continue
 		}
-		if got, want := m.SolveStats.String(), baseStats[m.Spec.Name]; got != want {
+		if got, want := m.Response.Diagnostics.Stats.String(), baseStats[m.Spec.Name]; got != want {
 			t.Errorf("%s: SolveStats %q differ from baseline %q", m.Spec.Name, got, want)
 		}
 	}

@@ -91,10 +91,6 @@ type Gateway struct {
 	batches  atomic.Uint64 // batch requests admitted
 	rejected atomic.Uint64 // 429s + 503s answered locally
 	retries  atomic.Uint64 // rerouted attempts after a backend failure
-
-	mRequests *obs.Counter
-	mRejected *obs.Counter
-	mRetries  *obs.Counter
 }
 
 // New builds a Gateway over opts.Backends. The health sweep starts
@@ -110,13 +106,17 @@ func New(opts Options) (*Gateway, error) {
 		inflight: make(chan struct{}, o.MaxInflight),
 		traces:   obs.NewTraceRing(o.TraceEntries),
 	}
+	// The counts live on g and its backends; the registry reads them
+	// at scrape time, and the newest Gateway in a process wins.
 	reg := obs.Default()
-	g.mRequests = reg.Counter("lna_gateway_requests_total",
-		"Requests admitted by the gateway (single-module and batch).")
-	g.mRejected = reg.Counter("lna_gateway_rejected_total",
-		"Requests the gateway refused locally (admission, no healthy backend).")
-	g.mRetries = reg.Counter("lna_gateway_retries_total",
-		"Forward attempts rerouted to a ring successor after a backend failure.")
+	reg.CounterFunc("lna_gateway_requests_total",
+		"Single-module requests admitted by the gateway.", g.requests.Load)
+	reg.CounterFunc("lna_gateway_batches_total",
+		"Batch submissions admitted by the gateway.", g.batches.Load)
+	reg.CounterFunc("lna_gateway_rejected_total",
+		"Requests the gateway refused locally (admission, no healthy backend).", g.rejected.Load)
+	reg.CounterFunc("lna_gateway_retries_total",
+		"Forward attempts rerouted to a ring successor after a backend failure.", g.retries.Load)
 	reg.GaugeFunc("lna_gateway_backends_healthy",
 		"Backends currently in the gateway's hash ring.",
 		func() int64 { return int64(g.pool.healthyCount()) })
@@ -124,7 +124,11 @@ func New(opts Options) (*Gateway, error) {
 		"Virtual-node points on the current hash ring.",
 		func() int64 { return int64(g.pool.ringSize()) })
 	for _, b := range g.pool.backends {
-		b := b
+		for o := range b.attempts {
+			reg.CounterFunc("lna_gateway_attempts_total",
+				"Forward attempts by backend and outcome (ok|error|retryable|transport|canceled).",
+				b.attempts[o].Load, "backend", b.URL, "outcome", outcomeNames[o])
+		}
 		reg.GaugeFunc("lna_gateway_backend_healthy",
 			"Per-backend ring membership (1 = in the ring, 0 = out).",
 			func() int64 {
@@ -230,22 +234,20 @@ func (f fwdResult) done() bool {
 	return true
 }
 
-// attemptOutcome classifies one forward attempt for the
-// lna_gateway_attempts_total{backend,outcome} metric and the attempt
-// span: ok, error (a relayable non-2xx), retryable (429/502/503/504),
-// transport, or canceled (the client departed).
-func attemptOutcome(f fwdResult, ctxErr error) string {
+// attemptOutcome classifies one forward attempt for the backend's
+// attempt counts and the attempt span.
+func attemptOutcome(f fwdResult, ctxErr error) int {
 	switch {
 	case f.err != nil && ctxErr != nil:
-		return "canceled"
+		return outcomeCanceled
 	case f.err != nil:
-		return "transport"
+		return outcomeTransport
 	case !f.done():
-		return "retryable"
+		return outcomeRetryable
 	case f.res.Status >= 400:
-		return "error"
+		return outcomeError
 	}
-	return "ok"
+	return outcomeOK
 }
 
 // tryOne forwards body to one backend with the per-request timeout.
@@ -267,14 +269,12 @@ func (g *Gateway) tryOne(ctx context.Context, path string, body []byte, b *Backe
 	res, err := b.client.RoundTrip(reqCtx, path, body)
 	f := fwdResult{res: res, err: err}
 	out := attemptOutcome(f, ctx.Err())
-	obs.Default().Counter("lna_gateway_attempts_total",
-		"Forward attempts by backend and outcome (ok|error|retryable|transport|canceled).",
-		"backend", b.URL, "outcome", out).Inc()
+	b.attempts[out].Add(1)
 	if err != nil {
 		if ctx.Err() == nil {
 			g.pool.markUnhealthy(b, fmt.Sprintf("forward failed: %v", err))
 		}
-		att.End("backend", b.URL, "outcome", out)
+		att.End("backend", b.URL, "outcome", outcomeNames[out])
 		return fwdResult{err: err}
 	}
 	if res.Status == http.StatusServiceUnavailable {
@@ -282,8 +282,7 @@ func (g *Gateway) tryOne(ctx context.Context, path string, body []byte, b *Backe
 		// ring now; the sweep re-admits it when it reports ok again.
 		g.pool.markUnhealthy(b, fmt.Sprintf("backend answered %d", res.Status))
 	}
-	b.forwarded.Add(1)
-	att.End("backend", b.URL, "outcome", out, "status", strconv.Itoa(res.Status))
+	att.End("backend", b.URL, "outcome", outcomeNames[out], "status", strconv.Itoa(res.Status))
 	return f
 }
 
@@ -311,7 +310,6 @@ func (g *Gateway) forward(ctx context.Context, path string, body []byte, candida
 	for _, b := range candidates {
 		if attempts > 0 {
 			g.retries.Add(1)
-			g.mRetries.Inc()
 			if walk == nil && tr != nil {
 				walk = tr.StartChild(parent, "retry_walk", "gateway")
 				walkCtx = obs.ContextWithSpan(ctx, tr, walk.ID())
@@ -400,14 +398,12 @@ func (g *Gateway) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 	default:
 		admit("outcome", "rejected")
 		g.rejected.Add(1)
-		g.mRejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		service.WriteWireError(w, service.CodeQueueFull,
 			"gateway admission queue is full (%d in flight)", g.opts.MaxInflight)
 		return
 	}
 	g.requests.Add(1)
-	g.mRequests.Inc()
 
 	// Route by the same content-hash key the backends cache under —
 	// the whole point of the tier: one key, one replica, one warm cache.
@@ -417,7 +413,6 @@ func (g *Gateway) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 	route("key", key, "candidates", strconv.Itoa(len(candidates)))
 	if len(candidates) == 0 {
 		g.rejected.Add(1)
-		g.mRejected.Inc()
 		service.WriteWireError(w, service.CodeBackendUnavailable, "no healthy backends")
 		return
 	}
@@ -431,7 +426,6 @@ func (g *Gateway) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 			return // client went away mid-forward
 		}
 		g.rejected.Add(1)
-		g.mRejected.Inc()
 		service.WriteWireError(w, service.CodeBackendUnavailable,
 			"all %d candidate backend(s) failed: %v", len(candidates), err)
 		return
@@ -458,7 +452,6 @@ func (g *Gateway) handleBatch(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.batches.Add(1)
-	g.mRequests.Inc()
 	entry.Modules = len(batch.Requests)
 
 	// One gateway-side trace per batch; the per-group forwards run

@@ -46,6 +46,9 @@ type wrapper struct {
 	// killNextBatch arms a one-shot: the next /v1/batch request flips
 	// dead and drops its connection mid-request.
 	killNextBatch atomic.Bool
+	// gate, when set, parks every /v1/analyze request until the
+	// channel closes.
+	gate atomic.Pointer[chan struct{}]
 }
 
 func (w *wrapper) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
@@ -60,6 +63,9 @@ func (w *wrapper) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 			}
 		}
 		panic("wrapper: cannot hijack connection to simulate death")
+	}
+	if g := w.gate.Load(); g != nil && r.URL.Path == "/v1/analyze" {
+		<-*g
 	}
 	if d := w.delayNs.Load(); d > 0 && (r.URL.Path == "/v1/analyze" || r.URL.Path == "/v1/batch") {
 		time.Sleep(time.Duration(d))
@@ -656,5 +662,141 @@ func TestGatewayStatsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if st.Requests != 1 || st.HealthyBackends != 2 || len(st.Backends) != 2 {
 		t.Errorf("stats = %+v; want 1 request over 2 healthy backends", st)
+	}
+}
+
+// metricSeries sums the /v1/metrics JSON series of name whose labels
+// include every key/value pair in kv.
+func metricSeries(t *testing.T, url, name string, kv ...string) uint64 {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Metrics []struct {
+			Name   string
+			Series []struct {
+				Labels map[string]string
+				Value  uint64
+			}
+		}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var total uint64
+	for _, m := range doc.Metrics {
+		if m.Name != name {
+			continue
+		}
+	series:
+		for _, s := range m.Series {
+			for i := 0; i+1 < len(kv); i += 2 {
+				if s.Labels[kv[i]] != kv[i+1] {
+					continue series
+				}
+			}
+			total += s.Value
+		}
+	}
+	return total
+}
+
+// TestGatewayMetricsMatchStats: every count the gateway's /v1/stats
+// reports is the count its /v1/metrics reports. Mixed traffic — misses
+// and hits, a concurrent identical pair, a batch, a 429 and a reroute
+// off a dead owner — moves each of them. Each backend's forwarded
+// count is its ok + error + retryable attempts.
+func TestGatewayMetricsMatchStats(t *testing.T) {
+	g, c, reps := newCluster(t, 2, gateway.Options{MaxInflight: 2, Retries: 1})
+	check := func(module string) service.AnalyzeRequest {
+		return service.AnalyzeRequest{Module: module, Source: checkSrc,
+			Options: service.AnalyzeOptions{Mode: service.ModeCheck}}
+	}
+	for _, m := range []string{"a.mc", "a.mc", "b.mc"} {
+		req := check(m)
+		if _, _, err := c.AnalyzeRaw(context.Background(), &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.Batch(context.Background(), []service.AnalyzeRequest{check("a.mc"), check("c.mc")}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The pair, parked at its replica, fills the gateway's admission
+	// cap, so one more request is refused at the edge.
+	gate := make(chan struct{})
+	for _, r := range reps {
+		r.wrap.gate.Store(&gate)
+	}
+	before := g.Stats().Requests
+	pairDone := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			req := check("pair.mc")
+			_, _, err := c.AnalyzeRaw(context.Background(), &req)
+			pairDone <- err
+		}()
+	}
+	deadline := time.After(5 * time.Second)
+	for g.Stats().Requests != before+2 {
+		select {
+		case <-deadline:
+			t.Fatal("the pair was never admitted")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	body, _ := json.Marshal(check("refused.mc"))
+	res, err := c.RoundTrip(context.Background(), "/v1/analyze", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != http.StatusTooManyRequests {
+		t.Fatalf("third concurrent request: status %d, want 429", res.Status)
+	}
+	for _, r := range reps {
+		r.wrap.gate.Store(nil)
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if err := <-pairDone; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A dead owner costs one transport attempt and one reroute.
+	req := findOwnedModule(t, c, reps[0].ts.URL, true)
+	reps[0].wrap.dead.Store(true)
+	if _, meta, err := c.AnalyzeRaw(context.Background(), &req); err != nil || meta.Attempts != 2 {
+		t.Fatalf("reroute: attempts %d, err %v; want 2 attempts, no error", meta.Attempts, err)
+	}
+
+	st := g.Stats()
+	if st.BatchRequests != 1 || st.Rejected != 1 || st.Retries != 1 {
+		t.Fatalf("stats = %+v; want 1 batch, 1 rejected, 1 retry", st)
+	}
+	for name, count := range map[string]uint64{
+		"lna_gateway_requests_total": st.Requests,
+		"lna_gateway_batches_total":  st.BatchRequests,
+		"lna_gateway_rejected_total": st.Rejected,
+		"lna_gateway_retries_total":  st.Retries,
+	} {
+		if got := metricSeries(t, c.BaseURL(), name); got != count {
+			t.Errorf("%s = %d, /v1/stats says %d", name, got, count)
+		}
+	}
+	for _, b := range st.Backends {
+		var answered uint64
+		for _, out := range []string{"ok", "error", "retryable"} {
+			answered += metricSeries(t, c.BaseURL(), "lna_gateway_attempts_total", "backend", b.URL, "outcome", out)
+		}
+		if b.Forwarded == 0 || b.Forwarded != answered {
+			t.Errorf("backend %s: forwarded %d, ok+error+retryable attempts %d", b.URL, b.Forwarded, answered)
+		}
+	}
+	if got := metricSeries(t, c.BaseURL(), "lna_gateway_attempts_total", "backend", reps[0].ts.URL, "outcome", "transport"); got != 1 {
+		t.Errorf("dead owner's transport attempts = %d, want 1", got)
 	}
 }

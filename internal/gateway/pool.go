@@ -32,19 +32,33 @@ type Backend struct {
 	// lastErr is the most recent probe or forward failure, for
 	// /v1/health introspection ("" when healthy).
 	lastErr atomic.Value // string
-	// forwarded counts requests this backend served (for balance
-	// introspection in stats and tests).
-	forwarded atomic.Uint64
+	// attempts counts forward attempts at this backend, indexed by
+	// outcome: the lna_gateway_attempts_total{backend,outcome} series.
+	attempts [numOutcomes]atomic.Uint64
 }
 
 // Healthy reports whether the backend is currently in the ring.
 func (b *Backend) Healthy() bool { return b.healthy.Load() }
+
+// The outcomes of a forward attempt, indexing Backend.attempts.
+const (
+	outcomeOK        = iota // a relayable answer below 400
+	outcomeError            // a relayable answer of 400 or more
+	outcomeRetryable        // 429, 502, 503 or 504
+	outcomeTransport        // no answer: the round trip failed
+	outcomeCanceled         // no answer: the client departed
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"ok", "error", "retryable", "transport", "canceled"}
 
 // BackendState is one backend's row in the gateway's health payload.
 type BackendState struct {
 	URL       string `json:"url"`
 	Healthy   bool   `json:"healthy"`
 	LastError string `json:"last_error,omitempty"`
+	// Forwarded counts the attempts this backend answered over HTTP:
+	// its ok, error and retryable attempts.
 	Forwarded uint64 `json:"forwarded"`
 }
 
@@ -244,11 +258,12 @@ func (p *pool) healthyCount() int {
 func (p *pool) states() []BackendState {
 	out := make([]BackendState, 0, len(p.backends))
 	for _, b := range p.backends {
+		a := &b.attempts
 		out = append(out, BackendState{
 			URL:       b.URL,
 			Healthy:   b.Healthy(),
 			LastError: b.lastErr.Load().(string),
-			Forwarded: b.forwarded.Load(),
+			Forwarded: a[outcomeOK].Load() + a[outcomeError].Load() + a[outcomeRetryable].Load(),
 		})
 	}
 	return out

@@ -3,10 +3,11 @@
 // declarations, condenses it (cycle members are rejected with
 // positioned diagnostics, Go-style), and runs a sequential
 // bottom-up pass over the condensation: each module is analyzed after
-// its dependencies, receiving their package summaries — exported
-// signatures, qualifier transfer tables per experiment variant, and
+// its dependencies, receiving their exported signatures and package
+// summaries — qualifier transfer tables per experiment variant, and
 // per-formal effect masks — so call sites into imported functions
-// apply the callee's actual behavior instead of worst-case havoc.
+// apply the callee's actual behavior instead of worst-case havoc. Only
+// a module some other module imports computes a summary.
 //
 // Each module is parsed once and then runs the same per-module step
 // as a single-module request — type check against its dependencies'
@@ -73,7 +74,7 @@ type ModuleResult struct {
 	Module *core.Module
 	// Locking is the full per-module result (nil on failure). Its API
 	// is the package summary published to importers (nil in havoc
-	// mode).
+	// mode, and for a module no other module imports).
 	Locking *core.LockingResult
 	// Err is the load or analysis failure, if any.
 	Err error
@@ -162,7 +163,12 @@ func Analyze(sources []Source, opts Options) *Result {
 	// Deterministic bottom-up order over the acyclic remainder.
 	res.Order = topoOrder(mods, names, cyclic)
 
-	r := &runner{mods: mods, opts: opts, res: res}
+	r := &runner{mods: mods, opts: opts, res: res, imported: make(map[string]bool)}
+	for _, p := range mods {
+		for _, d := range p.deps {
+			r.imported[d] = true
+		}
+	}
 	for _, name := range res.Order {
 		faults.CheckDeadline(opts.Ctx)
 		r.analyze(name)

@@ -303,6 +303,38 @@ func TestRerunAndCommentEditStable(t *testing.T) {
 	}
 }
 
+// TestSummariesOnlyForImported: a package summary is computed only
+// for a module another module imports. In an XStack stack every
+// library is imported and carries one; the leaf, which nothing
+// imports, carries none. In havoc mode no module carries one.
+func TestSummariesOnlyForImported(t *testing.T) {
+	mods := drivergen.XStack(1)
+	imported := map[string]bool{}
+	for _, m := range mods {
+		for _, d := range m.Deps {
+			imported[d] = true
+		}
+	}
+	if len(imported) != len(mods)-1 {
+		t.Fatalf("%d of %d modules imported; want every library", len(imported), len(mods))
+	}
+	res := Analyze(stackSources(1), Options{})
+	for _, m := range mods {
+		lr := res.Modules[m.Name].Locking
+		if lr == nil {
+			t.Fatalf("%s failed: %v", m.Name, res.Modules[m.Name].Err)
+		}
+		if got := lr.API != nil; got != imported[m.Name] {
+			t.Errorf("%s: has summary %v, imported %v", m.Name, got, imported[m.Name])
+		}
+	}
+	for name, mr := range Analyze(stackSources(1), Options{Havoc: true}).Modules {
+		if mr.Locking == nil || mr.Locking.API != nil {
+			t.Errorf("havoc %s: result %v; want a result without a summary", name, mr.Locking)
+		}
+	}
+}
+
 // TestTopoOrder checks the schedule is bottom-up and deterministic.
 func TestTopoOrder(t *testing.T) {
 	res := Analyze(stackSources(2), Options{})

@@ -19,6 +19,9 @@ type runner struct {
 	mods map[string]*parsed
 	opts Options
 	res  *Result
+	// imported names the modules another module of the program
+	// imports: only their package summaries have a reader.
+	imported map[string]bool
 }
 
 // depAPI returns the published API of dependency d, or nil when d is
@@ -110,7 +113,7 @@ func (r *runner) step(p *parsed) (*core.LockingResult, error) {
 	lr, err := m.AnalyzeLockingCtx(r.opts.Ctx, core.LockingOptions{
 		ImportEffects:   effs,
 		ImportTransfers: trans,
-		ExportAPI:       !r.opts.Havoc,
+		ExportAPI:       !r.opts.Havoc && r.imported[m.Name],
 	}, r.opts.Phases)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", m.Name, err)

@@ -55,9 +55,12 @@ const (
 	AttrLeaderTrace = "leader_trace"
 )
 
-// AppMetrics is the toolkit's process-wide metric set, registered
+// AppMetrics is the engine's process-wide metric set, registered
 // once in the Default registry. Hot paths hold the typed handles
 // directly, so recording is an atomic add — no map lookup, no lock.
+// Counts that belong to one server instance (its requests, its cache,
+// a gateway's attempts) are not here: they live on the instance and
+// are bound into the registry with CounterFunc.
 type AppMetrics struct {
 	// Solver work counters, accumulated once per solve from the
 	// per-solve Stats block (not per propagation step — the drain loop
@@ -77,15 +80,6 @@ type AppMetrics struct {
 
 	// Per-phase latency distributions (parse/typecheck/infer/solve/…).
 	phaseSeconds map[Phase]*Histogram
-
-	// Result-cache accounting (mirrors the cache's own counters so
-	// scrapers see them without a /v1/stats round trip).
-	CacheHits      *Counter
-	CacheMisses    *Counter
-	CacheEvictions *Counter
-	// CacheCoalesced counts the hits answered by joining a concurrent
-	// cold run of the same key (a subset of CacheHits).
-	CacheCoalesced *Counter
 }
 
 var (
@@ -109,10 +103,6 @@ func App() *AppMetrics {
 			requestsByMode:            make(map[string]*Counter, len(modeNames)),
 			failuresByKind:            make(map[Kind]*Counter),
 			phaseSeconds:              make(map[Phase]*Histogram),
-			CacheHits:                 r.Counter("lna_cache_hits_total", "Result-cache hits."),
-			CacheMisses:               r.Counter("lna_cache_misses_total", "Result-cache misses."),
-			CacheEvictions:            r.Counter("lna_cache_evictions_total", "Result-cache LRU evictions."),
-			CacheCoalesced:            r.Counter("lna_cache_coalesced_total", "Result-cache hits answered by joining a concurrent cold run of the same key (a subset of lna_cache_hits_total)."),
 		}
 		for _, m := range modeNames {
 			a.requestsByMode[m] = r.Counter("lna_requests_total", "Analysis requests by mode.", "mode", m)

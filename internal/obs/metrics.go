@@ -1,8 +1,9 @@
 // Package obs is the zero-dependency observability layer of the
 // toolkit: a process-wide metrics registry (atomic counters, callback
-// gauges, and fixed-bucket latency histograms), per-request span traces with
-// unique trace IDs, and exporters for both — JSON and Prometheus text
-// exposition for metrics, Chrome trace_event JSON for traces.
+// counters and gauges, and fixed-bucket latency histograms),
+// per-request span traces with unique trace IDs, and exporters for
+// both — JSON and Prometheus text exposition for metrics, Chrome
+// trace_event JSON for traces.
 //
 // Design constraints, in order:
 //
@@ -220,7 +221,7 @@ type series struct {
 	labels  string   // rendered `k="v",k2="v2"` form, "" for unlabeled
 	kv      []string // raw key,value list the series was created with
 	counter *Counter
-	gaugeFn func() int64 // callback gauges (queue depth, cache entries)
+	fn      func() int64 // callback counters and gauges, read at scrape time
 	hist    *Histogram
 }
 
@@ -280,8 +281,7 @@ func renderLabels(kv []string) string {
 }
 
 // labelEscaper escapes a label value for the text exposition. It is
-// built once: a Replacer is safe for concurrent use, and series lookups
-// sit on hot paths (one per gateway forward attempt).
+// built once: a Replacer is safe for concurrent use.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func escapeLabel(v string) string { return labelEscaper.Replace(v) }
@@ -321,15 +321,27 @@ func (r *Registry) Counter(name, help string, kv ...string) *Counter {
 	return s.counter
 }
 
+// CounterFunc registers (or replaces) a callback counter: fn is read
+// at scrape time, so a count kept on a server instance is exposed
+// without a second copy. fn must be monotonic. As with GaugeFunc, the
+// last registrant wins.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, kv ...string) {
+	r.bind(name, help, kindCounter, func() int64 { return int64(fn()) }, kv)
+}
+
 // GaugeFunc registers (or replaces) a callback gauge: fn is invoked
 // at scrape time. Replacement semantics let a new Server instance
 // re-bind the queue-depth gauge without unregistering the old one —
 // the last registrant wins, which is the live instance.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, kv ...string) {
-	s := r.lookup(name, help, kindGauge, kv)
+	r.bind(name, help, kindGauge, fn, kv)
+}
+
+func (r *Registry) bind(name, help string, kind metricKind, fn func() int64, kv []string) {
+	s := r.lookup(name, help, kind, kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s.gaugeFn = fn
+	s.fn = fn
 }
 
 // Histogram returns the histogram for name+labels, creating it with
@@ -390,8 +402,9 @@ func labelMap(kv []string) map[string]string {
 
 // snapshot copies the family/series structure under r.mu so the
 // (lock-free) instrument reads happen outside the registry lock. Each
-// series is copied by value: Counter, Gauge, GaugeFunc and Histogram
-// set its instrument fields under r.mu after lookup has published it.
+// series is copied by value: Counter, CounterFunc, GaugeFunc and
+// Histogram set its instrument fields under r.mu after lookup has
+// published it.
 func (r *Registry) snapshot() []metricJSON {
 	type seriesRef struct {
 		kv []string
@@ -419,14 +432,14 @@ func (r *Registry) snapshot() []metricJSON {
 		m := metricJSON{Name: fr.name, Type: string(fr.kind), Help: fr.help}
 		for _, sr := range fr.series {
 			sj := seriesJSON{Labels: labelMap(sr.kv)}
-			switch fr.kind {
-			case kindCounter:
+			switch {
+			case sr.s.fn != nil:
+				v := sr.s.fn()
+				sj.Value = &v
+			case fr.kind == kindCounter:
 				v := int64(sr.s.counter.Value())
 				sj.Value = &v
-			case kindGauge:
-				v := sr.s.gaugeFn()
-				sj.Value = &v
-			case kindHistogram:
+			case fr.kind == kindHistogram:
 				hs := sr.s.hist.Snapshot()
 				count, sum, max := hs.Count, int64(hs.Sum), int64(hs.Max)
 				p50, p95 := int64(hs.Quantile(0.50)), int64(hs.Quantile(0.95))

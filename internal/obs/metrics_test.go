@@ -265,3 +265,23 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("lost increments: got %d want %d", got, 8*2000*2)
 	}
 }
+
+func TestCounterFuncReplacement(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("hits_total", "hits", func() uint64 { return 1 }, "tier", "a")
+	r.CounterFunc("hits_total", "hits", func() uint64 { return 42 }, "tier", "a")
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "# TYPE hits_total counter") || !strings.Contains(out, `hits_total{tier="a"} 42`) {
+		t.Fatalf("last-registered counter func must win, typed counter:\n%s", out)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-registering a counter func as a gauge must panic")
+		}
+	}()
+	r.GaugeFunc("hits_total", "hits", func() int64 { return 0 })
+}

@@ -9,8 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-
-	"localalias/internal/obs"
 )
 
 // CacheKey derives the content-hash cache key of a request: the
@@ -161,7 +159,6 @@ func (c *Cache) Lookup(ctx context.Context, key, trace string) (Hit, *Claim, err
 			e := el.Value.(*cacheEntry)
 			data := bytes.Clone(e.val)
 			c.mu.Unlock()
-			obs.App().CacheHits.Inc()
 			return Hit{Data: data, Findings: e.findings}, nil, nil
 		}
 		f, ok := c.flights[key]
@@ -170,7 +167,6 @@ func (c *Cache) Lookup(ctx context.Context, key, trace string) (Hit, *Claim, err
 			c.flights[key] = f
 			c.misses++
 			c.mu.Unlock()
-			obs.App().CacheMisses.Inc()
 			return Hit{}, &Claim{c: c, key: key, f: f}, nil
 		}
 		c.waiting++
@@ -193,8 +189,6 @@ func (c *Cache) Lookup(ctx context.Context, key, trace string) (Hit, *Claim, err
 			return Hit{}, nil, err
 		}
 		if answered {
-			obs.App().CacheHits.Inc()
-			obs.App().CacheCoalesced.Inc()
 			return Hit{Data: bytes.Clone(f.val), Coalesced: true, Leader: f.leader, Failed: f.failed, Findings: f.findings}, nil, nil
 		}
 	}
@@ -241,7 +235,6 @@ func (c *Cache) putLocked(e *cacheEntry) {
 		c.ll.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 		c.evictions++
-		obs.App().CacheEvictions.Inc()
 	}
 }
 

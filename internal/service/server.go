@@ -115,14 +115,6 @@ type Server struct {
 	batches  atomic.Uint64 // batch requests admitted
 	rejected atomic.Uint64 // 429s + 503s
 	failures atomic.Uint64 // responses carrying a Failure record
-
-	// Process-wide mirrors of the HTTP-level counters, exposed through
-	// /v1/metrics alongside the engine's own instruments. mRequests
-	// counts every admitted single-module request (hits and misses
-	// both), where the engine's lna_requests_total only sees cold runs.
-	mRequests *obs.Counter
-	mRejected *obs.Counter
-	mBatches  *obs.Counter
 }
 
 // NewServer builds a Server (see ServerOptions for the knobs).
@@ -135,16 +127,28 @@ func NewServer(opts ServerOptions) *Server {
 		queue:  make(chan struct{}, o.QueueDepth),
 		traces: obs.NewTraceRing(o.TraceEntries),
 	}
+	// Each count lives once, on this Server (and its cache); the
+	// registry reads it at scrape time. Re-registration binds every
+	// series to the newest Server — exactly what a process that
+	// rebuilds its server (tests, config reload) wants. The HTTP
+	// request count includes cache hits, where the engine's
+	// lna_requests_total only sees cold runs.
 	reg := obs.Default()
-	s.mRequests = reg.Counter("lna_http_requests_total",
-		"Single-module requests admitted (cache hits included).")
-	s.mRejected = reg.Counter("lna_http_rejected_total",
-		"HTTP requests refused with 429 (queue full) or 503 (draining).")
-	s.mBatches = reg.Counter("lna_http_batches_total",
-		"Batch submissions admitted.")
-	// GaugeFunc re-registration binds the live gauges to the newest
-	// Server — exactly what a process that rebuilds its server (tests,
-	// config reload) wants.
+	reg.CounterFunc("lna_http_requests_total",
+		"Single-module requests admitted (cache hits included).", s.requests.Load)
+	reg.CounterFunc("lna_http_rejected_total",
+		"HTTP requests refused with 429 (queue full) or 503 (draining).", s.rejected.Load)
+	reg.CounterFunc("lna_http_batches_total",
+		"Batch submissions admitted.", s.batches.Load)
+	reg.CounterFunc("lna_cache_hits_total", "Result-cache hits.",
+		func() uint64 { return s.cache.Stats().Hits })
+	reg.CounterFunc("lna_cache_misses_total", "Result-cache misses.",
+		func() uint64 { return s.cache.Stats().Misses })
+	reg.CounterFunc("lna_cache_evictions_total", "Result-cache LRU evictions.",
+		func() uint64 { return s.cache.Stats().Evictions })
+	reg.CounterFunc("lna_cache_coalesced_total",
+		"Result-cache hits answered by joining a concurrent cold run of the same key (a subset of lna_cache_hits_total).",
+		func() uint64 { return s.cache.Stats().Coalesced })
 	reg.GaugeFunc("lna_queue_depth",
 		"Admitted-but-unfinished single-module requests (waiting + running).",
 		func() int64 { return int64(len(s.queue)) })
@@ -322,7 +326,6 @@ func (s *Server) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 	defer done()
 	if s.draining.Load() {
 		s.rejected.Add(1)
-		s.mRejected.Inc()
 		WriteWireError(w, CodeDraining, "server is draining")
 		return
 	}
@@ -343,13 +346,11 @@ func (s *Server) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 		defer func() { <-s.queue }()
 	default:
 		s.rejected.Add(1)
-		s.mRejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		WriteWireError(w, CodeQueueFull, "analysis queue is full (%d in flight)", s.opts.QueueDepth)
 		return
 	}
 	s.requests.Add(1)
-	s.mRequests.Inc()
 	// Every daemon request is traced: the spans cost microseconds next
 	// to an analysis, and the trace ID is what lets an operator join
 	// the access log, the response headers, and an exported trace. A
@@ -445,7 +446,6 @@ func (s *Server) handleBatch(rw http.ResponseWriter, r *http.Request) {
 	defer done()
 	if s.draining.Load() {
 		s.rejected.Add(1)
-		s.mRejected.Inc()
 		WriteWireError(w, CodeDraining, "server is draining")
 		return
 	}
@@ -454,7 +454,6 @@ func (s *Server) handleBatch(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.batches.Add(1)
-	s.mBatches.Inc()
 	entry.Modules = len(batch.Requests)
 
 	// Fan the admitted entries across the worker pool. Entries stream

@@ -375,3 +375,79 @@ func TestEngineTracePhases(t *testing.T) {
 		t.Errorf("phase timings: single request %q, multi_module %q", phases["single"], phases["multi_module"])
 	}
 }
+
+// TestMetricsMatchStats: every count /v1/stats reports is the count
+// /v1/metrics reports. Mixed traffic — misses, hits, a batch, a
+// coalesced pair, a 429 and LRU evictions — moves each of them, and
+// the two views of the server must then agree exactly.
+func TestMetricsMatchStats(t *testing.T) {
+	const pair = "pair.mc"
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	service.SetTestAnalyzeHook(func(ctx context.Context, m string) {
+		if m == pair {
+			<-release
+		}
+	})
+	defer func() { releaseAll(); service.SetTestAnalyzeHook(nil) }()
+
+	s, c := newTestServer(t, service.ServerOptions{Workers: 2, QueueDepth: 2, CacheEntries: 3})
+	check := func(module string) service.AnalyzeRequest {
+		return service.AnalyzeRequest{Module: module, Source: service.CleanCheckSrc,
+			Options: service.AnalyzeOptions{Mode: service.ModeCheck}}
+	}
+	for _, m := range []string{"a.mc", "a.mc", "b.mc"} {
+		mustAnalyze(t, c, check(m))
+	}
+	if _, _, err := c.Batch(context.Background(), []service.AnalyzeRequest{check("a.mc"), check("c.mc")}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The pair holds both queue slots, its follower parked on the
+	// leader's held run, so one more request is refused.
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mustAnalyze(t, c, check(pair))
+		}()
+	}
+	waitFor(t, "the pair's follower to join its leader", func() bool { return service.CacheWaiting(s) == 1 })
+	body, _ := json.Marshal(check("refused.mc"))
+	res, err := c.RoundTrip(context.Background(), "/v1/analyze", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != http.StatusTooManyRequests {
+		t.Fatalf("third concurrent request: status %d, want 429", res.Status)
+	}
+	releaseAll()
+	wg.Wait()
+
+	st, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := service.CacheStats{Hits: 3, Coalesced: 1, Misses: 4, Evictions: 1, Entries: 3, Capacity: 3}
+	if st.Requests != 5 || st.BatchRequests != 1 || st.Rejected != 1 || st.Cache != want {
+		t.Fatalf("stats = requests %d, batches %d, rejected %d, cache %+v; want 5, 1, 1, %+v",
+			st.Requests, st.BatchRequests, st.Rejected, st.Cache, want)
+	}
+	doc := scrapeJSON(t, c.BaseURL())
+	for name, count := range map[string]uint64{
+		"lna_http_requests_total":   st.Requests,
+		"lna_http_batches_total":    st.BatchRequests,
+		"lna_http_rejected_total":   st.Rejected,
+		"lna_cache_hits_total":      st.Cache.Hits,
+		"lna_cache_coalesced_total": st.Cache.Coalesced,
+		"lna_cache_misses_total":    st.Cache.Misses,
+		"lna_cache_evictions_total": st.Cache.Evictions,
+		"lna_cache_entries":         uint64(st.Cache.Entries),
+	} {
+		if got := metricValue(t, doc, name); got != float64(count) {
+			t.Errorf("%s = %v, /v1/stats says %d", name, got, count)
+		}
+	}
+}
