@@ -14,6 +14,7 @@ package faults
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -51,11 +52,10 @@ type PhaseTiming struct {
 // analysis goroutine advances it while a deadline watcher may read
 // Current from outside.
 type Trace struct {
-	mu      sync.Mutex
-	phase   obs.Phase
-	start   time.Time
-	order   []obs.Phase
-	elapsed map[obs.Phase]time.Duration
+	mu     sync.Mutex
+	phase  obs.Phase
+	start  time.Time
+	phases []PhaseTiming // per-phase totals in first-entry order
 	// spans, when non-nil, receives one obs span per phase interval as
 	// it closes — the bridge from coarse phase tracking to real
 	// request tracing. nil (the default) costs nothing.
@@ -64,7 +64,7 @@ type Trace struct {
 
 // NewTrace starts a trace for one module's analysis.
 func NewTrace() *Trace {
-	return &Trace{elapsed: make(map[obs.Phase]time.Duration)}
+	return &Trace{phases: make([]PhaseTiming, 0, len(obs.Phases()))}
 }
 
 // SetSpans attaches an obs trace: every phase interval the trace
@@ -100,11 +100,15 @@ func (t *Trace) closeLocked(now time.Time) {
 	if t.phase == "" {
 		return
 	}
-	if _, seen := t.elapsed[t.phase]; !seen {
-		t.order = append(t.order, t.phase)
+	i := 0
+	for i < len(t.phases) && t.phases[i].Phase != t.phase {
+		i++
+	}
+	if i == len(t.phases) {
+		t.phases = append(t.phases, PhaseTiming{Phase: t.phase})
 	}
 	if d := now.Sub(t.start); d >= 0 {
-		t.elapsed[t.phase] += d
+		t.phases[i].Elapsed += d
 		t.spans.Add(string(t.phase), "phase", t.start, d)
 	}
 	t.start = now
@@ -131,10 +135,8 @@ func (t *Trace) Timings() []PhaseTiming {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closeLocked(now)
-	out := make([]PhaseTiming, 0, len(t.order))
-	for _, p := range t.order {
-		out = append(out, PhaseTiming{Phase: p, Elapsed: t.elapsed[p]})
-	}
+	out := make([]PhaseTiming, len(t.phases))
+	copy(out, t.phases)
 	return out
 }
 
@@ -201,13 +203,15 @@ func Run(module string, tr *Trace, fn func() error) (fail *ModuleFailure) {
 // (via CheckDeadline) and deliver a structured failure itself.
 const graceAfterDeadline = 100 * time.Millisecond
 
-// RunBounded is Run with a wall-clock deadline: fn executes on its
-// own goroutine with a context that expires after timeout (0 means no
-// deadline beyond ctx's own). If the deadline passes and fn does not
-// abort cooperatively within a short grace period, RunBounded
-// abandons the goroutine and returns an obs.KindTimeout failure with
-// the phase the trace last entered — one pathological module cannot
-// stall the worker that ran it.
+// RunBounded is Run with a wall-clock deadline: fn executes on an
+// analysis goroutine (see dispatch) with a context that expires after
+// timeout (0 means no deadline beyond ctx's own). If the deadline
+// passes and fn does not abort cooperatively within a short grace
+// period, RunBounded abandons the goroutine and returns an
+// obs.KindTimeout failure with the phase the trace last entered — one
+// pathological module cannot stall the worker that ran it. The
+// abandoned goroutine keeps running fn and takes no other job until fn
+// returns.
 func RunBounded(ctx context.Context, module string, timeout time.Duration, tr *Trace, fn func(context.Context) error) *ModuleFailure {
 	if ctx == nil {
 		ctx = context.Background()
@@ -219,9 +223,10 @@ func RunBounded(ctx context.Context, module string, timeout time.Duration, tr *T
 	}
 	start := time.Now()
 	done := make(chan *ModuleFailure, 1)
-	go func() {
-		done <- Run(module, tr, func() error { return fn(ctx) })
-	}()
+	dispatch(job{
+		run:  func() *ModuleFailure { return Run(module, tr, func() error { return fn(ctx) }) },
+		done: done,
+	})
 	select {
 	case f := <-done:
 		return f
@@ -241,6 +246,80 @@ func RunBounded(ctx context.Context, module string, timeout time.Duration, tr *T
 		Message: fmt.Sprintf("%v (analysis goroutine abandoned)", ctx.Err()),
 		Elapsed: time.Since(start),
 	}
+}
+
+// ---------------------------------------------------------------------
+// Analysis goroutines
+
+// An analysis runs on a goroutine of its own, so that RunBounded can
+// abandon it. The recursive-descent parser grows that goroutine's
+// stack through several copies; a fresh goroutine per module paid for
+// the growth every time. Instead a goroutine that finishes a job parks
+// and takes the next one with the stack it already grew.
+
+// parkedPerProc caps the parked analysis goroutines at this many per
+// GOMAXPROCS, read at first use. A goroutine that finishes while the
+// cap is full exits.
+const parkedPerProc = 4
+
+// job is one guarded analysis: run's result goes to done, which has
+// room for it, so an abandoned job's goroutine never blocks on it.
+type job struct {
+	run  func() *ModuleFailure
+	done chan<- *ModuleFailure
+}
+
+// parked is the stack of parked analysis goroutines, each represented
+// by the channel it waits on. The most recently parked goroutine takes
+// the next job, so a lone caller keeps reusing one goroutine.
+var parked struct {
+	mu    sync.Mutex
+	wakes []chan job
+}
+
+var maxParked = sync.OnceValue(func() int { return parkedPerProc * runtime.GOMAXPROCS(0) })
+
+// dispatch hands j to a parked analysis goroutine, or starts one when
+// none is parked.
+func dispatch(j job) {
+	parked.mu.Lock()
+	if n := len(parked.wakes); n > 0 {
+		wake := parked.wakes[n-1]
+		parked.wakes = parked.wakes[:n-1]
+		parked.mu.Unlock()
+		wake <- j
+		return
+	}
+	parked.mu.Unlock()
+	go analyze(j)
+}
+
+// analyze is the body of an analysis goroutine. It parks before it
+// delivers each result, so a caller that receives the result and then
+// dispatches again finds this goroutine parked. Between jobs it holds
+// only its stack: the finished job is dead once its result is sent.
+func analyze(j job) {
+	wake := make(chan job, 1)
+	for {
+		f := j.run()
+		again := park(wake)
+		j.done <- f
+		if !again {
+			return
+		}
+		j = <-wake
+	}
+}
+
+// park adds wake to the parked set unless the set is full.
+func park(wake chan job) bool {
+	parked.mu.Lock()
+	defer parked.mu.Unlock()
+	if len(parked.wakes) >= maxParked() {
+		return false
+	}
+	parked.wakes = append(parked.wakes, wake)
+	return true
 }
 
 // ---------------------------------------------------------------------

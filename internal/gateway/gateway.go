@@ -123,21 +123,30 @@ func New(opts Options) (*Gateway, error) {
 	reg.GaugeFunc("lna_gateway_ring_size",
 		"Virtual-node points on the current hash ring.",
 		func() int64 { return int64(g.pool.ringSize()) })
+	// The per-backend families are replaced whole: a newer Gateway's
+	// backends are the only ones listed.
+	var attempts, healthy []obs.FuncSeries
 	for _, b := range g.pool.backends {
 		for o := range b.attempts {
-			reg.CounterFunc("lna_gateway_attempts_total",
-				"Forward attempts by backend and outcome (ok|error|retryable|transport|canceled).",
-				b.attempts[o].Load, "backend", b.URL, "outcome", outcomeNames[o])
+			attempts = append(attempts, obs.FuncSeries{
+				Labels: []string{"backend", b.URL, "outcome", outcomeNames[o]},
+				Fn:     func() int64 { return int64(b.attempts[o].Load()) },
+			})
 		}
-		reg.GaugeFunc("lna_gateway_backend_healthy",
-			"Per-backend ring membership (1 = in the ring, 0 = out).",
-			func() int64 {
+		healthy = append(healthy, obs.FuncSeries{
+			Labels: []string{"backend", b.URL},
+			Fn: func() int64 {
 				if b.Healthy() {
 					return 1
 				}
 				return 0
-			}, "backend", b.URL)
+			},
+		})
 	}
+	reg.ReplaceCounterFuncs("lna_gateway_attempts_total",
+		"Forward attempts by backend and outcome (ok|error|retryable|transport|canceled).", attempts)
+	reg.ReplaceGaugeFuncs("lna_gateway_backend_healthy",
+		"Per-backend ring membership (1 = in the ring, 0 = out).", healthy)
 	// Health sweeps that change the ring leave a trace of their own, so
 	// an operator can see which probe flipped a backend and how long
 	// the sweep took. Unchanged sweeps (the steady state, one every

@@ -291,6 +291,18 @@ func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *seri
 	labels := renderLabels(kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	f := r.familyLocked(name, help, kind)
+	s, ok := f.series[labels]
+	if !ok {
+		s = &series{labels: labels, kv: append([]string(nil), kv...)}
+		f.series[labels] = s
+		f.order = append(f.order, labels)
+	}
+	return s
+}
+
+// familyLocked finds or creates family name; r.mu must be held.
+func (r *Registry) familyLocked(name, help string, kind metricKind) *family {
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
@@ -300,13 +312,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *seri
 	if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", name, f.kind, kind))
 	}
-	s, ok := f.series[labels]
-	if !ok {
-		s = &series{labels: labels, kv: append([]string(nil), kv...)}
-		f.series[labels] = s
-		f.order = append(f.order, labels)
-	}
-	return s
+	return f
 }
 
 // Counter returns the counter for name+labels, creating it on first
@@ -335,6 +341,46 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, kv ...string
 // the last registrant wins, which is the live instance.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, kv ...string) {
 	r.bind(name, help, kindGauge, fn, kv)
+}
+
+// FuncSeries is one labeled series of a callback family: its flat
+// key,value label list and the callback read at scrape time.
+type FuncSeries struct {
+	Labels []string
+	Fn     func() int64
+}
+
+// ReplaceCounterFuncs makes the callback counter family name hold
+// exactly ss: every series an earlier registrant bound and ss does not
+// name is dropped. It is the last-registrant-wins rule for a family
+// whose label values belong to one instance (a gateway's backends), so
+// a newer instance does not leave the older one's series behind.
+func (r *Registry) ReplaceCounterFuncs(name, help string, ss []FuncSeries) {
+	r.replace(name, help, kindCounter, ss)
+}
+
+// ReplaceGaugeFuncs is ReplaceCounterFuncs for a callback gauge family.
+func (r *Registry) ReplaceGaugeFuncs(name, help string, ss []FuncSeries) {
+	r.replace(name, help, kindGauge, ss)
+}
+
+func (r *Registry) replace(name, help string, kind metricKind, ss []FuncSeries) {
+	rendered := make([]string, len(ss))
+	for i, s := range ss {
+		rendered[i] = renderLabels(s.Labels)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.familyLocked(name, help, kind)
+	f.order = make([]string, 0, len(ss))
+	f.series = make(map[string]*series, len(ss))
+	for i, s := range ss {
+		l := rendered[i]
+		if _, dup := f.series[l]; !dup {
+			f.order = append(f.order, l)
+		}
+		f.series[l] = &series{labels: l, kv: append([]string(nil), s.Labels...), fn: s.Fn}
+	}
 }
 
 func (r *Registry) bind(name, help string, kind metricKind, fn func() int64, kv []string) {

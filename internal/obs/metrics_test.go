@@ -285,3 +285,29 @@ func TestCounterFuncReplacement(t *testing.T) {
 	}()
 	r.GaugeFunc("hits_total", "hits", func() int64 { return 0 })
 }
+
+func TestReplaceFuncsDropsOlderSeries(t *testing.T) {
+	r := NewRegistry()
+	r.ReplaceCounterFuncs("attempts_total", "attempts", []FuncSeries{
+		{Labels: []string{"backend", "old"}, Fn: func() int64 { return 1 }},
+	})
+	r.ReplaceCounterFuncs("attempts_total", "attempts", []FuncSeries{
+		{Labels: []string{"backend", "new"}, Fn: func() int64 { return 7 }},
+		{Labels: []string{"backend", "new"}, Fn: func() int64 { return 8 }},
+	})
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if strings.Contains(out, "old") || strings.Count(out, `attempts_total{backend="new"} 8`) != 1 ||
+		!strings.Contains(out, "# TYPE attempts_total counter") {
+		t.Fatalf("want one series, the newest, typed counter:\n%s", out)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("replacing a counter family with gauges must panic")
+		}
+	}()
+	r.ReplaceGaugeFuncs("attempts_total", "attempts", nil)
+}

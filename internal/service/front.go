@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"localalias/internal/obs"
 )
@@ -125,7 +127,7 @@ func WriteBatch(w http.ResponseWriter, out *BatchResponse) {
 			dispositions[i] = "miss"
 		}
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := marshalBatch(out)
 	if err != nil {
 		WriteWireError(w, CodeInternal, "encoding the batch answer: %v", err)
 		return
@@ -135,6 +137,107 @@ func WriteBatch(w http.ResponseWriter, out *BatchResponse) {
 	w.Header().Set("X-Lna-Cache", strings.Join(dispositions, ","))
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
+}
+
+// entryIndent is the indentation of a batch entry's fields: the answer
+// object, its results array and the entry object are three levels of
+// two spaces.
+const entryIndent = "      "
+
+// marshalBatch returns json.MarshalIndent(out, "", "  ") without
+// running encoding/json over the entries' bodies where it can avoid
+// it. A body the daemon wrote itself (BatchEntry.canonical) is
+// already compact-equivalent, escaped and indented from depth 0, so it
+// is spliced in with each line after the first shifted to depth 3.
+// Any other body goes through encoding/json, which validates,
+// compacts and re-indents it. The envelope is written field by field
+// in BatchResponse's order; TestWriteBatchMatchesMarshalIndent holds
+// it to encoding/json's bytes.
+func marshalBatch(out *BatchResponse) ([]byte, error) {
+	if len(out.Results) == 0 {
+		return json.MarshalIndent(out, "", "  ")
+	}
+	size := 256
+	for i := range out.Results {
+		size += 256 + len(out.Results[i].Response)*5/4
+	}
+	b := make([]byte, 0, size)
+	b = append(b, "{\n  \"results\": ["...)
+	for i := range out.Results {
+		e := &out.Results[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"cached\": "...)
+		b = strconv.AppendBool(b, e.Cached)
+		b = append(b, ",\n      \"cache_key\": "...)
+		b = appendJSONString(b, e.CacheKey)
+		b = append(b, ",\n      \"trace_id\": "...)
+		b = appendJSONString(b, e.TraceID)
+		if len(e.Response) > 0 {
+			b = append(b, ",\n      \"response\": "...)
+			if e.canonical {
+				b = appendShifted(b, bytes.TrimSuffix(e.Response, []byte("\n")))
+			} else {
+				body, err := json.MarshalIndent(e.Response, entryIndent, "  ")
+				if err != nil {
+					return nil, err
+				}
+				b = append(b, body...)
+			}
+		}
+		if e.Error != nil {
+			b = append(b, ",\n      \"error\": {\n        \"code\": "...)
+			b = appendJSONString(b, e.Error.Code)
+			b = append(b, ",\n        \"message\": "...)
+			b = appendJSONString(b, e.Error.Message)
+			b = append(b, "\n      }"...)
+		}
+		b = append(b, "\n    }"...)
+	}
+	b = append(b, "\n  ],\n  \"summary\": {\n    \"modules\": "...)
+	b = strconv.AppendInt(b, int64(out.Summary.Modules), 10)
+	b = append(b, ",\n    \"cache_hits\": "...)
+	b = strconv.AppendInt(b, int64(out.Summary.CacheHits), 10)
+	b = append(b, ",\n    \"cache_misses\": "...)
+	b = strconv.AppendInt(b, int64(out.Summary.CacheMisses), 10)
+	b = append(b, ",\n    \"failures\": "...)
+	b = strconv.AppendInt(b, int64(out.Summary.Failures), 10)
+	b = append(b, ",\n    \"findings\": "...)
+	b = strconv.AppendInt(b, int64(out.Summary.Findings), 10)
+	b = append(b, ",\n    \"rejected\": "...)
+	b = strconv.AppendInt(b, int64(out.Summary.Rejected), 10)
+	return append(b, "\n  }\n}"...), nil
+}
+
+// appendShifted appends body with entryIndent after each newline.
+func appendShifted(b, body []byte) []byte {
+	for {
+		i := bytes.IndexByte(body, '\n')
+		if i < 0 {
+			return append(b, body...)
+		}
+		b = append(b, body[:i+1]...)
+		b = append(b, entryIndent...)
+		body = body[i+1:]
+	}
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it. Plain
+// printable ASCII, which trace IDs and cache keys always are, is
+// copied between quotes; anything encoding/json would escape (a quote,
+// a backslash, a control byte, <, >, &, or a non-ASCII byte) sends the
+// whole string through encoding/json.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // HandleMetrics serves the process-wide metrics registry: JSON by

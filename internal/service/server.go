@@ -36,8 +36,13 @@ const (
 // ServerOptions configures a Server. The zero value picks sensible
 // defaults for every field.
 type ServerOptions struct {
-	// Workers is the analysis pool size (0 = GOMAXPROCS). At most this
-	// many modules are analyzed concurrently, across all endpoints.
+	// Workers is the analysis pool size (0 = GOMAXPROCS): at most this
+	// many engine runs hold a slot at once, across all endpoints. A run
+	// gives its slot back when AnalyzeBounded returns. After a timeout
+	// that is while the abandoned analysis still runs: it keeps its
+	// faults analysis goroutine, which takes no other job, until it
+	// aborts at its next deadline check or finishes. So after timeouts
+	// more than Workers modules can be under analysis at once.
 	Workers int
 	// CacheEntries is the LRU result-cache capacity in entries
 	// (0 = DefaultCacheEntries).
@@ -419,6 +424,10 @@ type BatchEntry struct {
 	// serve it. A batch therefore distinguishes "analyzed, result
 	// empty" from "rejected" per entry instead of failing whole.
 	Error *WireError `json:"error,omitempty"`
+	// canonical reports that Response holds the daemon's canonical
+	// bytes (MarshalCanonical), which WriteBatch splices in as they
+	// are.
+	canonical bool
 }
 
 // BatchSummary aggregates a batch.
@@ -490,6 +499,7 @@ func (s *Server) handleBatch(rw http.ResponseWriter, r *http.Request) {
 			out.Results[i].Cached = run.hit
 			out.Results[i].CacheKey = run.key
 			out.Results[i].Response = run.data
+			out.Results[i].canonical = run.data != nil
 			mu.Lock()
 			defer mu.Unlock()
 			if run.hit {
